@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import conner_floyd as cf
 from . import fgl as fgl_mod
@@ -349,12 +347,7 @@ def run_conner_floyd(args):
     else:
         raise InputError("conner-floyd needs --space JSON or --suite")
     descriptors = [ser.space_from_json(s) for s in spaces_json]
-    workers = int(os.environ.get("ORCOHOM_WORKERS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda X: cf.verify_conner_floyd(X, D), descriptors))
-    else:
-        reports = [cf.verify_conner_floyd(X, D) for X in descriptors]
+    reports = [cf.verify_conner_floyd(X, D) for X in descriptors]
     ok = all(r["isomorphism"] for r in reports)
     result = {"schemaVersion": ser.SCHEMA_VERSION, "truncation": D,
               "reports": reports, "verdict": "isomorphism" if ok else "mismatch"}

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .coefficients import LaurentRing
 from .fgl import LAZARD_DEFAULT_BOUND, classifying_map, lazard_ring, make_multiplicative
 from .polynomials import Polynomial
-from .presented import PresentedRing, QuotientCoefficients, RingMap
+from .presented import IllDefinedMap, PresentedRing, QuotientCoefficients, RingMap
 from .spaces import (
     FlagBundle,
     GrassmannianBundle,
@@ -124,7 +124,7 @@ def verify_conner_floyd(space, truncation: int = 8) -> dict:
     try:
         backward.check_well_defined()
         ideals_match = True
-    except Exception:
+    except IllDefinedMap:
         ideals_match = False
 
     report = {

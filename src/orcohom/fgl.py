@@ -17,7 +17,7 @@ from .coefficients import BaseRing, NonDivisibleBase, ZZ, laurent_over
 from .polynomials import Mono, Polynomial
 from .presented import PresentedRing, QuotientCoefficients, RingMap, compose, scalar_ring
 
-LAZARD_DEFAULT_BOUND = 6
+LAZARD_DEFAULT_BOUND = 8
 
 _X = 0
 _Y = 1

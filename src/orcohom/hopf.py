@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coefficients import BaseRing, ModularRing
-from .intlinalg import int_matrix, kernel_basis
+from .coefficients import ZZ, BaseRing, ModularRing
+from .intlinalg import det_bareiss_ring, hnf, int_matrix, kernel_basis
 from .partitions import merge, partitions, partitions_max_parts, sub_partition_splits
 from .spaces import ClassifyingBGL, OrientedTheory, cohomology
 
@@ -228,7 +228,7 @@ def primitives(hopf: HopfData, w: int) -> dict:
             row = conditions.setdefault((alpha, beta), [0] * len(parts))
             row[i] += coeff
     mat = int_matrix(list(conditions.values()), len(parts))
-    kern = kernel_basis(mat)
+    kern = kernel_basis(mat, len(parts))
     vectors = [list(map(int, v)) for v in kern]
     labels = []
     for v in vectors:
@@ -258,7 +258,6 @@ def indecomposables(hopf: HopfData, w: int) -> dict:
                 row = [0] * len(parts)
                 row[index[prod]] = 1
                 rows.append(row)
-    from .intlinalg import hnf
     h, pivots = hnf(int_matrix(rows, len(parts)))
     quotient_basis = [parts[j] for j in range(len(parts)) if j not in set(pivots)]
     prim = primitives(hopf, w)
@@ -269,8 +268,7 @@ def indecomposables(hopf: HopfData, w: int) -> dict:
         pairing.append([mcoords[index[mu]] for mu in quotient_basis])
     det = None
     if len(pairing) == len(quotient_basis) and pairing:
-        from .intlinalg import det_bareiss_int
-        det = det_bareiss_int(int_matrix(pairing, len(quotient_basis)))
+        det = det_bareiss_ring(int_matrix(pairing, len(quotient_basis)), ZZ)
     return {
         "weight": w,
         "rank": len(quotient_basis),

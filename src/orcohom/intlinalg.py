@@ -1,33 +1,43 @@
 """Exact linear algebra over the integers and over coefficient domains.
 
-Matrices are numpy arrays with dtype=object holding Python ints (or
-BaseRing elements for the generic routines), so everything stays
-arbitrary precision.  The workhorses are row Hermite normal form,
-Smith normal form invariants, integer kernels, and a fraction-free
-determinant for unit tests over arbitrary integral domains.
+Matrices are plain lists of rows (``list[list[int]]``, or rows of
+BaseRing elements for the generic routines), so every entry is an
+arbitrary-precision Python number.  A matrix with no rows carries no
+column count; routines that need one take it as an argument.  The
+workhorses are row Hermite normal form, Smith normal form invariants
+(run only on the part of an HNF that unit pivots do not settle),
+integer kernels, and a fraction-free determinant over arbitrary
+integral domains.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from .coefficients import BaseRing
 
 
-def int_matrix(rows, ncols: int | None = None) -> np.ndarray:
-    """Object-dtype integer matrix from an iterable of rows."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return np.zeros((0, ncols or 0), dtype=object)
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, r in enumerate(rows):
-        out[i, :] = r
+def int_matrix(rows, ncols: int | None = None) -> list[list[int]]:
+    """Integer matrix from an iterable of rows, checked to be rectangular."""
+    out = [list(r) for r in rows]
+    width = len(out[0]) if ncols is None and out else ncols
+    if any(len(r) != width for r in out):
+        raise ValueError("matrix rows must all have the same length")
     return out
 
 
-def hnf(mat: np.ndarray, transform: bool = False):
+def _sub_row(a: list, q: int, b: list) -> list:
+    return [x - q * y for x, y in zip(a, b)]
+
+
+def _support(row: list, start: int) -> list[int]:
+    """Nonzero columns of a pivot row from its pivot column on.
+
+    An HNF pivot row is zero left of its pivot, so subtracting a multiple
+    of it changes another row only in these columns.
+    """
+    return [j for j in range(start, len(row)) if row[j]]
+
+
+def hnf(mat: list[list[int]], transform: bool = False):
     """Row Hermite normal form.
 
     Returns (H, pivot_columns) where H contains only the nonzero rows,
@@ -35,9 +45,10 @@ def hnf(mat: np.ndarray, transform: bool = False):
     [0, pivot).  With transform=True also returns a unimodular U with
     U @ mat == (H padded with zero rows).
     """
-    m = np.array(mat, dtype=object, copy=True)
-    nrows, ncols = m.shape
-    u = np.eye(nrows, dtype=object) if transform else None
+    m = [list(r) for r in mat]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if transform else None
     r = 0
     pivots: list[int] = []
     for c in range(ncols):
@@ -45,39 +56,47 @@ def hnf(mat: np.ndarray, transform: bool = False):
             break
         # gcd whirl on rows r.. in column c
         while True:
-            nz = [i for i in range(r, nrows) if m[i, c] != 0]
+            nz = [i for i in range(r, nrows) if m[i][c] != 0]
             if not nz:
                 break
-            i0 = min(nz, key=lambda i: abs(m[i, c]))
+            i0 = min(nz, key=lambda i: abs(m[i][c]))
             if i0 != r:
-                m[[r, i0]] = m[[i0, r]]
+                m[r], m[i0] = m[i0], m[r]
                 if transform:
-                    u[[r, i0]] = u[[i0, r]]
-            p = m[r, c]
+                    u[r], u[i0] = u[i0], u[r]
+            pr = m[r]
+            p = pr[c]
+            support = _support(pr, c)
             done = True
             for i in range(r + 1, nrows):
-                if m[i, c] != 0:
-                    q = m[i, c] // p
+                row = m[i]
+                if row[c] != 0:
+                    q = row[c] // p
                     if q:
-                        m[i] = m[i] - q * m[r]
+                        for j in support:
+                            row[j] -= q * pr[j]
                         if transform:
-                            u[i] = u[i] - q * u[r]
-                    if m[i, c] != 0:
+                            u[i] = _sub_row(u[i], q, u[r])
+                    if row[c] != 0:
                         done = False
             if done:
                 break
-        if r < nrows and m[r, c] != 0:
-            if m[r, c] < 0:
-                m[r] = -m[r]
+        if m[r][c] != 0:
+            if m[r][c] < 0:
+                m[r] = [-x for x in m[r]]
                 if transform:
-                    u[r] = -u[r]
-            p = m[r, c]
+                    u[r] = [-x for x in u[r]]
+            pr = m[r]
+            p = pr[c]
+            support = _support(pr, c)
             for i in range(r):
-                q = m[i, c] // p
+                row = m[i]
+                q = row[c] // p
                 if q:
-                    m[i] = m[i] - q * m[r]
+                    for j in support:
+                        row[j] -= q * pr[j]
                     if transform:
-                        u[i] = u[i] - q * u[r]
+                        u[i] = _sub_row(u[i], q, u[r])
             pivots.append(c)
             r += 1
     h = m[:r]
@@ -86,118 +105,99 @@ def hnf(mat: np.ndarray, transform: bool = False):
     return h, pivots
 
 
-def rank(mat: np.ndarray) -> int:
-    if mat.size == 0:
-        return 0
-    _, pivots = hnf(mat)
-    return len(pivots)
+def rank(mat: list[list[int]]) -> int:
+    return len(hnf(mat)[1])
 
 
-def kernel_basis(mat: np.ndarray) -> np.ndarray:
-    """Basis of the saturated integer lattice {x : mat @ x = 0}.
+def kernel_basis(mat: list[list[int]], ncols: int) -> list[list[int]]:
+    """Basis of the saturated integer lattice {x : mat @ x = 0} in Z^ncols.
 
     Rows of the returned matrix are the basis vectors.
     """
-    if mat.shape[1] == 0:
-        return np.zeros((0, 0), dtype=object)
-    if mat.shape[0] == 0:
-        return np.eye(mat.shape[1], dtype=object)
-    h, _, u = hnf(mat.T, transform=True)
-    r = h.shape[0]
-    return u[r:]
-
-
-def snf_invariants(mat: np.ndarray) -> list[int]:
-    """Nonzero Smith normal form invariants d1 | d2 | ... of the matrix."""
-    m = np.array(mat, dtype=object, copy=True)
-    if m.size == 0:
+    if ncols == 0:
         return []
-    nrows, ncols = m.shape
+    if not mat:
+        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    h, _, u = hnf([list(col) for col in zip(*mat)], transform=True)
+    return u[len(h):]
+
+
+def snf_invariants(mat: list[list[int]]) -> list[int]:
+    """Nonzero Smith normal form invariants d1 | d2 | ... of the matrix."""
+    m = [list(r) for r in mat]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
     invariants: list[int] = []
     top = 0
     while top < min(nrows, ncols):
-        sub = m[top:, top:]
-        if not sub.any():
+        if not any(m[i][j] for i in range(top, nrows) for j in range(top, ncols)):
             break
         while True:
             # move the smallest nonzero entry to the corner
             best = None
             for i in range(top, nrows):
                 for j in range(top, ncols):
-                    v = m[i, j]
-                    if v != 0 and (best is None or abs(v) < abs(m[best[0], best[1]])):
+                    v = m[i][j]
+                    if v != 0 and (best is None or abs(v) < abs(m[best[0]][best[1]])):
                         best = (i, j)
             bi, bj = best
             if bi != top:
-                m[[top, bi]] = m[[bi, top]]
+                m[top], m[bi] = m[bi], m[top]
             if bj != top:
-                m[:, [top, bj]] = m[:, [bj, top]]
-            p = m[top, top]
+                for row in m:
+                    row[top], row[bj] = row[bj], row[top]
+            p = m[top][top]
             dirty = False
             for i in range(top + 1, nrows):
-                if m[i, top] != 0:
-                    q = m[i, top] // p
+                if m[i][top] != 0:
+                    q = m[i][top] // p
                     if q:
-                        m[i] = m[i] - q * m[top]
-                    if m[i, top] != 0:
+                        m[i] = _sub_row(m[i], q, m[top])
+                    if m[i][top] != 0:
                         dirty = True
             for j in range(top + 1, ncols):
-                if m[top, j] != 0:
-                    q = m[top, j] // p
+                if m[top][j] != 0:
+                    q = m[top][j] // p
                     if q:
-                        m[:, j] = m[:, j] - q * m[:, top]
-                    if m[top, j] != 0:
+                        for row in m:
+                            row[j] -= q * row[top]
+                    if m[top][j] != 0:
                         dirty = True
             if dirty:
                 continue
             # enforce divisibility: pivot must divide the whole block
-            p = m[top, top]
-            offender = None
-            for i in range(top + 1, nrows):
-                for j in range(top + 1, ncols):
-                    if m[i, j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            p = m[top][top]
+            offender = next((i for i in range(top + 1, nrows)
+                             if any(m[i][j] % p for j in range(top + 1, ncols))), None)
             if offender is None:
                 break
-            m[top] = m[top] + m[offender]
-        invariants.append(abs(int(m[top, top])))
+            m[top] = [x + y for x, y in zip(m[top], m[offender])]
+        invariants.append(abs(m[top][top]))
         top += 1
     return invariants
 
 
-def cokernel_data(mat: np.ndarray, ngens: int) -> tuple[int, list[int]]:
+def hnf_invariants(h: list[list[int]], pivots: list[int]) -> list[int]:
+    """Nonzero Smith invariants of the row span of an HNF ``(h, pivots)``.
+
+    The column of a unit pivot is a unit vector: the entries below it
+    are 0 and those above are reduced mod 1.  Column operations against
+    it clear the rest of its row without touching other rows, so each
+    unit pivot splits off an invariant 1 (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 2.4).  Only the rows with a
+    non-unit pivot, less the unit-pivot columns, go through Smith form.
+    """
+    unit_cols = {c for row, c in zip(h, pivots) if row[c] == 1}
+    residual = [[v for j, v in enumerate(row) if j not in unit_cols]
+                for row, c in zip(h, pivots) if row[c] != 1]
+    return [1] * len(unit_cols) + snf_invariants(residual)
+
+
+def cokernel_data(mat: list[list[int]], ngens: int) -> tuple[int, list[int]]:
     """Free rank and torsion of Z^ngens modulo the row span of mat."""
-    if mat.size == 0:
-        return ngens, []
-    invs = snf_invariants(mat)
+    invs = hnf_invariants(*hnf(mat))
     torsion = [d for d in invs if d != 1]
     return ngens - len(invs), torsion
-
-
-def det_bareiss_int(mat: np.ndarray) -> int:
-    """Determinant of a square integer matrix, fraction free."""
-    m = np.array(mat, dtype=object, copy=True)
-    n = m.shape[0]
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k, k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i, k] != 0), None)
-            if swap is None:
-                return 0
-            m[[k, swap]] = m[[swap, k]]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i, j] = (m[i, j] * m[k, k] - m[i, k] * m[k, j]) // prev
-            m[i, k] = 0
-        prev = m[k, k]
-    return sign * int(m[n - 1, n - 1])
 
 
 def det_bareiss_ring(rows: list[list], ring: BaseRing):
@@ -259,23 +259,3 @@ def field_rref(rows: list[list], ring: BaseRing):
         if r == len(m):
             break
     return m[:r], pivots
-
-
-def minor_gcd_invariants(mat: np.ndarray) -> list[int]:
-    """Invariant factors via gcds of k x k minors (slow, oracle grade)."""
-    from itertools import combinations
-
-    nrows, ncols = mat.shape
-    d_prev = 1
-    out = []
-    for k in range(1, min(nrows, ncols) + 1):
-        g = 0
-        for ri in combinations(range(nrows), k):
-            for ci in combinations(range(ncols), k):
-                sub = mat[np.ix_(ri, ci)]
-                g = math.gcd(g, abs(det_bareiss_int(sub)))
-        if g == 0:
-            break
-        out.append(g // d_prev)
-        d_prev = g
-    return out

@@ -18,18 +18,21 @@ Normal forms use one of two routes, chosen per ring:
   echelon form of the relation span in that weight, which is exact for
   any homogeneous relation list.
 
-Both routes produce idempotent normal forms supported on the standard
-monomials of each weight.
+Both routes produce idempotent normal forms.  On the rewriting route,
+and on the degreewise route when every pivot of a weight's echelon form
+is a unit, they are supported on the standard monomials of that weight.
+A non-unit integer pivot (Gr(3,7) in weight 8 has a pivot 2) is the
+exception: a multiple of its monomial lies in the relation span but the
+monomial itself does not, so the normal form can keep that monomial
+although the reported basis omits it.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .coefficients import BaseRing, IntegerRing, ModularRing, RationalRing
-from .intlinalg import cokernel_data, det_bareiss_ring, field_rref, hnf, int_matrix, snf_invariants
+from .intlinalg import cokernel_data, det_bareiss_ring, field_rref, hnf, hnf_invariants, int_matrix
 from .polynomials import (
     Mono,
     ONE_MONO,
@@ -49,16 +52,15 @@ class IllDefinedMap(ValueError):
     """A ring map fails to send some relation to zero."""
 
 
-def graded_rank_snf(matrix) -> tuple[int, list[int]]:
+def graded_rank_snf(matrix, ncols: int | None = None) -> tuple[int, list[int]]:
     """Free rank and torsion of the cokernel of an integer relation matrix.
 
     Rows are relations, columns index generators; the result describes
-    Z^cols modulo the row span via Smith normal form invariants.
+    Z^cols modulo the row span via Smith normal form invariants.  A
+    matrix without rows needs ``ncols``.
     """
-    mat = np.asarray(matrix, dtype=object)
-    if mat.ndim != 2:
-        mat = mat.reshape((0, 0)) if mat.size == 0 else np.atleast_2d(mat)
-    return cokernel_data(mat, mat.shape[1])
+    mat = int_matrix(matrix, ncols)
+    return cokernel_data(mat, len(mat[0]) if mat else ncols or 0)
 
 
 class GradedPiece:
@@ -80,7 +82,7 @@ class GradedPiece:
         self._matrix = matrix
 
     @property
-    def relations_matrix(self) -> np.ndarray:
+    def relations_matrix(self) -> list[list[int]]:
         if self._matrix is None:
             self._matrix = self.ring._piece_matrix(self.weight)
         return self._matrix
@@ -369,11 +371,11 @@ class PresentedRing:
             ambient, index, rows = self._relation_rows(w, as_int_rows=True)
             n = base.n
             lift = rows + [[n if j == i else 0 for j in range(len(ambient))] for i in range(len(ambient))]
-            h, pivots = hnf(int_matrix(lift, len(ambient)))
+            h, pivots = hnf(lift)
             data = ("lifted", ambient, index, h, pivots)
         else:
             ambient, index, rows = self._relation_rows(w, as_int_rows=True)
-            h, pivots = hnf(int_matrix(rows, len(ambient)))
+            h, pivots = hnf(rows)
             data = ("int", ambient, index, h, pivots)
         self._reducers[w] = data
         return data
@@ -394,20 +396,19 @@ class PresentedRing:
                 v = [base.sub(a, base.mul(f, b)) for a, b in zip(v, row)]
         else:
             for k, c in enumerate(pivots):
-                p = rows[k, c] if hasattr(rows, "shape") else rows[k][c]
+                p = rows[k][c]
                 entry = v[c]
                 if base.is_zero(entry):
                     continue
                 if p == 1:
                     q = entry
-                    v = [base.sub(a, base.mul(q, base.from_int(int(b)))) for a, b in zip(v, rows[k])]
                 else:
                     ei = base.as_int(entry)
                     if ei is None:
                         raise NonConfluentPresentation(
                             "cannot reduce non-integer coefficients against a torsion pivot")
-                    q = base.from_int(ei // int(p))
-                    v = [base.sub(a, base.mul(q, base.from_int(int(b)))) for a, b in zip(v, rows[k])]
+                    q = base.from_int(ei // p)
+                v = [base.sub(a, base.mul(q, base.from_int(b))) for a, b in zip(v, rows[k])]
             if mode == "lifted":
                 v = [base.from_int(base.as_int(a)) for a in v]
         return {m: c for m, c in zip(ambient, v) if not base.is_zero(c)}
@@ -479,16 +480,16 @@ class PresentedRing:
             basis = [m for j, m in enumerate(ambient) if j not in set(pivots)]
             if mode == "field":
                 piece = GradedPiece(self, w, basis, ambient, len(basis), [])
-            elif mode == "lifted":
-                n = base.n
-                stack = np.asarray(rows, dtype=object)
-                invs = snf_invariants(stack) if stack.size else []
-                invs = invs + [n] * (len(ambient) - len(invs))
-                free = sum(1 for d in invs if d == n)
-                torsion = sorted(d for d in invs if 1 < d < n)
-                piece = GradedPiece(self, w, basis, ambient, free, torsion)
             else:
-                free, torsion = cokernel_data(np.asarray(rows, dtype=object), len(ambient))
+                invs = hnf_invariants(rows, pivots)
+                if mode == "lifted":
+                    n = base.n
+                    invs = invs + [n] * (len(ambient) - len(invs))
+                    free = sum(1 for d in invs if d == n)
+                    torsion = sorted(d for d in invs if 1 < d < n)
+                else:
+                    free = len(ambient) - len(invs)
+                    torsion = [d for d in invs if d != 1]
                 piece = GradedPiece(self, w, basis, ambient, free, torsion)
         self._pieces[w] = piece
         return piece
@@ -504,7 +505,7 @@ class PresentedRing:
         upto = self.truncation if upto is None else upto
         return all(not self.graded_basis(w).torsion for w in range(upto + 1))
 
-    def _piece_matrix(self, w: int) -> np.ndarray:
+    def _piece_matrix(self, w: int) -> list[list[int]]:
         """Relation span on ambient monomials as an integer matrix."""
         if self.route == "rewrite":
             ambient = self.monomials_of_weight(w)
@@ -531,7 +532,7 @@ class PresentedRing:
         mode, ambient, index, rows, pivots = self._reducer(w)
         if mode == "field":
             raise NonConfluentPresentation("relation matrices over field bases are not integer matrices")
-        return np.asarray(rows, dtype=object).reshape((-1, len(ambient)))
+        return rows
 
     def poly_str(self, p: Polynomial) -> str:
         return p.to_str(self.names)
@@ -796,7 +797,7 @@ class RingMap:
         rows = [[base.as_int(cols[j][i]) for i in range(len(t_amb))] for j in range(len(s_amb))]
         span_rows = self.target._relation_rows(w, as_int_rows=True)[2]
         lift = rows + span_rows + [[n if j == i else 0 for j in range(len(t_amb))] for i in range(len(t_amb))]
-        invs = snf_invariants(int_matrix(lift, len(t_amb)))
+        invs = hnf_invariants(*hnf(lift))
         return len(invs) == len(t_amb) and all(d == 1 for d in invs)
 
 

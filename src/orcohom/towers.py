@@ -23,9 +23,8 @@ reported for it.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .intlinalg import cokernel_data, det_bareiss_int, hnf, int_matrix, kernel_basis
+from .coefficients import ZZ
+from .intlinalg import cokernel_data, det_bareiss_ring, hnf, int_matrix, kernel_basis, rank as int_rank
 
 
 class UndecidableTower(ValueError):
@@ -54,7 +53,7 @@ class FPModule:
     def modular(cls, n: int, rank: int) -> "FPModule":
         return cls(rank, [[n if j == i else 0 for j in range(rank)] for i in range(rank)])
 
-    def relation_matrix(self) -> np.ndarray:
+    def relation_matrix(self) -> list[list[int]]:
         return int_matrix(self.relations, self.ngens)
 
     def rank_torsion(self) -> tuple[int, list[int]]:
@@ -72,7 +71,7 @@ class FPModule:
             return False
         h1, _ = hnf(self.relation_matrix())
         h2, _ = hnf(other.relation_matrix())
-        return h1.shape == h2.shape and bool((h1 == h2).all())
+        return h1 == h2
 
     def descriptor(self) -> dict:
         rank, torsion = self.rank_torsion()
@@ -86,11 +85,10 @@ class FPModule:
 def _reduce_mod_rows(h, pivots, vec):
     v = list(map(int, vec))
     for k, c in enumerate(pivots):
-        p = int(h[k, c])
-        q = v[c] // p
+        q = v[c] // h[k][c]
         if q:
             for j in range(len(v)):
-                v[j] -= q * int(h[k, j])
+                v[j] -= q * h[k][j]
     return v
 
 
@@ -140,8 +138,8 @@ def _submodule_presentation(gen_cols, module: FPModule) -> FPModule:
     rows = [[gen_cols[i][j] for i in range(module.ngens)] for j in range(len(gen_cols[0]) if gen_cols else 0)]
     lattice = rows + module.relations
     mat = int_matrix(lattice, module.ngens)
-    h, pivots, u = hnf(mat, transform=True)
-    nbasis = h.shape[0]
+    h, pivots = hnf(mat)
+    nbasis = len(h)
     rel_in_basis = []
     for rel in module.relations:
         coeffs = _solve_in_hnf(h, pivots, rel)
@@ -154,16 +152,16 @@ def _submodule_presentation(gen_cols, module: FPModule) -> FPModule:
 def _solve_in_hnf(h, pivots, vec):
     """Coefficients expressing vec over the HNF rows, or None."""
     v = list(map(int, vec))
-    coeffs = [0] * h.shape[0]
+    coeffs = [0] * len(h)
     for k, c in enumerate(pivots):
-        p = int(h[k, c])
+        p = h[k][c]
         if v[c] % p:
             return None
         q = v[c] // p
         coeffs[k] = q
         if q:
             for j in range(len(v)):
-                v[j] -= q * int(h[k, j])
+                v[j] -= q * h[k][j]
     return coeffs if not any(v) else None
 
 
@@ -362,7 +360,7 @@ def tower_limit_and_lim1(tower: ModuleTower, weight: int) -> tuple[dict, dict]:
         module, mat = tower.window_composite(w)
         rank, torsion = module.rank_torsion()
         if rank > 0 and not torsion and not module.relations:
-            d = abs(det_bareiss_int(int_matrix(mat, module.ngens)))
+            d = abs(det_bareiss_ring(int_matrix(mat, module.ngens), ZZ))
             if d == 1:
                 lim = {"rank": rank, "torsion": [], "exact": True,
                        "note": "unimodular window composite: tower of isomorphisms"}
@@ -405,10 +403,7 @@ def milnor_rank_account(tower: ModuleTower, weight: int) -> dict:
         for a in range(sizes[k]):
             for b in range(sizes[k + 1]):
                 big[offs[k] + a][offs[k + 1] + b] -= mat[a][b]
-    arr = int_matrix(big, total)
-    from .intlinalg import rank as int_rank
-
-    r = int_rank(arr)
+    r = int_rank(int_matrix(big, total))
     ker = total - r
     coker = total - r
     return {"total": total, "image_rank": r, "kernel_rank": ker, "cokernel_rank": coker,
@@ -473,7 +468,7 @@ def split_tower_compare(Y: ModuleTower, Z: ModuleTower, r: GradedMap, s: GradedM
             "limits_agree": agree,
             "lim_Y": lim_y, "lim_Z": lim_z,
             "lim1_Y": lim1_y, "lim1_Z": lim1_z,
-            "complement_rank": comp_h.shape[0],
+            "complement_rank": len(comp_h),
             "complement_self_map_zero": induced_zero,
         })
         ok = ok and agree and induced_zero
@@ -490,7 +485,7 @@ def _kernel_into_quotient(r_mat, source: FPModule, target: FPModule):
     for i in range(n):
         row = [r_mat[i][j] for j in range(m)] + [target.relations[k][i] for k in range(nrel)]
         block.append(row)
-    kern = kernel_basis(int_matrix(block, m + nrel))
+    kern = kernel_basis(int_matrix(block, m + nrel), m + nrel)
     return [list(map(int, v[:m])) for v in kern]
 
 
@@ -527,8 +522,7 @@ def random_surjective_tower(rng, weights=(0,), stages: int = 5) -> ModuleTower:
     window = random_unimodular(rng, n)
     if modular:
         window = [[v % p for v in row] for row in window]
-        from .intlinalg import det_bareiss_int
-        if det_bareiss_int(int_matrix(window, n)) % p == 0:
+        if det_bareiss_ring(int_matrix(window, n), ZZ) % p == 0:
             window = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     towers_stages = []
     towers_maps = []
@@ -626,12 +620,11 @@ def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
     # localize the free part at the window determinant
     rank, torsion = module.rank_torsion()
     if not module.relations:
-        d = abs(det_bareiss_int(int_matrix(mat, module.ngens))) if module.ngens else 1
+        d = abs(det_bareiss_ring(int_matrix(mat, module.ngens), ZZ)) if module.ngens else 1
         if d == 0:
             power = mat
             for _ in range(module.ngens):
                 power = compose_matrices(power, mat)
-            from .intlinalg import rank as int_rank
             stable_rank = int_rank(int_matrix(power, module.ngens)) if module.ngens else 0
             return {"rank": stable_rank, "torsion": [], "exact": True,
                     "note": "rank of the stable image over the localized base"}

@@ -177,16 +177,30 @@ def test_schema_subcommand():
     assert "operationCoverage" in data
 
 
-def test_worker_fanout_matches_serial():
-    import os
-
+def test_conner_floyd_suite_byte_deterministic():
     args = ("conner-floyd", "--suite", "--truncation", "4", "--format", "json")
-    serial = subprocess.run(CLI + list(args), capture_output=True, text=True,
-                            env={**os.environ, "ORCOHOM_WORKERS": "1"})
-    fanned = subprocess.run(CLI + list(args), capture_output=True, text=True,
-                            env={**os.environ, "ORCOHOM_WORKERS": "3"})
-    assert serial.returncode == fanned.returncode == 0
-    assert serial.stdout == fanned.stdout
+    first = run_cli(*args)
+    second = run_cli(*args)
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+
+
+def test_fgl_lazard_default_flags():
+    from oracles import partition_count
+
+    res = run_cli("fgl-lazard", "--format", "json")
+    assert res.returncode == 0, res.stderr
+    data = json.loads(res.stdout)
+    assert data["graded_ranks"] == [partition_count(w) for w in range(9)]
+
+
+def test_cli_import_loads_only_the_standard_library():
+    code = ("import sys; before = set(sys.modules); import orcohom.cli; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(new - set(sys.stdlib_module_names) - {'orcohom'}))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_operation_coverage_complete_and_disjoint():

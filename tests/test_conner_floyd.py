@@ -8,7 +8,7 @@ from orcohom.conner_floyd import (
     universal_theory,
     verify_conner_floyd,
 )
-from orcohom.presented import QuotientCoefficients
+from orcohom.presented import QuotientCoefficients, RingMap
 from orcohom.spaces import FlagBundle, GrassmannianBundle, InfiniteProjectiveSpace, ProjectiveSpace
 
 from oracles import gaussian_binomial_ranks
@@ -120,3 +120,28 @@ def test_universal_chern_tensor_uses_generic_series():
     a11 = t.coefficient(((0, 1), (1, 1)))
     assert theory.coefficients.eq(
         a11, theory.coefficients.from_poly(Polynomial.variable(ZZ, 0)))
+
+
+def test_unexpected_error_in_ideal_check_propagates(monkeypatch):
+    # Only IllDefinedMap means "the relation ideals differ"; any other
+    # error in the backward check must surface instead of becoming a
+    # false verdict.
+    forward_done = []
+    original_iso = RingMap.is_graded_isomorphism
+    original_check = RingMap.check_well_defined
+
+    def iso(self):
+        result = original_iso(self)
+        forward_done.append(True)
+        return result
+
+    def check(self):
+        if forward_done:
+            raise ArithmeticError("injected")
+        return original_check(self)
+
+    monkeypatch.setattr(RingMap, "is_graded_isomorphism", iso)
+    monkeypatch.setattr(RingMap, "check_well_defined", check)
+    with pytest.raises(ArithmeticError, match="injected"):
+        verify_conner_floyd(ProjectiveSpace(1), 4)
+    assert forward_done

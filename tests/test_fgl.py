@@ -135,7 +135,7 @@ def test_lazard_ranks_match_partition_numbers():
 
 def test_lazard_bound_enforced():
     with pytest.raises(ValueError):
-        lazard_ring(7)
+        lazard_ring(9)
 
 
 def test_generic_law_passes_axioms_at_bound():

@@ -105,10 +105,9 @@ def test_graded_basis_flag_and_grassmannian():
 
 def test_graded_rank_snf_examples():
     from orcohom.intlinalg import int_matrix
-    import numpy as np
 
     assert graded_rank_snf(int_matrix([[2]], 1)) == (0, [2])
-    assert graded_rank_snf(np.zeros((0, 3), dtype=object)) == (3, [])
+    assert graded_rank_snf([], 3) == (3, [])
 
 
 def test_relations_matrix_rank_agrees():

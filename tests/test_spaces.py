@@ -59,6 +59,23 @@ def test_grassmannian_gaussian_binomials():
             assert R.total_rank() == comb(n, m)
 
 
+def test_grassmannian_gaussian_binomials_n7_non_unit_pivot():
+    # n = 7 is the first n whose degreewise echelon form has a pivot
+    # other than 1 (Gr(3,7), weight 8), so the ranks there come from the
+    # Smith form of a non-empty residual block.
+    from orcohom.intlinalg import hnf
+
+    n = 7
+    for m in range(1, n):
+        D = m * (n - m)
+        R = cohomology(TH, GrassmannianBundle(m, n), D)
+        assert R.graded_ranks() == gaussian_binomial_ranks(m, n - m), m
+        assert R.total_rank() == comb(n, m)
+    R = cohomology(TH, GrassmannianBundle(3, 7), 8)
+    h, pivots = hnf(R.graded_basis(8).relations_matrix)
+    assert max(h[k][c] for k, c in enumerate(pivots)) == 2
+
+
 def test_flag_factorial_ranks():
     for n in range(1, 6):
         D = max(1, n * (n - 1) // 2)
