@@ -91,7 +91,6 @@ from .towers import (
     ModuleTower,
     TelescopeDiagram,
     UndecidableTower,
-    milnor_rank_account,
     random_split_tower,
     random_surjective_tower,
     split_tower_compare,

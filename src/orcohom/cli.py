@@ -3,7 +3,8 @@
 Every library operation is reachable from exactly one subcommand (see
 OPERATION_COVERAGE); output is byte-deterministic for fixed inputs and
 seed.  Exit codes: 0 success or verified, 1 verification failure,
-2 input error.
+2 input error, 3 internal error (any other exception, reported on
+stderr with its type; nothing is written to stdout).
 """
 
 from __future__ import annotations
@@ -285,11 +286,9 @@ def run_tower(args):
             for t in range(trials):
                 tower = tw.random_surjective_tower(rng)
                 lim, lim1 = tw.tower_limit_and_lim1(tower, 0)
-                account = tw.milnor_rank_account(tower, 0)
                 lim1_zero = lim1["rank"] == 0 and lim1["torsion"] == [] and lim1["exact"]
-                results.append({"trial": t, "lim1_zero": lim1_zero,
-                                "milnor_consistent": account["consistent"]})
-            ok = all(r["lim1_zero"] and r["milnor_consistent"] for r in results)
+                results.append({"trial": t, "lim1_zero": lim1_zero})
+            ok = all(r["lim1_zero"] for r in results)
             result = {"schemaVersion": ser.SCHEMA_VERSION, "check": "surjective",
                       "trials": trials, "seed": args.seed, "results": results, "ok": ok}
             csv_rows = [["trial", "ok"]] + [[r["trial"], r["lim1_zero"]] for r in results]
@@ -482,6 +481,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     if args.format == "json":
         out.write(ser.canonical_dumps(result) + "\n")
     elif args.format == "csv":

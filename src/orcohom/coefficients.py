@@ -290,9 +290,6 @@ class LaurentRing(BaseRing):
     def from_int(self, n):
         return self._norm({0: self.base.from_int(n)})
 
-    def from_base(self, c):
-        return self._norm({0: c})
-
     def add(self, a, b):
         out = dict(a)
         for e, c in b.items():

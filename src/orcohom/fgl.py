@@ -270,9 +270,6 @@ class LazardPresentation:
     coefficients: QuotientCoefficients
     generic: FormalGroupLaw
 
-    def gen_index(self, i: int, j: int) -> int:
-        return self.gens.index((i, j))
-
 
 def _lazard_generators(bound: int) -> list[tuple[int, int]]:
     gens = [(i, j) for j in range(1, bound + 1) for i in range(1, j + 1) if i + j <= bound + 1]

@@ -85,17 +85,11 @@ class SymFilteredAlgebra:
         self.coefficients = coefficients
         self.truncation = int(truncation)
 
-    def generators(self):
-        return [(w,) for w in range(1, self.truncation + 1)]
-
     def basis(self, w: int):
         return partitions(w)
 
     def level_basis(self, n: int, w: int):
         return partitions_max_parts(w, n)
-
-    def multiply(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return merge(a, b)
 
     def multiplication_table(self, wa: int, wb: int):
         """Pairs ((alpha, beta) -> alpha merged beta) in weights wa, wb."""
@@ -104,14 +98,6 @@ class SymFilteredAlgebra:
             for b in partitions(wb):
                 out[(a, b)] = merge(a, b)
         return out
-
-    def level_split_ok(self) -> bool:
-        """Multiplication respects the filtration: parts add under union."""
-        for w in range(0, self.truncation + 1):
-            for (a, b), m in self.multiplication_table(w // 2, w - w // 2).items():
-                if len(m) != len(a) + len(b):
-                    return False
-        return True
 
 
 class HopfData:

@@ -31,12 +31,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(d.items()))
 
 
-def mono_pow(a: Mono, k: int) -> Mono:
-    if k == 0:
-        return ONE_MONO
-    return tuple((i, e * k) for i, e in a)
-
-
 def mono_divides(a: Mono, b: Mono) -> bool:
     """True when a | b, i.e. every exponent of a is covered by b."""
     db = dict(b)

@@ -63,29 +63,34 @@ def graded_rank_snf(matrix, ncols: int | None = None) -> tuple[int, list[int]]:
     return cokernel_data(mat, len(mat[0]) if mat else ncols or 0)
 
 
+def _is_field(base: BaseRing) -> bool:
+    return isinstance(base, RationalRing) or (isinstance(base, ModularRing) and base.is_prime())
+
+
 class GradedPiece:
     """Weight-w slice of a presented ring.
 
     ``basis`` lists the standard monomials (those not reducible by any
     leading term of the reduction data), ``ambient`` all monomials of
-    the weight, and ``relations_matrix`` the relation span expressed on
-    the ambient monomials (built lazily for rewrite-route rings).
+    the weight, and ``relations_matrix`` the stored relations times the
+    monomials of complementary weight, as integer rows on the ambient
+    monomials, whatever the reduction route.
     """
 
-    def __init__(self, ring: "PresentedRing", weight: int, basis, ambient, free_rank, torsion, matrix=None):
+    def __init__(self, ring: "PresentedRing", weight: int, basis, ambient, free_rank, torsion):
         self.ring = ring
         self.weight = weight
         self.basis = basis
         self.ambient = ambient
         self.free_rank = free_rank
         self.torsion = torsion
-        self._matrix = matrix
 
     @property
     def relations_matrix(self) -> list[list[int]]:
-        if self._matrix is None:
-            self._matrix = self.ring._piece_matrix(self.weight)
-        return self._matrix
+        if _is_field(self.ring.base):
+            raise NonConfluentPresentation("relation matrices over field bases are not integer matrices")
+        rows = self.ring._relation_rows(self.weight, as_int_rows=True)[2]
+        return int_matrix(rows, len(self.ambient))
 
     def __repr__(self):
         return f"GradedPiece(w={self.weight}, rank={self.free_rank}, torsion={self.torsion})"
@@ -170,9 +175,6 @@ class PresentedRing:
 
     def from_int(self, n: int) -> Polynomial:
         return Polynomial.constant(self.base, self.base.from_int(n))
-
-    def zero_poly(self) -> Polynomial:
-        return Polynomial.zero(self.base)
 
     def one_poly(self) -> Polynomial:
         return Polynomial.one(self.base)
@@ -360,8 +362,7 @@ class PresentedRing:
         if cached is not None:
             return cached
         base = self.base
-        field = isinstance(base, RationalRing) or (isinstance(base, ModularRing) and base.is_prime())
-        if field:
+        if _is_field(base):
             ambient, index, rows = self._relation_rows(w, as_int_rows=False)
             red, pivots = field_rref(rows, base)
             data = ("field", ambient, index, red, pivots)
@@ -456,12 +457,6 @@ class PresentedRing:
                 square = self.mul(square, square)
         return result
 
-    def is_standard(self, m: Mono) -> bool:
-        if self.route == "rewrite":
-            return not any(mono_divides(lm, m) for lm, _ in self.rewrite_rules)
-        mode, ambient, index, rows, pivots = self._reducer(self.mono_weight(m))
-        return index[m] not in pivots
-
     def graded_basis(self, w: int) -> GradedPiece:
         """Standard-monomial basis and rank data of the weight-w piece."""
         if not 0 <= w <= self.truncation:
@@ -504,35 +499,6 @@ class PresentedRing:
     def is_degreewise_free(self, upto: int | None = None) -> bool:
         upto = self.truncation if upto is None else upto
         return all(not self.graded_basis(w).torsion for w in range(upto + 1))
-
-    def _piece_matrix(self, w: int) -> list[list[int]]:
-        """Relation span on ambient monomials as an integer matrix."""
-        if self.route == "rewrite":
-            ambient = self.monomials_of_weight(w)
-            index = {m: j for j, m in enumerate(ambient)}
-            rows = []
-            for m in ambient:
-                nf = self._nf_monomial(m)
-                if nf.terms == {m: self.base.one()} or (m in nf.terms and len(nf.terms) == 1
-                                                        and self.base.is_one(nf.terms[m])):
-                    continue
-                row = [0] * len(ambient)
-                row[index[m]] = 1
-                ok = True
-                for mm, c in nf.terms.items():
-                    ci = self.base.as_int(self.base.neg(c))
-                    if ci is None:
-                        ok = False
-                        break
-                    row[index[mm]] += ci
-                if not ok:
-                    raise NonConfluentPresentation("relation matrix needs integer-valued coefficients")
-                rows.append(row)
-            return int_matrix(rows, len(ambient))
-        mode, ambient, index, rows, pivots = self._reducer(w)
-        if mode == "field":
-            raise NonConfluentPresentation("relation matrices over field bases are not integer matrices")
-        return rows
 
     def poly_str(self, p: Polynomial) -> str:
         return p.to_str(self.names)
@@ -771,7 +737,7 @@ class RingMap:
                 return False, "standard basis size mismatch"
             rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(pt.basis))]
             if isinstance(base, ModularRing) and not base.is_prime():
-                return self._composite_surjective(w), "composite modulus: surjectivity and cardinality only"
+                return self.surjective(w), "composite modulus: surjectivity and cardinality only"
             if not rows:
                 return True, None
             det = det_bareiss_ring(rows, base)
@@ -780,25 +746,29 @@ class RingMap:
         # the Hopfian property of finitely generated modules
         if not isinstance(base, IntegerRing):
             return False, "non-total reduction outside the integer base is unsupported"
-        s_amb, t_amb, cols = self._ambient_matrix(w)
-        frows = [[base.as_int(cols[j][i]) for i in range(len(t_amb))] for j in range(len(s_amb))]
-        if any(e is None for row in frows for e in row):
-            return False, "ambient comparison needs integer entries"
-        span = self.target._piece_matrix(w)
-        stacked = list(frows) + [list(r) for r in span]
-        free, torsion = cokernel_data(int_matrix(stacked, len(t_amb)), len(t_amb))
-        surj = free == 0 and not torsion
+        surj = self.surjective(w)
         return surj, "bijective via surjectivity between isomorphic modules" if surj else "not surjective"
 
-    def _composite_surjective(self, w: int) -> bool:
+    def surjective(self, w: int) -> bool | None:
+        """Is the map onto the weight-w piece of the target?
+
+        The images of the source's ambient monomials, stacked on the
+        target's relation rows, must span the ambient lattice of the
+        target: over Z and Z/n the cokernel must vanish (over Z/n with
+        n times the identity stacked on as well), over Q it must be
+        finite.  None when an image coefficient has no integer value.
+        """
         base = self.target.base
-        n = base.n
-        s_amb, t_amb, cols = self._ambient_matrix(w)
-        rows = [[base.as_int(cols[j][i]) for i in range(len(t_amb))] for j in range(len(s_amb))]
-        span_rows = self.target._relation_rows(w, as_int_rows=True)[2]
-        lift = rows + span_rows + [[n if j == i else 0 for j in range(len(t_amb))] for i in range(len(t_amb))]
-        invs = hnf_invariants(*hnf(lift))
-        return len(invs) == len(t_amb) and all(d == 1 for d in invs)
+        _, t_amb, cols = self._ambient_matrix(w)
+        images = [[base.as_int(c) for c in col] for col in cols]
+        if any(c is None for row in images for c in row):
+            return None
+        n = len(t_amb)
+        stacked = images + self.target._relation_rows(w, as_int_rows=True)[2]
+        if isinstance(base, ModularRing):
+            stacked += [[base.n if j == i else 0 for j in range(n)] for i in range(n)]
+        free, torsion = cokernel_data(int_matrix(stacked, n), n)
+        return free == 0 and (not torsion or isinstance(base, RationalRing))
 
 
 def ringmap_check_and_apply(rmap: RingMap, element: Polynomial) -> Polynomial:

@@ -286,14 +286,7 @@ def cohomology(theory: OrientedTheory, space, truncation: int = 8) -> PresentedR
         for factor, ring in (("left", left), ("right", right)):
             if not ring.is_degreewise_free(D):
                 raise ValueError(f"{factor} factor is not degreewise free; product rejected")
-        taken = {nm for nm, _ in left.variables}
-        variables = list(left.variables)
-        for nm, w in right.variables:
-            fresh = nm
-            while fresh in taken:
-                fresh += "'"
-            taken.add(fresh)
-            variables.append((fresh, w))
+        variables = _merge_vars(left.variables, right.variables)
         off = left.nvars
         rels = list(left.relations) + [_shift(r, off) for r in right.relations]
         rewrite = None
@@ -406,26 +399,13 @@ def restriction_map(theory: OrientedTheory, bigger, smaller, truncation: int = 8
 
 def surjectivity_report(rmap: RingMap) -> list[dict]:
     """Per-weight surjectivity of a ring map between presented rings."""
-    from .intlinalg import cokernel_data, int_matrix
-
     out = []
-    base = rmap.target.base
     for w in range(min(rmap.source.truncation, rmap.target.truncation) + 1):
-        s_amb, t_amb, cols = rmap._ambient_matrix(w)
-        rows = []
-        ok_int = True
-        for col in cols:
-            r = [base.as_int(v) for v in col]
-            if any(v is None for v in r):
-                ok_int = False
-                break
-            rows.append(r)
-        if not ok_int:
-            out.append({"weight": w, "surjective": None, "note": "non-integer entries"})
-            continue
-        span = rmap.target._relation_rows(w, as_int_rows=True)[2]
-        free, torsion = cokernel_data(int_matrix(rows + span, len(t_amb)), len(t_amb))
-        out.append({"weight": w, "surjective": free == 0 and not torsion})
+        surj = rmap.surjective(w)
+        entry = {"weight": w, "surjective": surj}
+        if surj is None:
+            entry["note"] = "non-integer entries"
+        out.append(entry)
     return out
 
 

@@ -62,20 +62,12 @@ class FPModule:
     def is_finite(self) -> bool:
         return self.rank_torsion()[0] == 0
 
-    def is_zero(self) -> bool:
-        rank, torsion = self.rank_torsion()
-        return rank == 0 and not torsion
-
     def same_presentation(self, other: "FPModule") -> bool:
         if self.ngens != other.ngens:
             return False
         h1, _ = hnf(self.relation_matrix())
         h2, _ = hnf(other.relation_matrix())
         return h1 == h2
-
-    def descriptor(self) -> dict:
-        rank, torsion = self.rank_torsion()
-        return {"rank": rank, "torsion": torsion}
 
     def __repr__(self):
         r, t = self.rank_torsion()
@@ -175,18 +167,6 @@ class GradedFPModule:
     def constant(cls, module: FPModule, weights) -> "GradedFPModule":
         return cls({w: module for w in weights})
 
-    @classmethod
-    def from_ring(cls, ring, upto: int | None = None) -> "GradedFPModule":
-        """Weight pieces of a presented ring as free modules on standard bases."""
-        upto = ring.truncation if upto is None else upto
-        out = {}
-        for w in range(upto + 1):
-            piece = ring.graded_basis(w)
-            if piece.torsion:
-                raise ValueError("ring pieces with torsion are not supported here")
-            out[w] = FPModule.free(piece.free_rank)
-        return cls(out)
-
     def piece(self, w: int) -> FPModule:
         return self.pieces.get(w, FPModule(0))
 
@@ -218,8 +198,10 @@ class ModuleTower:
 
     ``maps[k]`` sends stage k+1 to stage k.  A declared periodicity
     (k0, rho) asserts stage and map data repeat with period rho from
-    index k0 on and is verified on the stored window; declared
-    surjectivity flags are per connecting map.
+    index k0 on and is verified on the stored window.  Surjectivity
+    flags, one per connecting map, are verified too: a map flagged True
+    must be onto in every weight.  A flag only states what
+    ``map_surjective`` computes anyway.
     """
 
     def __init__(self, stages, maps, periodicity: tuple[int, int] | None = None,
@@ -230,11 +212,16 @@ class ModuleTower:
         self.maps = list(maps)
         self.periodicity = periodicity
         self.surjectivity_flags = list(surjectivity_flags) if surjectivity_flags is not None else None
+        if self.surjectivity_flags is not None and len(self.surjectivity_flags) != len(self.maps):
+            raise ValueError("need one surjectivity flag per connecting map")
         for k in range(len(self.maps)):
             for w in set(self.stages[k].pieces) | set(self.stages[k + 1].pieces):
                 mat = self.map_matrix(k, w)
                 if not map_well_defined(mat, self.stages[k + 1].piece(w), self.stages[k].piece(w)):
                     raise ValueError(f"map {k} does not respect relations in weight {w}")
+                if self.surjectivity_flags is not None and self.surjectivity_flags[k] \
+                        and not self.map_surjective(k, w):
+                    raise ValueError(f"declared surjectivity fails on map {k} in weight {w}")
         if periodicity is not None:
             k0, rho = periodicity
             if k0 < 0 or rho < 1:
@@ -258,8 +245,6 @@ class ModuleTower:
                                    self.stages[k + 1].piece(w).ngens)
 
     def map_surjective(self, k: int, w: int) -> bool:
-        if self.surjectivity_flags is not None and self.surjectivity_flags[k]:
-            return True
         return map_surjective(self.map_matrix(k, w), self.stages[k].piece(w))
 
     def window_composite(self, w: int):
@@ -380,34 +365,6 @@ def tower_limit_and_lim1(tower: ModuleTower, weight: int) -> tuple[dict, dict]:
 
     raise UndecidableTower(
         "need finite stages, a periodic window, or surjectivity to compute limits")
-
-
-def milnor_rank_account(tower: ModuleTower, weight: int) -> dict:
-    """Rank bookkeeping of (1 - shift) on the stored finite window.
-
-    Over the rationals the kernel and cokernel ranks of the shifted
-    difference map on the product of the stored stages must satisfy
-    rank(ker) + rank(im) = total and rank(coker) = total - rank(im).
-    """
-    w = weight
-    mods = [stage.piece(w) for stage in tower.stages]
-    sizes = [m.ngens for m in mods]
-    total = sum(sizes)
-    big = [[0] * total for _ in range(total)]
-    offs = [sum(sizes[:i]) for i in range(len(sizes))]
-    for i, n in enumerate(sizes):
-        for a in range(n):
-            big[offs[i] + a][offs[i] + a] = 1
-    for k in range(len(tower.maps)):
-        mat = tower.map_matrix(k, w)
-        for a in range(sizes[k]):
-            for b in range(sizes[k + 1]):
-                big[offs[k] + a][offs[k + 1] + b] -= mat[a][b]
-    r = int_rank(int_matrix(big, total))
-    ker = total - r
-    coker = total - r
-    return {"total": total, "image_rank": r, "kernel_rank": ker, "cokernel_rank": coker,
-            "consistent": (ker + r == total) and (coker == total - r)}
 
 
 def split_tower_compare(Y: ModuleTower, Z: ModuleTower, r: GradedMap, s: GradedMap,

@@ -118,6 +118,41 @@ def test_undecidable_tower_exits_2(tmp_path):
     assert "input error" in res.stderr
 
 
+def test_declared_surjectivity_is_verified(tmp_path):
+    # Z <-2- Z <-2- Z is not onto; declaring it so used to yield lim = Z
+    # flagged exact, where the undeclared tower is partial (determinant 2)
+    doc = {
+        "stages": [{"0": {"ngens": 1, "relations": []}}] * 3,
+        "maps": [{"0": [[2]]}] * 2,
+        "periodicity": [0, 1],
+        "surjectivity": [True, True],
+    }
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("tower", "--input", str(path), "--format", "json")
+    assert res.returncode == 2
+    assert "declared surjectivity fails on map 0" in res.stderr
+    assert res.stdout == ""
+    doc["surjectivity"] = [False]
+    path.write_text(json.dumps(doc))
+    res = run_cli("tower", "--input", str(path))
+    assert res.returncode == 2
+    assert "one surjectivity flag per connecting map" in res.stderr
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    from orcohom import cli
+
+    def broken(args):
+        raise ArithmeticError("image chain failed to stabilize")
+
+    monkeypatch.setattr(cli, "run_schema", broken)
+    assert cli.main(["schema", "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: ArithmeticError: image chain failed to stabilize\n"
+
+
 def test_telescope_from_file(tmp_path):
     doc = {
         "stages": [{"0": {"ngens": 1, "relations": []}}] * 4,

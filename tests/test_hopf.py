@@ -114,4 +114,3 @@ def test_filtration_level_ranks():
             exact = [p for p in alg.level_basis(n, w) if len(p) == n]
             assert len(exact) == partitions_exactly_k(w, n)
         assert len(alg.basis(w)) == partition_count(w)
-    assert alg.level_split_ok()

@@ -111,10 +111,14 @@ def test_graded_rank_snf_examples():
 
 
 def test_relations_matrix_rank_agrees():
-    G = grassmannian_ring()
-    piece = G.graded_basis(3)
-    free, torsion = graded_rank_snf(piece.relations_matrix)
-    assert free == piece.free_rank and torsion == piece.torsion
+    from orcohom.spaces import FlagBundle, additive_theory, cohomology
+
+    flag4 = cohomology(additive_theory(ZZ, 6), FlagBundle(4), 6)
+    assert flag4.route == "rewrite"
+    pieces = [grassmannian_ring().graded_basis(3)] + [flag4.graded_basis(w) for w in range(7)]
+    for piece in pieces:
+        free, torsion = graded_rank_snf(piece.relations_matrix, len(piece.ambient))
+        assert free == piece.free_rank and torsion == piece.torsion
 
 
 def test_serialization_canonical_and_stable():

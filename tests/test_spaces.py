@@ -178,6 +178,21 @@ def test_restriction_projective_surjective():
     assert all(e["surjective"] for e in surjectivity_report(rmap))
 
 
+def test_surjectivity_agrees_with_isomorphism_check():
+    # l -> k*l on P^2 is onto in weights 1 and 2 exactly when k is a unit
+    from orcohom.coefficients import QQ, ModularRing
+
+    for base, k, unit in ((ZZ, 2, False), (ModularRing(3), 2, True), (QQ, 2, True),
+                          (ModularRing(4), 3, True)):
+        R = cohomology(additive_theory(base, 4), ProjectiveSpace(2), 4)
+        rmap = RingMap(R, R, [R.var(0).scale(base.from_int(k))])
+        iso, per_weight = rmap.is_graded_isomorphism()
+        surj = [e["surjective"] for e in surjectivity_report(rmap)]
+        assert surj == [e["ok"] for e in per_weight], base
+        assert surj == [True, unit, unit, True, True], base
+        assert iso == unit
+
+
 def test_restriction_point_identity():
     rmap = restriction_map(TH, ProjectiveSpace(0), ProjectiveSpace(0), 6)
     ok, _ = rmap.is_graded_isomorphism()

@@ -43,6 +43,30 @@ def test_product_checks():
     assert unit["thom_class_multiplicative"]
 
 
+def test_product_check_verdicts_can_fail(monkeypatch):
+    import orcohom.thom as thom_mod
+    from orcohom.partitions import sub_partition_splits
+
+    dec = thom_decompose(TH, 6)
+    dropped = (dec.piece_basis(1, 2)[0], dec.piece_basis(1, 1)[0])
+
+    def drop_one(mu):
+        return [split for split in sub_partition_splits(mu) if split != dropped]
+
+    monkeypatch.setattr(thom_mod, "sub_partition_splits", drop_one)
+    rep = thom_product_check(dec, 1, 1)
+    assert not rep["commuting_square"] and not rep["ok"]
+    assert rep["thom_class_multiplicative"]
+
+    def no_ones_split(mu):
+        return [(a, b) for a, b in sub_partition_splits(mu)
+                if not (a and b and set(a + b) == {1})]
+
+    monkeypatch.setattr(thom_mod, "sub_partition_splits", no_ones_split)
+    rep = thom_product_check(dec, 2, 1)
+    assert not rep["thom_class_multiplicative"] and not rep["ok"]
+
+
 def test_product_check_bounds():
     dec = thom_decompose(TH, 4)
     with pytest.raises(ValueError):

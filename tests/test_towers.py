@@ -10,7 +10,6 @@ from orcohom.towers import (
     ModuleTower,
     TelescopeDiagram,
     UndecidableTower,
-    milnor_rank_account,
     random_split_tower,
     random_surjective_tower,
     split_tower_compare,
@@ -92,7 +91,6 @@ def test_randomized_surjective_towers():
         lim, lim1 = tower_limit_and_lim1(tower, 0)
         assert (lim1["rank"], lim1["torsion"], lim1["exact"]) == (0, [], True)
         assert lim["exact"]
-        assert milnor_rank_account(tower, 0)["consistent"]
         # oracle: composite images into the base stabilize (Mittag-Leffler)
         mats = [tower.map_matrix(k, 0) for k in range(len(tower.maps))]
         comp = mats[0]
