@@ -50,7 +50,10 @@ def mono_div(b: Mono, a: Mono) -> Mono:
 
 
 def mono_weight(m: Mono, weights) -> int:
-    return sum(e * weights[i] for i, e in m)
+    w = 0
+    for i, e in m:
+        w += e * weights[i]
+    return w
 
 
 def mono_degree(m: Mono) -> int:
@@ -157,12 +160,23 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
+    def product(self, other: "Polynomial", weights=None, bound: int | None = None) -> "Polynomial":
+        """self * other; with ``weights``, only its terms of weight at most ``bound``.
+
+        Weight is additive, so the skipped term pairs are exactly those
+        giving monomials above the bound, and the kept monomials come out
+        in the full product's order and with its coefficients.
+        """
         base = self.base
         out: dict = {}
         zero = base.zero()
+        right = [(m, c, 0 if bound is None else mono_weight(m, weights))
+                 for m, c in other.terms.items()]
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            room = 0 if bound is None else bound - mono_weight(m1, weights)
+            for m2, c2, w2 in right:
+                if w2 > room:
+                    continue
                 m = mono_mul(m1, m2)
                 s = base.add(out.get(m, zero), base.mul(c1, c2))
                 if base.is_zero(s):
@@ -170,6 +184,8 @@ class Polynomial:
                 else:
                     out[m] = s
         return Polynomial(base, out, _clean=True)
+
+    __mul__ = product
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:

@@ -30,6 +30,7 @@ although the reported basis omits it.
 from __future__ import annotations
 
 import json
+import math
 
 from .coefficients import BaseRing, IntegerRing, ModularRing, RationalRing
 from .intlinalg import cokernel_data, det_bareiss_ring, field_rref, hnf, hnf_invariants, int_matrix
@@ -182,10 +183,11 @@ class PresentedRing:
     def _validate_element(self, p: Polynomial):
         if p.base is not self.base and p.base != self.base:
             raise ValueError("polynomial coefficients lie outside the ring base")
+        n = len(self.variables)
         for m in p.terms:
             for i, _ in m:
-                if not 0 <= i < self.nvars:
-                    raise ValueError(f"variable index {i} outside ring with {self.nvars} generators")
+                if not 0 <= i < n:
+                    raise ValueError(f"variable index {i} outside ring with {n} generators")
 
     def mono_weight(self, m: Mono) -> int:
         return mono_weight(m, self.weights)
@@ -281,8 +283,6 @@ class PresentedRing:
         graded-lex, so the work stack cannot cycle.
         """
         cache = self._nf_mono_cache
-        if self.mono_weight(m) > self.truncation:
-            return Polynomial.zero(self.base)
         got = cache.get(m)
         if got is not None:
             return got
@@ -436,15 +436,23 @@ class PresentedRing:
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Unique reduced representative of p modulo relations and truncation."""
         self._validate_element(p)
+        return self._reduce(p)
+
+    def _reduce(self, p: Polynomial) -> Polynomial:
         if self.route == "rewrite":
             return self._rewrite_poly(p)
         return self._degreewise_reduce_poly(p)
 
     def mul(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        return self.normal_form(a * b)
+        """normal_form(a * b), without forming the terms of weight above D.
 
-    def add(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        return self.normal_form(a + b)
+        Exact because the relations are weight-homogeneous and every route
+        drops the terms above D before reducing.  The product's variables
+        are those of a and b, so validating them covers it.
+        """
+        self._validate_element(a)
+        self._validate_element(b)
+        return self._reduce(a.product(b, self.weights, self.truncation))
 
     def pow(self, a: Polynomial, k: int) -> Polynomial:
         result = self.one_poly()
@@ -756,15 +764,23 @@ class RingMap:
         target's relation rows, must span the ambient lattice of the
         target: over Z and Z/n the cokernel must vanish (over Z/n with
         n times the identity stacked on as well), over Q it must be
-        finite.  None when an image coefficient has no integer value.
+        finite, each row first scaled by the lcm of its denominators (a
+        nonzero multiple spans the same Q-line).  None when an image
+        coefficient over any other base has no integer value.
         """
         base = self.target.base
-        _, t_amb, cols = self._ambient_matrix(w)
-        images = [[base.as_int(c) for c in col] for col in cols]
-        if any(c is None for row in images for c in row):
-            return None
+        _, t_amb, images = self._ambient_matrix(w)
         n = len(t_amb)
-        stacked = images + self.target._relation_rows(w, as_int_rows=True)[2]
+        if isinstance(base, RationalRing):
+            stacked = []
+            for row in images + self.target._relation_rows(w, as_int_rows=False)[2]:
+                d = math.lcm(*(c.denominator for c in row))
+                stacked.append([int(c * d) for c in row])
+        else:
+            stacked = [[base.as_int(c) for c in col] for col in images]
+            if any(c is None for row in stacked for c in row):
+                return None
+            stacked += self.target._relation_rows(w, as_int_rows=True)[2]
         if isinstance(base, ModularRing):
             stacked += [[base.n if j == i else 0 for j in range(n)] for i in range(n)]
         free, torsion = cokernel_data(int_matrix(stacked, n), n)

@@ -94,15 +94,17 @@ def test_describe_space():
     assert describe_space(FlagBundle(3)) == "flag(A3)"
 
 
-def test_lazard_ranks_at_depth_eight():
+@pytest.mark.parametrize("D", [8, 10])
+def test_lazard_ranks_at_depth_eight(D):
     # the base-change suite runs over the weight-8 universal coefficients;
-    # their graded ranks must be the partition numbers with no torsion
+    # their graded ranks must be the partition numbers with no torsion,
+    # also beyond that depth
     from orcohom.fgl import lazard_ring
     from oracles import partition_count
 
-    pres = lazard_ring(8, bound=8)
-    assert pres.ring.graded_ranks(8) == [partition_count(w) for w in range(9)]
-    for w in range(1, 9):
+    pres = lazard_ring(D, bound=D)
+    assert pres.ring.graded_ranks(D) == [partition_count(w) for w in range(D + 1)]
+    for w in range(1, D + 1):
         assert not pres.ring.graded_basis(w).torsion
 
 

@@ -10,6 +10,7 @@ from orcohom.presented import (
     PresentedRing,
     QuotientCoefficients,
     RingMap,
+    compose,
     graded_rank_snf,
     ringmap_check_and_apply,
     scalar_ring,
@@ -227,3 +228,71 @@ def test_ill_defined_map_names_relation():
     with pytest.raises(IllDefinedMap) as err:
         bad.check_well_defined()
     assert "relation #0" in str(err.value)
+
+
+def _bounded_product_ring(name):
+    """(ring, degreewise reducer mode or None for rewriting) of one case."""
+    from orcohom.conner_floyd import universal_theory
+    from orcohom.spaces import FlagBundle, GrassmannianBundle, ProjectiveSpace, additive_theory, cohomology
+
+    gr25 = GrassmannianBundle(2, 5)
+    cases = {
+        # D is at most the top weight, so dropping weight D shows
+        "rewrite-Z": lambda: (cohomology(additive_theory(ZZ, 3), FlagBundle(3), 3), None),
+        # weight 8 is where the Gr(3,7) echelon form has the pivot 2
+        "int-Z": lambda: (cohomology(additive_theory(ZZ, 8), GrassmannianBundle(3, 7), 8), "int"),
+        "field-Q": lambda: (cohomology(additive_theory(QQ, 6), gr25, 6), "field"),
+        "field-Z5": lambda: (cohomology(additive_theory(ModularRing(5), 6), gr25, 6), "field"),
+        "lifted-Z4": lambda: (cohomology(additive_theory(ModularRing(4), 6), gr25, 6), "lifted"),
+        "rewrite-universal": lambda: (cohomology(universal_theory(4), ProjectiveSpace(2), 2), None),
+    }
+    return cases[name]()
+
+
+@pytest.mark.parametrize("name", ["rewrite-Z", "int-Z", "field-Q", "field-Z5", "lifted-Z4",
+                                  "rewrite-universal"])
+def test_ring_product_matches_normal_form_of_full_product(name):
+    # the ring product skips the term pairs above D; its result must be
+    # the normal form of the full product, down to the order of its terms
+    ring, mode = _bounded_product_ring(name)
+    D = ring.truncation
+    assert ring.route == ("rewrite" if mode is None else "degreewise")
+    assert mode is None or ring._reducer(D)[0] == mode
+    base = ring.base
+    if isinstance(base, QuotientCoefficients):
+        inner = base.ring
+
+        def coeff(rng):
+            k = rng.randrange(inner.nvars)
+            return base.from_poly(Polynomial.from_int_terms(
+                ZZ, {(): rng.randint(-3, 3), ((k, 1),): rng.randint(-3, 3)}))
+    else:
+        def coeff(rng):
+            return base.from_int(rng.randint(-3, 3))
+    rng = random.Random(4000 + D)
+    for _ in range(25):
+        a, b = (Polynomial(base, {rng.choice(ring.monomials_of_weight(w)): coeff(rng)
+                                  for w in (0, rng.randint(1, D - 1), D, D + 1, D + 2)})
+                for _ in range(2))
+        got, want = ring.mul(a, b), ring.normal_form(a * b)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+
+
+def test_ring_product_keeps_the_non_unit_pivot_monomial():
+    ring, _ = _bounded_product_ring("int-Z")
+    t1, t3, t4 = (ring.var(n) for n in ("t1", "t3", "t4"))
+    [witness] = (t1 * t3 * t4).terms
+    product = ring.mul(t1 * t3, t4)
+    assert product == ring.normal_form(t1 * t3 * t4)
+    assert witness in product.terms
+
+
+def test_out_of_range_variable_rejected_by_mul_and_compose():
+    R = truncated_power_ring(2, D=4)
+    stray = Polynomial.variable(ZZ, 1)
+    for a, b in ((R.var("l"), stray), (stray, R.one_poly()), (stray, Polynomial.zero(ZZ))):
+        with pytest.raises(ValueError, match="outside ring"):
+            R.mul(a, b)
+    with pytest.raises(ValueError, match="outside ring"):
+        compose(R, R.var("l"), [stray], ZZ)

@@ -179,13 +179,16 @@ def test_restriction_projective_surjective():
 
 
 def test_surjectivity_agrees_with_isomorphism_check():
-    # l -> k*l on P^2 is onto in weights 1 and 2 exactly when k is a unit
+    # l -> k*l on P^2 is onto in weights 1 and 2 exactly when k is a unit;
+    # over Q that includes a k without an integer value
+    from fractions import Fraction
+
     from orcohom.coefficients import QQ, ModularRing
 
     for base, k, unit in ((ZZ, 2, False), (ModularRing(3), 2, True), (QQ, 2, True),
-                          (ModularRing(4), 3, True)):
+                          (ModularRing(4), 3, True), (QQ, Fraction(1, 2), True)):
         R = cohomology(additive_theory(base, 4), ProjectiveSpace(2), 4)
-        rmap = RingMap(R, R, [R.var(0).scale(base.from_int(k))])
+        rmap = RingMap(R, R, [R.var(0).scale(k)])
         iso, per_weight = rmap.is_graded_isomorphism()
         surj = [e["surjective"] for e in surjectivity_report(rmap)]
         assert surj == [e["ok"] for e in per_weight], base
