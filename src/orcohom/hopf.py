@@ -245,7 +245,8 @@ def indecomposables(hopf: HopfData, w: int) -> dict:
                 row[index[prod]] = 1
                 rows.append(row)
     h, pivots = hnf(int_matrix(rows, len(parts)))
-    quotient_basis = [parts[j] for j in range(len(parts)) if j not in set(pivots)]
+    pivot_cols = set(pivots)
+    quotient_basis = [parts[j] for j in range(len(parts)) if j not in pivot_cols]
     prim = primitives(hopf, w)
     parts_w, E, _ = hopf.transition(w)
     pairing = []

@@ -15,13 +15,19 @@ Normal forms use one of two routes, chosen per ring:
   (Buchberger's first criterion) and normal forms are computed by
   memoized monomial reduction;
 * degreewise: otherwise each weight-w piece is reduced against the
-  echelon form of the relation span in that weight, which is exact for
-  any homogeneous relation list.
+  Hermite normal form of that weight's relation lattice, which is exact
+  for any homogeneous relation list.  The lattice is spanned by the
+  relation rows as integer vectors (over Q each scaled by the lcm of its
+  denominators) and, over Z/n, by n times each unit vector.  A pivot
+  that is a unit of the base clears its column; any other pivot p
+  reduces the integer value of its entry into [0, p).
 
-Both routes produce idempotent normal forms.  On the rewriting route,
-and on the degreewise route when every pivot of a weight's echelon form
-is a unit, they are supported on the standard monomials of that weight.
-A non-unit integer pivot (Gr(3,7) in weight 8 has a pivot 2) is the
+Both routes produce idempotent normal forms, supported on the standard
+monomials: on the rewriting route those no leading monomial divides, on
+the degreewise route the columns whose pivot is zero in the base (the
+non-pivot columns over Z and Q, the columns with pivot n over Z/n).  A
+degreewise pivot that is neither a unit nor zero in the base (Gr(3,7) in
+weight 8 has a pivot 2, over Z and over Z/n for even n) is the
 exception: a multiple of its monomial lies in the relation span but the
 monomial itself does not, so the normal form can keep that monomial
 although the reported basis omits it.
@@ -33,7 +39,7 @@ import json
 import math
 
 from .coefficients import BaseRing, IntegerRing, ModularRing, RationalRing
-from .intlinalg import cokernel_data, det_bareiss_ring, field_rref, hnf, hnf_invariants, int_matrix
+from .intlinalg import cokernel_data, det_bareiss_ring, hnf, hnf_invariants, int_matrix
 from .polynomials import (
     Mono,
     ONE_MONO,
@@ -64,18 +70,16 @@ def graded_rank_snf(matrix, ncols: int | None = None) -> tuple[int, list[int]]:
     return cokernel_data(mat, len(mat[0]) if mat else ncols or 0)
 
 
-def _is_field(base: BaseRing) -> bool:
-    return isinstance(base, RationalRing) or (isinstance(base, ModularRing) and base.is_prime())
-
-
 class GradedPiece:
     """Weight-w slice of a presented ring.
 
-    ``basis`` lists the standard monomials (those not reducible by any
-    leading term of the reduction data), ``ambient`` all monomials of
-    the weight, and ``relations_matrix`` the stored relations times the
-    monomials of complementary weight, as integer rows on the ambient
-    monomials, whatever the reduction route.
+    ``basis`` lists the standard monomials (see the module docstring),
+    ``ambient`` all monomials of the weight, and ``relations_matrix`` the
+    stored relations times the monomials of complementary weight, as
+    integer rows on the ambient monomials, whatever the reduction route.
+    On the degreewise route ``free_rank`` counts the Smith invariants of
+    the relation lattice that are zero in the base (a missing one is 0)
+    and ``torsion`` lists the others that are not units.
     """
 
     def __init__(self, ring: "PresentedRing", weight: int, basis, ambient, free_rank, torsion):
@@ -88,9 +92,10 @@ class GradedPiece:
 
     @property
     def relations_matrix(self) -> list[list[int]]:
-        if _is_field(self.ring.base):
+        base = self.ring.base
+        if isinstance(base, RationalRing) or (isinstance(base, ModularRing) and base.is_prime()):
             raise NonConfluentPresentation("relation matrices over field bases are not integer matrices")
-        rows = self.ring._relation_rows(self.weight, as_int_rows=True)[2]
+        rows = self.ring._relation_rows(self.weight)[2]
         return int_matrix(rows, len(self.ambient))
 
     def __repr__(self):
@@ -136,7 +141,7 @@ class PresentedRing:
         # reduction route
         self._nf_mono_cache: dict[Mono, Polynomial] = {}
         self._reducers: dict[int, tuple] = {}
-        self._pieces: dict[int, GradedPiece] = {}
+        self._pieces: dict[int, tuple] = {}
         self._mono_cache: dict[int, list[Mono]] = {}
         self.rewrite_rules = None
         explicit = rewrite_basis is not None
@@ -211,14 +216,16 @@ class PresentedRing:
         if cached is not None:
             return cached
         out: list[Mono] = []
+        # rec refers to itself, a cycle that must not hold the ring
+        weights, nvars = self.weights, self.nvars
 
         def rec(i: int, remaining: int, acc):
             if remaining == 0:
                 out.append(tuple(acc))
                 return
-            if i == self.nvars:
+            if i == nvars:
                 return
-            wi = self.weights[i]
+            wi = weights[i]
             for e in range(remaining // wi, -1, -1):
                 if e:
                     acc.append((i, e))
@@ -332,86 +339,89 @@ class PresentedRing:
     # ------------------------------------------------------------------
     # degreewise route
 
-    def _relation_rows(self, w: int, as_int_rows: bool):
-        """Relation-span rows in weight w on the ambient monomials."""
+    def _as_integers(self, coeffs: list) -> list[int] | None:
+        """Integer entries for a row of base coefficients, or None if one has none.
+
+        Over Q the row is scaled by the lcm of its denominators (a nonzero
+        multiple spans the same Q-line).
+        """
+        base = self.base
+        if isinstance(base, RationalRing):
+            d = math.lcm(*(c.denominator for c in coeffs))
+            return [int(c * d) for c in coeffs]
+        ints = [base.as_int(c) for c in coeffs]
+        return None if None in ints else ints
+
+    def _with_modulus(self, rows: list[list[int]], ncols: int) -> list[list[int]]:
+        """The integer rows, followed by n times each unit vector over Z/n."""
+        if not isinstance(self.base, ModularRing):
+            return rows
+        n = self.base.n
+        return rows + [[n if j == i else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def _relation_rows(self, w: int):
+        """Integer relation-span rows in weight w on the ambient monomials."""
         ambient = self.monomials_of_weight(w)
         index = {m: j for j, m in enumerate(ambient)}
         rows = []
         for rel in self.relations:
             u = self.homogeneous_weight(rel)
-            if u > w:
+            mults = self.monomials_of_weight(w - u)
+            if not mults:
                 continue
-            for mult in self.monomials_of_weight(w - u):
-                row = [0] * len(ambient) if as_int_rows else [self.base.zero()] * len(ambient)
-                for m, c in rel.terms.items():
-                    col = index[mono_mul(m, mult)]
-                    if as_int_rows:
-                        ci = self.base.as_int(c)
-                        if ci is None:
-                            raise NonConfluentPresentation(
-                                "degreewise reduction over this base needs integer relation coefficients")
-                        row[col] += ci
-                    else:
-                        row[col] = self.base.add(row[col], c)
+            ints = self._as_integers(list(rel.terms.values()))
+            if ints is None:
+                raise NonConfluentPresentation(
+                    "degreewise reduction over this base needs integer relation coefficients")
+            terms = list(zip(rel.terms, ints))
+            for mult in mults:
+                row = [0] * len(ambient)
+                for m, c in terms:
+                    row[index[mono_mul(m, mult)]] = c
                 rows.append(row)
         return ambient, index, rows
 
     def _reducer(self, w: int):
-        """Cached echelon data for the weight-w relation span."""
+        """Cached (ambient, index, H, pivots): the HNF of the weight-w relation lattice.
+
+        The lattice is spanned by the integer relation rows and, over Z/n,
+        by n times each unit vector; its image in the base is the span of
+        the relations.
+        """
         cached = self._reducers.get(w)
         if cached is not None:
             return cached
-        base = self.base
-        if _is_field(base):
-            ambient, index, rows = self._relation_rows(w, as_int_rows=False)
-            red, pivots = field_rref(rows, base)
-            data = ("field", ambient, index, red, pivots)
-        elif isinstance(base, ModularRing):
-            # composite modulus: lift to the integers together with n
-            # times each unit vector, reduce there, read off mod n
-            ambient, index, rows = self._relation_rows(w, as_int_rows=True)
-            n = base.n
-            lift = rows + [[n if j == i else 0 for j in range(len(ambient))] for i in range(len(ambient))]
-            h, pivots = hnf(lift)
-            data = ("lifted", ambient, index, h, pivots)
-        else:
-            ambient, index, rows = self._relation_rows(w, as_int_rows=True)
-            h, pivots = hnf(rows)
-            data = ("int", ambient, index, h, pivots)
+        ambient, index, rows = self._relation_rows(w)
+        h, pivots = hnf(self._with_modulus(rows, len(ambient)))
+        data = (ambient, index, h, pivots)
         self._reducers[w] = data
         return data
 
     def _reduce_weight_vector(self, w: int, vec: dict):
-        """Canonically reduce {mono: coeff} of weight w against the span."""
-        mode, ambient, index, rows, pivots = self._reducer(w)
+        """Canonically reduce {mono: coeff} of weight w against the lattice HNF."""
+        ambient, index, rows, pivots = self._reducer(w)
         base = self.base
         v = [base.zero()] * len(ambient)
         for m, c in vec.items():
             v[index[m]] = c
-        if mode == "field":
-            for k, c in enumerate(pivots):
-                f = v[c]
-                if base.is_zero(f):
+        for row, c in zip(rows, pivots):
+            entry = v[c]
+            if base.is_zero(entry):
+                continue
+            p = row[c]
+            if p == 1:
+                q = entry
+            elif base.is_unit(base.from_int(p)):
+                q = base.divide_exact(entry, base.from_int(p))
+            else:
+                ei = base.as_int(entry)
+                if ei is None:
+                    raise NonConfluentPresentation(
+                        "cannot reduce non-integer coefficients against a torsion pivot")
+                q = base.from_int(ei // p)
+                if base.is_zero(q):
                     continue
-                row = rows[k]
-                v = [base.sub(a, base.mul(f, b)) for a, b in zip(v, row)]
-        else:
-            for k, c in enumerate(pivots):
-                p = rows[k][c]
-                entry = v[c]
-                if base.is_zero(entry):
-                    continue
-                if p == 1:
-                    q = entry
-                else:
-                    ei = base.as_int(entry)
-                    if ei is None:
-                        raise NonConfluentPresentation(
-                            "cannot reduce non-integer coefficients against a torsion pivot")
-                    q = base.from_int(ei // p)
-                v = [base.sub(a, base.mul(q, base.from_int(b))) for a, b in zip(v, rows[k])]
-            if mode == "lifted":
-                v = [base.from_int(base.as_int(a)) for a in v]
+            v = [base.sub(a, base.mul(q, base.from_int(b))) for a, b in zip(v, row)]
         return {m: c for m, c in zip(ambient, v) if not base.is_zero(c)}
 
     def _degreewise_reduce_poly(self, p: Polynomial) -> Polynomial:
@@ -469,33 +479,30 @@ class PresentedRing:
         """Standard-monomial basis and rank data of the weight-w piece."""
         if not 0 <= w <= self.truncation:
             raise ValueError(f"weight {w} outside 0..{self.truncation}")
-        cached = self._pieces.get(w)
-        if cached is not None:
-            return cached
         ambient = self.monomials_of_weight(w)
-        base = self.base
-        if self.route == "rewrite":
-            basis = [m for m in ambient
-                     if not any(mono_divides(lm, m) for lm, _ in self.rewrite_rules)]
-            piece = GradedPiece(self, w, basis, ambient, len(basis), [])
-        else:
-            mode, ambient, index, rows, pivots = self._reducer(w)
-            basis = [m for j, m in enumerate(ambient) if j not in set(pivots)]
-            if mode == "field":
-                piece = GradedPiece(self, w, basis, ambient, len(basis), [])
+        # the cache holds the data, not the piece: a piece refers to the
+        # ring, and the cycle would keep the ring alive until a full
+        # garbage collection
+        cached = self._pieces.get(w)
+        if cached is None:
+            base = self.base
+            if self.route == "rewrite":
+                basis = [m for m in ambient
+                         if not any(mono_divides(lm, m) for lm, _ in self.rewrite_rules)]
+                free, torsion = len(basis), []
             else:
+                _, _, rows, pivots = self._reducer(w)
+                pivot_value = {c: row[c] for row, c in zip(rows, pivots)}
+                basis = [m for j, m in enumerate(ambient)
+                         if base.is_zero(base.from_int(pivot_value.get(j, 0)))]
                 invs = hnf_invariants(rows, pivots)
-                if mode == "lifted":
-                    n = base.n
-                    invs = invs + [n] * (len(ambient) - len(invs))
-                    free = sum(1 for d in invs if d == n)
-                    torsion = sorted(d for d in invs if 1 < d < n)
-                else:
-                    free = len(ambient) - len(invs)
-                    torsion = [d for d in invs if d != 1]
-                piece = GradedPiece(self, w, basis, ambient, free, torsion)
-        self._pieces[w] = piece
-        return piece
+                invs += [0] * (len(ambient) - len(invs))
+                zero = [base.is_zero(base.from_int(d)) for d in invs]
+                torsion = [d for d, z in zip(invs, zero) if not z and not base.is_unit(base.from_int(d))]
+                free = sum(zero)
+            cached = self._pieces[w] = (basis, free, torsion)
+        basis, free, torsion = cached
+        return GradedPiece(self, w, basis, ambient, free, torsion)
 
     def graded_ranks(self, upto: int | None = None) -> list[int]:
         upto = self.truncation if upto is None else upto
@@ -725,6 +732,8 @@ class RingMap:
 
     def _weight_bijective(self, w, ps, pt):
         base = self.target.base
+        if isinstance(base, ModularRing) and not base.is_prime():
+            return self.surjective(w), "composite modulus: surjectivity and cardinality only"
         t_index = {m: j for j, m in enumerate(pt.basis)}
         cols = []
         total_nf = True
@@ -744,8 +753,6 @@ class RingMap:
             if len(ps.basis) != len(pt.basis):
                 return False, "standard basis size mismatch"
             rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(pt.basis))]
-            if isinstance(base, ModularRing) and not base.is_prime():
-                return self.surjective(w), "composite modulus: surjectivity and cardinality only"
             if not rows:
                 return True, None
             det = det_bareiss_ring(rows, base)
@@ -760,31 +767,23 @@ class RingMap:
     def surjective(self, w: int) -> bool | None:
         """Is the map onto the weight-w piece of the target?
 
-        The images of the source's ambient monomials, stacked on the
-        target's relation rows, must span the ambient lattice of the
-        target: over Z and Z/n the cokernel must vanish (over Z/n with
-        n times the identity stacked on as well), over Q it must be
-        finite, each row first scaled by the lcm of its denominators (a
-        nonzero multiple spans the same Q-line).  None when an image
-        coefficient over any other base has no integer value.
+        The images of the source's ambient monomials, made integer rows
+        the way the target's relation rows are, are stacked on the
+        target's relation lattice.  The map is onto when every Smith
+        invariant of the stack, with a zero for each missing one, is a
+        unit of the base: over Z and Z/n the cokernel vanishes, over Q it
+        is finite.  None when an image coefficient has no integer value.
         """
-        base = self.target.base
+        target = self.target
+        base = target.base
         _, t_amb, images = self._ambient_matrix(w)
         n = len(t_amb)
-        if isinstance(base, RationalRing):
-            stacked = []
-            for row in images + self.target._relation_rows(w, as_int_rows=False)[2]:
-                d = math.lcm(*(c.denominator for c in row))
-                stacked.append([int(c * d) for c in row])
-        else:
-            stacked = [[base.as_int(c) for c in col] for col in images]
-            if any(c is None for row in stacked for c in row):
-                return None
-            stacked += self.target._relation_rows(w, as_int_rows=True)[2]
-        if isinstance(base, ModularRing):
-            stacked += [[base.n if j == i else 0 for j in range(n)] for i in range(n)]
-        free, torsion = cokernel_data(int_matrix(stacked, n), n)
-        return free == 0 and (not torsion or isinstance(base, RationalRing))
+        stacked = [target._as_integers(col) for col in images]
+        if None in stacked:
+            return None
+        stacked = target._with_modulus(stacked + target._relation_rows(w)[2], n)
+        invs = hnf_invariants(*hnf(int_matrix(stacked, n)))
+        return len(invs) == n and all(base.is_unit(base.from_int(d)) for d in invs)
 
 
 def ringmap_check_and_apply(rmap: RingMap, element: Polynomial) -> Polynomial:

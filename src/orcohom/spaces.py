@@ -416,28 +416,21 @@ def surjectivity_report(rmap: RingMap) -> list[dict]:
 class HomologyDual:
     """Degreewise dual of a free cohomology presentation.
 
-    Basis elements are labelled b[w,i] against the i-th standard
-    monomial of weight w; the pairing table is the identity in the
-    matched bases by construction.
+    ``rank(w)`` counts the standard monomials of weight w, against which
+    the dual basis is matched.
     """
 
     def __init__(self, ring: PresentedRing):
         self.ring = ring
-        self.weights: dict[int, list[str]] = {}
-        self.monomials: dict[int, list] = {}
+        self.ranks: dict[int, int] = {}
         for w in range(ring.truncation + 1):
             piece = ring.graded_basis(w)
             if piece.torsion:
                 raise ValueError(f"torsion detected in weight {w}; dual module is not free")
-            self.weights[w] = [f"b[{w},{i}]" for i in range(len(piece.basis))]
-            self.monomials[w] = list(piece.basis)
+            self.ranks[w] = len(piece.basis)
 
     def rank(self, w: int) -> int:
-        return len(self.weights[w])
-
-    def pairing(self, w: int):
-        n = self.rank(w)
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        return self.ranks[w]
 
 
 def homology_dual(theory: OrientedTheory, space, truncation: int = 8) -> HomologyDual:

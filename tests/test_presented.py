@@ -168,14 +168,75 @@ def test_weight_preserving_constants_allowed():
 
 
 def test_torsion_pieces_and_composite_modulus():
-    twol = PresentedRing(ZZ, [("l", 1)], [P({((0, 1),): 2})], 3)
-    piece = twol.graded_basis(1)
-    assert (piece.free_rank, piece.torsion) == (0, [2])
-    z6 = ModularRing(6)
-    ring = PresentedRing(z6, [("l", 1)],
-                         [Polynomial(z6, {((0, 1),): 2})], 3)
-    piece = ring.graded_basis(1)
-    assert piece.free_rank == 0 and piece.torsion == [2]
+    x, y = ((0, 1),), ((1, 1),)
+    # (base, generators of weight 1, relation 2x, weight-1 basis, free rank, torsion)
+    cases = [
+        (ZZ, ["l"], [], 0, [2]),
+        (ModularRing(6), ["l"], [], 0, [2]),
+        (ModularRing(12), ["x", "y"], [y], 1, [2]),
+    ]
+    for base, names, basis, free, torsion in cases:
+        ring = PresentedRing(base, [(n, 1) for n in names], [Polynomial(base, {x: base.from_int(2)})], 3)
+        piece = ring.graded_basis(1)
+        assert (piece.basis, piece.free_rank, piece.torsion) == (basis, free, torsion), base
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_composite_modulus_basis_spans_the_free_piece(n):
+    from orcohom.spaces import GrassmannianBundle, additive_theory, cohomology
+
+    base = ModularRing(n)
+    ring = cohomology(additive_theory(base, 6), GrassmannianBundle(2, 5), 6)
+    assert ring.route == "degreewise"
+    pieces = [ring.graded_basis(w) for w in range(7)]
+    assert [p.free_rank for p in pieces] == [1, 1, 2, 2, 2, 1, 1]
+    assert [len(p.basis) for p in pieces] == [1, 1, 2, 2, 2, 1, 1]
+    for p in pieces:
+        for m in p.ambient:
+            assert set(ring.normal_form(Polynomial(base, {m: base.one()})).terms) <= set(p.basis)
+
+
+def _field_rref_reference(ring, w):
+    """(ambient, RREF rows, pivots) of the weight-w relation rows over a field base."""
+    from orcohom.intlinalg import field_rref
+    from orcohom.polynomials import mono_mul
+
+    base = ring.base
+    ambient = ring.monomials_of_weight(w)
+    index = {m: j for j, m in enumerate(ambient)}
+    rows = []
+    for rel in ring.relations:
+        for mult in ring.monomials_of_weight(w - ring.homogeneous_weight(rel)):
+            row = [base.zero()] * len(ambient)
+            for m, c in rel.terms.items():
+                row[index[mono_mul(m, mult)]] = c
+            rows.append(row)
+    return (ambient, *field_rref(rows, base))
+
+
+@pytest.mark.parametrize("base", [QQ, ModularRing(5)], ids=["Q", "Z5"])
+@pytest.mark.parametrize("m, n, D", [(2, 5, 6), (3, 6, 8)])
+def test_field_bases_match_the_reduced_row_echelon_form(base, m, n, D):
+    # over a field the integer lattice must give what eliminating over
+    # the field gives: the non-pivot columns of the RREF as the basis,
+    # and the reduction against the RREF rows as every normal form
+    from orcohom.spaces import GrassmannianBundle, additive_theory, cohomology
+
+    ring = cohomology(additive_theory(base, D), GrassmannianBundle(m, n), D)
+    assert ring.route == "degreewise"
+    for w in range(D + 1):
+        ambient, red, pivots = _field_rref_reference(ring, w)
+        pivot_cols = set(pivots)
+        assert ring.graded_basis(w).basis == [mm for j, mm in enumerate(ambient) if j not in pivot_cols]
+        for j, mono in enumerate(ambient):
+            v = [base.from_int(int(i == j)) for i in range(len(ambient))]
+            for row, c in zip(red, pivots):
+                f = v[c]
+                if not base.is_zero(f):
+                    v = [base.sub(a, base.mul(f, b)) for a, b in zip(v, row)]
+            want = {mm: c for mm, c in zip(ambient, v) if not base.is_zero(c)}
+            got = ring.normal_form(Polynomial(base, {mono: base.one()}))
+            assert got.terms == want and list(got.terms) == list(want)
 
 
 def test_rational_base_field_route():
@@ -231,20 +292,20 @@ def test_ill_defined_map_names_relation():
 
 
 def _bounded_product_ring(name):
-    """(ring, degreewise reducer mode or None for rewriting) of one case."""
+    """The presented ring of one case; names starting "rewrite" take that route."""
     from orcohom.conner_floyd import universal_theory
     from orcohom.spaces import FlagBundle, GrassmannianBundle, ProjectiveSpace, additive_theory, cohomology
 
     gr25 = GrassmannianBundle(2, 5)
     cases = {
         # D is at most the top weight, so dropping weight D shows
-        "rewrite-Z": lambda: (cohomology(additive_theory(ZZ, 3), FlagBundle(3), 3), None),
+        "rewrite-Z": lambda: cohomology(additive_theory(ZZ, 3), FlagBundle(3), 3),
         # weight 8 is where the Gr(3,7) echelon form has the pivot 2
-        "int-Z": lambda: (cohomology(additive_theory(ZZ, 8), GrassmannianBundle(3, 7), 8), "int"),
-        "field-Q": lambda: (cohomology(additive_theory(QQ, 6), gr25, 6), "field"),
-        "field-Z5": lambda: (cohomology(additive_theory(ModularRing(5), 6), gr25, 6), "field"),
-        "lifted-Z4": lambda: (cohomology(additive_theory(ModularRing(4), 6), gr25, 6), "lifted"),
-        "rewrite-universal": lambda: (cohomology(universal_theory(4), ProjectiveSpace(2), 2), None),
+        "int-Z": lambda: cohomology(additive_theory(ZZ, 8), GrassmannianBundle(3, 7), 8),
+        "field-Q": lambda: cohomology(additive_theory(QQ, 6), gr25, 6),
+        "field-Z5": lambda: cohomology(additive_theory(ModularRing(5), 6), gr25, 6),
+        "lifted-Z4": lambda: cohomology(additive_theory(ModularRing(4), 6), gr25, 6),
+        "rewrite-universal": lambda: cohomology(universal_theory(4), ProjectiveSpace(2), 2),
     }
     return cases[name]()
 
@@ -254,10 +315,9 @@ def _bounded_product_ring(name):
 def test_ring_product_matches_normal_form_of_full_product(name):
     # the ring product skips the term pairs above D; its result must be
     # the normal form of the full product, down to the order of its terms
-    ring, mode = _bounded_product_ring(name)
+    ring = _bounded_product_ring(name)
     D = ring.truncation
-    assert ring.route == ("rewrite" if mode is None else "degreewise")
-    assert mode is None or ring._reducer(D)[0] == mode
+    assert ring.route == ("rewrite" if name.startswith("rewrite") else "degreewise")
     base = ring.base
     if isinstance(base, QuotientCoefficients):
         inner = base.ring
@@ -280,7 +340,7 @@ def test_ring_product_matches_normal_form_of_full_product(name):
 
 
 def test_ring_product_keeps_the_non_unit_pivot_monomial():
-    ring, _ = _bounded_product_ring("int-Z")
+    ring = _bounded_product_ring("int-Z")
     t1, t3, t4 = (ring.var(n) for n in ("t1", "t3", "t4"))
     [witness] = (t1 * t3 * t4).terms
     product = ring.mul(t1 * t3, t4)
