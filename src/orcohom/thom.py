@@ -10,15 +10,15 @@ universal class of the rank-n quotient.
 
 from __future__ import annotations
 
+from .coefficients import ModularRing
 from .hopf import HopfData, SymFilteredAlgebra
 from .partitions import merge, partitions_exact_parts, sub_partition_splits
 from .spaces import ClassifyingBGL, OrientedTheory, cohomology
 
 
 class ThomDecomposition:
-    def __init__(self, algebra: SymFilteredAlgebra):
-        self.algebra = algebra
-        self.truncation = algebra.truncation
+    def __init__(self, truncation: int):
+        self.truncation = int(truncation)
 
     def piece_basis(self, n: int, w: int):
         return partitions_exact_parts(w, n)
@@ -44,17 +44,17 @@ def thom_decompose(source: HopfData | SymFilteredAlgebra | OrientedTheory,
 
     The pieces are the partitions of each weight grouped by their number
     of parts, so their ranks sum to p(w) by construction; nothing is
-    checked here.
+    checked here.  HopfData and SymFilteredAlgebra bring their own
+    truncation and have rejected torsion coefficients already.
     """
-    if isinstance(source, HopfData):
-        algebra = source.algebra
-    elif isinstance(source, SymFilteredAlgebra):
-        algebra = source
+    if isinstance(source, (HopfData, SymFilteredAlgebra)):
+        truncation = source.truncation
     elif isinstance(source, OrientedTheory):
-        algebra = SymFilteredAlgebra(source.coefficients, truncation)
+        if isinstance(source.coefficients, ModularRing):
+            raise ValueError("torsion coefficients are rejected for the Hopf layer")
     else:
         raise TypeError("expected HopfData, SymFilteredAlgebra or OrientedTheory")
-    return ThomDecomposition(algebra)
+    return ThomDecomposition(truncation)
 
 
 def thom_product_check(dec: ThomDecomposition, p: int, q: int,
@@ -106,8 +106,7 @@ def thom_iso_check(theory: OrientedTheory, n: int, truncation: int = 8) -> dict:
     if n < 0 or n > 3:
         raise ValueError("piece index supported for 0 <= n <= 3")
     D = truncation
-    algebra = SymFilteredAlgebra(theory.coefficients, D)
-    dec = ThomDecomposition(algebra)
+    dec = thom_decompose(theory, D)
     if n == 0:
         per_weight = [{"weight": w,
                        "piece_rank": dec.piece_rank(0, w),

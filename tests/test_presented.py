@@ -157,6 +157,31 @@ def test_is_graded_isomorphism():
     ok, report = squash.is_graded_isomorphism()
     assert not ok
     assert any(not e["ok"] and e["weight"] == 1 for e in report)
+    # T = Z[u, v]/(2u + 3v) is Z in weight 1, where v is -2: w -> v is not
+    # onto although v alone is the reported basis
+    T = PresentedRing(ZZ, [("u", 1), ("v", 1)], [P({((0, 1),): 2, ((1, 1),): 3})], 1)
+    S = PresentedRing(ZZ, [("w", 1)], [], 1)
+    witness = RingMap(S, T, [T.var("v")])
+    assert witness.surjective(1) is False
+    ok, report = witness.is_graded_isomorphism()
+    assert ok is False and report[1]["ok"] is False
+
+
+@pytest.mark.parametrize("weights, verdict", [
+    ({1: False, 2: None}, False),
+    ({1: None, 2: False}, False),
+    ({2: None}, None),
+    ({}, True),
+])
+def test_isomorphism_verdict_combines_weights(monkeypatch, weights, verdict):
+    # False in any weight decides the map; otherwise an undecided weight
+    # leaves the verdict partial
+    R = truncated_power_ring(2, D=4)
+    ident = RingMap(R, R, [R.var("l")])
+    monkeypatch.setattr(RingMap, "surjective", lambda self, w: weights.get(w, True))
+    ok, report = ident.is_graded_isomorphism()
+    assert ok is verdict
+    assert [e["ok"] for e in report] == [weights.get(w, True) for w in range(5)]
 
 
 def test_weight_preserving_constants_allowed():
