@@ -13,11 +13,10 @@ closed formula.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .coefficients import ZZ, BaseRing, ModularRing
-from .intlinalg import det_bareiss_ring, hnf, int_matrix, kernel_basis
+from .coefficients import ZZ, BaseRing, ModularRing, NonDivisibleBase
+from .intlinalg import det_bareiss_ring, field_rref, hnf, int_matrix, kernel_basis
 from .partitions import merge, partitions, partitions_max_parts, sub_partition_splits
 from .spaces import ClassifyingBGL, OrientedTheory, cohomology
 
@@ -71,6 +70,11 @@ def _zero_one_matrix_count(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
     return total
 
 
+def _conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
+    """Conjugate partition: part i counts the parts of p larger than i."""
+    return tuple(sum(1 for x in p if x > i) for i in range(p[0] if p else 0))
+
+
 class SymFilteredAlgebra:
     """Filtered symmetric algebra on one generator per positive weight.
 
@@ -122,20 +126,25 @@ class HopfData:
         parts = partitions(w)
         k = len(parts)
         E = [[_zero_one_matrix_count(nu, mu) for mu in parts] for nu in parts]
-        # invert exactly over the rationals and check unimodularity
-        aug = [[Fraction(E[i][j]) for j in range(k)] + [Fraction(1 if j == i else 0) for j in range(k)]
-               for i in range(k)]
-        from .intlinalg import field_rref
-        from .coefficients import QQ
-        red, pivots = field_rref(aug, QQ)
+        # E[nu][mu] is nonzero only for mu <= nu' in dominance, and
+        # E[nu][nu'] = 1 (Gale-Ryser; Macdonald, Symmetric Functions,
+        # I.6).  Conjugation reverses dominance and the reverse-lex order
+        # of `partitions` refines it, so with column j moved to the
+        # conjugate of parts[j] the matrix is lower unitriangular: every
+        # pivot is 1 and the inverse comes out over Z.
+        index = {p: i for i, p in enumerate(parts)}
+        conj = [index[_conjugate(p)] for p in parts]
+        aug = [[row[conj[j]] for j in range(k)] + [int(j == i) for j in range(k)]
+               for i, row in enumerate(E)]
+        try:
+            red, pivots = field_rref(aug, ZZ)
+        except NonDivisibleBase:
+            raise ArithmeticError("transition matrix is not unimodular") from None
         if pivots != list(range(k)):
             raise ArithmeticError("transition matrix is singular")
-        inv = []
-        for i in range(k):
-            row = red[i][k:]
-            if any(f.denominator != 1 for f in row):
-                raise ArithmeticError("transition matrix is not unimodular")
-            inv.append([int(f) for f in row])
+        inv = [None] * k
+        for j, row in enumerate(red):
+            inv[conj[j]] = row[k:]
         data = (parts, E, inv)
         self._trans[w] = data
         return data
@@ -153,26 +162,23 @@ class HopfData:
         out = {nu: {} for nu in parts}
         # Delta(m_mu) = sum over ordered splits; convert both legs to e
         for j, mu in enumerate(parts):
+            column = [(out[nu], E[i][j]) for i, nu in enumerate(parts) if E[i][j]]
             for alpha, beta in sub_partition_splits(mu):
                 wa, wb = sum(alpha), sum(beta)
                 pa, _, inva = self.transition(wa)
                 pb, _, invb = self.transition(wb)
-                ia = pa.index(alpha)
-                ib = pb.index(beta)
-                for ra, rho in enumerate(pa):
-                    ca = inva[ia][ra]
+                rowa = inva[pa.index(alpha)]
+                rowb = invb[pb.index(beta)]
+                for rho, ca in zip(pa, rowa):
                     if ca == 0:
                         continue
-                    for rb, sig in enumerate(pb):
-                        cb = invb[ib][rb]
+                    for sig, cb in zip(pb, rowb):
                         if cb == 0:
                             continue
-                        for i, nu in enumerate(parts):
-                            coeff = E[i][j] * ca * cb
-                            if coeff:
-                                key = (rho, sig)
-                                d = out[nu]
-                                d[key] = d.get(key, 0) + coeff
+                        key = (rho, sig)
+                        cab = ca * cb
+                        for d, e in column:
+                            d[key] = d.get(key, 0) + e * cab
         for nu in parts:
             out[nu] = {k: v for k, v in out[nu].items() if v}
         self._delta[w] = out

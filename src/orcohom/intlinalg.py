@@ -233,9 +233,13 @@ def det_bareiss_ring(rows: list[list], ring: BaseRing):
 
 
 def field_rref(rows: list[list], ring: BaseRing):
-    """Reduced row echelon form over a field domain (Q or Z/p).
+    """Reduced row echelon form over a field (Q or Z/p), or over any domain
+    when every pivot it meets is a unit.
 
-    Returns (reduced nonzero rows, pivot column indices).
+    Each pivot row is scaled by the inverse of its pivot, which raises
+    NonDivisibleBase on a non-unit.  Over Z this inverts a unitriangular
+    matrix exactly, which is how the Hopf layer uses it.  Returns
+    (reduced nonzero rows, pivot column indices).
     """
     m = [list(r) for r in rows]
     if not m:

@@ -274,7 +274,7 @@ class PresentedRing:
     def _check_rewrite_basis_matches(self, candidate):
         """Two-sided ideal equality between relations and the completion."""
         for r in self.relations:
-            if not self._rewrite_poly(r).is_zero():
+            if not self.normal_form(r).is_zero():
                 raise NonConfluentPresentation("stored relation does not rewrite to zero")
         for g in candidate:
             w = self.homogeneous_weight(g)
@@ -327,12 +327,11 @@ class PresentedRing:
         return cache[m]
 
     def _rewrite_poly(self, p: Polynomial) -> Polynomial:
+        """Normal form of p, which has no term above D, by the rewrite rules."""
         if not self.rewrite_rules:
-            return self.truncate(p)
+            return p
         out = Polynomial.zero(self.base)
         for m, c in p.terms.items():
-            if self.mono_weight(m) > self.truncation:
-                continue
             out = out + self._nf_monomial(m).scale(c)
         return out
 
@@ -454,9 +453,12 @@ class PresentedRing:
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Unique reduced representative of p modulo relations and truncation."""
         self._validate_element(p)
+        if self.route == "rewrite":
+            p = self.truncate(p)
         return self._reduce(p)
 
     def _reduce(self, p: Polynomial) -> Polynomial:
+        """Normal form of p; on the rewrite route p has no term above D."""
         if self.route == "rewrite":
             return self._rewrite_poly(p)
         return self._degreewise_reduce_poly(p)
@@ -751,30 +753,42 @@ class RingMap:
     def surjective(self, w: int) -> bool | None:
         """Is the map onto the weight-w piece of the target?
 
-        The images of the source's ambient monomials, made integer rows
-        the way the target's relation rows are, are stacked on the HNF of
-        the target's relation lattice.  The map is onto when every Smith
-        invariant of the stack, with a zero for each missing one, is a
-        unit of the base: over Z and Z/n the cokernel vanishes, over Q it
-        is finite.  None, a partial verdict, when an image or relation
-        coefficient has no integer value.
+        The images of the source's ambient monomials become integer rows
+        the way the target's relation rows do.  On the rewrite route a
+        normal form is already its coordinate vector on the standard
+        monomials, a free basis of the piece, so the rows are stacked in
+        those coordinates (with n times each unit vector over Z/n); on
+        the degreewise route they are stacked on the HNF of the target's
+        relation lattice.  The map is onto when every Smith invariant of
+        the stack, with a zero for each missing one, is a unit of the
+        base: over Z and Z/n the cokernel vanishes, over Q it is finite.
+        An image row with a coefficient that has no integer value is left
+        out, which can only shrink the span: the verdict is then True if
+        the other rows already span, else None, a partial verdict.  It is
+        also None when a relation coefficient has no integer value.
         """
         target = self.target
         base = target.base
-        try:
-            ambient, index, h, _ = target._reducer(w)
-        except NonConfluentPresentation:
-            return None
+        if target.route == "rewrite":
+            columns = target.graded_basis(w).basis
+            index = {m: j for j, m in enumerate(columns)}
+            lattice = target._with_modulus([], len(columns))
+        else:
+            try:
+                columns, index, lattice, _ = target._reducer(w)
+            except NonConfluentPresentation:
+                return None
         rows = []
         for m in self.source.monomials_of_weight(w):
-            col = [base.zero()] * len(ambient)
+            col = [base.zero()] * len(columns)
             for mm, c in self._mono_image(m).terms.items():
                 col[index[mm]] = c
             rows.append(target._as_integers(col))
-        if None in rows:
-            return None
-        invs = hnf_invariants(*hnf(rows + h))
-        return len(invs) == len(ambient) and all(base.is_unit(base.from_int(d)) for d in invs)
+        integer = [r for r in rows if r is not None]
+        invs = hnf_invariants(*hnf(integer + lattice))
+        if len(invs) == len(columns) and all(base.is_unit(base.from_int(d)) for d in invs):
+            return True
+        return None if len(integer) < len(rows) else False
 
 
 def ringmap_check_and_apply(rmap: RingMap, element: Polynomial) -> Polynomial:

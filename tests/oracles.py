@@ -176,3 +176,37 @@ def integer_span_contains(span_rows, vec) -> bool:
             rows = [r for r in rows if r is not pivot and any(r)]
         col += 1
     return not any(v)
+
+
+def conjugate_partition(p) -> tuple[int, ...]:
+    """Transpose of the Young diagram: part i is the number of parts of p above i."""
+    return tuple(sum(1 for x in p if x > i) for i in range(max(p, default=0)))
+
+
+def dominates(lam, mu) -> bool:
+    """lam >= mu in dominance order, for partitions of the same weight."""
+    a = b = 0
+    for i in range(max(len(lam), len(mu))):
+        a += lam[i] if i < len(lam) else 0
+        b += mu[i] if i < len(mu) else 0
+        if a < b:
+            return False
+    return True
+
+
+def whitney_coproduct(nu) -> dict:
+    """Delta(e^nu) from Delta(e_n) = sum_j e_j x e_(n-j), multiplied out.
+
+    Keys are pairs of partitions, parts sorted descending, with e_0 = 1
+    dropped; zero coefficients never arise.
+    """
+    out = {((), ()): 1}
+    for n in nu:
+        nxt: dict = {}
+        for (a, b), c in out.items():
+            for j in range(n + 1):
+                left = tuple(sorted(a + ((j,) if j else ()), reverse=True))
+                right = tuple(sorted(b + ((n - j,) if n - j else ()), reverse=True))
+                nxt[(left, right)] = nxt.get((left, right), 0) + c
+        out = nxt
+    return out

@@ -11,7 +11,8 @@ from orcohom.spaces import additive_theory
 
 import pytest
 
-from oracles import partition_count, partitions_exactly_k
+from oracles import (conjugate_partition, dominates, partition_count, partitions_exactly_k,
+                     whitney_coproduct)
 
 TH = additive_theory(truncation=8)
 
@@ -114,3 +115,34 @@ def test_filtration_level_ranks():
             exact = [p for p in alg.level_basis(n, w) if len(p) == n]
             assert len(exact) == partitions_exactly_k(w, n)
         assert len(alg.basis(w)) == partition_count(w)
+
+
+@pytest.fixture(scope="module")
+def hd12():
+    return build_hopf(additive_theory(truncation=12), 12)
+
+
+def test_delta_matches_whitney_formula(hd12):
+    # the library dualizes the homology product; the oracle multiplies
+    # out Delta(e_n) = sum_j e_j x e_(n-j) directly
+    for w in range(1, 13):
+        delta = hd12.delta(w)
+        for nu in delta:
+            assert delta[nu] == whitney_coproduct(nu), nu
+
+
+def test_transition_is_unitriangular_up_to_conjugation(hd12):
+    # E Einv = I, E[nu][mu] != 0 only for mu <= nu' in dominance, and
+    # E[nu][nu'] = 1: the facts that make the inversion integral
+    for w in range(0, 13):
+        parts, E, Einv = hd12.transition(w)
+        k = len(parts)
+        for i in range(k):
+            assert [sum(E[i][t] * Einv[t][j] for t in range(k)) for j in range(k)] == \
+                [int(i == j) for j in range(k)]
+        for i, nu in enumerate(parts):
+            conj = conjugate_partition(nu)
+            assert E[i][parts.index(conj)] == 1
+            for j, mu in enumerate(parts):
+                if E[i][j]:
+                    assert dominates(conj, mu), (nu, mu)

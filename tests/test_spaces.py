@@ -205,6 +205,24 @@ def test_surjectivity_agrees_with_isomorphism_check():
         assert undecided == ([1, 2] if unit is None else []), base
 
 
+def test_rewrite_route_surjectivity_with_non_integer_relation_coefficients():
+    # P(V) over the multiplicative P^1 with c1(V) = (1 + b) l: the rewrite
+    # rule l^2 -> (1 + b) l l' has a coefficient without an integer value,
+    # so the target has no integer relation lattice, but a normal form is
+    # still a coordinate vector on the standard monomials
+    th = multiplicative_theory(4)
+    P1 = cohomology(th, ProjectiveSpace(1), 4)
+    L = P1.base
+    R = cohomology(th, ProjectiveBundle(2, [P1.var(0).scale(L.add(L.one(), L.generator()))],
+                                       base_ring=P1), 4)
+    assert R.route == "rewrite"
+    rmap = RingMap(R, R, [R.var(i) for i in range(R.nvars)])
+    assert [rmap.surjective(w) for w in range(5)] == [True] * 5
+    iso, per_weight = rmap.is_graded_isomorphism()
+    assert iso is True
+    assert all("note" not in e for e in per_weight)
+
+
 def _conner_floyd_forward(space, D):
     from orcohom.conner_floyd import (_coefficient_images, base_change, cobordism_presentation,
                                       k_theory_presentation)
