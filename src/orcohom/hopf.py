@@ -7,67 +7,50 @@ with at most n parts.  The cohomology side is the power-series algebra
 on the s-generators, with monomials indexed by the same partitions.
 The comultiplication on cohomology is computed by dualizing the
 homology product through the pairing between products of elementary
-symmetric functions and monomial symmetric functions, never from a
-closed formula.
+symmetric functions and monomial symmetric functions: E (e to m) is
+built by peeling one e_r at a time, and Delta one weight-pair block at
+a time, the mirror block by transposing, as multiset union commutes.
+The Whitney formula for Delta(e_n) serves only as a test oracle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby, product
+from math import comb, prod
 
 from .coefficients import ZZ, BaseRing, ModularRing, NonDivisibleBase
 from .intlinalg import det_bareiss_ring, field_rref, hnf, int_matrix, kernel_basis
-from .partitions import merge, partitions, partitions_max_parts, sub_partition_splits
+from .partitions import merge, partitions, partitions_max_parts
 from .spaces import ClassifyingBGL, OrientedTheory, cohomology
 
 
 @lru_cache(maxsize=None)
-def _zero_one_matrix_count(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-    """Number of 0-1 matrices with the given row sums and labelled column sums.
+def _peel(mu: tuple[int, ...], r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The (lam, c) with c the coefficient of m_mu in e_r * m_lam: lowering
+    k_v of the parts of mu equal to v by one, sum k_v = r, sorts to lam,
+    in prod C(mult_v(mu), k_v) ways; distinct k give distinct lam."""
+    groups = [(v, len(list(g))) for v, g in groupby(mu)]
+    out = []
+    for ks in product(*(range(m + 1) for _, m in groups)):
+        if sum(ks) == r:
+            # values fall by at least one per group, so lam stays sorted
+            lam = [x for (v, m), k in zip(groups, ks) for x in [v] * (m - k) + [v - 1] * k if x]
+            out.append((tuple(lam), prod(comb(m, k) for (_, m), k in zip(groups, ks))))
+    return tuple(out)
 
-    Columns of equal remaining sum are interchangeable, so memoization
-    keys on the sorted remaining column multiset; the subset choices respect the
-    labelling through binomial factors.
-    """
-    if not rows:
-        return 1 if all(c == 0 for c in cols) else 0
-    r, rest = rows[0], rows[1:]
-    cols = tuple(sorted(cols, reverse=True))
-    if r > sum(1 for c in cols if c > 0):
-        return 0
-    from math import comb
 
-    groups: list[tuple[int, int]] = []
-    for c in cols:
-        if groups and groups[-1][0] == c:
-            groups[-1] = (c, groups[-1][1] + 1)
-        else:
-            groups.append((c, 1))
-
-    total = 0
-
-    def rec(gi: int, remaining: int, chosen: list[int], ways: int):
-        nonlocal total
-        if remaining == 0:
-            new_cols = []
-            for (val, count), k in zip(groups, chosen + [0] * (len(groups) - len(chosen))):
-                new_cols.extend([val - 1] * k)
-                new_cols.extend([val] * (count - k))
-            if any(c < 0 for c in new_cols):
-                return
-            total += ways * _zero_one_matrix_count(rest, tuple(sorted(new_cols, reverse=True)))
-            return
-        if gi == len(groups):
-            return
-        val, count = groups[gi]
-        cap = min(count, remaining)
-        for k in range(0, cap + 1):
-            if k > 0 and val == 0:
-                break
-            rec(gi + 1, remaining - k, chosen + [k], ways * comb(count, k))
-
-    rec(0, r, [], 1)
-    return total
+@lru_cache(maxsize=None)
+def _e_row(nu: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of e^nu on the m_mu, mu over partitions(|nu|), from
+    e^nu = e_(nu_1) * e^(nu[1:]); E[nu][mu] counts the 0-1 matrices with
+    row sums nu and column sums mu (Macdonald, Symmetric Functions, I.6)."""
+    if not nu:
+        return (1,)
+    rest = nu[1:]
+    prev = dict(zip(partitions(sum(rest)), _e_row(rest)))
+    return tuple(sum(c * prev[lam] for lam, c in _peel(mu, nu[0]))
+                 for mu in partitions(sum(nu)))
 
 
 def _conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -97,11 +80,7 @@ class SymFilteredAlgebra:
 
     def multiplication_table(self, wa: int, wb: int):
         """Pairs ((alpha, beta) -> alpha merged beta) in weights wa, wb."""
-        out = {}
-        for a in partitions(wa):
-            for b in partitions(wb):
-                out[(a, b)] = merge(a, b)
-        return out
+        return {(a, b): merge(a, b) for a in partitions(wa) for b in partitions(wb)}
 
 
 class HopfData:
@@ -115,17 +94,19 @@ class HopfData:
         self.ring = cohomology(theory, ClassifyingBGL(None), truncation)
         self._trans: dict[int, tuple] = {}
         self._delta: dict[int, dict] = {}
+        self._kernel: dict[int, tuple] = {}
 
     # -- transition between e-monomials and the dual partition basis -----
 
     def transition(self, w: int):
-        """(partitions, E, Einv) with e^nu = sum_mu E[nu][mu] m_mu."""
+        """(partitions, E, Einv) with e^nu = sum_mu E[nu][mu] m_mu; the rows
+        of E come from ``_e_row``, Einv from ``field_rref`` over Z."""
         cached = self._trans.get(w)
         if cached is not None:
             return cached
         parts = partitions(w)
         k = len(parts)
-        E = [[_zero_one_matrix_count(nu, mu) for mu in parts] for nu in parts]
+        E = [list(_e_row(nu)) for nu in parts]
         # E[nu][mu] is nonzero only for mu <= nu' in dominance, and
         # E[nu][nu'] = 1 (Gale-Ryser; Macdonald, Symmetric Functions,
         # I.6).  Conjugation reverses dominance and the reverse-lex order
@@ -150,37 +131,49 @@ class HopfData:
         return data
 
     def delta(self, w: int) -> dict:
-        """Comultiplication on weight w: nu -> {(alpha, beta): coeff}.
+        """Comultiplication on weight w: nu -> {(rho, sigma): coeff}.
 
-        alpha and beta run over partitions of complementary weights,
+        rho and sigma run over partitions of complementary weights,
         including the empty partition for the unit tensor factors.
+        Dually to multiset union, Delta(m_mu) = sum over alpha u beta = mu
+        of m_alpha x m_beta, so block (wa, wb) of Delta(e^nu) is
+        Einv_wa^T [E[nu][alpha u beta]] Einv_wb; block (wb, wa) is its transpose.
         """
         cached = self._delta.get(w)
         if cached is not None:
             return cached
         parts, E, _ = self.transition(w)
         out = {nu: {} for nu in parts}
-        # Delta(m_mu) = sum over ordered splits; convert both legs to e
-        for j, mu in enumerate(parts):
-            column = [(out[nu], E[i][j]) for i, nu in enumerate(parts) if E[i][j]]
-            for alpha, beta in sub_partition_splits(mu):
-                wa, wb = sum(alpha), sum(beta)
-                pa, _, inva = self.transition(wa)
-                pb, _, invb = self.transition(wb)
-                rowa = inva[pa.index(alpha)]
-                rowb = invb[pb.index(beta)]
-                for rho, ca in zip(pa, rowa):
-                    if ca == 0:
-                        continue
-                    for sig, cb in zip(pb, rowb):
-                        if cb == 0:
-                            continue
-                        key = (rho, sig)
-                        cab = ca * cb
-                        for d, e in column:
-                            d[key] = d.get(key, 0) + e * cab
-        for nu in parts:
-            out[nu] = {k: v for k, v in out[nu].items() if v}
+        index = {p: i for i, p in enumerate(parts)}
+        for wa in range(w // 2 + 1):
+            wb = w - wa
+            pa, _, inva = self.transition(wa)
+            pb, _, invb = self.transition(wb)
+            nb = len(pb)
+            sparse_a = [[(j * nb, c) for j, c in enumerate(row) if c] for row in inva]
+            sparse_b = [[(j, c) for j, c in enumerate(row) if c] for row in invb]
+            table = self.algebra.multiplication_table(wa, wb)
+            merged = [[index[table[alpha, beta]] for beta in pb] for alpha in pa]
+            keys = [(rho, sig) for rho in pa for sig in pb]
+            for nu, row in zip(parts, E):
+                # block[rho, sig] = sum_alpha Einv_wa[alpha][rho] P_alpha[sig], with
+                # P_alpha = sum_beta E[nu][alpha u beta] Einv_wb[beta]
+                block = [0] * len(keys)
+                for rows_a, cols in zip(sparse_a, merged):
+                    p_alpha = [0] * nb
+                    for rows_b, j in zip(sparse_b, cols):
+                        e = row[j]
+                        if e:
+                            for s, cb in rows_b:
+                                p_alpha[s] += e * cb
+                    support = [(s, v) for s, v in enumerate(p_alpha) if v]
+                    for base, ca in rows_a:
+                        for s, v in support:
+                            block[base + s] += ca * v
+                d = out[nu]
+                d.update((k, v) for k, v in zip(keys, block) if v)
+                if wa != wb:
+                    d.update(((sig, rho), v) for (rho, sig), v in zip(keys, block) if v)
         self._delta[w] = out
         return out
 
@@ -206,22 +199,25 @@ def primitives(hopf: HopfData, w: int) -> dict:
 
     Solves Delta(f) = f x 1 + 1 x f as an integer linear system on the
     s-monomial coordinates; the kernel basis is saturated, so it is
-    also a basis after any flat base change.
+    also a basis after any flat base change.  The kernel is solved once
+    per weight and kept on ``hopf``; each call returns fresh lists.
     """
     if not 1 <= w <= hopf.truncation:
         raise ValueError("weight out of range")
     parts = partitions(w)
-    delta = hopf.delta(w)
-    conditions: dict[tuple, list[int]] = {}
-    for i, nu in enumerate(parts):
-        for (alpha, beta), coeff in delta[nu].items():
-            if not alpha or not beta:
-                continue
-            row = conditions.setdefault((alpha, beta), [0] * len(parts))
-            row[i] += coeff
-    mat = int_matrix(list(conditions.values()), len(parts))
-    kern = kernel_basis(mat, len(parts))
-    vectors = [list(map(int, v)) for v in kern]
+    kernel = hopf._kernel.get(w)
+    if kernel is None:
+        delta = hopf.delta(w)
+        conditions: dict[tuple, list[int]] = {}
+        for i, nu in enumerate(parts):
+            for (alpha, beta), coeff in delta[nu].items():
+                if not alpha or not beta:
+                    continue
+                row = conditions.setdefault((alpha, beta), [0] * len(parts))
+                row[i] += coeff
+        mat = int_matrix(list(conditions.values()), len(parts))
+        kernel = hopf._kernel[w] = tuple(tuple(map(int, v)) for v in kernel_basis(mat, len(parts)))
+    vectors = [list(v) for v in kernel]
     labels = []
     for v in vectors:
         terms = [f"{c}*{hopf.sigma_label(nu)}" for c, nu in zip(v, parts) if c]
@@ -242,14 +238,9 @@ def indecomposables(hopf: HopfData, w: int) -> dict:
         raise ValueError("weight must be positive")
     parts = partitions(w)
     index = {p: i for i, p in enumerate(parts)}
-    rows = []
-    for wa in range(1, w):
-        table = hopf.algebra.multiplication_table(wa, w - wa)
-        for (a, b), prod in table.items():
-            if a and b:
-                row = [0] * len(parts)
-                row[index[prod]] = 1
-                rows.append(row)
+    unit = [[int(i == j) for j in range(len(parts))] for i in range(len(parts))]
+    rows = [unit[index[p]]  # int_matrix copies each row
+            for wa in range(1, w) for p in hopf.algebra.multiplication_table(wa, w - wa).values()]
     h, pivots = hnf(int_matrix(rows, len(parts)))
     pivot_cols = set(pivots)
     quotient_basis = [parts[j] for j in range(len(parts)) if j not in pivot_cols]

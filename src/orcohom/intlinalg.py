@@ -236,9 +236,10 @@ def field_rref(rows: list[list], ring: BaseRing):
     """Reduced row echelon form over a field (Q or Z/p), or over any domain
     when every pivot it meets is a unit.
 
-    Each pivot row is scaled by the inverse of its pivot, which raises
-    NonDivisibleBase on a non-unit.  Over Z this inverts a unitriangular
-    matrix exactly, which is how the Hopf layer uses it.  Returns
+    Each pivot row is scaled by the inverse of its pivot unless that is 1
+    (a non-unit raises NonDivisibleBase), then subtracted from the other
+    rows over its support only, as in ``hnf``.  Over Z this inverts a
+    unitriangular matrix exactly, as the Hopf layer does.  Returns
     (reduced nonzero rows, pivot column indices).
     """
     m = [list(r) for r in rows]
@@ -252,12 +253,16 @@ def field_rref(rows: list[list], ring: BaseRing):
         if sel is None:
             continue
         m[r], m[sel] = m[sel], m[r]
-        inv = ring.inv_unit(m[r][c])
-        m[r] = [ring.mul(inv, v) for v in m[r]]
-        for i in range(len(m)):
-            if i != r and not ring.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [ring.sub(a, ring.mul(f, b)) for a, b in zip(m[i], m[r])]
+        pr = m[r]
+        if not ring.is_one(pr[c]):
+            inv = ring.inv_unit(pr[c])
+            pr = m[r] = [ring.mul(inv, v) for v in pr]
+        support = [j for j in range(c, ncols) if not ring.is_zero(pr[j])]
+        for i, row in enumerate(m):
+            if i != r and not ring.is_zero(row[c]):
+                f = ring.neg(row[c])
+                for j in support:
+                    row[j] = ring.add(row[j], ring.mul(f, pr[j]))
         pivots.append(c)
         r += 1
         if r == len(m):

@@ -73,15 +73,17 @@ def thom_product_check(dec: ThomDecomposition, p: int, q: int,
     if p < 0 or q < 0 or p + q > D:
         raise ValueError("need p, q >= 0 with p + q within the truncation")
     square_ok = True
-    for wa in range(p, D + 1):
-        for wb in range(q, D + 1 - wa):
-            pa = dec.piece_basis(p, wa)
-            pb = dec.piece_basis(q, wb)
+    for total in range(p + q, D + 1):
+        # the split route: split each class once, filed by left weight
+        splits: dict[int, set] = {}
+        for mu in dec.piece_basis(p + q, total):
+            for alpha, beta in sub_partition_splits(mu):
+                splits.setdefault(sum(alpha), set()).add((alpha, beta, mu))
+        for wa in range(p, total - q + 1):
+            pa = set(dec.piece_basis(p, wa))
+            pb = set(dec.piece_basis(q, total - wa))
             product_entries = {(a, b, merge(a, b)) for a in pa for b in pb}
-            coproduct_entries = {(alpha, beta, mu)
-                                 for mu in dec.piece_basis(p + q, wa + wb)
-                                 for alpha, beta in sub_partition_splits(mu)
-                                 if alpha in pa and beta in pb}
+            coproduct_entries = {e for e in splits.get(wa, ()) if e[0] in pa and e[1] in pb}
             if product_entries != coproduct_entries:
                 square_ok = False
     theta = (dec.thom_class(p), dec.thom_class(q)) in sub_partition_splits(dec.thom_class(p + q))

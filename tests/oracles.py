@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 
 @lru_cache(maxsize=None)
@@ -192,6 +193,30 @@ def dominates(lam, mu) -> bool:
         if a < b:
             return False
     return True
+
+
+def zero_one_matrix_count(rows, cols) -> int:
+    """Number of 0-1 matrices with the given row sums and column sums.
+
+    Each row in turn picks a set of columns with room left, memoized on
+    the row and the room left in each (labelled) column.  The
+    coefficient of m_mu in e^nu is this count for rows nu, columns mu.
+    """
+    seen: dict = {}
+
+    def count(i, room):
+        if max(room, default=0) > len(rows) - i:
+            return 0  # a column needs more ones than rows remain
+        if i == len(rows):
+            return 1
+        if (i, room) not in seen:
+            seen[(i, room)] = sum(
+                count(i + 1, tuple(r - (j in chosen) for j, r in enumerate(room)))
+                for chosen in combinations(range(len(cols)), rows[i])
+                if all(room[j] for j in chosen))
+        return seen[(i, room)]
+
+    return count(0, tuple(cols))
 
 
 def whitney_coproduct(nu) -> dict:

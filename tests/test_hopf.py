@@ -12,7 +12,7 @@ from orcohom.spaces import additive_theory
 import pytest
 
 from oracles import (conjugate_partition, dominates, partition_count, partitions_exactly_k,
-                     whitney_coproduct)
+                     whitney_coproduct, zero_one_matrix_count)
 
 TH = additive_theory(truncation=8)
 
@@ -118,24 +118,48 @@ def test_filtration_level_ranks():
 
 
 @pytest.fixture(scope="module")
-def hd12():
-    return build_hopf(additive_theory(truncation=12), 12)
+def hd14():
+    return build_hopf(additive_theory(truncation=14), 14)
 
 
-def test_delta_matches_whitney_formula(hd12):
+def test_transition_counts_zero_one_matrices():
+    # E[nu][mu] is the number of 0-1 matrices with row sums nu and column
+    # sums mu; the oracle enumerates each row's column set directly
+    hd = build_hopf(TH, 8)
+    for w in range(0, 9):
+        parts, E, _ = hd.transition(w)
+        assert E == [[zero_one_matrix_count(nu, mu) for mu in parts] for nu in parts], w
+
+
+def test_non_unimodular_transition_is_reported(monkeypatch):
+    # a non-unit pivot makes field_rref over Z raise NonDivisibleBase,
+    # which the transition reports as a non-unimodular matrix
+    import orcohom.hopf as hopf_mod
+
+    real = hopf_mod.field_rref
+
+    def doubled_first_row(rows, ring):
+        return real([[2 * v for v in rows[0]]] + rows[1:], ring)
+
+    monkeypatch.setattr(hopf_mod, "field_rref", doubled_first_row)
+    with pytest.raises(ArithmeticError, match="not unimodular"):
+        build_hopf(TH, 3).transition(2)
+
+
+def test_delta_matches_whitney_formula(hd14):
     # the library dualizes the homology product; the oracle multiplies
     # out Delta(e_n) = sum_j e_j x e_(n-j) directly
-    for w in range(1, 13):
-        delta = hd12.delta(w)
+    for w in range(1, 15):
+        delta = hd14.delta(w)
         for nu in delta:
             assert delta[nu] == whitney_coproduct(nu), nu
 
 
-def test_transition_is_unitriangular_up_to_conjugation(hd12):
+def test_transition_is_unitriangular_up_to_conjugation(hd14):
     # E Einv = I, E[nu][mu] != 0 only for mu <= nu' in dominance, and
     # E[nu][nu'] = 1: the facts that make the inversion integral
-    for w in range(0, 13):
-        parts, E, Einv = hd12.transition(w)
+    for w in range(0, 15):
+        parts, E, Einv = hd14.transition(w)
         k = len(parts)
         for i in range(k):
             assert [sum(E[i][t] * Einv[t][j] for t in range(k)) for j in range(k)] == \
@@ -146,3 +170,12 @@ def test_transition_is_unitriangular_up_to_conjugation(hd12):
             for j, mu in enumerate(parts):
                 if E[i][j]:
                     assert dominates(conj, mu), (nu, mu)
+
+
+def test_primitives_returns_fresh_lists():
+    # the kernel is solved once per weight; callers must not share it
+    hd = build_hopf(TH, 4)
+    first = primitives(hd, 3)
+    first["basis"][0][0] += 1
+    first["monomials"][0].append(9)
+    assert primitives(hd, 3) == primitives(build_hopf(TH, 4), 3)

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from orcohom.coefficients import ZZ
+from orcohom.coefficients import QQ, ZZ, ModularRing, NonDivisibleBase
 from orcohom.intlinalg import (
     cokernel_data,
     det_bareiss_ring,
+    field_rref,
     hnf,
     hnf_invariants,
     int_matrix,
@@ -126,3 +127,51 @@ def test_int_matrix_rejects_ragged_rows():
     with pytest.raises(ValueError):
         int_matrix([[1, 2]], 3)
     assert int_matrix([], 4) == []
+
+
+def _field_rref_full_width(rows, ring):
+    """Reduced row echelon form that scales every pivot row and subtracts
+    over whole rows: the reference for field_rref's support-only steps."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    r = 0
+    pivots = []
+    for c in range(len(m[0])):
+        sel = next((i for i in range(r, len(m)) if not ring.is_zero(m[i][c])), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = ring.inv_unit(m[r][c])
+        m[r] = [ring.mul(inv, v) for v in m[r]]
+        for i in range(len(m)):
+            if i != r and not ring.is_zero(m[i][c]):
+                f = m[i][c]
+                m[i] = [ring.sub(a, ring.mul(f, b)) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+@pytest.mark.parametrize("ring", [QQ, ModularRing(7)], ids=["Q", "Z7"])
+def test_field_rref_matches_full_width_elimination(ring):
+    rng = random.Random(211)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        # sparse entries, so pivot rows have short supports, and some ones
+        m = [[ring.from_int(rng.choice([0, 0, 0, 1, 1, -1, 2, 3, -4]))
+              for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:
+            m.append(list(m[0]))  # a dependent row
+        assert field_rref(m, ring) == _field_rref_full_width(m, ring)
+
+
+def test_field_rref_over_z_needs_unit_pivots():
+    red, pivots = field_rref([[1, 2, 0], [3, 7, 1]], ZZ)
+    assert (red, pivots) == ([[1, 0, -2], [0, 1, 1]], [0, 1])
+    with pytest.raises(NonDivisibleBase):
+        field_rref([[2, 1], [0, 1]], ZZ)
+    with pytest.raises(NonDivisibleBase):
+        field_rref([[1, 1], [1, 3]], ZZ)  # the second pivot is 2
