@@ -35,12 +35,12 @@ from .spaces import (
 _UNIVERSAL_CACHE: dict[int, OrientedTheory] = {}
 
 
-def universal_theory(truncation: int = 8, bound: int | None = None) -> OrientedTheory:
+def universal_theory(truncation: int = 8) -> OrientedTheory:
     """Oriented theory over the truncated universal coefficients."""
     cached = _UNIVERSAL_CACHE.get(truncation)
     if cached is not None:
         return cached
-    pres = lazard_ring(truncation, bound if bound is not None else max(truncation, LAZARD_DEFAULT_BOUND))
+    pres = lazard_ring(truncation, max(truncation, LAZARD_DEFAULT_BOUND))
     theory = OrientedTheory(pres.coefficients, pres.generic, validate=False)
     _UNIVERSAL_CACHE[truncation] = theory
     return theory

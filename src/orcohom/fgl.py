@@ -104,14 +104,15 @@ def make_additive(base: BaseRing = ZZ, truncation: int = 8) -> FormalGroupLaw:
     return FormalGroupLaw(base, series, truncation)
 
 
-def make_multiplicative(base: BaseRing | None = None, beta=None, truncation: int = 8,
-                        designate: bool | None = None) -> FormalGroupLaw:
+def make_multiplicative(base: BaseRing | None = None, beta=None,
+                        truncation: int = 8) -> FormalGroupLaw:
     """F(x, y) = x + y - beta*x*y.
 
     Defaults to the integral Laurent domain Z[b, b^-1] with beta the
-    invertible generator.  A non-invertible beta (including zero, which
-    degenerates the law to the additive one) is accepted as long as it
-    is not designated as the periodicity element.
+    invertible generator.  beta is designated as the periodicity element
+    exactly when it is a unit; a non-invertible beta (including zero,
+    which degenerates the law to the additive one) is accepted and left
+    undesignated.
     """
     if base is None:
         base = laurent_over(ZZ, "b", -1)
@@ -119,17 +120,13 @@ def make_multiplicative(base: BaseRing | None = None, beta=None, truncation: int
             beta = base.generator()
     if beta is None:
         raise ValueError("beta element required for an explicit base")
-    if designate is None:
-        designate = base.is_unit(beta)
-    if designate and not base.is_unit(beta):
-        raise ValueError("beta is not invertible and cannot be designated")
     xy: Mono = ((_X, 1), (_Y, 1))
     series = Polynomial(base, {
         ((_X, 1),): base.one(),
         ((_Y, 1),): base.one(),
         xy: base.neg(beta),
     })
-    return FormalGroupLaw(base, series, truncation, beta=beta if designate else None)
+    return FormalGroupLaw(base, series, truncation, beta=beta if base.is_unit(beta) else None)
 
 
 def check_axioms(law: FormalGroupLaw, upto: int | None = None) -> AxiomReport:

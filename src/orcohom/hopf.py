@@ -20,7 +20,7 @@ from itertools import groupby, product
 from math import comb, prod
 
 from .coefficients import ZZ, BaseRing, ModularRing, NonDivisibleBase
-from .intlinalg import det_bareiss_ring, field_rref, hnf, int_matrix, kernel_basis
+from .intlinalg import det_bareiss_ring, field_rref, int_matrix, kernel_basis
 from .partitions import merge, partitions, partitions_max_parts
 from .spaces import ClassifyingBGL, OrientedTheory, cohomology
 
@@ -211,7 +211,8 @@ def primitives(hopf: HopfData, w: int) -> dict:
         conditions: dict[tuple, list[int]] = {}
         for i, nu in enumerate(parts):
             for (alpha, beta), coeff in delta[nu].items():
-                if not alpha or not beta:
+                # Delta is cocommutative: (beta, alpha) repeats the row of (alpha, beta)
+                if not alpha or not beta or (alpha != beta and (beta, alpha) in conditions):
                     continue
                 row = conditions.setdefault((alpha, beta), [0] * len(parts))
                 row[i] += coeff
@@ -238,12 +239,11 @@ def indecomposables(hopf: HopfData, w: int) -> dict:
         raise ValueError("weight must be positive")
     parts = partitions(w)
     index = {p: i for i, p in enumerate(parts)}
-    unit = [[int(i == j) for j in range(len(parts))] for i in range(len(parts))]
-    rows = [unit[index[p]]  # int_matrix copies each row
-            for wa in range(1, w) for p in hopf.algebra.multiplication_table(wa, w - wa).values()]
-    h, pivots = hnf(int_matrix(rows, len(parts)))
-    pivot_cols = set(pivots)
-    quotient_basis = [parts[j] for j in range(len(parts)) if j not in pivot_cols]
+    # each product is a single basis partition, so I^2 is spanned by the
+    # merged products and the quotient by the partitions left over
+    squares = {p for wa in range(1, w)
+               for p in hopf.algebra.multiplication_table(wa, w - wa).values()}
+    quotient_basis = [p for p in parts if p not in squares]
     prim = primitives(hopf, w)
     parts_w, E, _ = hopf.transition(w)
     pairing = []
@@ -257,13 +257,13 @@ def indecomposables(hopf: HopfData, w: int) -> dict:
         "weight": w,
         "rank": len(quotient_basis),
         "basis": [list(p) for p in quotient_basis],
-        "squares_rank": len(pivots),
+        "squares_rank": len(squares),
         "pairing_determinant": det,
         "pairing_unimodular": det in (1, -1),
     }
 
 
-def additive_maps_identification(hopf: HopfData, truncation: int | None = None) -> dict:
+def additive_maps_identification(hopf: HopfData) -> dict:
     """Match primitives with the weight pieces of the rank-one classifying
     space under the restriction s1 -> l, s_i -> 0 for i >= 2.
 
@@ -271,7 +271,7 @@ def additive_maps_identification(hopf: HopfData, truncation: int | None = None) 
     restriction on primitives, and the extra rank-one weight-zero
     summand coming from the group-completion factor.
     """
-    D = hopf.truncation if truncation is None else min(truncation, hopf.truncation)
+    D = hopf.truncation
     line = cohomology(hopf.theory, ClassifyingBGL(1), D)
     per_weight = []
     ok = True
@@ -297,28 +297,3 @@ def additive_maps_identification(hopf: HopfData, truncation: int | None = None) 
         "weight_zero_extra_rank": 1,
         "ok": ok,
     }
-
-
-def coassociativity_check(hopf: HopfData, w: int) -> bool:
-    """(Delta x 1)Delta equals (1 x Delta)Delta on every weight-w basis class."""
-    parts = partitions(w)
-    delta_w = hopf.delta(w)
-    lhs: dict = {}
-    rhs: dict = {}
-    for nu in parts:
-        l: dict = {}
-        r: dict = {}
-        for (alpha, beta), c in delta_w[nu].items():
-            wa = sum(alpha)
-            da = hopf.delta(wa) if wa else {(): {((), ()): 1}}
-            for (r1, r2), c2 in da[alpha].items():
-                key = (r1, r2, beta)
-                l[key] = l.get(key, 0) + c * c2
-            wb = sum(beta)
-            db = hopf.delta(wb) if wb else {(): {((), ()): 1}}
-            for (s1, s2), c2 in db[beta].items():
-                key = (alpha, s1, s2)
-                r[key] = r.get(key, 0) + c * c2
-        lhs[nu] = {k: v for k, v in l.items() if v}
-        rhs[nu] = {k: v for k, v in r.items() if v}
-    return lhs == rhs

@@ -237,9 +237,9 @@ class Polynomial:
     def __hash__(self):
         raise TypeError("polynomials are not hashable")
 
-    def sorted_terms(self, weights, nvars: int, reverse: bool = True):
-        """Terms in graded-lex order, leading term first by default."""
-        return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0], weights, nvars), reverse=reverse)
+    def sorted_terms(self, weights, nvars: int):
+        """Terms in graded-lex order, leading term first."""
+        return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0], weights, nvars), reverse=True)
 
     def leading(self, weights, nvars: int):
         """(monomial, coefficient) of the graded-lex leading term."""

@@ -176,12 +176,6 @@ class PresentedRing:
         idx = name_or_index if isinstance(name_or_index, int) else self.names.index(name_or_index)
         return Polynomial.variable(self.base, idx)
 
-    def constant(self, c) -> Polynomial:
-        return Polynomial.constant(self.base, c)
-
-    def from_int(self, n: int) -> Polynomial:
-        return Polynomial.constant(self.base, self.base.from_int(n))
-
     def one_poly(self) -> Polynomial:
         return Polynomial.one(self.base)
 

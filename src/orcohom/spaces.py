@@ -24,7 +24,6 @@ from .symfunc import (
     elementary_symmetric,
     elementary_symmetric_decompose,
     is_symmetric,
-    substitute_elementary,
 )
 
 
@@ -440,9 +439,10 @@ def homology_dual(theory: OrientedTheory, space, truncation: int = 8) -> Homolog
 def invariance_check(theory: OrientedTheory, n: int, truncation: int = 8) -> dict:
     """Symmetric-invariants model of the rank-n classifying space.
 
-    Sends each s-monomial of weight at most D through s_i -> e_i of the
-    line-bundle classes, checks invariance under permutations, and
-    round-trips through the elementary symmetric decomposition.
+    Sends each standard s-monomial of weight at most D through
+    s_i -> e_i of the line-bundle classes, checks invariance under
+    permutations, and checks that the elementary symmetric decomposition
+    of the image is the monomial itself.
     """
     if n < 1 or n > 4:
         raise ValueError("invariance check supported for 1 <= n <= 4")
@@ -460,9 +460,9 @@ def invariance_check(theory: OrientedTheory, n: int, truncation: int = 8) -> dic
             if not is_symmetric(image, n):
                 failures.append({"weight": w, "monomial": bgl.poly_str(p), "reason": "not invariant"})
                 continue
-            back = elementary_symmetric_decompose(image, n)
-            if substitute_elementary(back, n) != image:
-                failures.append({"weight": w, "monomial": bgl.poly_str(p), "reason": "round trip failed"})
+            if elementary_symmetric_decompose(image, n) != p:
+                failures.append({"weight": w, "monomial": bgl.poly_str(p),
+                                 "reason": "decomposition is not the monomial"})
                 continue
             checked += 1
     return {"n": n, "truncation": D, "checked": checked, "failures": failures,

@@ -60,11 +60,6 @@ def complete_homogeneous(base: BaseRing, k: int, indices) -> Polynomial:
     return Polynomial(base, out, _clean=True)
 
 
-def power_sum(base: BaseRing, k: int, indices) -> Polynomial:
-    terms = {((i, k),): base.one() for i in indices}
-    return Polynomial(base, terms, _clean=True)
-
-
 def swap_variables(p: Polynomial, i: int, j: int) -> Polynomial:
     def sw(m: Mono) -> Mono:
         return tuple(sorted((j if v == i else i if v == j else v, e) for v, e in m))

@@ -57,8 +57,7 @@ def thom_decompose(source: HopfData | SymFilteredAlgebra | OrientedTheory,
     return ThomDecomposition(truncation)
 
 
-def thom_product_check(dec: ThomDecomposition, p: int, q: int,
-                       truncation: int | None = None) -> dict:
+def thom_product_check(dec: ThomDecomposition, p: int, q: int) -> dict:
     """Multiplicativity of the graded product on pieces p and q.
 
     Two routes meet: the product (multiset union) of each exactly-p-part
@@ -69,7 +68,7 @@ def thom_product_check(dec: ThomDecomposition, p: int, q: int,
     says the split route takes the canonical class of piece p+q to the
     pair of canonical classes of pieces p and q.
     """
-    D = dec.truncation if truncation is None else min(truncation, dec.truncation)
+    D = dec.truncation
     if p < 0 or q < 0 or p + q > D:
         raise ValueError("need p, q >= 0 with p + q within the truncation")
     square_ok = True

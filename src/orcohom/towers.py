@@ -3,7 +3,10 @@ first derived limit, telescope colimits, and the split-tower comparison.
 
 Modules are presented over the integers (torsion relations encode
 finite coefficients such as Z/n), one finitely presented piece per
-weight.  Exact answers are produced in the regimes the constructions
+weight.  Each ``FPModule`` owns its relation lattice, the Hermite
+normal form of its relations, computed once: membership, coefficients
+over the lattice (``solve``), invariants and presentation equality all
+read it.  Exact answers are produced in the regimes the constructions
 actually need:
 
 * surjective towers: the derived limit vanishes (Mittag-Leffler) and,
@@ -23,8 +26,11 @@ reported for it.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .coefficients import ZZ
-from .intlinalg import cokernel_data, det_bareiss_ring, hnf, int_matrix, kernel_basis, rank as int_rank
+from .intlinalg import det_bareiss_ring, hnf, hnf_invariants, int_matrix, kernel_basis
+from .intlinalg import rank as int_rank
 
 
 class UndecidableTower(ValueError):
@@ -32,7 +38,14 @@ class UndecidableTower(ValueError):
 
 
 class FPModule:
-    """Z^ngens modulo the row span of an integer relation matrix."""
+    """Z^ngens modulo the row span of an integer relation matrix.
+
+    Instances are immutable after construction.  ``lattice`` is the row
+    HNF (H, pivot columns) of the relations, computed on first use.
+    ``solve(vec)`` returns the integer coefficients of vec over the rows
+    of H, or None when vec is off the relation lattice; ``contains(vec)``
+    says whether vec is zero in the module.
+    """
 
     def __init__(self, ngens: int, relations=()):
         self.ngens = int(ngens)
@@ -56,60 +69,65 @@ class FPModule:
     def relation_matrix(self) -> list[list[int]]:
         return int_matrix(self.relations, self.ngens)
 
+    @cached_property
+    def lattice(self) -> tuple[list[list[int]], list[int]]:
+        return hnf(self.relation_matrix())
+
+    def solve(self, vec) -> list[int] | None:
+        h, pivots = self.lattice
+        v = list(map(int, vec))
+        coeffs = []
+        for row, c in zip(h, pivots):
+            q, rem = divmod(v[c], row[c])
+            if rem:
+                return None
+            coeffs.append(q)
+            if q:
+                for j in range(c, len(v)):  # an HNF row is zero left of its pivot
+                    v[j] -= q * row[j]
+        return None if any(v) else coeffs
+
+    def contains(self, vec) -> bool:
+        return self.solve(vec) is not None
+
     def rank_torsion(self) -> tuple[int, list[int]]:
-        return cokernel_data(self.relation_matrix(), self.ngens)
+        invs = hnf_invariants(*self.lattice)
+        return self.ngens - len(invs), [d for d in invs if d != 1]
 
     def is_finite(self) -> bool:
-        return self.rank_torsion()[0] == 0
+        return len(self.lattice[1]) == self.ngens
 
     def same_presentation(self, other: "FPModule") -> bool:
-        if self.ngens != other.ngens:
-            return False
-        h1, _ = hnf(self.relation_matrix())
-        h2, _ = hnf(other.relation_matrix())
-        return h1 == h2
+        return self.ngens == other.ngens and self.lattice[0] == other.lattice[0]
 
     def __repr__(self):
         r, t = self.rank_torsion()
         return f"FPModule(rank={r}, torsion={t})"
 
 
-def _reduce_mod_rows(h, pivots, vec):
-    v = list(map(int, vec))
-    for k, c in enumerate(pivots):
-        q = v[c] // h[k][c]
-        if q:
-            for j in range(len(v)):
-                v[j] -= q * h[k][j]
-    return v
+def _eye(rows: int, cols: int) -> list[list[int]]:
+    """The rows x cols matrix with ones on the diagonal: an identity,
+    inclusion or projection."""
+    return [[int(i == j) for j in range(cols)] for i in range(rows)]
+
+
+def _apply(matrix, vec) -> list[int]:
+    return [sum(a * b for a, b in zip(row, vec)) for row in matrix]
 
 
 def map_is_zero(matrix, target: FPModule) -> bool:
     """Is the given integer matrix zero as a map into the target module?"""
-    h, pivots = hnf(target.relation_matrix())
-    cols = len(matrix[0]) if matrix else 0
-    for j in range(cols):
-        col = [row[j] for row in matrix]
-        if any(_reduce_mod_rows(h, pivots, col)):
-            return False
-    return True
+    return all(target.contains(col) for col in zip(*matrix))
 
 
 def map_well_defined(matrix, source: FPModule, target: FPModule) -> bool:
     """Images of source relations must land in the target relation span."""
-    h, pivots = hnf(target.relation_matrix())
-    for rel in source.relations:
-        img = [sum(matrix[i][j] * rel[j] for j in range(source.ngens)) for i in range(target.ngens)]
-        if any(_reduce_mod_rows(h, pivots, img)):
-            return False
-    return True
+    return all(target.contains(_apply(matrix, rel)) for rel in source.relations)
 
 
 def map_surjective(matrix, target: FPModule) -> bool:
-    rows = [[matrix[i][j] for i in range(target.ngens)] for j in range(len(matrix[0]) if matrix else 0)]
-    stacked = rows + target.relations
-    free, torsion = cokernel_data(int_matrix(stacked, target.ngens), target.ngens)
-    return free == 0 and not torsion
+    """Onto exactly when the cokernel (target modulo the image) is zero."""
+    return FPModule(target.ngens, list(zip(*matrix)) + target.relations).rank_torsion() == (0, [])
 
 
 def compose_matrices(a, b):
@@ -120,41 +138,18 @@ def compose_matrices(a, b):
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
-def _submodule_presentation(gen_cols, module: FPModule) -> FPModule:
-    """Presentation of the submodule of ``module`` generated by columns.
-
-    The subgroup is (column span + relation span)/relation span; its
-    invariants come from expressing the relation lattice inside the
-    combined lattice.
+def _submodule_presentation(gens, module: FPModule) -> FPModule:
+    """Presentation of the submodule of ``module`` generated by the
+    vectors ``gens``: (generator span + relation span)/relation span,
+    on the HNF basis of the combined lattice, with the module's
+    relations solved over that basis as relations.
     """
-    rows = [[gen_cols[i][j] for i in range(module.ngens)] for j in range(len(gen_cols[0]) if gen_cols else 0)]
-    lattice = rows + module.relations
-    mat = int_matrix(lattice, module.ngens)
-    h, pivots = hnf(mat)
-    nbasis = len(h)
-    rel_in_basis = []
-    for rel in module.relations:
-        coeffs = _solve_in_hnf(h, pivots, rel)
-        if coeffs is None:
-            raise ArithmeticError("relation not inside the combined lattice")
-        rel_in_basis.append(coeffs)
-    return FPModule(nbasis, rel_in_basis)
+    combined = FPModule(module.ngens, list(gens) + module.relations)
+    return FPModule(len(combined.lattice[0]), [combined.solve(rel) for rel in module.relations])
 
 
-def _solve_in_hnf(h, pivots, vec):
-    """Coefficients expressing vec over the HNF rows, or None."""
-    v = list(map(int, vec))
-    coeffs = [0] * len(h)
-    for k, c in enumerate(pivots):
-        p = h[k][c]
-        if v[c] % p:
-            return None
-        q = v[c] // p
-        coeffs[k] = q
-        if q:
-            for j in range(len(v)):
-                v[j] -= q * h[k][j]
-    return coeffs if not any(v) else None
+def _weights(stages) -> list[int]:
+    return sorted(set().union(*(s.pieces for s in stages)))
 
 
 class GradedFPModule:
@@ -162,10 +157,6 @@ class GradedFPModule:
 
     def __init__(self, pieces: dict[int, FPModule]):
         self.pieces = dict(pieces)
-
-    @classmethod
-    def constant(cls, module: FPModule, weights) -> "GradedFPModule":
-        return cls({w: module for w in weights})
 
     def piece(self, w: int) -> FPModule:
         return self.pieces.get(w, FPModule(0))
@@ -179,10 +170,6 @@ class GradedMap:
 
     def __init__(self, matrices: dict[int, list[list[int]]]):
         self.matrices = dict(matrices)
-
-    @classmethod
-    def constant(cls, matrix, weights) -> "GradedMap":
-        return cls({w: matrix for w in weights})
 
     def matrix(self, w: int, target_ngens: int, source_ngens: int):
         m = self.matrices.get(w)
@@ -235,10 +222,7 @@ class ModuleTower:
                     raise ValueError(f"declared periodicity fails on map {k}")
 
     def weights(self):
-        out = set()
-        for s in self.stages:
-            out |= set(s.pieces)
-        return sorted(out)
+        return _weights(self.stages)
 
     def map_matrix(self, k: int, w: int):
         return self.maps[k].matrix(w, self.stages[k].piece(w).ngens,
@@ -253,7 +237,7 @@ class ModuleTower:
             raise UndecidableTower("no periodic window declared")
         k0, rho = self.periodicity
         module = self.stages[k0].piece(w)
-        mat = [[1 if i == j else 0 for j in range(module.ngens)] for i in range(module.ngens)]
+        mat = _eye(module.ngens, module.ngens)
         for k in range(k0, k0 + rho):
             if k >= len(self.maps):
                 raise ValueError("stored stages do not cover the periodic window")
@@ -266,7 +250,7 @@ def _stable_image(module: FPModule, mat) -> FPModule:
     power = mat
     seen = None
     for _ in range(64):
-        sub = _submodule_presentation(power, module)
+        sub = _submodule_presentation(zip(*power), module)
         data = sub.rank_torsion()
         if data == seen:
             # one extra confirmation step: image presentation stabilized
@@ -274,6 +258,14 @@ def _stable_image(module: FPModule, mat) -> FPModule:
         seen = data
         power = compose_matrices(mat, power)
     raise ArithmeticError("image chain failed to stabilize")
+
+
+def _exact(rank, torsion, note: str, **extra) -> dict:
+    return {"rank": rank, "torsion": torsion, "exact": True, **extra, "note": note}
+
+
+def _partial(note: str, rank=None, torsion=None) -> dict:
+    return {"rank": rank, "torsion": torsion, "exact": False, "note": note}
 
 
 def tower_limit_and_lim1(tower: ModuleTower, weight: int) -> tuple[dict, dict]:
@@ -308,38 +300,24 @@ def tower_limit_and_lim1(tower: ModuleTower, weight: int) -> tuple[dict, dict]:
     # in the matrices themselves.
     w = weight
     mods = [stage.piece(w) for stage in tower.stages]
-    nmaps = len(tower.maps)
-    all_surjective = all(tower.map_surjective(k, w) for k in range(nmaps))
-    all_finite = all(m.is_finite() for m in mods)
     periodic = tower.periodicity is not None
 
-    if all_surjective:
-        lim1 = {"rank": 0, "torsion": [], "exact": True,
-                "note": "surjective tower: Mittag-Leffler"}
+    if all(tower.map_surjective(k, w) for k in range(len(tower.maps))):
+        lim1 = _exact(0, [], "surjective tower: Mittag-Leffler")
         if periodic:
             module, _ = tower.window_composite(w)
-            rank, torsion = module.rank_torsion()
-            lim = {"rank": rank, "torsion": torsion, "exact": True,
-                   "note": "surjective window composite is bijective (Hopfian)"}
+            lim = _exact(*module.rank_torsion(), "surjective window composite is bijective (Hopfian)")
         else:
-            rank, torsion = mods[-1].rank_torsion()
-            lim = {"rank": rank, "torsion": torsion, "exact": False,
-                   "note": "partial: surjectivity without a periodic window"}
+            lim = _partial("partial: surjectivity without a periodic window", *mods[-1].rank_torsion())
         return lim, lim1
 
-    if all_finite:
-        lim1 = {"rank": 0, "torsion": [], "exact": True,
-                "note": "finite stages: images stabilize (Mittag-Leffler)"}
+    if all(m.is_finite() for m in mods):
+        lim1 = _exact(0, [], "finite stages: images stabilize (Mittag-Leffler)")
         if periodic:
             module, mat = tower.window_composite(w)
             stable = _stable_image(module, mat)
-            rank, torsion = stable.rank_torsion()
-            lim = {"rank": rank, "torsion": torsion, "exact": True,
-                   "note": "stable image of the window composite"}
-        else:
-            lim = {"rank": None, "torsion": None, "exact": False,
-                   "note": "partial: finite stages without a periodic window"}
-        return lim, lim1
+            return _exact(*stable.rank_torsion(), "stable image of the window composite"), lim1
+        return _partial("partial: finite stages without a periodic window"), lim1
 
     if periodic:
         module, mat = tower.window_composite(w)
@@ -347,21 +325,12 @@ def tower_limit_and_lim1(tower: ModuleTower, weight: int) -> tuple[dict, dict]:
         if rank > 0 and not torsion and not module.relations:
             d = abs(det_bareiss_ring(int_matrix(mat, module.ngens), ZZ))
             if d == 1:
-                lim = {"rank": rank, "torsion": [], "exact": True,
-                       "note": "unimodular window composite: tower of isomorphisms"}
-                lim1 = {"rank": 0, "torsion": [], "exact": True,
-                        "note": "tower of isomorphisms"}
-                return lim, lim1
-            lim = {"rank": None, "torsion": None, "exact": False,
-                   "note": f"partial: window determinant {d}; limit is an adic object"}
-            lim1 = {"rank": None, "torsion": None, "exact": False,
-                    "note": "partial: derived limit not finitely presentable"}
-            return lim, lim1
-        lim = {"rank": None, "torsion": None, "exact": False,
-               "note": "partial: mixed free/torsion non-surjective window"}
-        lim1 = {"rank": None, "torsion": None, "exact": False,
-                "note": "partial: mixed free/torsion non-surjective window"}
-        return lim, lim1
+                return (_exact(rank, [], "unimodular window composite: tower of isomorphisms"),
+                        _exact(0, [], "tower of isomorphisms"))
+            return (_partial(f"partial: window determinant {d}; limit is an adic object"),
+                    _partial("partial: derived limit not finitely presentable"))
+        note = "partial: mixed free/torsion non-surjective window"
+        return _partial(note), _partial(note)
 
     raise UndecidableTower(
         "need finite stages, a periodic window, or surjectivity to compute limits")
@@ -375,7 +344,10 @@ def split_tower_compare(Y: ModuleTower, Z: ModuleTower, r: GradedMap, s: GradedM
     Both towers must be constant periodic (window at 0 of period 1).
     Verifies the hypotheses per weight, confirms the complement
     ker(r) carries the zero self-map, and checks that limit and derived
-    limit descriptors agree.
+    limit descriptors agree.  ``complement_rank`` and
+    ``complement_torsion`` are the free rank and torsion of ker(r) as a
+    submodule of Y's stage: (Z/5)^5 retracting onto (Z/5)^3 leaves
+    (0, [5, 5]), Z^3 onto Z leaves (2, []).
     """
     for t, name in ((Y, "Y"), (Z, "Z")):
         if t.periodicity != (0, 1):
@@ -394,8 +366,7 @@ def split_tower_compare(Y: ModuleTower, Z: ModuleTower, r: GradedMap, s: GradedM
         s_mat = s.matrix(w, ym.ngens, zm.ngens)
         entry = {"weight": w}
         rs = compose_matrices(r_mat, s_mat)
-        ident = [[1 if i == j else 0 for j in range(zm.ngens)] for i in range(zm.ngens)]
-        diff = [[rs[i][j] - ident[i][j] for j in range(zm.ngens)] for i in range(zm.ngens)]
+        diff = [[rs[i][j] - (i == j) for j in range(zm.ngens)] for i in range(zm.ngens)]
         if not map_is_zero(diff, zm):
             entry["failure"] = "r s is not the identity"
             per_weight.append(entry)
@@ -414,18 +385,14 @@ def split_tower_compare(Y: ModuleTower, Z: ModuleTower, r: GradedMap, s: GradedM
                 (lim1_y["rank"], lim1_y["torsion"]) == (lim1_z["rank"], lim1_z["torsion"])
         # complement: kernel of r inside Y, with the induced self-map
         kern = _kernel_into_quotient(r_mat, ym, zm)
-        h_y, piv_y = hnf(ym.relation_matrix())
-        induced_zero = True
-        for x in kern:
-            fx = [sum(f_mat[i][j] * int(x[j]) for j in range(ym.ngens)) for i in range(ym.ngens)]
-            if any(_reduce_mod_rows(h_y, piv_y, fx)):
-                induced_zero = False
-        comp_h, _ = hnf(int_matrix(kern, ym.ngens))
+        induced_zero = all(ym.contains(_apply(f_mat, x)) for x in kern)
+        comp_rank, comp_torsion = _submodule_presentation(kern, ym).rank_torsion()
         entry.update({
             "limits_agree": agree,
             "lim_Y": lim_y, "lim_Z": lim_z,
             "lim1_Y": lim1_y, "lim1_Z": lim1_z,
-            "complement_rank": len(comp_h),
+            "complement_rank": comp_rank,
+            "complement_torsion": comp_torsion,
             "complement_self_map_zero": induced_zero,
         })
         ok = ok and agree and induced_zero
@@ -446,10 +413,10 @@ def _kernel_into_quotient(r_mat, source: FPModule, target: FPModule):
     return [list(map(int, v[:m])) for v in kern]
 
 
-def random_unimodular(rng, n: int, steps: int = 12):
+def random_unimodular(rng, n: int):
     """Random unimodular integer matrix built from elementary operations."""
-    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
+    mat = _eye(n, n)
+    for _ in range(12):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
@@ -465,8 +432,9 @@ def random_unimodular(rng, n: int, steps: int = 12):
     return mat
 
 
-def random_surjective_tower(rng, weights=(0,), stages: int = 5) -> ModuleTower:
-    """Eventually periodic tower with surjective connecting maps.
+def random_surjective_tower(rng) -> ModuleTower:
+    """Eventually periodic five-stage tower in weight 0 with surjective
+    connecting maps.
 
     The periodic window is a constant free or modular stage whose
     composite is invertible; a short prefix of genuinely rectangular
@@ -480,55 +448,49 @@ def random_surjective_tower(rng, weights=(0,), stages: int = 5) -> ModuleTower:
     if modular:
         window = [[v % p for v in row] for row in window]
         if det_bareiss_ring(int_matrix(window, n), ZZ) % p == 0:
-            window = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+            window = _eye(n, n)
     towers_stages = []
     towers_maps = []
     # the periodic tail has constant size n; the prefix shrinks toward
     # the base so every connecting map can be onto
-    sizes = [max(1, n - (prefix - k)) for k in range(prefix)] + [n] * (stages - prefix)
+    sizes = [max(1, n - (prefix - k)) for k in range(prefix)] + [n] * (5 - prefix)
     for size in sizes:
         mod = FPModule.modular(p, size) if modular else FPModule.free(size)
-        towers_stages.append(GradedFPModule({w: mod for w in weights}))
+        towers_stages.append(GradedFPModule({0: mod}))
     for k in range(len(sizes) - 1):
         tgt, srcn = sizes[k], sizes[k + 1]
         if k < prefix:
             u = random_unimodular(rng, tgt)
             v = random_unimodular(rng, srcn)
-            block = [[1 if i == j else 0 for j in range(srcn)] for i in range(tgt)]
-            mat = compose_matrices(compose_matrices(u, block), v)
+            mat = compose_matrices(compose_matrices(u, _eye(tgt, srcn)), v)
             if modular:
                 mat = [[val % p for val in row] for row in mat]
         else:
             mat = window
-        towers_maps.append(GradedMap({w: mat for w in weights}))
+        towers_maps.append(GradedMap({0: mat}))
     return ModuleTower(towers_stages, towers_maps, periodicity=(prefix, 1))
 
 
-def random_split_tower(rng, p: int = 5, weights=(0,), stages: int = 4):
-    """(Y, Z, r, s, g) with Y = Z + X over Z/p and f = s g r.
+def random_split_tower(rng):
+    """(Y, Z, r, s, g): four-stage weight-0 towers with Y = Z + X over
+    Z/5 and f = s g r.
 
     The retraction r is the projection onto the first block, s the
     inclusion, g an arbitrary endomorphism of the Z block; the self-map
     of Y is forced to s g r, so the complement X carries zero.
     """
+    p = 5
     a = rng.randint(1, 3)
     b = rng.randint(1, 2)
     g_mat = [[rng.randrange(p) for _ in range(a)] for _ in range(a)]
-    r_mat = [[1 if j == i else 0 for j in range(a + b)] for i in range(a)]
-    s_mat = [[1 if i == j else 0 for j in range(a)] for i in range(a + b)]
+    r_mat = _eye(a, a + b)
+    s_mat = _eye(a + b, a)
     f_mat = compose_matrices(s_mat, compose_matrices(g_mat, r_mat))
-    ym = FPModule.modular(p, a + b)
-    zm = FPModule.modular(p, a)
-    Y = ModuleTower([GradedFPModule({w: ym for w in weights})] * stages,
-                    [GradedMap({w: f_mat for w in weights})] * (stages - 1),
-                    periodicity=(0, 1))
-    Z = ModuleTower([GradedFPModule({w: zm for w in weights})] * stages,
-                    [GradedMap({w: g_mat for w in weights})] * (stages - 1),
-                    periodicity=(0, 1))
-    r = GradedMap({w: r_mat for w in weights})
-    s = GradedMap({w: s_mat for w in weights})
-    g = GradedMap({w: g_mat for w in weights})
-    return Y, Z, r, s, g
+    Y = ModuleTower([GradedFPModule({0: FPModule.modular(p, a + b)})] * 4,
+                    [GradedMap({0: f_mat})] * 3, periodicity=(0, 1))
+    Z = ModuleTower([GradedFPModule({0: FPModule.modular(p, a)})] * 4,
+                    [GradedMap({0: g_mat})] * 3, periodicity=(0, 1))
+    return Y, Z, GradedMap({0: r_mat}), GradedMap({0: s_mat}), GradedMap({0: g_mat})
 
 
 class TelescopeDiagram:
@@ -542,10 +504,7 @@ class TelescopeDiagram:
         self.periodicity = periodicity
 
     def weights(self):
-        out = set()
-        for s in self.stages:
-            out |= set(s.pieces)
-        return sorted(out)
+        return _weights(self.stages)
 
     def map_matrix(self, k: int, w: int):
         return self.maps[k].matrix(w, self.stages[k + 1].piece(w).ngens,
@@ -562,30 +521,24 @@ def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
     """
     w = weight
     if t.periodicity is None:
-        rank, torsion = t.stages[-1].piece(w).rank_torsion()
-        return {"rank": rank, "torsion": torsion, "exact": False,
-                "note": "partial: truncated colimit over stored stages"}
+        return _partial("partial: truncated colimit over stored stages",
+                        *t.stages[-1].piece(w).rank_torsion())
     k0, rho = t.periodicity
     module = t.stages[k0].piece(w)
-    mat = [[1 if i == j else 0 for j in range(module.ngens)] for i in range(module.ngens)]
+    mat = _eye(module.ngens, module.ngens)
     for k in range(k0, min(k0 + rho, len(t.maps))):
         mat = compose_matrices(t.map_matrix(k, w), mat)
-    if map_surjective(mat, module) and map_well_defined(mat, module, module):
-        rank, torsion = module.rank_torsion()
-        return {"rank": rank, "torsion": torsion, "exact": True,
-                "note": "eventually isomorphic system: stable value"}
-    # localize the free part at the window determinant
     rank, torsion = module.rank_torsion()
+    if map_surjective(mat, module) and map_well_defined(mat, module, module):
+        return _exact(rank, torsion, "eventually isomorphic system: stable value")
+    # localize the free part at the window determinant
     if not module.relations:
         d = abs(det_bareiss_ring(int_matrix(mat, module.ngens), ZZ)) if module.ngens else 1
         if d == 0:
             power = mat
             for _ in range(module.ngens):
                 power = compose_matrices(power, mat)
-            stable_rank = int_rank(int_matrix(power, module.ngens)) if module.ngens else 0
-            return {"rank": stable_rank, "torsion": [], "exact": True,
-                    "note": "rank of the stable image over the localized base"}
-        return {"rank": rank, "torsion": [], "exact": True, "localized_at": d,
-                "note": f"rank {rank} over the base with {d} inverted"}
-    return {"rank": rank, "torsion": torsion, "exact": False,
-            "note": "partial: torsion telescope outside the supported regimes"}
+            return _exact(int_rank(int_matrix(power, module.ngens)), [],
+                          "rank of the stable image over the localized base")
+        return _exact(rank, [], f"rank {rank} over the base with {d} inverted", localized_at=d)
+    return _partial("partial: torsion telescope outside the supported regimes", rank, torsion)

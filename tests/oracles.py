@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's code paths: ranks go
 through Fraction Gaussian elimination, determinants through cofactor
 expansion, torsion through minor gcds, and partition counts through
-the Euler recurrence.
+the Euler recurrence.  Coassociativity is checked on the coproduct
+dictionaries alone.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+
+from orcohom.coefficients import ZZ
+from orcohom.polynomials import Polynomial
 
 
 @lru_cache(maxsize=None)
@@ -235,3 +239,32 @@ def whitney_coproduct(nu) -> dict:
                 nxt[(left, right)] = nxt.get((left, right), 0) + c
         out = nxt
     return out
+
+
+def power_sum(k: int, indices) -> Polynomial:
+    """p_k over the given variable indices, integer coefficients."""
+    return Polynomial.from_int_terms(ZZ, {((i, k),): 1 for i in indices})
+
+
+def coassociativity_check(hopf, w: int) -> bool:
+    """(Delta x 1)Delta equals (1 x Delta)Delta on every weight-w basis class."""
+    delta_w = hopf.delta(w)
+    lhs: dict = {}
+    rhs: dict = {}
+    for nu in delta_w:
+        l: dict = {}
+        r: dict = {}
+        for (alpha, beta), c in delta_w[nu].items():
+            wa = sum(alpha)
+            da = hopf.delta(wa) if wa else {(): {((), ()): 1}}
+            for (r1, r2), c2 in da[alpha].items():
+                key = (r1, r2, beta)
+                l[key] = l.get(key, 0) + c * c2
+            wb = sum(beta)
+            db = hopf.delta(wb) if wb else {(): {((), ()): 1}}
+            for (s1, s2), c2 in db[beta].items():
+                key = (alpha, s1, s2)
+                r[key] = r.get(key, 0) + c * c2
+        lhs[nu] = {k: v for k, v in l.items() if v}
+        rhs[nu] = {k: v for k, v in r.items() if v}
+    return lhs == rhs

@@ -54,9 +54,11 @@ def test_multiplicative_with_zero_beta_degenerates():
     assert law.series == make_additive(ZZ, 6).series
 
 
-def test_designating_nonunit_beta_fails():
+def test_nonunit_beta_is_not_designated():
+    law = make_multiplicative(ZZ, 2)
+    assert law.beta is None
     with pytest.raises(ValueError):
-        make_multiplicative(ZZ, 2, truncation=6, designate=True)
+        FormalGroupLaw(ZZ, law.series, 6, beta=2)
 
 
 def test_axiom_failures_detected():

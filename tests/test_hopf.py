@@ -3,7 +3,6 @@ from orcohom.hopf import (
     SymFilteredAlgebra,
     additive_maps_identification,
     build_hopf,
-    coassociativity_check,
     indecomposables,
     primitives,
 )
@@ -11,8 +10,8 @@ from orcohom.spaces import additive_theory
 
 import pytest
 
-from oracles import (conjugate_partition, dominates, partition_count, partitions_exactly_k,
-                     whitney_coproduct, zero_one_matrix_count)
+from oracles import (coassociativity_check, conjugate_partition, dominates, partition_count,
+                     partitions_exactly_k, whitney_coproduct, zero_one_matrix_count)
 
 TH = additive_theory(truncation=8)
 

@@ -301,6 +301,21 @@ def test_invariance_check():
         assert rep["ok"], rep["failures"]
 
 
+def test_invariance_check_sees_swapped_images(monkeypatch):
+    # s1 -> e2 and s2 -> e1 still gives symmetric images, whose
+    # decompositions are the monomials with s1 and s2 exchanged
+    import orcohom.spaces as sp
+    from orcohom.symfunc import elementary_symmetric
+
+    swap = {1: 2, 2: 1}
+    monkeypatch.setattr(sp, "elementary_symmetric",
+                        lambda base, k, indices: elementary_symmetric(base, swap.get(k, k), indices))
+    rep = invariance_check(TH, 3, 6)
+    assert not rep["ok"]
+    assert {f["reason"] for f in rep["failures"]} == {"decomposition is not the monomial"}
+    assert any(f["monomial"] == "s1" for f in rep["failures"])
+
+
 def test_homology_dual_rejects_torsion():
     from orcohom.presented import PresentedRing
     from orcohom.spaces import HomologyDual

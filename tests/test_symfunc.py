@@ -10,13 +10,14 @@ from orcohom.symfunc import (
     elementary_symmetric,
     elementary_symmetric_decompose,
     is_symmetric,
-    power_sum,
     substitute_elementary,
 )
 
+from oracles import power_sum
+
 
 def test_power_sum_two_variables():
-    p = power_sum(ZZ, 2, range(2))
+    p = power_sum(2, range(2))
     dec = elementary_symmetric_decompose(p, 2)
     # e1^2 - 2 e2, with e_k at index k-1
     assert dec == Polynomial.from_int_terms(ZZ, {((0, 2),): 1, ((1, 1),): -2})

@@ -12,6 +12,7 @@ from orcohom.towers import (
     UndecidableTower,
     random_split_tower,
     random_surjective_tower,
+    random_unimodular,
     split_tower_compare,
     telescope_colimit,
     tower_limit_and_lim1,
@@ -36,10 +37,23 @@ def test_constant_integer_tower():
 def test_z8_times_two_tower():
     t = constant_tower(FPModule.cyclic(8), [[2]])
     lim, lim1 = tower_limit_and_lim1(t, 0)
-    assert (lim["rank"], lim["torsion"]) == (0, [])
-    assert (lim1["rank"], lim1["torsion"]) == (0, [])
-    # brute-force check: the image chain 2^k Z/8 hits zero
-    assert pow(2, 3, 8) == 0
+    assert (lim["rank"], lim["torsion"], lim["exact"]) == (0, [], True)
+    assert (lim1["rank"], lim1["torsion"], lim1["exact"]) == (0, [], True)
+
+
+@pytest.mark.parametrize("n, m", [(12, 2), (9, 3), (10, 3), (36, 6), (7, 0)])
+def test_cyclic_tower_limit_is_the_stable_image(n, m):
+    # brute force: iterate the image set of x -> m x on Z/n until it stops
+    # shrinking; the limit is that stable image, a cyclic group
+    image = set(range(n))
+    while True:
+        nxt = {m * x % n for x in image}
+        if nxt == image:
+            break
+        image = nxt
+    lim, lim1 = tower_limit_and_lim1(constant_tower(FPModule.cyclic(n), [[m]]), 0)
+    assert lim["exact"] and (lim["rank"], lim1["rank"], lim1["torsion"]) == (0, 0, [])
+    assert lim["torsion"] == ([len(image)] if len(image) > 1 else [])
 
 
 def test_truncation_tower_of_projective_spaces():
@@ -85,25 +99,25 @@ def test_periodicity_validated():
 
 
 def test_randomized_surjective_towers():
+    # the generator fixes the limit: the window stage, Z^n or (Z/p)^n
     rng = random.Random(2024)
     for _ in range(100):
         tower = random_surjective_tower(rng)
         lim, lim1 = tower_limit_and_lim1(tower, 0)
         assert (lim1["rank"], lim1["torsion"], lim1["exact"]) == (0, [], True)
-        assert lim["exact"]
-        # oracle: composite images into the base stabilize (Mittag-Leffler)
-        mats = [tower.map_matrix(k, 0) for k in range(len(tower.maps))]
-        comp = mats[0]
-        from orcohom.towers import compose_matrices
-        prev_rank = None
-        stable = 0
-        for k in range(1, len(mats)):
-            comp = compose_matrices(comp, mats[k])
-            r = mod_p_rank(comp, 10 ** 9 + 7)  # generic-characteristic rank
-            if r == prev_rank:
-                stable += 1
-            prev_rank = r
-        assert prev_rank is not None
+        stage = tower.stages[tower.periodicity[0]].piece(0)
+        if stage.relations:
+            p = stage.relations[0][0]
+            assert stage.relations == [[p * (i == j) for j in range(stage.ngens)]
+                                       for i in range(stage.ngens)]
+            expected = (0, [p] * stage.ngens)
+        else:
+            p = 10 ** 9 + 7  # generic characteristic
+            expected = (stage.ngens, [])
+        assert (lim["rank"], lim["torsion"], lim["exact"]) == (*expected, True)
+        # oracle: every connecting map is onto mod p
+        for k in range(len(tower.maps)):
+            assert mod_p_rank(tower.map_matrix(k, 0), p) == tower.stages[k].piece(0).ngens
 
 
 def test_randomized_split_towers():
@@ -114,6 +128,28 @@ def test_randomized_split_towers():
         assert rep["ok"], rep
         for entry in rep["per_weight"]:
             assert entry["complement_self_map_zero"]
+            # the complement of (Z/5)^a in (Z/5)^(a+b) is (Z/5)^b
+            extra = Y.stages[0].piece(0).ngens - Z.stages[0].piece(0).ngens
+            assert (entry["complement_rank"], entry["complement_torsion"]) == (0, [5] * extra)
+
+
+def test_split_compare_free_complement():
+    y = constant_tower(FPModule.free(3), [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    z = constant_tower(FPModule.free(1), [[1]])
+    rep = split_tower_compare(y, z, GradedMap({0: [[1, 0, 0]]}), GradedMap({0: [[1], [0], [0]]}))
+    entry = rep["per_weight"][0]
+    assert (entry["complement_rank"], entry["complement_torsion"]) == (2, [])
+    assert entry["complement_self_map_zero"]
+
+
+def test_split_compare_mixed_torsion_complement():
+    # Y = Z/4 + Z/3 retracting onto Z/4 leaves Z/3
+    y = constant_tower(FPModule(2, [[4, 0], [0, 3]]), [[1, 0], [0, 0]])
+    z = constant_tower(FPModule.cyclic(4), [[1]])
+    rep = split_tower_compare(y, z, GradedMap({0: [[1, 0]]}), GradedMap({0: [[1], [0]]}))
+    entry = rep["per_weight"][0]
+    assert rep["ok"]
+    assert (entry["complement_rank"], entry["complement_torsion"]) == (0, [3])
 
 
 def test_split_compare_trivial_complement():
@@ -122,6 +158,7 @@ def test_split_compare_trivial_complement():
     rep = split_tower_compare(z, z, ident, ident)
     assert rep["ok"]
     assert rep["per_weight"][0]["complement_rank"] == 0
+    assert rep["per_weight"][0]["complement_torsion"] == []
 
 
 def test_split_compare_detects_hypothesis_failure():
@@ -139,7 +176,7 @@ def test_brute_force_shift_kernel_agrees_on_split_towers():
     # kernel of (1 - shift) on a long finite window, computed mod p
     rng = random.Random(31)
     for _ in range(10):
-        Y, Z, r, s, g = random_split_tower(rng, p=5, stages=4)
+        Y, Z, r, s, g = random_split_tower(rng)
         lim, _ = tower_limit_and_lim1(Y, 0)
         p = 5
         f = Y.map_matrix(0, 0)
@@ -152,6 +189,45 @@ def test_brute_force_shift_kernel_agrees_on_split_towers():
         proj_rank = mod_p_rank(comp, p)
         expected_torsion = [p] * proj_rank
         assert lim["torsion"] == expected_torsion
+
+
+def _random_even_relations(rng, nrel, ngens):
+    return [[2 * rng.randint(-4, 4) for _ in range(ngens)] for _ in range(nrel)]
+
+
+def test_solve_and_contains_on_the_relation_lattice():
+    rng = random.Random(5)
+    for _ in range(50):
+        ngens = rng.randint(1, 5)
+        relations = _random_even_relations(rng, rng.randint(0, 5), ngens)
+        module = FPModule(ngens, relations)
+        h, _ = module.lattice
+        coeffs = [rng.randint(-5, 5) for _ in relations]
+        vec = [sum(c * rel[j] for c, rel in zip(coeffs, relations)) for j in range(ngens)]
+        assert module.contains(vec)
+        sol = module.solve(vec)
+        assert [sum(c * row[j] for c, row in zip(sol, h)) for j in range(ngens)] == vec
+        # every relation entry is even, so an odd coordinate is off the lattice
+        off = list(vec)
+        off[rng.randrange(ngens)] += 1
+        assert not module.contains(off) and module.solve(off) is None
+
+
+def test_same_presentation_on_two_generating_sets():
+    rng = random.Random(11)
+    for _ in range(20):
+        ngens = rng.randint(1, 4)
+        relations = _random_even_relations(rng, rng.randint(1, 4), ngens)
+        u = random_unimodular(rng, len(relations))
+        mixed = [[sum(u[i][k] * relations[k][j] for k in range(len(relations))) for j in range(ngens)]
+                 for i in range(len(relations))]
+        redundant = [[a + b for a, b in zip(relations[0], relations[-1])]]
+        a = FPModule(ngens, relations)
+        b = FPModule(ngens, mixed + redundant)
+        assert a.same_presentation(b) and b.same_presentation(a)
+        assert a.rank_torsion() == b.rank_torsion()
+    assert not FPModule(2, [[2, 0]]).same_presentation(FPModule(2, [[4, 0]]))
+    assert not FPModule(2, [[2, 0]]).same_presentation(FPModule(3, [[2, 0, 0]]))
 
 
 def test_telescope_examples():
