@@ -32,15 +32,12 @@ from .presented import (
     QuotientCoefficients,
     RingMap,
     compose,
-    graded_rank_snf,
-    ringmap_check_and_apply,
     scalar_ring,
 )
 from .symfunc import (
     NotSymmetric,
     elementary_symmetric,
     elementary_symmetric_decompose,
-    substitute_elementary,
 )
 from .fgl import (
     AxiomReport,

@@ -24,15 +24,15 @@ from . import towers as tw
 from .coefficients import NonDivisibleBase
 from .partitions import partition_count
 from .polynomials import Polynomial
-from .presented import IllDefinedMap, NonConfluentPresentation, ringmap_check_and_apply
+from .presented import IllDefinedMap, NonConfluentPresentation
 
 OPERATION_COVERAGE = {
     "fgl-check": ["make_additive", "make_multiplicative", "check_axioms",
                   "formal_inverse", "n_series", "logarithm"],
-    "fgl-lazard": ["lazard_ring", "lazard_graded_ranks", "classifying_map", "graded_rank_snf"],
+    "fgl-lazard": ["lazard_ring", "lazard_graded_ranks", "classifying_map"],
     "cohomology": ["cohomology", "normal_form", "graded_basis", "chern_tensor",
                    "homology_dual", "invariance_check", "elementary_symmetric_decompose"],
-    "restriction": ["restriction_map", "ringmap_check_and_apply", "is_graded_isomorphism"],
+    "restriction": ["restriction_map", "apply", "is_graded_isomorphism"],
     "hopf-primitives": ["build_hopf", "primitives", "additive_maps_identification",
                         "indecomposables"],
     "thom-decompose": ["thom_decompose", "thom_product_check", "thom_iso_check"],
@@ -205,7 +205,7 @@ def run_restriction(args):
     verified = None
     if args.apply:
         poly = ser.poly_from_json(rmap.source.base, _load_json(args, args.apply))
-        image = ringmap_check_and_apply(rmap, poly)
+        image = rmap.apply(poly)
         result["applied"] = rmap.target.poly_str(image)
     if args.iso:
         ok, per_weight = rmap.is_graded_isomorphism()

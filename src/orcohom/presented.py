@@ -39,7 +39,7 @@ import json
 import math
 
 from .coefficients import BaseRing, IntegerRing, LaurentRing, ModularRing, RationalRing
-from .intlinalg import cokernel_data, hnf, hnf_invariants, int_matrix
+from .intlinalg import hnf, hnf_invariants
 from .polynomials import (
     Mono,
     ONE_MONO,
@@ -59,44 +59,24 @@ class IllDefinedMap(ValueError):
     """A ring map fails to send some relation to zero."""
 
 
-def graded_rank_snf(matrix, ncols: int | None = None) -> tuple[int, list[int]]:
-    """Free rank and torsion of the cokernel of an integer relation matrix.
-
-    Rows are relations, columns index generators; the result describes
-    Z^cols modulo the row span via Smith normal form invariants.  A
-    matrix without rows needs ``ncols``.
-    """
-    mat = int_matrix(matrix, ncols)
-    return cokernel_data(mat, len(mat[0]) if mat else ncols or 0)
-
-
 class GradedPiece:
     """Weight-w slice of a presented ring.
 
-    ``basis`` lists the standard monomials (see the module docstring),
-    ``ambient`` all monomials of the weight, and ``relations_matrix`` the
-    stored relations times the monomials of complementary weight, as
-    integer rows on the ambient monomials, whatever the reduction route.
-    On the degreewise route ``free_rank`` counts the Smith invariants of
-    the relation lattice that are zero in the base (a missing one is 0)
-    and ``torsion`` lists the others that are not units.
+    Plain data, cached by the ring: ``basis`` lists the standard
+    monomials (see the module docstring) and ``ambient`` all monomials
+    of the weight.  On the rewrite route ``free_rank`` is the length of
+    the basis and ``torsion`` is empty; on the degreewise route
+    ``free_rank`` counts the Smith invariants of the relation lattice
+    that are zero in the base (a missing one is 0) and ``torsion`` lists
+    the others that are not units.
     """
 
-    def __init__(self, ring: "PresentedRing", weight: int, basis, ambient, free_rank, torsion):
-        self.ring = ring
+    def __init__(self, weight: int, basis, ambient, free_rank, torsion):
         self.weight = weight
         self.basis = basis
         self.ambient = ambient
         self.free_rank = free_rank
         self.torsion = torsion
-
-    @property
-    def relations_matrix(self) -> list[list[int]]:
-        base = self.ring.base
-        if isinstance(base, RationalRing) or (isinstance(base, ModularRing) and base.is_prime()):
-            raise NonConfluentPresentation("relation matrices over field bases are not integer matrices")
-        rows = self.ring._relation_rows(self.weight)[2]
-        return int_matrix(rows, len(self.ambient))
 
     def __repr__(self):
         return f"GradedPiece(w={self.weight}, rank={self.free_rank}, torsion={self.torsion})"
@@ -141,7 +121,7 @@ class PresentedRing:
         # reduction route
         self._nf_mono_cache: dict[Mono, Polynomial] = {}
         self._reducers: dict[int, tuple] = {}
-        self._pieces: dict[int, tuple] = {}
+        self._pieces: dict[int, GradedPiece] = {}
         self._mono_cache: dict[int, list[Mono]] = {}
         self.rewrite_rules = None
         explicit = rewrite_basis is not None
@@ -483,12 +463,9 @@ class PresentedRing:
         """Standard-monomial basis and rank data of the weight-w piece."""
         if not 0 <= w <= self.truncation:
             raise ValueError(f"weight {w} outside 0..{self.truncation}")
-        ambient = self.monomials_of_weight(w)
-        # the cache holds the data, not the piece: a piece refers to the
-        # ring, and the cycle would keep the ring alive until a full
-        # garbage collection
-        cached = self._pieces.get(w)
-        if cached is None:
+        piece = self._pieces.get(w)
+        if piece is None:
+            ambient = self.monomials_of_weight(w)
             base = self.base
             if self.route == "rewrite":
                 basis = [m for m in ambient
@@ -504,9 +481,8 @@ class PresentedRing:
                 zero = [base.is_zero(base.from_int(d)) for d in invs]
                 torsion = [d for d, z in zip(invs, zero) if not z and not base.is_unit(base.from_int(d))]
                 free = sum(zero)
-            cached = self._pieces[w] = (basis, free, torsion)
-        basis, free, torsion = cached
-        return GradedPiece(self, w, basis, ambient, free, torsion)
+            piece = self._pieces[w] = GradedPiece(w, basis, ambient, free, torsion)
+        return piece
 
     def graded_ranks(self, upto: int | None = None) -> list[int]:
         upto = self.truncation if upto is None else upto
@@ -784,7 +760,3 @@ class RingMap:
             return True
         return None if len(integer) < len(rows) else False
 
-
-def ringmap_check_and_apply(rmap: RingMap, element: Polynomial) -> Polynomial:
-    """Apply a ring map after verifying it is well defined."""
-    return rmap.apply(element)

@@ -149,6 +149,15 @@ def fgl_from_json(data: dict) -> FormalGroupLaw:
 # spaces
 
 
+def _bundle_to_json(space, out: dict) -> dict:
+    """The bundle's own fields, then its base ring and Chern classes if any."""
+    ring = space.base_ring
+    if ring is not None:
+        out["base"] = presented_ring_to_json(ring)
+        out["chern"] = [poly_to_json(c, ring.weights, ring.nvars) for c in space.chern]
+    return out
+
+
 def space_to_json(space) -> dict:
     if isinstance(space, ProjectiveSpace):
         return {"Pn": space.n}
@@ -157,26 +166,11 @@ def space_to_json(space) -> dict:
     if isinstance(space, ClassifyingBGL):
         return {"BGL": "inf" if space.n is None else space.n}
     if isinstance(space, GrassmannianBundle):
-        out: dict = {"m": space.m, "n": space.n}
-        if space.base_ring is not None:
-            out["base"] = presented_ring_to_json(space.base_ring)
-            out["chern"] = [poly_to_json(c, space.base_ring.weights, space.base_ring.nvars)
-                            for c in space.chern]
-        return {"Grassmannian": out}
+        return {"Grassmannian": _bundle_to_json(space, {"m": space.m, "n": space.n})}
     if isinstance(space, FlagBundle):
-        out = {"n": space.rank}
-        if space.base_ring is not None:
-            out["base"] = presented_ring_to_json(space.base_ring)
-            out["chern"] = [poly_to_json(c, space.base_ring.weights, space.base_ring.nvars)
-                            for c in space.chern]
-        return {"Flag": out}
+        return {"Flag": _bundle_to_json(space, {"n": space.rank})}
     if isinstance(space, ProjectiveBundle):
-        out = {"rank": space.rank}
-        if space.base_ring is not None:
-            out["base"] = presented_ring_to_json(space.base_ring)
-            out["chern"] = [poly_to_json(c, space.base_ring.weights, space.base_ring.nvars)
-                            for c in space.chern]
-        return {"ProjectiveBundle": out}
+        return {"ProjectiveBundle": _bundle_to_json(space, {"rank": space.rank})}
     if isinstance(space, Product):
         return {"Product": [space_to_json(space.left), space_to_json(space.right)]}
     raise TypeError(f"unknown space descriptor {space!r}")

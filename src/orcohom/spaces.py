@@ -8,7 +8,9 @@ bundle), l1..ln (flag line bundles), s1..sm and t1..tk (Chern classes
 of the tautological and quotient bundles on a Grassmannian).  Flag and
 projective-bundle rings carry a triangular rewrite completion whose
 leading terms are pure variable powers, so their normal forms run on
-the fast confluent route; Grassmannian rings reduce degreewise.
+the fast confluent route; Grassmannian rings reduce degreewise.  A
+bundle over a base ring keeps the rewrite route only when the base has
+one; a product, only when both factors do.
 """
 
 from __future__ import annotations
@@ -114,40 +116,29 @@ POINT = ProjectiveSpace(0)
 # presentation construction
 
 
-def _base_data(theory: OrientedTheory, space, truncation: int):
-    ring = getattr(space, "base_ring", None)
-    if ring is None:
-        return (), (), ()
-    if ring.base != theory.coefficients:
-        raise ValueError("bundle base ring must share the theory coefficients")
-    if ring.truncation < truncation:
-        raise ValueError("bundle base ring truncated below the requested bound")
-    return ring.variables, ring.relations, getattr(ring, "rewrite_source", ring.relations)
-
-
-def _check_chern(theory: OrientedTheory, space, base_vars, truncation: int):
-    """Chern class c_k must be homogeneous of weight k in the base ring."""
-    chern = list(getattr(space, "chern", ()))
-    rank = space.n if isinstance(space, GrassmannianBundle) else space.rank
+def _check_chern(theory: OrientedTheory, space, rank: int, truncation: int):
+    """The base ring, then the Chern classes: c_k must be homogeneous of
+    weight k in the base ring.  Missing classes are zero."""
+    ring = space.base_ring
+    if ring is not None:
+        if ring.base != theory.coefficients:
+            raise ValueError("bundle base ring must share the theory coefficients")
+        if ring.truncation < truncation:
+            raise ValueError("bundle base ring truncated below the requested bound")
+    chern = list(space.chern)
     if len(chern) > rank:
         raise ValueError("more Chern classes than the bundle rank")
     chern += [Polynomial.zero(theory.coefficients)] * (rank - len(chern))
-    probe = PresentedRing(theory.coefficients, base_vars, [], truncation) if base_vars else None
     for k, c in enumerate(chern, start=1):
         if c.is_zero():
             continue
-        if probe is None:
+        if ring is None or not ring.nvars:
             raise ValueError("nonzero Chern classes need a bundle base ring")
-        hw = probe.homogeneous_weight(c)
-        if hw != k:
+        if ring.homogeneous_weight(c) != k:
             raise ValueError(f"Chern class c_{k} must be homogeneous of weight {k}")
         if k > truncation:
             raise ValueError(f"Chern class c_{k} exceeds the truncation bound {truncation}")
     return chern
-
-
-def _shift(p: Polynomial, offset: int) -> Polynomial:
-    return p.shift_indices(offset)
 
 
 def _merge_vars(fiber_vars, base_vars):
@@ -161,6 +152,32 @@ def _merge_vars(fiber_vars, base_vars):
         taken.add(fresh)
         merged.append((fresh, w))
     return merged
+
+
+def _over(theory: OrientedTheory, fiber_vars, fiber_rels, fiber_rewrite,
+          base_ring: PresentedRing | None, D: int) -> PresentedRing:
+    """The fiber presentation over a base ring (none: over the point).
+
+    Fiber variables come first, the base's after them (renamed on
+    collision), with the base relations shifted past the fiber.  The
+    ring keeps the rewrite route only when the base has one: the
+    rewrite basis is the fiber completion followed by the shifted base
+    completion, and with either missing no basis is passed.  A basis
+    that cannot be validated (a coefficient without an integer value,
+    say) falls back to the ring's own relations.
+    """
+    variables, rels, rewrite = list(fiber_vars), list(fiber_rels), fiber_rewrite
+    if base_ring is not None:
+        off = len(fiber_vars)
+        variables = _merge_vars(fiber_vars, base_ring.variables)
+        rels += [r.shift_indices(off) for r in base_ring.relations]
+        base_rw = base_ring.rewrite_source
+        rewrite = None if rewrite is None or base_rw is None else (
+            list(rewrite) + [r.shift_indices(off) for r in base_rw])
+    try:
+        return PresentedRing(theory.coefficients, variables, rels, D, rewrite_basis=rewrite)
+    except NonConfluentPresentation:
+        return PresentedRing(theory.coefficients, variables, rels, D)
 
 
 def cohomology(theory: OrientedTheory, space, truncation: int = 8) -> PresentedRing:
@@ -185,38 +202,22 @@ def cohomology(theory: OrientedTheory, space, truncation: int = 8) -> PresentedR
         n = space.rank
         if n < 1:
             raise ValueError("projective bundle needs positive rank")
-        base_vars, base_rels, base_rw = _base_data(theory, space, D)
-        chern = _check_chern(theory, space, base_vars, D)
-        variables = _merge_vars([("l", 1)], base_vars)
+        chern = _check_chern(theory, space, n, D)
         # l^n - l^(n-1) c1 + ... + (-1)^n cn, Chern classes shifted past l
         rel = Polynomial.variable(base, 0, n)
-        sign = -1
         for k in range(1, n + 1):
-            ck = _shift(chern[k - 1], 1)
             lp = Polynomial.variable(base, 0, n - k) if n - k else Polynomial.one(base)
-            term = (ck * lp).scale(base.from_int(sign))
-            rel = rel + term
-            sign = -sign
-        rels = [rel] + [_shift(r, 1) for r in base_rels]
-        rewrite = None
-        if base_rw is not None:
-            rewrite = [rel] + [_shift(r, 1) for r in base_rw]
-        try:
-            return PresentedRing(base, variables, rels, D, rewrite_basis=rewrite)
-        except NonConfluentPresentation:
-            return PresentedRing(base, variables, rels, D)
+            rel = rel + (chern[k - 1].shift_indices(1) * lp).scale(base.from_int((-1) ** k))
+        return _over(theory, [("l", 1)], [rel], [rel], space.base_ring, D)
 
     if isinstance(space, FlagBundle):
         n = space.rank
         if n < 1:
             raise ValueError("flag bundle needs positive rank")
-        base_vars, base_rels, base_rw = _base_data(theory, space, D)
-        chern = _check_chern(theory, space, base_vars, D)
-        variables = _merge_vars([(f"l{i}", 1) for i in range(1, n + 1)], base_vars)
-        lam = list(range(n))
-        rels = []
-        for k in range(1, n + 1):
-            rels.append(elementary_symmetric(base, k, lam) - _shift(chern[k - 1], n))
+        # c_0 = 1, then the Chern classes shifted past l1..ln
+        chern = [Polynomial.one(base)] + [
+            c.shift_indices(n) for c in _check_chern(theory, space, n, D)]
+        rels = [elementary_symmetric(base, k, range(n)) - chern[k] for k in range(1, n + 1)]
         # triangular completion by successive divided differences of the
         # Chern polynomial: g_i = sum_k (-1)^k c_k h_{i-k}(l_i..l_n) has
         # leading monomial l_i^i; validated against the stored relations
@@ -224,54 +225,35 @@ def cohomology(theory: OrientedTheory, space, truncation: int = 8) -> PresentedR
         completion = []
         for i in range(1, n + 1):
             g = Polynomial.zero(base)
-            sign = 1
             for k in range(0, i + 1):
-                ck = Polynomial.one(base) if k == 0 else _shift(chern[k - 1], n)
                 h = complete_homogeneous(base, i - k, range(i - 1, n))
-                g = g + (ck * h).scale(base.from_int(sign))
-                sign = -sign
+                g = g + (chern[k] * h).scale(base.from_int((-1) ** k))
             completion.append(g)
-        rewrite = completion + ([_shift(r, n) for r in base_rw] if base_rw else [])
-        rels = rels + [_shift(r, n) for r in base_rels]
-        try:
-            return PresentedRing(base, variables, rels, D, rewrite_basis=rewrite)
-        except NonConfluentPresentation:
-            return PresentedRing(base, variables, rels, D)
+        fiber_vars = [(f"l{i}", 1) for i in range(1, n + 1)]
+        return _over(theory, fiber_vars, rels, completion, space.base_ring, D)
 
     if isinstance(space, GrassmannianBundle):
         m, n = space.m, space.n
         if not 0 < m <= n:
             raise ValueError("Grassmannian requires 0 < m <= n")
-        base_vars, base_rels, _ = _base_data(theory, space, D)
-        chern = _check_chern(theory, space, base_vars, D)
+        # the fiber has m + (n - m) = n variables
+        chern = [c.shift_indices(n) for c in _check_chern(theory, space, n, D)]
         nm = n - m
-        variables = _merge_vars([(f"s{i}", i) for i in range(1, m + 1)]
-                               + [(f"t{j}", j) for j in range(1, nm + 1)], base_vars)
-        offset = m + nm
-
-        def sigma(i):
-            if i == 0:
-                return Polynomial.one(base)
-            return Polynomial.variable(base, i - 1) if i <= m else Polynomial.zero(base)
-
-        def tau(j):
-            if j == 0:
-                return Polynomial.one(base)
-            return Polynomial.variable(base, m + j - 1) if j <= nm else Polynomial.zero(base)
-
+        # c(S) c(Q) = c(V): sum_{i+j=k} s_i t_j = c_k, with s_0 = t_0 = 1
+        sigma = [Polynomial.one(base)] + [Polynomial.variable(base, i) for i in range(m)]
+        tau = [Polynomial.one(base)] + [Polynomial.variable(base, m + j) for j in range(nm)]
         rels = []
         for k in range(1, n + 1):
             acc = Polynomial.zero(base)
-            for i in range(0, k + 1):
-                acc = acc + sigma(i) * tau(k - i)
-            rels.append(acc - _shift(chern[k - 1], offset))
-        rels += [_shift(r, offset) for r in base_rels]
-        return PresentedRing(base, variables, rels, D)
+            for i in range(max(0, k - nm), min(m, k) + 1):
+                acc = acc + sigma[i] * tau[k - i]
+            rels.append(acc - chern[k - 1])
+        fiber_vars = ([(f"s{i}", i) for i in range(1, m + 1)]
+                      + [(f"t{j}", j) for j in range(1, nm + 1)])
+        return _over(theory, fiber_vars, rels, None, space.base_ring, D)
 
     if isinstance(space, ClassifyingBGL):
-        n = space.n
-        if n is None:
-            n = D
+        n = D if space.n is None else space.n
         if n < 1:
             raise ValueError("classifying space index must be positive")
         if n == 1:
@@ -285,16 +267,7 @@ def cohomology(theory: OrientedTheory, space, truncation: int = 8) -> PresentedR
         for factor, ring in (("left", left), ("right", right)):
             if not ring.is_degreewise_free(D):
                 raise ValueError(f"{factor} factor is not degreewise free; product rejected")
-        variables = _merge_vars(left.variables, right.variables)
-        off = left.nvars
-        rels = list(left.relations) + [_shift(r, off) for r in right.relations]
-        rewrite = None
-        if left.rewrite_source is not None and right.rewrite_source is not None:
-            rewrite = list(left.rewrite_source) + [_shift(r, off) for r in right.rewrite_source]
-        try:
-            return PresentedRing(base, variables, rels, D, rewrite_basis=rewrite)
-        except NonConfluentPresentation:
-            return PresentedRing(base, variables, rels, D)
+        return _over(theory, left.variables, left.relations, left.rewrite_source, right, D)
 
     raise ValueError(f"unsupported space descriptor {space!r}")
 
@@ -361,12 +334,7 @@ def restriction_map(theory: OrientedTheory, bigger, smaller, truncation: int = 8
         ns = smaller.n if smaller.n is not None else D
         if ns > nb:
             raise ValueError("unsupported inclusion pair")
-        images = []
-        for i in range(1, nb + 1):
-            if i <= ns:
-                images.append(tgt.var(i - 1))
-            else:
-                images.append(Polynomial.zero(base))
+        images = [tgt.var(i) if i < ns else Polynomial.zero(base) for i in range(nb)]
         rmap = RingMap(src, tgt, images)
         rmap.check_well_defined()
         return rmap
@@ -376,9 +344,7 @@ def restriction_map(theory: OrientedTheory, bigger, smaller, truncation: int = 8
                 or any(not c.is_zero() for c in bigger.chern + smaller.chern)):
             raise ValueError("unsupported inclusion pair")
         m, nm_small = bigger.m, smaller.n - smaller.m
-        images = [tgt.var(i) for i in range(m)]
-        for j in range(1, nm_small + 1):
-            images.append(tgt.var(m + j - 1))
+        images = [tgt.var(i) for i in range(m + nm_small)]
         # the top quotient Chern class restricts to the expression the
         # rank drop forces: t_k = -(s1 t_{k-1} + ... ) in the target
         k = bigger.n - bigger.m

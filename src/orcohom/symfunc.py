@@ -111,16 +111,3 @@ def elementary_symmetric_decompose(p: Polynomial, n: int) -> Polynomial:
                 expansion = expansion * e_cache[k + 1] ** exps[k]
         rest = rest - expansion.scale(lc)
     return Polynomial(base, out)
-
-
-def substitute_elementary(q: Polynomial, n: int) -> Polynomial:
-    """Inverse of the decomposition: replace e-variable k-1 by e_k(0..n-1)."""
-    base = q.base
-    e_cache = {k: elementary_symmetric(base, k, range(n)) for k in range(1, n + 1)}
-    out = Polynomial.zero(base)
-    for m, c in q.terms.items():
-        term = Polynomial.one(base)
-        for k, e in m:
-            term = term * e_cache[k + 1] ** e
-        out = out + term.scale(c)
-    return out

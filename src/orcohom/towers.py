@@ -130,12 +130,11 @@ def map_surjective(matrix, target: FPModule) -> bool:
     return FPModule(target.ngens, list(zip(*matrix)) + target.relations).rank_torsion() == (0, [])
 
 
-def compose_matrices(a, b):
-    """a @ b for integer row-major matrices (a applied after b)."""
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in range(len(a))]
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+def compose_matrices(a, b, ncols: int):
+    """a @ b for integer row-major matrices (a applied after b); b has
+    ``ncols`` columns, a shape a matrix without rows cannot carry."""
+    k = len(b)
+    return [[sum(row[t] * b[t][j] for t in range(k)) for j in range(ncols)] for row in a]
 
 
 def _submodule_presentation(gens, module: FPModule) -> FPModule:
@@ -241,7 +240,7 @@ class ModuleTower:
         for k in range(k0, k0 + rho):
             if k >= len(self.maps):
                 raise ValueError("stored stages do not cover the periodic window")
-            mat = compose_matrices(mat, self.map_matrix(k, w))
+            mat = compose_matrices(mat, self.map_matrix(k, w), self.stages[k + 1].piece(w).ngens)
         return module, mat
 
 
@@ -256,7 +255,7 @@ def _stable_image(module: FPModule, mat) -> FPModule:
             # one extra confirmation step: image presentation stabilized
             return sub
         seen = data
-        power = compose_matrices(mat, power)
+        power = compose_matrices(mat, power, module.ngens)
     raise ArithmeticError("image chain failed to stabilize")
 
 
@@ -365,14 +364,14 @@ def split_tower_compare(Y: ModuleTower, Z: ModuleTower, r: GradedMap, s: GradedM
         r_mat = r.matrix(w, zm.ngens, ym.ngens)
         s_mat = s.matrix(w, ym.ngens, zm.ngens)
         entry = {"weight": w}
-        rs = compose_matrices(r_mat, s_mat)
+        rs = compose_matrices(r_mat, s_mat, zm.ngens)
         diff = [[rs[i][j] - (i == j) for j in range(zm.ngens)] for i in range(zm.ngens)]
         if not map_is_zero(diff, zm):
             entry["failure"] = "r s is not the identity"
             per_weight.append(entry)
             ok = False
             break
-        sgr = compose_matrices(s_mat, compose_matrices(g_mat, r_mat))
+        sgr = compose_matrices(s_mat, compose_matrices(g_mat, r_mat, ym.ngens), ym.ngens)
         diff = [[f_mat[i][j] - sgr[i][j] for j in range(ym.ngens)] for i in range(ym.ngens)]
         if not map_is_zero(diff, ym):
             entry["failure"] = "f differs from s g r"
@@ -462,7 +461,7 @@ def random_surjective_tower(rng) -> ModuleTower:
         if k < prefix:
             u = random_unimodular(rng, tgt)
             v = random_unimodular(rng, srcn)
-            mat = compose_matrices(compose_matrices(u, _eye(tgt, srcn)), v)
+            mat = compose_matrices(compose_matrices(u, _eye(tgt, srcn), srcn), v, srcn)
             if modular:
                 mat = [[val % p for val in row] for row in mat]
         else:
@@ -485,7 +484,7 @@ def random_split_tower(rng):
     g_mat = [[rng.randrange(p) for _ in range(a)] for _ in range(a)]
     r_mat = _eye(a, a + b)
     s_mat = _eye(a + b, a)
-    f_mat = compose_matrices(s_mat, compose_matrices(g_mat, r_mat))
+    f_mat = compose_matrices(s_mat, compose_matrices(g_mat, r_mat, a + b), a + b)
     Y = ModuleTower([GradedFPModule({0: FPModule.modular(p, a + b)})] * 4,
                     [GradedMap({0: f_mat})] * 3, periodicity=(0, 1))
     Z = ModuleTower([GradedFPModule({0: FPModule.modular(p, a)})] * 4,
@@ -527,7 +526,7 @@ def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
     module = t.stages[k0].piece(w)
     mat = _eye(module.ngens, module.ngens)
     for k in range(k0, min(k0 + rho, len(t.maps))):
-        mat = compose_matrices(t.map_matrix(k, w), mat)
+        mat = compose_matrices(t.map_matrix(k, w), mat, module.ngens)
     rank, torsion = module.rank_torsion()
     if map_surjective(mat, module) and map_well_defined(mat, module, module):
         return _exact(rank, torsion, "eventually isomorphic system: stable value")
@@ -537,7 +536,7 @@ def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
         if d == 0:
             power = mat
             for _ in range(module.ngens):
-                power = compose_matrices(power, mat)
+                power = compose_matrices(power, mat, module.ngens)
             return _exact(int_rank(int_matrix(power, module.ngens)), [],
                           "rank of the stable image over the localized base")
         return _exact(rank, [], f"rank {rank} over the base with {d} inverted", localized_at=d)

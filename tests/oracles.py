@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 from orcohom.coefficients import ZZ
 from orcohom.polynomials import Polynomial
@@ -67,6 +67,14 @@ def gaussian_binomial_ranks(m: int, k: int) -> list[int]:
     return [partitions_in_box(m, k, s) for s in range(m * k + 1)]
 
 
+def q_factorial_ranks(n: int) -> list[int]:
+    """Coefficient list of [n]_q!: permutations of n counted by inversions."""
+    out = [0] * (n * (n - 1) // 2 + 1)
+    for perm in permutations(range(n)):
+        out[sum(1 for i, j in combinations(range(n), 2) if perm[i] > perm[j])] += 1
+    return out
+
+
 def rank_over_Q(rows) -> int:
     """Row rank by plain Fraction Gaussian elimination."""
     mat = [[Fraction(v) for v in row] for row in rows]
@@ -106,7 +114,7 @@ def det_cofactor(mat) -> int:
 
 def torsion_via_minor_gcd(rows, ncols: int) -> tuple[int, list[int]]:
     """(free rank of the cokernel, torsion) from gcds of k x k minors."""
-    from itertools import combinations
+    from itertools import combinations, permutations
 
     nrows = len(rows)
     d_prev = 1
@@ -238,6 +246,22 @@ def whitney_coproduct(nu) -> dict:
                 right = tuple(sorted(b + ((n - j,) if n - j else ()), reverse=True))
                 nxt[(left, right)] = nxt.get((left, right), 0) + c
         out = nxt
+    return out
+
+
+def substitute_elementary(q: Polynomial, n: int) -> Polynomial:
+    """Inverse of the elementary symmetric decomposition: e-variable k-1
+    becomes e_k(x_0..x_(n-1)), summed here over the k-subsets."""
+    base = q.base
+    e = {k: Polynomial(base, {tuple((i, 1) for i in subset): base.one()
+                              for subset in combinations(range(n), k)})
+         for k in range(1, n + 1)}
+    out = Polynomial.zero(base)
+    for m, c in q.terms.items():
+        term = Polynomial.one(base)
+        for k, x in m:
+            term = term * e[k + 1] ** x
+        out = out + term.scale(c)
     return out
 
 

@@ -242,8 +242,8 @@ def test_operation_coverage_complete_and_disjoint():
     from orcohom.cli import OPERATION_COVERAGE
 
     expected = {
-        "normal_form", "graded_basis", "graded_rank_snf", "elementary_symmetric_decompose",
-        "ringmap_check_and_apply", "is_graded_isomorphism",
+        "normal_form", "graded_basis", "elementary_symmetric_decompose",
+        "apply", "is_graded_isomorphism",
         "make_additive", "make_multiplicative", "check_axioms", "formal_inverse",
         "n_series", "logarithm", "lazard_ring", "lazard_graded_ranks", "classifying_map",
         "cohomology", "chern_tensor", "restriction_map", "homology_dual", "invariance_check",

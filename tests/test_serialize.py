@@ -95,10 +95,12 @@ def test_space_round_trips():
     th = additive_theory(truncation=8)
     base = cohomology(th, ProjectiveSpace(2), 6)
     h = Polynomial.variable(ZZ, 0)
-    from orcohom.spaces import FlagBundle
+    from orcohom.spaces import FlagBundle, ProjectiveBundle
     spaces = [ProjectiveSpace(4), GrassmannianBundle(2, 5),
               Product(ProjectiveSpace(1), GrassmannianBundle(1, 2)),
-              FlagBundle(2, [h.scale(ZZ.from_int(3))], base_ring=base)]
+              FlagBundle(2, [h.scale(ZZ.from_int(3))], base_ring=base),
+              ProjectiveBundle(2, [h, h * h], base_ring=base),
+              GrassmannianBundle(1, 3, [h.scale(ZZ.from_int(-2))], base_ring=base)]
     for s in spaces:
         doc = canonical_dumps(space_to_json(s))
         back = space_from_json(json.loads(doc))

@@ -24,7 +24,8 @@ from orcohom.spaces import (
 )
 from orcohom.presented import RingMap
 
-from oracles import gaussian_binomial_ranks, partition_count, partitions_exactly_k
+from oracles import (gaussian_binomial_ranks, partition_count, partitions_exactly_k,
+                     q_factorial_ranks)
 
 TH = additive_theory(truncation=12)
 
@@ -65,8 +66,6 @@ def test_grassmannian_gaussian_binomials_n7_non_unit_pivot():
     # Smith form of a non-empty residual block.
     # The oracle holds over every base: over Q and Z/5 the pivot 2 is a
     # unit, over Z/4 it is neither a unit nor zero.
-    from orcohom.intlinalg import hnf
-
     n = 7
     for base in (ZZ, QQ, ModularRing(5), ModularRing(4)):
         for m in range(1, n):
@@ -75,7 +74,7 @@ def test_grassmannian_gaussian_binomials_n7_non_unit_pivot():
             assert R.graded_ranks() == gaussian_binomial_ranks(m, n - m), (base, m)
             assert R.total_rank() == comb(n, m)
     R = cohomology(TH, GrassmannianBundle(3, 7), 8)
-    h, pivots = hnf(R.graded_basis(8).relations_matrix)
+    _, _, h, pivots = R._reducer(8)
     assert max(h[k][c] for k, c in enumerate(pivots)) == 2
 
 
@@ -107,6 +106,61 @@ def test_projective_bundle_trivial_is_product():
     R = cohomology(TH, ProjectiveBundle(3, [], base_ring=base), 8)
     prod = cohomology(TH, Product(ProjectiveSpace(2), ProjectiveSpace(2)), 8)
     assert R.graded_ranks() == prod.graded_ranks()
+
+
+def _truncated_product(a, b, length):
+    return [sum(a[i] * b[w - i] for i in range(min(w + 1, len(a))) if w - i < len(b))
+            for w in range(length)]
+
+
+@pytest.mark.parametrize("coeffs", [ZZ, QQ, ModularRing(4), ModularRing(5)], ids=str)
+def test_bundles_over_both_routes_follow_leray_hirsch(coeffs):
+    # a bundle over a base is free over it with the fiber's Poincare
+    # polynomial, whatever the Chern classes: the ranks are the base
+    # ranks times 1 + q, [n]_q! or a Gaussian binomial, truncated at D.
+    # P^2 sits on the rewrite route, Gr(2,4) on the degreewise one, and
+    # a bundle keeps the rewrite route only over a base that has it
+    D = 6
+    th = additive_theory(coeffs, 8)
+    fibers = [(ProjectiveBundle, (2,), [1, 1], ["l"]),
+              (FlagBundle, (2,), q_factorial_ranks(2), ["l1", "l2"]),
+              (FlagBundle, (3,), q_factorial_ranks(3), ["l1", "l2", "l3"]),
+              (GrassmannianBundle, (1, 3), gaussian_binomial_ranks(1, 2), ["s1", "t1", "t2"]),
+              (GrassmannianBundle, (2, 4), gaussian_binomial_ranks(2, 2), ["s1", "s2", "t1", "t2"])]
+    p2 = cohomology(th, ProjectiveSpace(2), D)
+    g24 = cohomology(th, GrassmannianBundle(2, 4), D)
+    l = s1 = Polynomial.variable(coeffs, 0)
+    s2 = Polynomial.variable(coeffs, 1)
+    bases = [(p2, [l.scale(coeffs.from_int(3)), (l * l).scale(coeffs.from_int(2))]),
+             (g24, [s1, s2])]
+    for base_ring, chern in bases:
+        for cls, args, poincare, names in fibers:
+            R = cohomology(th, cls(*args, chern, base_ring), D)
+            want = _truncated_product(base_ring.graded_ranks(), poincare, D + 1)
+            assert R.graded_ranks() == want, (cls, args, base_ring)
+            keeps_rewrite = cls is not GrassmannianBundle and base_ring.route == "rewrite"
+            assert R.route == ("rewrite" if keeps_rewrite else "degreewise"), (cls, args)
+            assert (R.rewrite_source is None) == (R.route == "degreewise")
+            renamed = [nm + "'" if nm in names else nm for nm in base_ring.names]
+            assert list(R.names) == names + renamed
+    assert cohomology(th, ProjectiveBundle(2, [], p2), D).names == ("l", "l'")
+    gr_over_gr = cohomology(th, GrassmannianBundle(1, 3, [], g24), D)
+    assert gr_over_gr.names[3:] == ("s1'", "s2", "t1'", "t2'")
+    for left, right in ((ProjectiveSpace(2), GrassmannianBundle(2, 4)),
+                        (GrassmannianBundle(2, 4), ProjectiveSpace(2))):
+        R = cohomology(th, Product(left, right), D)
+        want = _truncated_product(cohomology(th, left, D).graded_ranks(),
+                                  cohomology(th, right, D).graded_ranks(), D + 1)
+        assert R.graded_ranks() == want, (left, right)
+        assert R.route == "degreewise" and R.rewrite_source is None
+    # the base ring is checked before the Chern classes: here c_1 lies in
+    # the other coefficient ring and has the wrong weight as well
+    other = additive_theory(ModularRing(3) if coeffs is ZZ else ZZ, 8)
+    foreign = cohomology(other, ProjectiveSpace(2), D)
+    with pytest.raises(ValueError, match="bundle base ring must share the theory coefficients"):
+        cohomology(th, FlagBundle(2, [foreign.var(0) * foreign.var(0)], foreign), D)
+    with pytest.raises(ValueError, match="bundle base ring must share the theory coefficients"):
+        cohomology(multiplicative_theory(8), ProjectiveBundle(2, [l], p2), D)
 
 
 def test_flag_relations_reduce_to_zero():

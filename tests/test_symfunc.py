@@ -10,10 +10,9 @@ from orcohom.symfunc import (
     elementary_symmetric,
     elementary_symmetric_decompose,
     is_symmetric,
-    substitute_elementary,
 )
 
-from oracles import power_sum
+from oracles import power_sum, substitute_elementary
 
 
 def test_power_sum_two_variables():

@@ -171,6 +171,19 @@ def test_split_compare_detects_hypothesis_failure():
     assert rep["per_weight"][0]["failure"] == "f differs from s g r"
 
 
+def test_split_compare_weight_missing_from_the_retract():
+    # Y lives in weights 0 and 1, Z only in weight 0: in weight 1 the
+    # maps r and s are empty, s g r is the zero endomorphism of Z, and
+    # f = id differs from it
+    y = ModuleTower([GradedFPModule({0: FPModule.free(1), 1: FPModule.free(1)})] * 4,
+                    [GradedMap({0: [[1]], 1: [[1]]})] * 3, periodicity=(0, 1))
+    z = constant_tower(FPModule.free(1), [[1]])
+    rep = split_tower_compare(y, z, GradedMap({0: [[1]]}), GradedMap({0: [[1]]}))
+    assert not rep["ok"]
+    assert [e["weight"] for e in rep["per_weight"]] == [0, 1]
+    assert rep["per_weight"][1]["failure"] == "f differs from s g r"
+
+
 def test_brute_force_shift_kernel_agrees_on_split_towers():
     # lim of a Z/p split tower equals the stabilized projection of the
     # kernel of (1 - shift) on a long finite window, computed mod p
@@ -185,7 +198,7 @@ def test_brute_force_shift_kernel_agrees_on_split_towers():
         from orcohom.towers import compose_matrices
         comp = f
         for _ in range(12):
-            comp = compose_matrices(comp, f)
+            comp = compose_matrices(comp, f, n)
         proj_rank = mod_p_rank(comp, p)
         expected_torsion = [p] * proj_rank
         assert lim["torsion"] == expected_torsion
