@@ -29,7 +29,7 @@ constant = ModuleTower([gm] * 4, [ident] * 3, periodicity=(0, 1))
 lim, lim1 = tower_limit_and_lim1(constant, 0)
 print("constant Z tower:   lim rank", lim["rank"], "| lim1", lim1["rank"], "-", lim1["note"])
 
-m8 = GradedFPModule({0: FPModule.cyclic(8)})
+m8 = GradedFPModule({0: FPModule.modular(8, 1)})
 two = GradedMap({0: [[2]]})
 doubling = ModuleTower([m8] * 4, [two] * 3, periodicity=(0, 1))
 lim, lim1 = tower_limit_and_lim1(doubling, 0)

@@ -278,9 +278,6 @@ class LaurentRing(BaseRing):
     def generator(self):
         return {1: self.base.one()}
 
-    def gen_power(self, k: int):
-        return {int(k): self.base.one()}
-
     def _norm(self, d: dict):
         return {e: c for e, c in d.items() if not self.base.is_zero(c)}
 

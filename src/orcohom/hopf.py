@@ -21,7 +21,7 @@ from math import comb, prod
 
 from .coefficients import ZZ, BaseRing, ModularRing, NonDivisibleBase
 from .intlinalg import det_bareiss_ring, field_rref, int_matrix, kernel_basis
-from .partitions import merge, partitions, partitions_max_parts
+from .partitions import merge, partitions
 from .spaces import ClassifyingBGL, OrientedTheory, cohomology
 
 
@@ -71,12 +71,6 @@ class SymFilteredAlgebra:
             raise ValueError("torsion coefficients are rejected for the Hopf layer")
         self.coefficients = coefficients
         self.truncation = int(truncation)
-
-    def basis(self, w: int):
-        return partitions(w)
-
-    def level_basis(self, n: int, w: int):
-        return partitions_max_parts(w, n)
 
     def multiplication_table(self, wa: int, wb: int):
         """Pairs ((alpha, beta) -> alpha merged beta) in weights wa, wb."""
@@ -176,9 +170,6 @@ class HopfData:
                     d.update(((sig, rho), v) for (rho, sig), v in zip(keys, block) if v)
         self._delta[w] = out
         return out
-
-    def counit(self, nu: tuple[int, ...]) -> int:
-        return 1 if nu == () else 0
 
     def sigma_label(self, nu: tuple[int, ...]) -> str:
         if not nu:

@@ -3,16 +3,18 @@
 Matrices are plain lists of rows (``list[list[int]]``, or rows of
 BaseRing elements for the generic routines), so every entry is an
 arbitrary-precision Python number.  A matrix with no rows carries no
-column count; routines that need one take it as an argument.  The
-workhorses are row Hermite normal form, Smith normal form invariants
-(run only on the part of an HNF that unit pivots do not settle),
-integer kernels, and a fraction-free determinant over arbitrary
-integral domains.
+column count; routines that need one take it as an argument.  Row
+Hermite normal form is the one integer elimination: Smith invariants
+alternate it with transposes, integer kernels read its transform, and
+``cokernel`` turns an HNF into free rank and torsion over a base.  A
+fraction-free determinant works over any integral domain.
 """
 
 from __future__ import annotations
 
-from .coefficients import BaseRing
+from math import gcd
+
+from .coefficients import ZZ, BaseRing
 
 
 def int_matrix(rows, ncols: int | None = None) -> list[list[int]]:
@@ -105,10 +107,6 @@ def hnf(mat: list[list[int]], transform: bool = False):
     return h, pivots
 
 
-def rank(mat: list[list[int]]) -> int:
-    return len(hnf(mat)[1])
-
-
 def kernel_basis(mat: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of the saturated integer lattice {x : mat @ x = 0} in Z^ncols.
 
@@ -123,81 +121,50 @@ def kernel_basis(mat: list[list[int]], ncols: int) -> list[list[int]]:
 
 
 def snf_invariants(mat: list[list[int]]) -> list[int]:
-    """Nonzero Smith normal form invariants d1 | d2 | ... of the matrix."""
-    m = [list(r) for r in mat]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    invariants: list[int] = []
-    top = 0
-    while top < min(nrows, ncols):
-        if not any(m[i][j] for i in range(top, nrows) for j in range(top, ncols)):
-            break
-        while True:
-            # move the smallest nonzero entry to the corner
-            best = None
-            for i in range(top, nrows):
-                for j in range(top, ncols):
-                    v = m[i][j]
-                    if v != 0 and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                        best = (i, j)
-            bi, bj = best
-            if bi != top:
-                m[top], m[bi] = m[bi], m[top]
-            if bj != top:
-                for row in m:
-                    row[top], row[bj] = row[bj], row[top]
-            p = m[top][top]
-            dirty = False
-            for i in range(top + 1, nrows):
-                if m[i][top] != 0:
-                    q = m[i][top] // p
-                    if q:
-                        m[i] = _sub_row(m[i], q, m[top])
-                    if m[i][top] != 0:
-                        dirty = True
-            for j in range(top + 1, ncols):
-                if m[top][j] != 0:
-                    q = m[top][j] // p
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[top]
-                    if m[top][j] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            # enforce divisibility: pivot must divide the whole block
-            p = m[top][top]
-            offender = next((i for i in range(top + 1, nrows)
-                             if any(m[i][j] % p for j in range(top + 1, ncols))), None)
-            if offender is None:
-                break
-            m[top] = [x + y for x, y in zip(m[top], m[offender])]
-        invariants.append(abs(m[top][top]))
-        top += 1
-    return invariants
+    """Nonzero Smith normal form invariants d1 | d2 | ... of the matrix.
+
+    Alternates the row HNF of the matrix and of its transpose until every
+    row holds only its pivot (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+    A pass either makes the leading pivot a proper divisor of the one
+    before or clears the rest of its row and column, which then stay
+    clear, so the loop ends.  A gcd/lcm exchange between each pair of
+    diagonal entries puts them in divisibility order.
+    """
+    h, pivots = hnf(mat)
+    while any(v for row, c in zip(h, pivots) for j, v in enumerate(row) if j != c):
+        h, pivots = hnf([list(col) for col in zip(*h)])
+    diag = [row[c] for row, c in zip(h, pivots)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag
 
 
-def hnf_invariants(h: list[list[int]], pivots: list[int]) -> list[int]:
-    """Nonzero Smith invariants of the row span of an HNF ``(h, pivots)``.
+def cokernel(h: list[list[int]], pivots: list[int], ngens: int,
+             base: BaseRing = ZZ) -> tuple[int, list[int]]:
+    """Free rank and torsion over ``base`` of Z^ngens modulo the row span
+    of the HNF ``(h, pivots)``.
 
-    The column of a unit pivot is a unit vector: the entries below it
-    are 0 and those above are reduced mod 1.  Column operations against
-    it clear the rest of its row without touching other rows, so each
-    unit pivot splits off an invariant 1 (Cohen, *A Course in
-    Computational Algebraic Number Theory*, 2.4).  Only the rows with a
-    non-unit pivot, less the unit-pivot columns, go through Smith form.
+    A unit pivot's column is a unit vector (zero below, reduced mod 1
+    above), so column operations split off an invariant 1 without
+    touching other rows (Cohen, *A Course in Computational Algebraic
+    Number Theory*, 2.4); only the rest goes through Smith form.  Each
+    invariant, with a 0 for each missing one, is free when it is zero in
+    the base and torsion when it is neither zero nor a unit; a 1 is neither.
     """
     unit_cols = {c for row, c in zip(h, pivots) if row[c] == 1}
     residual = [[v for j, v in enumerate(row) if j not in unit_cols]
                 for row, c in zip(h, pivots) if row[c] != 1]
-    return [1] * len(unit_cols) + snf_invariants(residual)
-
-
-def cokernel_data(mat: list[list[int]], ngens: int) -> tuple[int, list[int]]:
-    """Free rank and torsion of Z^ngens modulo the row span of mat."""
-    invs = hnf_invariants(*hnf(mat))
-    torsion = [d for d in invs if d != 1]
-    return ngens - len(invs), torsion
+    invs = snf_invariants(residual)
+    invs += [0] * (ngens - len(unit_cols) - len(invs))
+    free, torsion = 0, []
+    for d in invs:
+        if base.is_zero(base.from_int(d)):
+            free += 1
+        elif not base.is_unit(base.from_int(d)):
+            torsion.append(d)
+    return free, torsion
 
 
 def det_bareiss_ring(rows: list[list], ring: BaseRing):

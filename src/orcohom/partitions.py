@@ -28,10 +28,6 @@ def partitions_exact_parts(w: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(p for p in partitions(w) if len(p) == n)
 
 
-def partitions_max_parts(w: int, n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(p for p in partitions(w) if len(p) <= n)
-
-
 def partition_count(w: int) -> int:
     return len(partitions(w))
 

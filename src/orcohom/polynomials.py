@@ -119,12 +119,6 @@ class Polynomial:
     def variable(cls, base: BaseRing, index: int, exponent: int = 1) -> "Polynomial":
         return cls(base, {((index, exponent),): base.one()}, _clean=True)
 
-    @classmethod
-    def from_int_terms(cls, base: BaseRing, entries) -> "Polynomial":
-        """Build from {mono: int} or [(mono, int)] with integer coefficients."""
-        items = entries.items() if isinstance(entries, dict) else entries
-        return cls(base, {m: base.from_int(c) for m, c in items})
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -39,7 +39,7 @@ import json
 import math
 
 from .coefficients import BaseRing, IntegerRing, LaurentRing, ModularRing, RationalRing
-from .intlinalg import hnf, hnf_invariants
+from .intlinalg import cokernel, hnf
 from .polynomials import (
     Mono,
     ONE_MONO,
@@ -65,10 +65,8 @@ class GradedPiece:
     Plain data, cached by the ring: ``basis`` lists the standard
     monomials (see the module docstring) and ``ambient`` all monomials
     of the weight.  On the rewrite route ``free_rank`` is the length of
-    the basis and ``torsion`` is empty; on the degreewise route
-    ``free_rank`` counts the Smith invariants of the relation lattice
-    that are zero in the base (a missing one is 0) and ``torsion`` lists
-    the others that are not units.
+    the basis and ``torsion`` is empty; on the degreewise route they are
+    the ``cokernel`` of the relation lattice over the base.
     """
 
     def __init__(self, weight: int, basis, ambient, free_rank, torsion):
@@ -476,11 +474,7 @@ class PresentedRing:
                 pivot_value = {c: row[c] for row, c in zip(rows, pivots)}
                 basis = [m for j, m in enumerate(ambient)
                          if base.is_zero(base.from_int(pivot_value.get(j, 0)))]
-                invs = hnf_invariants(rows, pivots)
-                invs += [0] * (len(ambient) - len(invs))
-                zero = [base.is_zero(base.from_int(d)) for d in invs]
-                torsion = [d for d, z in zip(invs, zero) if not z and not base.is_unit(base.from_int(d))]
-                free = sum(zero)
+                free, torsion = cokernel(rows, pivots, len(ambient), base)
             piece = self._pieces[w] = GradedPiece(w, basis, ambient, free, torsion)
         return piece
 
@@ -729,13 +723,13 @@ class RingMap:
         monomials, a free basis of the piece, so the rows are stacked in
         those coordinates (with n times each unit vector over Z/n); on
         the degreewise route they are stacked on the HNF of the target's
-        relation lattice.  The map is onto when every Smith invariant of
-        the stack, with a zero for each missing one, is a unit of the
-        base: over Z and Z/n the cokernel vanishes, over Q it is finite.
-        An image row with a coefficient that has no integer value is left
-        out, which can only shrink the span: the verdict is then True if
-        the other rows already span, else None, a partial verdict.  It is
-        also None when a relation coefficient has no integer value.
+        relation lattice.  The map is onto when the stack's ``cokernel``
+        over the base is zero (over Q the integer one need only be
+        finite).  An image row with a coefficient that has no integer
+        value is left out, which can only shrink the span: the verdict is
+        then True if the other rows already span, else None, a partial
+        verdict.  It is also None when a relation coefficient has no
+        integer value.
         """
         target = self.target
         base = target.base
@@ -755,8 +749,7 @@ class RingMap:
                 col[index[mm]] = c
             rows.append(target._as_integers(col))
         integer = [r for r in rows if r is not None]
-        invs = hnf_invariants(*hnf(integer + lattice))
-        if len(invs) == len(columns) and all(base.is_unit(base.from_int(d)) for d in invs):
+        if cokernel(*hnf(integer + lattice), len(columns), base) == (0, []):
             return True
         return None if len(integer) < len(rows) else False
 

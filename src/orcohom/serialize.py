@@ -223,8 +223,21 @@ def _module_to_json(module: FPModule) -> dict:
     return {"ngens": module.ngens, "relations": [list(r) for r in module.relations]}
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused, not rounded."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _periodicity_from_json(data: dict):
+    window = data.get("periodicity")
+    return tuple(_integer(v, "periodicity") for v in window) if window else None
+
+
 def _module_from_json(data: dict) -> FPModule:
-    return FPModule(data["ngens"], data["relations"])
+    return FPModule(_integer(data["ngens"], "ngens"),
+                    [[_integer(v, "relation entry") for v in r] for r in data["relations"]])
 
 
 def _graded_module_to_json(gm: GradedFPModule) -> dict:
@@ -240,7 +253,8 @@ def _graded_map_to_json(gm: GradedMap) -> dict:
 
 
 def _graded_map_from_json(data: dict) -> GradedMap:
-    return GradedMap({int(w): [list(map(int, r)) for r in mat] for w, mat in data.items()})
+    return GradedMap({int(w): [[_integer(v, "map entry") for v in r] for r in mat]
+                      for w, mat in data.items()})
 
 
 def tower_to_json(tower: ModuleTower) -> dict:
@@ -256,7 +270,7 @@ def tower_from_json(data: dict) -> ModuleTower:
     return ModuleTower(
         [_graded_module_from_json(s) for s in data["stages"]],
         [_graded_map_from_json(m) for m in data["maps"]],
-        tuple(data["periodicity"]) if data.get("periodicity") else None,
+        _periodicity_from_json(data),
         data.get("surjectivity"),
     )
 
@@ -273,7 +287,7 @@ def telescope_from_json(data: dict) -> TelescopeDiagram:
     return TelescopeDiagram(
         [_graded_module_from_json(s) for s in data["stages"]],
         [_graded_map_from_json(m) for m in data["maps"]],
-        tuple(data["periodicity"]) if data.get("periodicity") else None,
+        _periodicity_from_json(data),
     )
 
 

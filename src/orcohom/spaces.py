@@ -30,18 +30,14 @@ from .symfunc import (
 
 
 class OrientedTheory:
-    """Coefficient domain plus group law plus designated periodicity unit."""
+    """Coefficient domain plus group law; the law's ``beta``, when set, is
+    the periodicity unit."""
 
-    def __init__(self, coefficients: BaseRing, law: FormalGroupLaw, period_unit=None,
-                 validate: bool = True):
+    def __init__(self, coefficients: BaseRing, law: FormalGroupLaw, validate: bool = True):
         if law.base != coefficients:
             raise ValueError("law must be defined over the theory coefficients")
         self.coefficients = coefficients
         self.law = law
-        self.period_unit = period_unit if period_unit is not None else (
-            law.beta if law.beta is not None else coefficients.one())
-        if not coefficients.is_unit(self.period_unit):
-            raise ValueError("periodicity element must be invertible")
         if validate:
             report = check_axioms(law)
             if not report.passed:
@@ -381,8 +377,8 @@ def surjectivity_report(rmap: RingMap) -> list[dict]:
 class HomologyDual:
     """Degreewise dual of a free cohomology presentation.
 
-    ``rank(w)`` counts the standard monomials of weight w, against which
-    the dual basis is matched.
+    ``rank(w)`` is the free rank of the weight-w piece over the theory's
+    coefficients, the rank of the dual module.
     """
 
     def __init__(self, ring: PresentedRing):
@@ -392,7 +388,7 @@ class HomologyDual:
             piece = ring.graded_basis(w)
             if piece.torsion:
                 raise ValueError(f"torsion detected in weight {w}; dual module is not free")
-            self.ranks[w] = len(piece.basis)
+            self.ranks[w] = piece.free_rank
 
     def rank(self, w: int) -> int:
         return self.ranks[w]

@@ -29,8 +29,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .coefficients import ZZ
-from .intlinalg import det_bareiss_ring, hnf, hnf_invariants, int_matrix, kernel_basis
-from .intlinalg import rank as int_rank
+from .intlinalg import cokernel, det_bareiss_ring, hnf, int_matrix, kernel_basis
 
 
 class UndecidableTower(ValueError):
@@ -59,19 +58,12 @@ class FPModule:
         return cls(rank)
 
     @classmethod
-    def cyclic(cls, n: int) -> "FPModule":
-        return cls(1, [[n]])
-
-    @classmethod
     def modular(cls, n: int, rank: int) -> "FPModule":
         return cls(rank, [[n if j == i else 0 for j in range(rank)] for i in range(rank)])
 
-    def relation_matrix(self) -> list[list[int]]:
-        return int_matrix(self.relations, self.ngens)
-
     @cached_property
     def lattice(self) -> tuple[list[list[int]], list[int]]:
-        return hnf(self.relation_matrix())
+        return hnf(self.relations)
 
     def solve(self, vec) -> list[int] | None:
         h, pivots = self.lattice
@@ -91,8 +83,7 @@ class FPModule:
         return self.solve(vec) is not None
 
     def rank_torsion(self) -> tuple[int, list[int]]:
-        invs = hnf_invariants(*self.lattice)
-        return self.ngens - len(invs), [d for d in invs if d != 1]
+        return cokernel(*self.lattice, self.ngens)
 
     def is_finite(self) -> bool:
         return len(self.lattice[1]) == self.ngens
@@ -179,53 +170,75 @@ class GradedMap:
         return m
 
 
-class ModuleTower:
-    """Inverse system M_0 <- M_1 <- ... with optional periodicity window.
-
-    ``maps[k]`` sends stage k+1 to stage k.  A declared periodicity
-    (k0, rho) asserts stage and map data repeat with period rho from
-    index k0 on and is verified on the stored window.  Surjectivity
-    flags, one per connecting map, are verified too: a map flagged True
-    must be onto in every weight.  A flag only states what
-    ``map_surjective`` computes anyway.
+class _StageSystem:
+    """Stages joined by one map per adjacent pair, with an optional
+    periodicity (k0, rho): stage and map data repeat with period rho
+    from index k0 on.  Construction checks the map count, that each map
+    is well defined in every weight, and the periodicity on the stored
+    window.  Map k runs from stage k to k+1 when ``forward``, else back.
     """
 
-    def __init__(self, stages, maps, periodicity: tuple[int, int] | None = None,
-                 surjectivity_flags=None):
-        if len(maps) != len(stages) - 1:
-            raise ValueError("need one connecting map per adjacent stage pair")
+    forward = True
+
+    def __init__(self, stages, maps, periodicity: tuple[int, int] | None = None):
         self.stages = list(stages)
         self.maps = list(maps)
         self.periodicity = periodicity
-        self.surjectivity_flags = list(surjectivity_flags) if surjectivity_flags is not None else None
-        if self.surjectivity_flags is not None and len(self.surjectivity_flags) != len(self.maps):
-            raise ValueError("need one surjectivity flag per connecting map")
+        if len(self.maps) != len(self.stages) - 1:
+            raise ValueError("need one connecting map per adjacent stage pair")
         for k in range(len(self.maps)):
-            for w in set(self.stages[k].pieces) | set(self.stages[k + 1].pieces):
-                mat = self.map_matrix(k, w)
-                if not map_well_defined(mat, self.stages[k + 1].piece(w), self.stages[k].piece(w)):
+            source, target = self.ends(k)
+            for w in _weights((source, target)):
+                if not map_well_defined(self.map_matrix(k, w), source.piece(w), target.piece(w)):
                     raise ValueError(f"map {k} does not respect relations in weight {w}")
-                if self.surjectivity_flags is not None and self.surjectivity_flags[k] \
-                        and not self.map_surjective(k, w):
-                    raise ValueError(f"declared surjectivity fails on map {k} in weight {w}")
         if periodicity is not None:
             k0, rho = periodicity
             if k0 < 0 or rho < 1:
                 raise ValueError("periodicity window must have k0 >= 0, rho >= 1")
             for k in range(k0, len(self.stages) - rho):
-                for w in set(self.stages[k].pieces) | set(self.stages[k + rho].pieces):
+                for w in _weights((self.stages[k], self.stages[k + rho])):
                     if not self.stages[k].piece(w).same_presentation(self.stages[k + rho].piece(w)):
                         raise ValueError(f"declared periodicity fails at stage {k}, weight {w}")
             for k in range(k0, len(self.maps) - rho):
                 if self.maps[k].matrices != self.maps[k + rho].matrices:
                     raise ValueError(f"declared periodicity fails on map {k}")
 
+    def ends(self, k: int):
+        """(source, target) stages of map k."""
+        near, far = self.stages[k], self.stages[k + 1]
+        return (near, far) if self.forward else (far, near)
+
     def weights(self):
         return _weights(self.stages)
 
     def map_matrix(self, k: int, w: int):
-        return self.maps[k].matrix(w, self.stages[k].piece(w).ngens,
-                                   self.stages[k + 1].piece(w).ngens)
+        source, target = self.ends(k)
+        return self.maps[k].matrix(w, target.piece(w).ngens, source.piece(w).ngens)
+
+
+class ModuleTower(_StageSystem):
+    """Inverse system M_0 <- M_1 <- ... with optional periodicity window.
+
+    ``maps[k]`` sends stage k+1 to stage k.  A declared periodicity is
+    verified on the stored window.  Surjectivity flags, one per
+    connecting map, are verified too: a map flagged True must be onto in
+    every weight.  A flag only states what ``map_surjective`` computes
+    anyway.
+    """
+
+    forward = False
+
+    def __init__(self, stages, maps, periodicity: tuple[int, int] | None = None,
+                 surjectivity_flags=None):
+        super().__init__(stages, maps, periodicity)
+        self.surjectivity_flags = list(surjectivity_flags) if surjectivity_flags is not None else None
+        if self.surjectivity_flags is not None:
+            if len(self.surjectivity_flags) != len(self.maps):
+                raise ValueError("need one surjectivity flag per connecting map")
+            for k in [k for k, flag in enumerate(self.surjectivity_flags) if flag]:
+                for w in _weights(self.ends(k)):
+                    if not self.map_surjective(k, w):
+                        raise ValueError(f"declared surjectivity fails on map {k} in weight {w}")
 
     def map_surjective(self, k: int, w: int) -> bool:
         return map_surjective(self.map_matrix(k, w), self.stages[k].piece(w))
@@ -492,22 +505,9 @@ def random_split_tower(rng):
     return Y, Z, GradedMap({0: r_mat}), GradedMap({0: s_mat}), GradedMap({0: g_mat})
 
 
-class TelescopeDiagram:
-    """Direct system M_0 -> M_1 -> ... with an optional periodic self-map."""
-
-    def __init__(self, stages, maps, periodicity: tuple[int, int] | None = None):
-        if len(maps) != len(stages) - 1:
-            raise ValueError("need one map per adjacent stage pair")
-        self.stages = list(stages)
-        self.maps = list(maps)
-        self.periodicity = periodicity
-
-    def weights(self):
-        return _weights(self.stages)
-
-    def map_matrix(self, k: int, w: int):
-        return self.maps[k].matrix(w, self.stages[k + 1].piece(w).ngens,
-                                   self.stages[k].piece(w).ngens)
+class TelescopeDiagram(_StageSystem):
+    """Direct system M_0 -> M_1 -> ... with an optional periodic self-map:
+    ``maps[k]`` sends stage k to stage k+1."""
 
 
 def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
@@ -537,7 +537,7 @@ def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
             power = mat
             for _ in range(module.ngens):
                 power = compose_matrices(power, mat, module.ngens)
-            return _exact(int_rank(int_matrix(power, module.ngens)), [],
+            return _exact(len(hnf(int_matrix(power, module.ngens))[1]), [],
                           "rank of the stable image over the localized base")
         return _exact(rank, [], f"rank {rank} over the base with {d} inverted", localized_at=d)
     return _partial("partial: torsion telescope outside the supported regimes", rank, torsion)

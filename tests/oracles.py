@@ -265,9 +265,14 @@ def substitute_elementary(q: Polynomial, n: int) -> Polynomial:
     return out
 
 
+def int_poly(base, terms: dict) -> Polynomial:
+    """Polynomial over ``base`` from {mono: int}."""
+    return Polynomial(base, {m: base.from_int(c) for m, c in terms.items()})
+
+
 def power_sum(k: int, indices) -> Polynomial:
     """p_k over the given variable indices, integer coefficients."""
-    return Polynomial.from_int_terms(ZZ, {((i, k),): 1 for i in indices})
+    return int_poly(ZZ, {((i, k),): 1 for i in indices})
 
 
 def coassociativity_check(hopf, w: int) -> bool:

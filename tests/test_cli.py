@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "orcohom.cli"]
 
 
@@ -164,6 +166,49 @@ def test_telescope_from_file(tmp_path):
     res = run_cli("telescope", "--input", str(path), "--format", "json")
     data = json.loads(res.stdout)
     assert data["weights"][0]["colimit"]["localized_at"] == 2
+
+
+@pytest.mark.parametrize("command", ["tower", "telescope"])
+@pytest.mark.parametrize("field, value", [
+    ("relation", 2.5), ("relation", "6"), ("ngens", True), ("map", 1.0), ("periodicity", "0"),
+])
+def test_non_integer_system_entries_exit_2(tmp_path, command, field, value):
+    # a relation entry 2.5 used to be read as 2, and the stage as Z/2
+    stage = {"0": {"ngens": 1, "relations": [[4]]}}
+    doc = {"stages": [stage] * 3, "maps": [{"0": [[1]]}] * 2, "periodicity": [0, 1]}
+    if field == "relation":
+        doc["stages"] = [{"0": {"ngens": 1, "relations": [[value]]}}] * 3
+    elif field == "ngens":
+        doc["stages"] = [{"0": {"ngens": value, "relations": [[4]]}}] * 3
+    elif field == "map":
+        doc["maps"] = [{"0": [[value]]}] * 2
+    else:
+        doc["periodicity"] = [value, 1]
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli(command, "--input", str(path))
+    assert res.returncode == 2
+    assert "must be an integer" in res.stderr
+    assert res.stdout == ""
+
+
+def test_telescope_input_is_checked_like_a_tower(tmp_path):
+    # maps 2, 1, 1 on Z are not periodic from stage 0
+    doc = {"stages": [{"0": {"ngens": 1, "relations": []}}] * 4,
+           "maps": [{"0": [[2]]}, {"0": [[1]]}, {"0": [[1]]}], "periodicity": [0, 1]}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    for command in ("tower", "telescope"):
+        res = run_cli(command, "--input", str(path))
+        assert res.returncode == 2
+        assert "declared periodicity fails on map 0" in res.stderr
+    # 1: Z/4 -> Z/6 sends the relation 4 to 4, which is not 0 in Z/6
+    doc = {"stages": [{"0": {"ngens": 1, "relations": [[4]]}}, {"0": {"ngens": 1, "relations": [[6]]}}],
+           "maps": [{"0": [[1]]}]}
+    path.write_text(json.dumps(doc))
+    res = run_cli("telescope", "--input", str(path))
+    assert res.returncode == 2
+    assert "map 0 does not respect relations in weight 0" in res.stderr
 
 
 def test_restriction_subcommand():

@@ -14,6 +14,8 @@ from orcohom.presented import PresentedRing
 from orcohom.spaces import FlagBundle, ProjectiveBundle, ProjectiveSpace, additive_theory, cohomology
 from orcohom.symfunc import elementary_symmetric
 
+from oracles import int_poly
+
 
 def degreewise_twin(ring: PresentedRing) -> PresentedRing:
     """Same presentation, forced through the degreewise route."""
@@ -28,7 +30,7 @@ def random_elements(rng, ring, count=20, terms=4, weight_cap=None):
     cap = weight_cap or ring.truncation
     monos = [m for w in range(cap + 1) for m in ring.monomials_of_weight(w)]
     for _ in range(count):
-        yield Polynomial.from_int_terms(
+        yield int_poly(
             ring.base, {rng.choice(monos): rng.randint(-5, 5) for _ in range(terms)})
 
 
@@ -79,7 +81,7 @@ def test_flag_bundle_with_chern_routes_agree():
 
 def test_power_ring_routes_agree():
     ring = PresentedRing(ZZ, [("l", 1)],
-                         [Polynomial.from_int_terms(ZZ, {((0, 4),): 1})], 8)
+                         [int_poly(ZZ, {((0, 4),): 1})], 8)
     twin = degreewise_twin(ring)
     rng = random.Random(44)
     for p in random_elements(rng, ring):

@@ -18,7 +18,7 @@ from orcohom.fgl import (
 from orcohom.polynomials import Polynomial
 from orcohom.presented import IllDefinedMap, compose
 
-from oracles import partition_count
+from oracles import int_poly, partition_count
 
 
 def test_additive_axioms():
@@ -62,12 +62,12 @@ def test_nonunit_beta_is_not_designated():
 
 
 def test_axiom_failures_detected():
-    bad_assoc = FormalGroupLaw(ZZ, Polynomial.from_int_terms(
+    bad_assoc = FormalGroupLaw(ZZ, int_poly(
         ZZ, {((0, 1),): 1, ((1, 1),): 1, ((0, 2), (1, 2)): 1}), 6)
     rep = check_axioms(bad_assoc)
     assert rep.unit_ok and rep.commutative_ok and not rep.associative_ok
     assert rep.failures and rep.failures[0].axiom == "associativity"
-    bad_comm = FormalGroupLaw(ZZ, Polynomial.from_int_terms(
+    bad_comm = FormalGroupLaw(ZZ, int_poly(
         ZZ, {((0, 1),): 1, ((1, 1),): 1, ((0, 1), (1, 2)): 1}), 6)
     rep = check_axioms(bad_comm)
     assert not rep.commutative_ok
@@ -75,7 +75,7 @@ def test_axiom_failures_detected():
 
 def test_formal_inverse():
     add = make_additive(truncation=6)
-    assert formal_inverse(add) == Polynomial.from_int_terms(ZZ, {((0, 1),): -1})
+    assert formal_inverse(add) == int_poly(ZZ, {((0, 1),): -1})
     mult = make_multiplicative(truncation=6)
     inv = formal_inverse(mult)
     base = mult.base
@@ -89,7 +89,7 @@ def test_formal_inverse():
 
 def test_n_series():
     add = make_additive(truncation=6)
-    assert n_series(add, 2) == Polynomial.from_int_terms(ZZ, {((0, 1),): 2})
+    assert n_series(add, 2) == int_poly(ZZ, {((0, 1),): 2})
     assert n_series(add, 0).is_zero()
     mult = make_multiplicative(truncation=6)
     two = n_series(mult, 2)
@@ -168,7 +168,7 @@ def test_classifying_map_generic_identity():
 
 def test_classifying_map_rejects_invalid_series():
     pres = lazard_ring(4)
-    bad = FormalGroupLaw(ZZ, Polynomial.from_int_terms(
+    bad = FormalGroupLaw(ZZ, int_poly(
         ZZ, {((0, 1),): 1, ((1, 1),): 1, ((0, 2), (1, 2)): 1}), 5)
     with pytest.raises(IllDefinedMap):
         classifying_map(bad, pres)

@@ -2,16 +2,14 @@ import random
 
 import pytest
 
-from orcohom.coefficients import QQ, ZZ, ModularRing, NonDivisibleBase
+from orcohom.coefficients import QQ, ZZ, ModularRing, NonDivisibleBase, laurent_over
 from orcohom.intlinalg import (
-    cokernel_data,
+    cokernel,
     det_bareiss_ring,
     field_rref,
     hnf,
-    hnf_invariants,
     int_matrix,
     kernel_basis,
-    rank,
     snf_invariants,
 )
 
@@ -20,6 +18,10 @@ from oracles import det_cofactor, rank_over_Q, torsion_via_minor_gcd
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def rank(m):
+    return len(hnf(m)[1])
 
 
 def matmul(a, b):
@@ -39,14 +41,14 @@ def test_snf_matches_minor_gcd_oracle():
     for _ in range(30):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = random_matrix(rng, rows, cols)
-        free, torsion = cokernel_data(int_matrix(m, cols), cols)
+        free, torsion = cokernel(*hnf(int_matrix(m, cols)), cols)
         ofree, otorsion = torsion_via_minor_gcd(m, cols)
         assert (free, torsion) == (ofree, otorsion)
 
 
 def test_snf_worked_examples():
-    assert cokernel_data(int_matrix([[2]], 1), 1) == (0, [2])
-    assert cokernel_data([], 3) == (3, [])
+    assert cokernel(*hnf(int_matrix([[2]], 1)), 1) == (0, [2])
+    assert cokernel(*hnf([]), 3) == (3, [])
     m = int_matrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], 3)
     assert snf_invariants(m) == [2, 2, 156]
 
@@ -84,7 +86,7 @@ def test_hnf_transform_unimodular():
             assert not any(any(r) for r in prod[len(h):])
 
 
-def test_hnf_invariants_split_unit_pivots_off_a_torsion_residual():
+def test_cokernel_splits_unit_pivots_off_a_torsion_residual():
     # Unit pivots mixed with a torsion block, hidden by a unimodular
     # change of rows and columns; checked against the minor-gcd oracle.
     rng = random.Random(606)
@@ -103,22 +105,105 @@ def test_hnf_invariants_split_unit_pivots_off_a_torsion_residual():
             for row in m:
                 row[c1] += row[c2]
         h, pivots = hnf(int_matrix(m, cols))
-        invs = hnf_invariants(h, pivots)
-        assert invs == snf_invariants(m)
+        invs = snf_invariants(m)
         torsion = [d for d in invs if d != 1]
         assert (cols - len(invs), torsion) == torsion_via_minor_gcd(m, cols)
-        assert cokernel_data(m, cols) == torsion_via_minor_gcd(m, cols)
+        assert cokernel(h, pivots, cols) == torsion_via_minor_gcd(m, cols)
         residual_rows.append(sum(1 for row, c in zip(h, pivots) if row[c] != 1))
     # the cases exercise both a torsion residual and an empty one
     assert max(residual_rows) > 0 and min(residual_rows) == 0
 
 
-def test_hnf_invariants_of_a_unimodular_hnf_is_all_ones():
+def test_cokernel_of_a_unimodular_hnf_is_free():
     h, pivots = hnf([[1, 2, 3], [0, 1, 4]])
-    assert hnf_invariants(h, pivots) == [1, 1]
-    assert hnf_invariants([], []) == []
+    assert cokernel(h, pivots, 3) == (1, [])
+    assert cokernel([], [], 0) == (0, [])
     h, pivots = hnf([[1, 1, 0], [0, 2, 2]])
-    assert hnf_invariants(h, pivots) == [1, 2]
+    assert cokernel(h, pivots, 3) == (1, [2])
+    # invariants 1, 2, 0: the unit pivot's 1 is neither free nor torsion,
+    # so over Z/2 only the 2 and the missing invariant are free
+    assert cokernel(h, pivots, 3, ModularRing(2)) == (2, [])
+
+
+def _shaped_matrix(rng, rows, cols):
+    """Random matrix with, now and then, a zero row, a zero column, a
+    repeated row or a scaled row."""
+    m = random_matrix(rng, rows, cols, -6, 6)
+    if rows and cols:
+        kind = rng.randrange(5)
+        i, j = rng.randrange(rows), rng.randrange(rows)
+        if kind == 0:
+            m[i] = [0] * cols
+        elif kind == 1:
+            c = rng.randrange(cols)
+            for row in m:
+                row[c] = 0
+        elif kind == 2:
+            m[i] = list(m[j])
+        elif kind == 3:
+            k = rng.choice([2, 3, 4, 6])
+            m[i] = [k * v for v in m[j]]
+    return m
+
+
+def test_snf_invariants_match_minor_gcds_and_rank():
+    rng = random.Random(707)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (7, 7), (7, 3), (3, 7)]
+    shapes += [(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(60)]
+    for rows, cols in shapes:
+        m = _shaped_matrix(rng, rows, cols)
+        invs = snf_invariants(m)
+        assert all(d > 0 for d in invs)
+        assert all(b % a == 0 for a, b in zip(invs, invs[1:]))
+        assert len(invs) == rank_over_Q(m)
+        assert (cols - len(invs), [d for d in invs if d != 1]) == torsion_via_minor_gcd(m, cols)
+
+
+def test_snf_invariants_of_nonsingular_matrices_multiply_to_the_determinant():
+    rng = random.Random(808)
+    done = 0
+    while done < 8:
+        n = rng.randint(10, 20)
+        m = random_matrix(rng, n, n, -3, 3)
+        for i in rng.sample(range(n), 3):
+            m[i] = [rng.choice([2, 3, 4]) * v for v in m[i]]
+        det = det_bareiss_ring(int_matrix(m, n), ZZ)
+        if det == 0:
+            continue
+        invs = snf_invariants(m)
+        assert len(invs) == n
+        assert all(b % a == 0 for a, b in zip(invs, invs[1:]))
+        product = 1
+        for d in invs:
+            product *= d
+        assert product == abs(det)
+        done += 1
+
+
+def _classify(invs, zero, unit):
+    """(free rank, torsion) from Smith invariants, by the rule cokernel states."""
+    return (sum(1 for d in invs if zero(d)),
+            [d for d in invs if not zero(d) and not unit(d)])
+
+
+@pytest.mark.parametrize("base, zero, unit", [
+    (ZZ, lambda d: d == 0, lambda d: d == 1),
+    (QQ, lambda d: d == 0, lambda d: True),
+    (ModularRing(4), lambda d: d % 4 == 0, lambda d: d % 2 == 1),
+    (ModularRing(5), lambda d: d % 5 == 0, lambda d: True),
+    (laurent_over(ZZ, "b", -1), lambda d: d == 0, lambda d: d == 1),
+], ids=["Z", "Q", "Z4", "Z5", "Zb"])
+def test_cokernel_classifies_invariants_over_the_base(base, zero, unit):
+    rng = random.Random(909)
+    for _ in range(40):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        m = _shaped_matrix(rng, rows, cols)
+        for i in range(rows):  # torsion the bases tell apart
+            m[i] = [rng.choice([1, 2, 4, 5, 8]) * v for v in m[i]]
+        free, torsion = torsion_via_minor_gcd(m, cols)
+        units = cols - free - len(torsion)
+        invs = [1] * units + torsion + [0] * free
+        assert cokernel(*hnf(int_matrix(m, cols)), cols, base) == _classify(invs, zero, unit)
 
 
 def test_int_matrix_rejects_ragged_rows():

@@ -3,9 +3,11 @@ import pytest
 from orcohom.coefficients import QQ, ZZ
 from orcohom.polynomials import Polynomial, mono_div, mono_divides, mono_mul, mono_weight
 
+from oracles import int_poly
+
 
 def P(d):
-    return Polynomial.from_int_terms(ZZ, d)
+    return int_poly(ZZ, d)
 
 
 def test_monomial_helpers():

@@ -24,7 +24,7 @@ from orcohom.spaces import (
 )
 from orcohom.presented import RingMap
 
-from oracles import (gaussian_binomial_ranks, partition_count, partitions_exactly_k,
+from oracles import (gaussian_binomial_ranks, int_poly, partition_count, partitions_exactly_k,
                      q_factorial_ranks)
 
 TH = additive_theory(truncation=12)
@@ -197,7 +197,7 @@ def test_product_rejects_torsion_factor():
 def test_chern_tensor_additive_and_multiplicative():
     ring2 = cohomology(TH, Product(InfiniteProjectiveSpace(), InfiniteProjectiveSpace()), 6)
     s = chern_tensor(TH, ring2, ring2.var(0), ring2.var(1))
-    assert s == Polynomial.from_int_terms(ZZ, {((0, 1),): 1, ((1, 1),): 1})
+    assert s == int_poly(ZZ, {((0, 1),): 1, ((1, 1),): 1})
     mth = multiplicative_theory(6)
     mring = cohomology(mth, Product(InfiniteProjectiveSpace(), InfiniteProjectiveSpace()), 6)
     base = mth.coefficients
@@ -224,7 +224,7 @@ def test_chern_tensor_associative_in_three_variables():
 def test_chern_dual():
     ring = cohomology(TH, InfiniteProjectiveSpace(), 6)
     d = chern_dual(TH, ring, ring.var(0))
-    assert d == Polynomial.from_int_terms(ZZ, {((0, 1),): -1})
+    assert d == int_poly(ZZ, {((0, 1),): -1})
 
 
 def test_restriction_projective_surjective():
@@ -349,6 +349,15 @@ def test_homology_dual():
     assert all(point.rank(w) == 0 for w in range(1, 7))
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_homology_dual_ranks_over_a_composite_modulus(n):
+    # every weight piece of Gr(3,7) over Z/n is free of the Gaussian
+    # binomial rank, though fewer standard monomials than that are left
+    theory = additive_theory(ModularRing(n), truncation=12)
+    dual = homology_dual(theory, GrassmannianBundle(3, 7), 12)
+    assert [dual.rank(w) for w in range(13)] == gaussian_binomial_ranks(3, 4)
+
+
 def test_invariance_check():
     for n in (1, 2, 3):
         rep = invariance_check(TH, n, 5)
@@ -375,7 +384,7 @@ def test_homology_dual_rejects_torsion():
     from orcohom.spaces import HomologyDual
 
     torsion_ring = PresentedRing(ZZ, [("l", 1)],
-                                 [Polynomial.from_int_terms(ZZ, {((0, 1),): 2})], 4)
+                                 [int_poly(ZZ, {((0, 1),): 2})], 4)
     with pytest.raises(ValueError):
         HomologyDual(torsion_ring)
 

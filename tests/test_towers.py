@@ -35,7 +35,7 @@ def test_constant_integer_tower():
 
 
 def test_z8_times_two_tower():
-    t = constant_tower(FPModule.cyclic(8), [[2]])
+    t = constant_tower(FPModule.modular(8, 1), [[2]])
     lim, lim1 = tower_limit_and_lim1(t, 0)
     assert (lim["rank"], lim["torsion"], lim["exact"]) == (0, [], True)
     assert (lim1["rank"], lim1["torsion"], lim1["exact"]) == (0, [], True)
@@ -51,7 +51,7 @@ def test_cyclic_tower_limit_is_the_stable_image(n, m):
         if nxt == image:
             break
         image = nxt
-    lim, lim1 = tower_limit_and_lim1(constant_tower(FPModule.cyclic(n), [[m]]), 0)
+    lim, lim1 = tower_limit_and_lim1(constant_tower(FPModule.modular(n, 1), [[m]]), 0)
     assert lim["exact"] and (lim["rank"], lim1["rank"], lim1["torsion"]) == (0, 0, [])
     assert lim["torsion"] == ([len(image)] if len(image) > 1 else [])
 
@@ -145,7 +145,7 @@ def test_split_compare_free_complement():
 def test_split_compare_mixed_torsion_complement():
     # Y = Z/4 + Z/3 retracting onto Z/4 leaves Z/3
     y = constant_tower(FPModule(2, [[4, 0], [0, 3]]), [[1, 0], [0, 0]])
-    z = constant_tower(FPModule.cyclic(4), [[1]])
+    z = constant_tower(FPModule.modular(4, 1), [[1]])
     rep = split_tower_compare(y, z, GradedMap({0: [[1, 0]]}), GradedMap({0: [[1], [0]]}))
     entry = rep["per_weight"][0]
     assert rep["ok"]
