@@ -261,3 +261,22 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({len(self.terms)} terms)"
+
+
+def poly_to_json(p: Polynomial, weights, nvars: int) -> list:
+    """[[dense exponent vector, coefficient string], ...], leading term first."""
+    out = []
+    for m, c in p.sorted_terms(weights, nvars):
+        dense = [0] * nvars
+        for i, e in m:
+            dense[i] = e
+        out.append([dense, p.base.coeff_str(c)])
+    return out
+
+
+def poly_from_json(base: BaseRing, data) -> Polynomial:
+    terms = {}
+    for dense, cs in data:
+        m = tuple((i, e) for i, e in enumerate(dense) if e)
+        terms[m] = base.coeff_from_str(cs)
+    return Polynomial(base, terms)

@@ -23,14 +23,15 @@ Normal forms use one of two routes, chosen per ring:
   reduces the integer value of its entry into [0, p).
 
 Both routes produce idempotent normal forms, supported on the standard
-monomials: on the rewriting route those no leading monomial divides, on
-the degreewise route the columns whose pivot is zero in the base (the
-non-pivot columns over Z and Q, the columns with pivot n over Z/n).  A
-degreewise pivot that is neither a unit nor zero in the base (Gr(3,7) in
-weight 8 has a pivot 2, over Z and over Z/n for even n) is the
-exception: a multiple of its monomial lies in the relation span but the
-monomial itself does not, so the normal form can keep that monomial
-although the reported basis omits it.
+monomials: on the rewriting route those no leading monomial divides,
+listed directly by a pruned monomial recursion; on the degreewise route
+the columns whose pivot is zero in the base (the non-pivot columns over
+Z and Q, the columns with pivot n over Z/n).  A degreewise pivot that is
+neither a unit nor zero in the base (Gr(3,7) in weight 8 has a pivot 2,
+over Z and over Z/n for even n) is the exception: a multiple of its
+monomial lies in the relation span but the monomial itself does not, so
+the normal form can keep that monomial although the reported basis
+omits it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ from .polynomials import (
     mono_divides,
     mono_mul,
     mono_weight,
+    poly_from_json,
+    poly_to_json,
 )
 
 
@@ -63,16 +66,15 @@ class GradedPiece:
     """Weight-w slice of a presented ring.
 
     Plain data, cached by the ring: ``basis`` lists the standard
-    monomials (see the module docstring) and ``ambient`` all monomials
-    of the weight.  On the rewrite route ``free_rank`` is the length of
-    the basis and ``torsion`` is empty; on the degreewise route they are
-    the ``cokernel`` of the relation lattice over the base.
+    monomials (see the module docstring), and no ambient list is kept.
+    On the rewrite route ``free_rank`` is the length of the basis and
+    ``torsion`` is empty; on the degreewise route they are the
+    ``cokernel`` of the relation lattice over the base.
     """
 
-    def __init__(self, weight: int, basis, ambient, free_rank, torsion):
+    def __init__(self, weight: int, basis, free_rank, torsion):
         self.weight = weight
         self.basis = basis
-        self.ambient = ambient
         self.free_rank = free_rank
         self.torsion = torsion
 
@@ -182,23 +184,39 @@ class PresentedRing:
 
     def monomials_of_weight(self, w: int) -> list[Mono]:
         """All monomials of total weight w, descending graded-lex."""
-        if w < 0:
-            return []
         cached = self._mono_cache.get(w)
-        if cached is not None:
-            return cached
-        out: list[Mono] = []
-        # rec refers to itself, a cycle that must not hold the ring
-        weights, nvars = self.weights, self.nvars
+        if cached is None:
+            cached = self._mono_cache[w] = self._monomials(w)
+        return cached
 
+    def _monomials(self, w: int, leading=()) -> list[Mono]:
+        """Monomials of weight w, descending graded-lex, that no ``leading`` divides.
+
+        At variable i the exponents of 0..i-1 are final, so a leading
+        monomial x^a * x_i^f with highest variable i cuts exponents >= f
+        exactly when x^a divides the prefix.
+        """
+        out: list[Mono] = []
+        nvars = self.nvars
+        by_top: list[list] = [[] for _ in range(nvars)]
+        for lm in leading:
+            by_top[lm[-1][0]].append((lm[:-1], lm[-1][1]))
+        spec = list(zip(self.weights, by_top))
+
+        # rec refers to itself, a cycle that must not hold the ring
         def rec(i: int, remaining: int, acc):
             if remaining == 0:
                 out.append(tuple(acc))
                 return
             if i == nvars:
                 return
-            wi = weights[i]
-            for e in range(remaining // wi, -1, -1):
+            wi, cuts = spec[i]
+            top = remaining // wi
+            if cuts:
+                for low, f in cuts:
+                    if f <= top and mono_divides(low, acc):
+                        top = f - 1
+            for e in range(top, -1, -1):
                 if e:
                     acc.append((i, e))
                     rec(i + 1, remaining - e * wi, acc)
@@ -207,7 +225,6 @@ class PresentedRing:
                     rec(i + 1, remaining, acc)
 
         rec(0, w, [])
-        self._mono_cache[w] = out
         return out
 
     # ------------------------------------------------------------------
@@ -463,19 +480,18 @@ class PresentedRing:
             raise ValueError(f"weight {w} outside 0..{self.truncation}")
         piece = self._pieces.get(w)
         if piece is None:
-            ambient = self.monomials_of_weight(w)
             base = self.base
             if self.route == "rewrite":
-                basis = [m for m in ambient
-                         if not any(mono_divides(lm, m) for lm, _ in self.rewrite_rules)]
+                leading = [lm for lm, _ in self.rewrite_rules]
+                basis = self._monomials(w, leading) if leading else self.monomials_of_weight(w)
                 free, torsion = len(basis), []
             else:
-                _, _, rows, pivots = self._reducer(w)
+                ambient, _, rows, pivots = self._reducer(w)
                 pivot_value = {c: row[c] for row, c in zip(rows, pivots)}
                 basis = [m for j, m in enumerate(ambient)
                          if base.is_zero(base.from_int(pivot_value.get(j, 0)))]
                 free, torsion = cokernel(rows, pivots, len(ambient), base)
-            piece = self._pieces[w] = GradedPiece(w, basis, ambient, free, torsion)
+            piece = self._pieces[w] = GradedPiece(w, basis, free, torsion)
         return piece
 
     def graded_ranks(self, upto: int | None = None) -> list[int]:
@@ -566,20 +582,10 @@ class QuotientCoefficients(BaseRing):
         return None
 
     def coeff_str(self, a):
-        entries = []
-        for m, c in a.sorted_terms(self.ring.weights, self.ring.nvars):
-            dense = [0] * self.ring.nvars
-            for i, e in m:
-                dense[i] = e
-            entries.append([dense, self.ring.base.coeff_str(c)])
-        return json.dumps(entries, separators=(",", ":"))
+        return json.dumps(poly_to_json(a, self.ring.weights, self.ring.nvars), separators=(",", ":"))
 
     def coeff_from_str(self, s):
-        terms = {}
-        for dense, cs in json.loads(s):
-            m = tuple((i, e) for i, e in enumerate(dense) if e)
-            terms[m] = self.ring.base.coeff_from_str(cs)
-        return Polynomial(self.ring.base, terms)
+        return poly_from_json(self.ring.base, json.loads(s))
 
     def __repr__(self):
         return f"Quotient({self.ring!r})"

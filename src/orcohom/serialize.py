@@ -12,7 +12,7 @@ import json
 
 from .coefficients import BaseRing, IntegerRing, LaurentRing, ModularRing, RationalRing, QQ, ZZ
 from .fgl import FormalGroupLaw
-from .polynomials import Polynomial
+from .polynomials import poly_from_json, poly_to_json
 from .presented import PresentedRing, QuotientCoefficients, RingMap
 from .spaces import (
     ClassifyingBGL,
@@ -64,28 +64,6 @@ def base_ring_from_json(data: dict) -> BaseRing:
     if kind == "PresentedQuotient":
         return QuotientCoefficients(presented_ring_from_json(data["ring"]))
     raise ValueError(f"unknown coefficient domain kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# polynomials
-
-
-def poly_to_json(p: Polynomial, weights, nvars: int) -> list:
-    out = []
-    for m, c in p.sorted_terms(weights, nvars):
-        dense = [0] * nvars
-        for i, e in m:
-            dense[i] = e
-        out.append([dense, p.base.coeff_str(c)])
-    return out
-
-
-def poly_from_json(base: BaseRing, data) -> Polynomial:
-    terms = {}
-    for dense, cs in data:
-        m = tuple((i, e) for i, e in enumerate(dense) if e)
-        terms[m] = base.coeff_from_str(cs)
-    return Polynomial(base, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +245,14 @@ def tower_to_json(tower: ModuleTower) -> dict:
 
 
 def tower_from_json(data: dict) -> ModuleTower:
+    flags = data.get("surjectivity")
+    if flags is not None and not (isinstance(flags, list) and all(isinstance(f, bool) for f in flags)):
+        raise ValueError(f"surjectivity must be null or a list of booleans, got {flags!r}")
     return ModuleTower(
         [_graded_module_from_json(s) for s in data["stages"]],
         [_graded_map_from_json(m) for m in data["maps"]],
         _periodicity_from_json(data),
-        data.get("surjectivity"),
+        flags,
     )
 
 

@@ -151,9 +151,6 @@ class GradedFPModule:
     def piece(self, w: int) -> FPModule:
         return self.pieces.get(w, FPModule(0))
 
-    def weights(self):
-        return sorted(self.pieces)
-
 
 class GradedMap:
     """Weight-indexed integer matrices, rows indexed by target generators."""
@@ -215,6 +212,20 @@ class _StageSystem:
         source, target = self.ends(k)
         return self.maps[k].matrix(w, target.piece(w).ngens, source.piece(w).ngens)
 
+    def window_composite(self, w: int):
+        """(module, matrix) of the composite map once around the window."""
+        if self.periodicity is None:
+            raise UndecidableTower("no periodic window declared")
+        k0, rho = self.periodicity
+        if k0 + rho > len(self.maps):
+            raise ValueError("stored stages do not cover the periodic window")
+        module = self.stages[k0].piece(w)
+        mat = _eye(module.ngens, module.ngens)
+        window = range(k0, k0 + rho)
+        for k in window if self.forward else reversed(window):  # in the order they apply
+            mat = compose_matrices(self.map_matrix(k, w), mat, module.ngens)
+        return module, mat
+
 
 class ModuleTower(_StageSystem):
     """Inverse system M_0 <- M_1 <- ... with optional periodicity window.
@@ -242,19 +253,6 @@ class ModuleTower(_StageSystem):
 
     def map_surjective(self, k: int, w: int) -> bool:
         return map_surjective(self.map_matrix(k, w), self.stages[k].piece(w))
-
-    def window_composite(self, w: int):
-        """(module, matrix) of the composite map once around the window."""
-        if self.periodicity is None:
-            raise UndecidableTower("no periodic window declared")
-        k0, rho = self.periodicity
-        module = self.stages[k0].piece(w)
-        mat = _eye(module.ngens, module.ngens)
-        for k in range(k0, k0 + rho):
-            if k >= len(self.maps):
-                raise ValueError("stored stages do not cover the periodic window")
-            mat = compose_matrices(mat, self.map_matrix(k, w), self.stages[k + 1].piece(w).ngens)
-        return module, mat
 
 
 def _stable_image(module: FPModule, mat) -> FPModule:
@@ -522,11 +520,7 @@ def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
     if t.periodicity is None:
         return _partial("partial: truncated colimit over stored stages",
                         *t.stages[-1].piece(w).rank_torsion())
-    k0, rho = t.periodicity
-    module = t.stages[k0].piece(w)
-    mat = _eye(module.ngens, module.ngens)
-    for k in range(k0, min(k0 + rho, len(t.maps))):
-        mat = compose_matrices(t.map_matrix(k, w), mat, module.ngens)
+    module, mat = t.window_composite(w)
     rank, torsion = module.rank_torsion()
     if map_surjective(mat, module) and map_well_defined(mat, module, module):
         return _exact(rank, torsion, "eventually isomorphic system: stable value")

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from orcohom.coefficients import ZZ
-from orcohom.polynomials import Polynomial
+from orcohom.polynomials import Polynomial, mono_divides
 
 
 @lru_cache(maxsize=None)
@@ -73,6 +73,12 @@ def q_factorial_ranks(n: int) -> list[int]:
     for perm in permutations(range(n)):
         out[sum(1 for i, j in combinations(range(n), 2) if perm[i] > perm[j])] += 1
     return out
+
+
+def standard_monomials(ring, w: int) -> list:
+    """Rewrite-route basis by filtering: the weight-w monomials no leading monomial divides."""
+    return [m for m in ring.monomials_of_weight(w)
+            if not any(mono_divides(lm, m) for lm, _ in ring.rewrite_rules)]
 
 
 def rank_over_Q(rows) -> int:

@@ -142,6 +142,33 @@ def test_declared_surjectivity_is_verified(tmp_path):
     assert "one surjectivity flag per connecting map" in res.stderr
 
 
+@pytest.mark.parametrize("flags", ["no", ["no"], [1], [[True]]], ids=repr)
+def test_surjectivity_flags_must_be_booleans(tmp_path, flags):
+    # ["no"] used to count as a declaration of surjectivity
+    doc = {"stages": [{"0": {"ngens": 1, "relations": []}}] * 2,
+           "maps": [{"0": [[2]]}], "periodicity": None, "surjectivity": flags}
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("tower", "--input", str(path))
+    assert res.returncode == 2
+    assert "surjectivity must be null or a list of booleans" in res.stderr
+    assert res.stdout == ""
+
+
+def test_periodic_window_must_be_stored(tmp_path):
+    # Z -2-> Z -1-> Z stores two maps of the declared three-map window;
+    # the telescope used to answer "2 inverted", flagged exact
+    doc = {"stages": [{"0": {"ngens": 1, "relations": []}}] * 3,
+           "maps": [{"0": [[2]]}, {"0": [[1]]}], "periodicity": [0, 3]}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    for command in ("tower", "telescope"):
+        res = run_cli(command, "--input", str(path))
+        assert res.returncode == 2, command
+        assert "stored stages do not cover the periodic window" in res.stderr
+        assert res.stdout == ""
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     from orcohom import cli
 

@@ -15,7 +15,7 @@ from orcohom.presented import (
 )
 from orcohom.serialize import canonical_dumps, poly_to_json
 
-from oracles import int_poly, integer_span_contains, partitions_in_box
+from oracles import int_poly, integer_span_contains, partitions_in_box, standard_monomials
 
 
 def P(d):
@@ -100,6 +100,46 @@ def test_graded_basis_flag_and_grassmannian():
     G = grassmannian_ring()
     assert G.total_rank() == 6
     assert G.graded_ranks(4) == [partitions_in_box(2, 2, s) for s in range(5)]
+
+
+def _rewrite_ring(name):
+    from orcohom.spaces import (ClassifyingBGL, FlagBundle, Product, ProjectiveBundle,
+                                ProjectiveSpace, additive_theory, cohomology)
+
+    th = additive_theory(ZZ, 15)
+    if name.startswith("Flag"):
+        n = int(name[4:])
+        return cohomology(th, FlagBundle(n), n * (n - 1) // 2)
+    if name == "P4-Z4":
+        return cohomology(additive_theory(ModularRing(4), 8), ProjectiveSpace(4), 8)
+    if name == "mixed":
+        # a*b rewrites to d; c*d and d^2 are overlapping pure monomials
+        a, b, c, d = (P({((i, 1),): 1}) for i in range(4))
+        return PresentedRing(ZZ, [("a", 1), ("b", 2), ("c", 1), ("d", 3)],
+                             [a * b - d, c * d, d * d], 10)
+    l = Polynomial.variable(ZZ, 0)
+    p2 = cohomology(th, ProjectiveSpace(2), 6)
+    chern = [l.scale(3), (l * l).scale(2)]
+    space = {"P3-Z": ProjectiveSpace(3), "BGL": ClassifyingBGL(None),
+             "P(V)-over-P2": ProjectiveBundle(3, chern, p2), "F2-over-P2": FlagBundle(2, chern, p2),
+             "P2xFlag3": Product(ProjectiveSpace(2), FlagBundle(3))}[name]
+    return cohomology(th, space, 6)
+
+
+@pytest.mark.parametrize("name", ["P3-Z", "P4-Z4", "Flag2", "Flag3", "Flag4", "Flag5", "Flag6",
+                                  "P(V)-over-P2", "F2-over-P2", "P2xFlag3", "BGL", "mixed"])
+def test_rewrite_basis_lists_the_standard_monomials(name):
+    # the pruned enumeration gives, in order, what filtering the ambient
+    # monomials by the leading monomials gives
+    ring = _rewrite_ring(name)
+    assert ring.route == "rewrite"
+    for w in range(ring.truncation + 1):
+        basis = ring.graded_basis(w).basis
+        assert basis == standard_monomials(ring, w), w
+        if not ring.rewrite_rules:
+            assert basis is ring.monomials_of_weight(w)
+    if name == "mixed":
+        assert [lm for lm, _ in ring.rewrite_rules] == [((0, 1), (1, 1)), ((2, 1), (3, 1)), ((3, 2),)]
 
 
 def test_relations_matrix_rank_agrees():
@@ -210,8 +250,8 @@ def test_composite_modulus_basis_spans_the_free_piece(n):
     pieces = [ring.graded_basis(w) for w in range(7)]
     assert [p.free_rank for p in pieces] == [1, 1, 2, 2, 2, 1, 1]
     assert [len(p.basis) for p in pieces] == [1, 1, 2, 2, 2, 1, 1]
-    for p in pieces:
-        for m in p.ambient:
+    for w, p in enumerate(pieces):
+        for m in ring.monomials_of_weight(w):
             assert set(ring.normal_form(Polynomial(base, {m: base.one()})).terms) <= set(p.basis)
 
 

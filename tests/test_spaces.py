@@ -84,6 +84,8 @@ def test_flag_factorial_ranks():
         R = cohomology(TH, FlagBundle(n), D)
         assert R.total_rank() == factorial(n)
         assert R.route == "rewrite"
+    # Flag(6) at D=15 lists 720 standard monomials among 54,264 ambient ones
+    assert cohomology(TH, FlagBundle(6), 15).graded_ranks() == q_factorial_ranks(6)
 
 
 def test_bgl_partition_ranks():

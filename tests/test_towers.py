@@ -253,6 +253,10 @@ def test_telescope_examples():
     assert rep["rank"] == 1 and rep.get("localized_at") == 2
     partial = TelescopeDiagram([gm] * 3, [GradedMap({0: [[3]]})] * 2)
     assert not telescope_colimit(partial, 0)["exact"]
+    short = TelescopeDiagram([gm] * 3, [GradedMap({0: [[2]]}), GradedMap({0: [[1]]})],
+                             periodicity=(0, 3))
+    with pytest.raises(ValueError, match="do not cover the periodic window"):
+        telescope_colimit(short, 0)
 
 
 def test_telescope_bott_system():
