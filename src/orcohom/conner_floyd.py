@@ -33,6 +33,7 @@ from .spaces import (
 )
 
 _UNIVERSAL_CACHE: dict[int, OrientedTheory] = {}
+_IMAGES_CACHE: dict[int, tuple] = {}
 
 
 def universal_theory(truncation: int = 8) -> OrientedTheory:
@@ -73,11 +74,16 @@ def k_theory_presentation(space, truncation: int = 8) -> PresentedRing:
 
 
 def _coefficient_images(truncation: int):
-    """Scalar images of the universal generators under the multiplicative law."""
-    law = make_multiplicative(truncation=truncation + 1)
-    pres = lazard_ring(truncation, max(truncation, LAZARD_DEFAULT_BOUND))
-    cmap = classifying_map(law, pres)
-    return law.base, [im.constant_term() for im in cmap.images]
+    """(Laurent domain, tuple of the scalar images of the universal generators
+    under the multiplicative law), cached per truncation."""
+    cached = _IMAGES_CACHE.get(truncation)
+    if cached is None:
+        law = make_multiplicative(truncation=truncation + 1)
+        pres = lazard_ring(truncation, max(truncation, LAZARD_DEFAULT_BOUND))
+        cmap = classifying_map(law, pres)
+        cached = _IMAGES_CACHE[truncation] = (
+            law.base, tuple(im.constant_term() for im in cmap.images))
+    return cached
 
 
 def base_change(ring: PresentedRing, target_base: LaurentRing, scalars) -> PresentedRing:

@@ -88,8 +88,13 @@ class PresentedRing:
     variables is an ordered list of (name, positive weight); relations
     are weight-homogeneous polynomials in those variables.  An optional
     ``rewrite_basis`` supplies a confluent completion generating the
-    same ideal; it is validated against the stored relations in both
-    directions before use.
+    same ideal as ``(g, cofactors)`` pairs, where ``cofactors`` maps an
+    index into the stored ``relations`` to a polynomial over the base.
+    It is validated in both directions before use: every stored relation
+    rewrites to zero, and every g equals sum_k cofactors[k] * relations[k]
+    exactly, so no relation lattice is built.  ``rewrite_source`` holds
+    the pairs of a rewrite-route ring; rules taken from the relations
+    themselves report ``(r_k, {k: 1})``.
 
     Instances are immutable after construction and all operations are
     pure; the per-weight reducer and normal-form caches are internal
@@ -125,13 +130,16 @@ class PresentedRing:
         self._mono_cache: dict[int, list[Mono]] = {}
         self.rewrite_rules = None
         explicit = rewrite_basis is not None
-        candidate = tuple(rewrite_basis) if explicit else self.relations
         if explicit:
-            for r in candidate:
-                self._validate_element(r)
-                if self.homogeneous_weight(r) is None:
+            candidate = tuple((g, dict(cofactors)) for g, cofactors in rewrite_basis)
+            for g, _ in candidate:
+                self._validate_element(g)
+                if self.homogeneous_weight(g) is None:
                     raise NonConfluentPresentation("rewrite basis must be weight-homogeneous")
-        rules = self._try_build_rules(candidate)
+        else:
+            one = self.one_poly()
+            candidate = tuple((r, {k: one}) for k, r in enumerate(self.relations))
+        rules = self._try_build_rules(g for g, _ in candidate)
         if rules is None:
             if explicit:
                 raise NonConfluentPresentation(
@@ -265,11 +273,17 @@ class PresentedRing:
         for r in self.relations:
             if not self.normal_form(r).is_zero():
                 raise NonConfluentPresentation("stored relation does not rewrite to zero")
-        for g in candidate:
-            w = self.homogeneous_weight(g)
-            if not self._degreewise_reduce_poly(g).is_zero():
+        for g, cofactors in candidate:
+            combination = Polynomial.zero(self.base)
+            for k, c in cofactors.items():
+                if not 0 <= k < len(self.relations):
+                    raise NonConfluentPresentation(f"cofactor index {k!r} names no stored relation")
+                self._validate_element(c)
+                combination = combination + c * self.relations[k]
+            if combination != g:
                 raise NonConfluentPresentation(
-                    f"rewrite basis element of weight {w} is not in the relation ideal")
+                    f"rewrite basis element of weight {self.homogeneous_weight(g)} "
+                    "is not the combination of relations its cofactors name")
 
     def _nf_monomial(self, m: Mono) -> Polynomial:
         """Normal form of a single monomial, memoized.

@@ -155,12 +155,11 @@ def space_to_json(space) -> dict:
 
 
 def _bundle_payload(payload: dict):
-    base_ring = None
-    chern = ()
-    if "base" in payload:
-        base_ring = presented_ring_from_json(payload["base"])
-        chern = tuple(poly_from_json(base_ring.base, c) for c in payload.get("chern", []))
-    return base_ring, chern
+    """The base ring and the Chern classes; without a base the classes are
+    read over Z, and ``cohomology`` refuses any that is nonzero."""
+    base_ring = presented_ring_from_json(payload["base"]) if "base" in payload else None
+    coefficients = ZZ if base_ring is None else base_ring.base
+    return base_ring, tuple(poly_from_json(coefficients, c) for c in payload.get("chern", []))
 
 
 def space_from_json(data) -> object:
@@ -174,20 +173,21 @@ def space_from_json(data) -> object:
         raise ValueError("space descriptor must be a one-key object")
     tag, payload = next(iter(data.items()))
     if tag == "Pn":
-        return ProjectiveSpace(int(payload))
+        return ProjectiveSpace(_integer(payload, "Pn"))
     if tag == "Pinf":
         return InfiniteProjectiveSpace()
     if tag == "BGL":
-        return ClassifyingBGL(None if payload in ("inf", None) else int(payload))
+        return ClassifyingBGL(None if payload in ("inf", None) else _integer(payload, "BGL"))
     if tag == "Grassmannian":
         base_ring, chern = _bundle_payload(payload)
-        return GrassmannianBundle(payload["m"], payload["n"], chern, base_ring)
+        return GrassmannianBundle(_integer(payload["m"], "Grassmannian m"),
+                                  _integer(payload["n"], "Grassmannian n"), chern, base_ring)
     if tag == "Flag":
         base_ring, chern = _bundle_payload(payload)
-        return FlagBundle(payload["n"], chern, base_ring)
+        return FlagBundle(_integer(payload["n"], "Flag n"), chern, base_ring)
     if tag == "ProjectiveBundle":
         base_ring, chern = _bundle_payload(payload)
-        return ProjectiveBundle(payload["rank"], chern, base_ring)
+        return ProjectiveBundle(_integer(payload["rank"], "ProjectiveBundle rank"), chern, base_ring)
     if tag == "Product":
         return Product(space_from_json(payload[0]), space_from_json(payload[1]))
     raise ValueError(f"unknown space tag {tag!r}")

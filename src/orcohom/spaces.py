@@ -6,11 +6,12 @@ corresponding presented ring over the theory's coefficients with the
 standard generators: l (first Chern class of the tautological line
 bundle), l1..ln (flag line bundles), s1..sm and t1..tk (Chern classes
 of the tautological and quotient bundles on a Grassmannian).  Flag and
-projective-bundle rings carry a triangular rewrite completion whose
-leading terms are pure variable powers, so their normal forms run on
-the fast confluent route; Grassmannian rings reduce degreewise.  A
-bundle over a base ring keeps the rewrite route only when the base has
-one; a product, only when both factors do.
+projective-bundle rings carry a triangular rewrite completion, with
+cofactors over the stored relations, whose leading terms are pure
+variable powers, so their normal forms run on the fast confluent route;
+Grassmannian rings reduce degreewise.  A bundle over a base ring keeps
+the rewrite route only when the base has one; a product, only when both
+factors do.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from .coefficients import BaseRing, ZZ
 from .fgl import FormalGroupLaw, check_axioms, formal_inverse, make_additive, make_multiplicative
 from .polynomials import Polynomial
-from .presented import NonConfluentPresentation, PresentedRing, RingMap, compose
+from .presented import PresentedRing, RingMap, compose
 from .symfunc import (
     complete_homogeneous,
     elementary_symmetric,
@@ -121,10 +122,12 @@ def _check_chern(theory: OrientedTheory, space, rank: int, truncation: int):
             raise ValueError("bundle base ring must share the theory coefficients")
         if ring.truncation < truncation:
             raise ValueError("bundle base ring truncated below the requested bound")
-    chern = list(space.chern)
+    # a descriptor without a base ring reads its (zero) classes over Z
+    zero = Polynomial.zero(theory.coefficients)
+    chern = [zero if c.is_zero() else c for c in space.chern]
     if len(chern) > rank:
         raise ValueError("more Chern classes than the bundle rank")
-    chern += [Polynomial.zero(theory.coefficients)] * (rank - len(chern))
+    chern += [zero] * (rank - len(chern))
     for k, c in enumerate(chern, start=1):
         if c.is_zero():
             continue
@@ -157,23 +160,21 @@ def _over(theory: OrientedTheory, fiber_vars, fiber_rels, fiber_rewrite,
     Fiber variables come first, the base's after them (renamed on
     collision), with the base relations shifted past the fiber.  The
     ring keeps the rewrite route only when the base has one: the
-    rewrite basis is the fiber completion followed by the shifted base
-    completion, and with either missing no basis is passed.  A basis
-    that cannot be validated (a coefficient without an integer value,
-    say) falls back to the ring's own relations.
+    rewrite basis is the fiber's (g, cofactors) pairs followed by the
+    base's, whose variables move past the fiber variables and whose
+    relation indices move past the fiber relations; with either missing
+    no basis is passed.
     """
     variables, rels, rewrite = list(fiber_vars), list(fiber_rels), fiber_rewrite
     if base_ring is not None:
-        off = len(fiber_vars)
+        off, nrels = len(fiber_vars), len(fiber_rels)
         variables = _merge_vars(fiber_vars, base_ring.variables)
         rels += [r.shift_indices(off) for r in base_ring.relations]
         base_rw = base_ring.rewrite_source
-        rewrite = None if rewrite is None or base_rw is None else (
-            list(rewrite) + [r.shift_indices(off) for r in base_rw])
-    try:
-        return PresentedRing(theory.coefficients, variables, rels, D, rewrite_basis=rewrite)
-    except NonConfluentPresentation:
-        return PresentedRing(theory.coefficients, variables, rels, D)
+        rewrite = None if rewrite is None or base_rw is None else list(rewrite) + [
+            (g.shift_indices(off), {k + nrels: c.shift_indices(off) for k, c in cofactors.items()})
+            for g, cofactors in base_rw]
+    return PresentedRing(theory.coefficients, variables, rels, D, rewrite_basis=rewrite)
 
 
 def cohomology(theory: OrientedTheory, space, truncation: int = 8) -> PresentedRing:
@@ -204,7 +205,8 @@ def cohomology(theory: OrientedTheory, space, truncation: int = 8) -> PresentedR
         for k in range(1, n + 1):
             lp = Polynomial.variable(base, 0, n - k) if n - k else Polynomial.one(base)
             rel = rel + (chern[k - 1].shift_indices(1) * lp).scale(base.from_int((-1) ** k))
-        return _over(theory, [("l", 1)], [rel], [rel], space.base_ring, D)
+        return _over(theory, [("l", 1)], [rel], [(rel, {0: Polynomial.one(base)})],
+                     space.base_ring, D)
 
     if isinstance(space, FlagBundle):
         n = space.rank
@@ -216,15 +218,20 @@ def cohomology(theory: OrientedTheory, space, truncation: int = 8) -> PresentedR
         rels = [elementary_symmetric(base, k, range(n)) - chern[k] for k in range(1, n + 1)]
         # triangular completion by successive divided differences of the
         # Chern polynomial: g_i = sum_k (-1)^k c_k h_{i-k}(l_i..l_n) has
-        # leading monomial l_i^i; validated against the stored relations
-        # at construction
+        # leading monomial l_i^i.  Its certificate: g_i is the sum over
+        # k >= 1 of (-1)^(k+1) h_{i-k}(l_i..l_n) (e_k - c_k), since
+        # sum_k (-1)^k e_k(l_1..l_n) h_{i-k}(l_i..l_n) is the t^i
+        # coefficient of prod_{j<i} (1 - l_j t), of degree i - 1
+        # (Macdonald, Symmetric Functions and Hall Polynomials, I (2.6))
         completion = []
         for i in range(1, n + 1):
-            g = Polynomial.zero(base)
+            g, cofactors = Polynomial.zero(base), {}
             for k in range(0, i + 1):
                 h = complete_homogeneous(base, i - k, range(i - 1, n))
                 g = g + (chern[k] * h).scale(base.from_int((-1) ** k))
-            completion.append(g)
+                if k:
+                    cofactors[k - 1] = h.scale(base.from_int((-1) ** (k + 1)))
+            completion.append((g, cofactors))
         fiber_vars = [(f"l{i}", 1) for i in range(1, n + 1)]
         return _over(theory, fiber_vars, rels, completion, space.base_ring, D)
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's code paths: ranks go
 through Fraction Gaussian elimination, determinants through cofactor
 expansion, torsion through minor gcds, and partition counts through
 the Euler recurrence.  Coassociativity is checked on the coproduct
-dictionaries alone.
+dictionaries alone.  Relation-ideal membership goes through the
+degreewise relation lattice, with no cofactor certificate.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from itertools import combinations, permutations
 
 from orcohom.coefficients import ZZ
 from orcohom.polynomials import Polynomial, mono_divides
+from orcohom.presented import NonConfluentPresentation, PresentedRing
 
 
 @lru_cache(maxsize=None)
@@ -79,6 +81,31 @@ def standard_monomials(ring, w: int) -> list:
     """Rewrite-route basis by filtering: the weight-w monomials no leading monomial divides."""
     return [m for m in ring.monomials_of_weight(w)
             if not any(mono_divides(lm, m) for lm, _ in ring.rewrite_rules)]
+
+
+def degreewise_twin(ring: PresentedRing) -> PresentedRing:
+    """Same presentation, forced through the degreewise route."""
+    twin = PresentedRing(ring.base, ring.variables, ring.relations, ring.truncation)
+    twin.route = "degreewise"
+    twin.rewrite_rules = None
+    twin.rewrite_source = None
+    return twin
+
+
+def in_relation_ideal(ring: PresentedRing, g: Polynomial) -> bool:
+    """Is g, truncated at D, in the ideal of ring's stored relations?
+
+    Asks for no certificate: the degreewise twin reduces g against the
+    HNF of each weight's relation lattice.  A ring whose relations have
+    no integer lattice (a coefficient such as 1 + b) must rewrite
+    confluently on its own relations, and then those rules decide.
+    """
+    try:
+        return degreewise_twin(ring).normal_form(g).is_zero()
+    except NonConfluentPresentation:
+        alone = PresentedRing(ring.base, ring.variables, ring.relations, ring.truncation)
+        assert alone.route == "rewrite", "no reference membership test for this ring"
+        return alone.normal_form(g).is_zero()
 
 
 def rank_over_Q(rows) -> int:

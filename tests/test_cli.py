@@ -328,3 +328,36 @@ def test_operation_coverage_complete_and_disjoint():
     seen = [op for ops in OPERATION_COVERAGE.values() for op in ops]
     assert len(seen) == len(set(seen)), "operations must map to exactly one subcommand"
     assert expected <= set(seen)
+
+
+@pytest.mark.parametrize("space, message", [
+    ({"Pn": 2.7}, "Pn must be an integer, got 2.7"),
+    ({"Pn": True}, "Pn must be an integer, got True"),
+    ({"BGL": 2.5}, "BGL must be an integer, got 2.5"),
+    ({"Grassmannian": {"m": 2, "n": 4.0}}, "Grassmannian n must be an integer, got 4.0"),
+    ({"Flag": {"n": 2.9}}, "Flag n must be an integer, got 2.9"),
+    ({"ProjectiveBundle": {"rank": "2"}}, "ProjectiveBundle rank must be an integer, got '2'"),
+    # a Chern class without a base ring used to be dropped, answering
+    # the trivial flag's ranks
+    ({"Flag": {"n": 3, "chern": [[[[1], "1"]]]}}, "nonzero Chern classes need a bundle base ring"),
+], ids=repr)
+def test_malformed_space_descriptors_exit_2(capsys, space, message):
+    # sizes used to be coerced with int(): {"Pn": 2.7} answered as P^2
+    from orcohom import cli
+
+    assert cli.main(["cohomology", "--space", json.dumps(space), "--truncation", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
+def test_zero_chern_classes_need_no_base(capsys):
+    from orcohom import cli
+
+    for theory in ("additive", "multiplicative"):
+        args = ["cohomology", "--truncation", "4", "--theory", theory, "--format", "json", "--space"]
+        assert cli.main(args + ['{"Flag":{"n":3,"chern":[[],[[[1],"0"]]]}}']) == 0
+        with_zeros = json.loads(capsys.readouterr().out)
+        assert cli.main(args + ['{"Flag":{"n":3}}']) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert with_zeros["graded_ranks"] == plain["graded_ranks"] == [1, 2, 2, 1, 0]

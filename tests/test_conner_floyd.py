@@ -88,6 +88,30 @@ def test_universal_theory_cached_and_valid():
     assert check_axioms(th1.law, upto=4).passed
 
 
+def test_coefficient_images_cached_per_truncation(monkeypatch):
+    # one classifying map per truncation, however many instances ask;
+    # the images are a tuple, so no caller can change what the next reads
+    from orcohom import conner_floyd
+    from orcohom.fgl import classifying_map
+
+    calls = []
+
+    def counting(law, pres):
+        calls.append(pres)
+        return classifying_map(law, pres)
+
+    monkeypatch.setattr(conner_floyd, "classifying_map", counting)
+    monkeypatch.setattr(conner_floyd, "_IMAGES_CACHE", {})
+    first = conner_floyd._coefficient_images(5)
+    for space in (ProjectiveSpace(1), ProjectiveSpace(2), FlagBundle(2)):
+        assert verify_conner_floyd(space, 5)["isomorphism"] is True
+    assert len(calls) == 1
+    assert conner_floyd._coefficient_images(5) is first
+    scalars = first[1]
+    assert isinstance(scalars, tuple)
+    assert len(scalars) == universal_theory(5).coefficients.ring.nvars
+
+
 def test_describe_space():
     assert describe_space(ProjectiveSpace(0)) == "point"
     assert describe_space(GrassmannianBundle(2, 4)) == "Gr2(A4)"

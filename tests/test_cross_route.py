@@ -14,16 +14,7 @@ from orcohom.presented import PresentedRing
 from orcohom.spaces import FlagBundle, ProjectiveBundle, ProjectiveSpace, additive_theory, cohomology
 from orcohom.symfunc import elementary_symmetric
 
-from oracles import int_poly
-
-
-def degreewise_twin(ring: PresentedRing) -> PresentedRing:
-    """Same presentation, forced through the degreewise route."""
-    twin = PresentedRing(ring.base, ring.variables, ring.relations, ring.truncation)
-    twin.route = "degreewise"
-    twin.rewrite_rules = None
-    twin.rewrite_source = None
-    return twin
+from oracles import degreewise_twin, int_poly
 
 
 def random_elements(rng, ring, count=20, terms=4, weight_cap=None):

@@ -15,7 +15,13 @@ from orcohom.presented import (
 )
 from orcohom.serialize import canonical_dumps, poly_to_json
 
-from oracles import int_poly, integer_span_contains, partitions_in_box, standard_monomials
+from oracles import (
+    in_relation_ideal,
+    int_poly,
+    integer_span_contains,
+    partitions_in_box,
+    standard_monomials,
+)
 
 
 def P(d):
@@ -126,8 +132,11 @@ def _rewrite_ring(name):
     return cohomology(th, space, 6)
 
 
-@pytest.mark.parametrize("name", ["P3-Z", "P4-Z4", "Flag2", "Flag3", "Flag4", "Flag5", "Flag6",
-                                  "P(V)-over-P2", "F2-over-P2", "P2xFlag3", "BGL", "mixed"])
+REWRITE_NAMES = ["P3-Z", "P4-Z4", "Flag2", "Flag3", "Flag4", "Flag5", "Flag6",
+                 "P(V)-over-P2", "F2-over-P2", "P2xFlag3", "BGL", "mixed"]
+
+
+@pytest.mark.parametrize("name", REWRITE_NAMES)
 def test_rewrite_basis_lists_the_standard_monomials(name):
     # the pruned enumeration gives, in order, what filtering the ambient
     # monomials by the leading monomials gives
@@ -140,6 +149,74 @@ def test_rewrite_basis_lists_the_standard_monomials(name):
             assert basis is ring.monomials_of_weight(w)
     if name == "mixed":
         assert [lm for lm, _ in ring.rewrite_rules] == [((0, 1), (1, 1)), ((2, 1), (3, 1)), ((3, 2),)]
+
+
+def _bundle_rings():
+    """Flag(2) and P(V) bundles over P^2 (rewrite route) and Gr(2,4)
+    (degreewise) over Z, Z/4 and Q, and P(V) over the multiplicative P^1
+    with c1 = (1 + b) l, whose rule has no integer coefficient."""
+    from orcohom.spaces import (FlagBundle, GrassmannianBundle, ProjectiveBundle, ProjectiveSpace,
+                                additive_theory, cohomology, multiplicative_theory)
+
+    for coeffs in (ZZ, ModularRing(4), QQ):
+        th = additive_theory(coeffs, 8)
+        p2 = cohomology(th, ProjectiveSpace(2), 6)
+        g24 = cohomology(th, GrassmannianBundle(2, 4), 6)
+        x, y = (Polynomial.variable(coeffs, i) for i in range(2))
+        for base_ring, chern in ((p2, [x.scale(coeffs.from_int(3)), (x * x).scale(coeffs.from_int(2))]),
+                                 (g24, [x, y])):
+            for cls in (FlagBundle, ProjectiveBundle):
+                yield cohomology(th, cls(2, chern, base_ring), 6)
+    th = multiplicative_theory(4)
+    p1 = cohomology(th, ProjectiveSpace(1), 4)
+    L = p1.base
+    yield cohomology(th, ProjectiveBundle(2, [p1.var(0).scale(L.add(L.one(), L.generator()))], p1), 4)
+
+
+def test_completion_matches_its_certificate_and_the_membership_oracle():
+    # every supplied completion element is exactly the combination of
+    # stored relations its cofactors name, and the certificate-free
+    # reference agrees that it lies in the relation ideal
+    rings = [_rewrite_ring(name) for name in REWRITE_NAMES] + list(_bundle_rings())
+    checked = 0
+    for ring in rings:
+        assert (ring.rewrite_source is None) == (ring.route == "degreewise"), ring
+        for g, cofactors in ring.rewrite_source or ():
+            combination = Polynomial.zero(ring.base)
+            for k, c in cofactors.items():
+                combination = combination + c * ring.relations[k]
+            assert combination == g, (ring, ring.poly_str(g))
+            assert in_relation_ideal(ring, g), (ring, ring.poly_str(g))
+            checked += 1
+    assert checked == 51
+
+
+def test_flipped_cofactor_sign_is_refused():
+    from orcohom.spaces import FlagBundle, ProjectiveBundle, ProjectiveSpace, additive_theory, cohomology
+
+    th = additive_theory(ZZ, 8)
+    p2 = cohomology(th, ProjectiveSpace(2), 6)
+    l = Polynomial.variable(ZZ, 0)
+    for ring in (cohomology(th, FlagBundle(4), 6),
+                 cohomology(th, ProjectiveBundle(2, [l.scale(3), l * l], p2), 6)):
+        for i, (g, cofactors) in enumerate(ring.rewrite_source):
+            for k in cofactors:
+                mutant = list(ring.rewrite_source)
+                mutant[i] = (g, {**cofactors, k: -cofactors[k]})
+                with pytest.raises(NonConfluentPresentation, match="cofactors name"):
+                    PresentedRing(ring.base, ring.variables, ring.relations, ring.truncation,
+                                  rewrite_basis=mutant)
+        # the unmutated pairs validate
+        PresentedRing(ring.base, ring.variables, ring.relations, ring.truncation,
+                      rewrite_basis=ring.rewrite_source)
+
+
+def test_rewrite_rings_from_spaces_build_no_relation_lattice():
+    rings = [_rewrite_ring(name) for name in REWRITE_NAMES if name != "mixed"]
+    rings += [R for R in _bundle_rings() if R.route == "rewrite"]
+    assert len(rings) == 18
+    for ring in rings:
+        assert ring.route == "rewrite" and ring._reducers == {}, ring
 
 
 def test_relations_matrix_rank_agrees():
@@ -320,7 +397,7 @@ def test_invalid_rewrite_basis_rejected():
     with pytest.raises(NonConfluentPresentation):
         PresentedRing(ZZ, [("x", 1), ("y", 1)],
                       [P({((0, 1),): 1, ((1, 1),): 1})], 4,
-                      rewrite_basis=[P({((0, 1),): 1})])
+                      rewrite_basis=[(P({((0, 1),): 1}), {0: P({(): 1})})])
 
 
 def test_quotient_coefficients_arithmetic():
