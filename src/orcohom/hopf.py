@@ -20,7 +20,7 @@ from itertools import groupby, product
 from math import comb, prod
 
 from .coefficients import ZZ, BaseRing, ModularRing, NonDivisibleBase
-from .intlinalg import det_bareiss_ring, field_rref, int_matrix, kernel_basis
+from .intlinalg import det_bareiss_ring, field_rref, kernel_basis
 from .partitions import merge, partitions
 from .spaces import ClassifyingBGL, OrientedTheory, cohomology
 
@@ -207,7 +207,7 @@ def primitives(hopf: HopfData, w: int) -> dict:
                     continue
                 row = conditions.setdefault((alpha, beta), [0] * len(parts))
                 row[i] += coeff
-        mat = int_matrix(list(conditions.values()), len(parts))
+        mat = list(conditions.values())
         kernel = hopf._kernel[w] = tuple(tuple(map(int, v)) for v in kernel_basis(mat, len(parts)))
     vectors = [list(v) for v in kernel]
     labels = []
@@ -243,7 +243,7 @@ def indecomposables(hopf: HopfData, w: int) -> dict:
         pairing.append([mcoords[index[mu]] for mu in quotient_basis])
     det = None
     if len(pairing) == len(quotient_basis) and pairing:
-        det = det_bareiss_ring(int_matrix(pairing, len(quotient_basis)), ZZ)
+        det = det_bareiss_ring(pairing)
     return {
         "weight": w,
         "rank": len(quotient_basis),

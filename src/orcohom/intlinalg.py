@@ -5,25 +5,23 @@ BaseRing elements for the generic routines), so every entry is an
 arbitrary-precision Python number.  A matrix with no rows carries no
 column count; routines that need one take it as an argument.  Row
 Hermite normal form is the one integer elimination: Smith invariants
-alternate it with transposes, integer kernels read its transform, and
-``cokernel`` turns an HNF into free rank and torsion over a base.  A
-fraction-free determinant works over any integral domain.
+alternate it with transposes and integer kernels read its transform.
+:class:`FPModule` is the one relation lattice: it owns the HNF of its
+relation rows and is the only reader of that format, for reduction,
+membership, standard columns, and free rank and torsion over a base.
+A fraction-free determinant works over the integers.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 
 from .coefficients import ZZ, BaseRing
 
 
-def int_matrix(rows, ncols: int | None = None) -> list[list[int]]:
-    """Integer matrix from an iterable of rows, checked to be rectangular."""
-    out = [list(r) for r in rows]
-    width = len(out[0]) if ncols is None and out else ncols
-    if any(len(r) != width for r in out):
-        raise ValueError("matrix rows must all have the same length")
-    return out
+class NonConfluentPresentation(ValueError):
+    """The relation set falls outside the supported reduction classes."""
 
 
 def _sub_row(a: list, q: int, b: list) -> list:
@@ -141,62 +139,154 @@ def snf_invariants(mat: list[list[int]]) -> list[int]:
     return diag
 
 
-def cokernel(h: list[list[int]], pivots: list[int], ngens: int,
-             base: BaseRing = ZZ) -> tuple[int, list[int]]:
-    """Free rank and torsion over ``base`` of Z^ngens modulo the row span
-    of the HNF ``(h, pivots)``.
+class FPModule:
+    """Z^ngens modulo the row span of an integer relation matrix.
 
-    A unit pivot's column is a unit vector (zero below, reduced mod 1
-    above), so column operations split off an invariant 1 without
-    touching other rows (Cohen, *A Course in Computational Algebraic
-    Number Theory*, 2.4); only the rest goes through Smith form.  Each
-    invariant, with a 0 for each missing one, is free when it is zero in
-    the base and torsion when it is neither zero nor a unit; a 1 is neither.
+    Instances are immutable after construction.  ``lattice`` is the row
+    HNF (H, pivot columns) of the relations, computed on first use; the
+    methods below are the only code that reads it.
     """
-    unit_cols = {c for row, c in zip(h, pivots) if row[c] == 1}
-    residual = [[v for j, v in enumerate(row) if j not in unit_cols]
-                for row, c in zip(h, pivots) if row[c] != 1]
-    invs = snf_invariants(residual)
-    invs += [0] * (ngens - len(unit_cols) - len(invs))
-    free, torsion = 0, []
-    for d in invs:
-        if base.is_zero(base.from_int(d)):
-            free += 1
-        elif not base.is_unit(base.from_int(d)):
-            torsion.append(d)
-    return free, torsion
+
+    def __init__(self, ngens: int, relations=()):
+        self.ngens = int(ngens)
+        self.relations = list(relations)
+        for r in self.relations:
+            if len(r) != self.ngens:
+                raise ValueError("relation length must equal the generator count")
+
+    @classmethod
+    def free(cls, rank: int) -> "FPModule":
+        return cls(rank)
+
+    @classmethod
+    def modular(cls, n: int, rank: int) -> "FPModule":
+        return cls(rank, [[n if j == i else 0 for j in range(rank)] for i in range(rank)])
+
+    @cached_property
+    def lattice(self) -> tuple[list[list[int]], list[int]]:
+        return hnf(self.relations)
+
+    @property
+    def rank(self) -> int:
+        """Rank of the relation lattice: the number of HNF pivots."""
+        return len(self.lattice[1])
+
+    def reduce(self, vec, base: BaseRing = ZZ) -> tuple[list, list]:
+        """(q, r) with vec = sum_i q_i * H_i + r over ``base``, r canonical.
+
+        A pivot that is a unit of the base clears its column; any other
+        pivot p takes the integer value of its entry into [0, p), and an
+        entry without one raises NonConfluentPresentation.
+        """
+        h, pivots = self.lattice
+        is_zero, from_int, sub, mul = base.is_zero, base.from_int, base.sub, base.mul
+        r = list(vec)
+        q = [base.zero()] * len(h)
+        for i, (row, c) in enumerate(zip(h, pivots)):
+            entry = r[c]
+            if is_zero(entry):
+                continue
+            p = row[c]
+            if p == 1:
+                qi = entry
+            elif base.is_unit(from_int(p)):
+                qi = base.divide_exact(entry, from_int(p))
+            else:
+                ei = base.as_int(entry)
+                if ei is None:
+                    raise NonConfluentPresentation(
+                        "cannot reduce non-integer coefficients against a torsion pivot")
+                qi = from_int(ei // p)
+                if is_zero(qi):
+                    continue
+            q[i] = qi
+            for j in range(c, self.ngens):
+                if row[j]:
+                    r[j] = sub(r[j], mul(qi, from_int(row[j])))
+        return q, r
+
+    def solve(self, vec) -> list[int] | None:
+        """Integer coefficients of vec over the rows of H, or None off the lattice."""
+        q, r = self.reduce(vec)
+        return None if any(r) else q
+
+    def contains(self, vec) -> bool:
+        """Is vec zero in the module?"""
+        return not any(self.reduce(vec)[1])
+
+    def quotient(self, rows) -> "FPModule":
+        """This module modulo the span of ``rows``, stacked onto H."""
+        return FPModule(self.ngens, list(rows) + self.lattice[0])
+
+    def standard_columns(self, base: BaseRing = ZZ) -> list[int]:
+        """Columns whose pivot, 0 where there is none, is zero in the base."""
+        pivot_value = {c: row[c] for row, c in zip(*self.lattice)}
+        return [j for j in range(self.ngens) if base.is_zero(base.from_int(pivot_value.get(j, 0)))]
+
+    def rank_torsion(self, base: BaseRing = ZZ) -> tuple[int, list[int]]:
+        """Free rank and torsion of the module over ``base``.
+
+        A unit pivot's column is a unit vector (zero below, reduced mod 1
+        above), so column operations split off an invariant 1 without
+        touching other rows (Cohen, *A Course in Computational Algebraic
+        Number Theory*, 2.4); only the rest goes through Smith form.
+        Each invariant, with a 0 for each missing one, is free when it is
+        zero in the base and torsion when it is neither zero nor a unit;
+        a 1 is neither.
+        """
+        h, pivots = self.lattice
+        unit_cols = {c for row, c in zip(h, pivots) if row[c] == 1}
+        residual = [[v for j, v in enumerate(row) if j not in unit_cols]
+                    for row, c in zip(h, pivots) if row[c] != 1]
+        invs = snf_invariants(residual)
+        invs += [0] * (self.ngens - len(unit_cols) - len(invs))
+        free, torsion = 0, []
+        for d in invs:
+            if base.is_zero(base.from_int(d)):
+                free += 1
+            elif not base.is_unit(base.from_int(d)):
+                torsion.append(d)
+        return free, torsion
+
+    def is_finite(self) -> bool:
+        return self.rank == self.ngens
+
+    def same_presentation(self, other: "FPModule") -> bool:
+        return self.ngens == other.ngens and self.lattice[0] == other.lattice[0]
+
+    def __repr__(self):
+        r, t = self.rank_torsion()
+        return f"FPModule(rank={r}, torsion={t})"
 
 
-def det_bareiss_ring(rows: list[list], ring: BaseRing):
-    """Bareiss determinant over an integral coefficient domain.
+def det_bareiss_ring(rows: list[list[int]]) -> int:
+    """Bareiss fraction-free determinant of a square integer matrix.
 
-    Requires exact division (always available against previous pivots),
-    so it works for Z, Q, Z/p and Laurent extensions.
+    Each step divides by the previous pivot, which is exact over the
+    integers (Bareiss, Math. Comp. 22, 1968), so every entry stays integral.
     """
     n = len(rows)
     if n == 0:
-        return ring.one()
+        return 1
     m = [list(r) for r in rows]
     sign = False
-    prev = ring.one()
+    prev = 1
     for k in range(n - 1):
-        if ring.is_zero(m[k][k]):
-            swap = next((i for i in range(k + 1, n) if not ring.is_zero(m[i][k])), None)
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
-                return ring.zero()
+                return 0
             m[k], m[swap] = m[swap], m[k]
             sign = not sign
+        pk, rk = m[k][k], m[k]
         for i in range(k + 1, n):
+            ri = m[i]
             for j in range(k + 1, n):
-                num = ring.sub(ring.mul(m[i][j], m[k][k]), ring.mul(m[i][k], m[k][j]))
-                q = ring.divide_exact(num, prev)
-                if q is None:
-                    raise ArithmeticError("non-exact division in Bareiss elimination")
-                m[i][j] = q
-            m[i][k] = ring.zero()
-        prev = m[k][k]
+                ri[j] = (ri[j] * pk - ri[k] * rk[j]) // prev
+            ri[k] = 0
+        prev = pk
     d = m[n - 1][n - 1]
-    return ring.neg(d) if sign else d
+    return -d if sign else d
 
 
 def field_rref(rows: list[list], ring: BaseRing):

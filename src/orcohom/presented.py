@@ -14,13 +14,14 @@ Normal forms use one of two routes, chosen per ring:
   monomials, leading-term rewriting to a fixpoint is confluent
   (Buchberger's first criterion) and normal forms are computed by
   memoized monomial reduction;
-* degreewise: otherwise each weight-w piece is reduced against the
-  Hermite normal form of that weight's relation lattice, which is exact
-  for any homogeneous relation list.  The lattice is spanned by the
-  relation rows as integer vectors (over Q each scaled by the lcm of its
-  denominators) and, over Z/n, by n times each unit vector.  A pivot
-  that is a unit of the base clears its column; any other pivot p
-  reduces the integer value of its entry into [0, p).
+* degreewise: otherwise each weight-w piece is an ``intlinalg.FPModule``
+  on the ambient monomials, which is exact for any homogeneous relation
+  list.  Its relations are the relation rows as integer vectors (over Q
+  each scaled by the lcm of its denominators) and, over Z/n, n times
+  each unit vector.  ``FPModule.reduce`` gives the normal form: a pivot
+  of the lattice's Hermite normal form that is a unit of the base clears
+  its column; any other pivot p reduces the integer value of its entry
+  into [0, p).
 
 Both routes produce idempotent normal forms, supported on the standard
 monomials: on the rewriting route those no leading monomial divides,
@@ -40,7 +41,7 @@ import json
 import math
 
 from .coefficients import BaseRing, IntegerRing, LaurentRing, ModularRing, RationalRing
-from .intlinalg import cokernel, hnf
+from .intlinalg import FPModule, NonConfluentPresentation
 from .polynomials import (
     Mono,
     ONE_MONO,
@@ -54,10 +55,6 @@ from .polynomials import (
 )
 
 
-class NonConfluentPresentation(ValueError):
-    """The relation set falls outside the supported reduction classes."""
-
-
 class IllDefinedMap(ValueError):
     """A ring map fails to send some relation to zero."""
 
@@ -68,8 +65,8 @@ class GradedPiece:
     Plain data, cached by the ring: ``basis`` lists the standard
     monomials (see the module docstring), and no ambient list is kept.
     On the rewrite route ``free_rank`` is the length of the basis and
-    ``torsion`` is empty; on the degreewise route they are the
-    ``cokernel`` of the relation lattice over the base.
+    ``torsion`` is empty; on the degreewise route they are the free rank
+    and torsion over the base of the weight's relation module.
     """
 
     def __init__(self, weight: int, basis, free_rank, torsion):
@@ -360,12 +357,12 @@ class PresentedRing:
         ints = [base.as_int(c) for c in coeffs]
         return None if None in ints else ints
 
-    def _with_modulus(self, rows: list[list[int]], ncols: int) -> list[list[int]]:
-        """The integer rows, followed by n times each unit vector over Z/n."""
-        if not isinstance(self.base, ModularRing):
-            return rows
-        n = self.base.n
-        return rows + [[n if j == i else 0 for j in range(ncols)] for i in range(ncols)]
+    def _with_modulus(self, rows: list[list[int]], ncols: int) -> FPModule:
+        """The module on ncols generators with the integer rows as relations,
+        followed by n times each unit vector over Z/n."""
+        if isinstance(self.base, ModularRing):
+            rows = rows + FPModule.modular(self.base.n, ncols).relations
+        return FPModule(ncols, rows)
 
     def _relation_rows(self, w: int):
         """Integer relation-span rows in weight w on the ambient monomials."""
@@ -390,51 +387,17 @@ class PresentedRing:
         return ambient, index, rows
 
     def _reducer(self, w: int):
-        """Cached (ambient, index, H, pivots): the HNF of the weight-w relation lattice.
-
-        The lattice is spanned by the integer relation rows and, over Z/n,
-        by n times each unit vector; its image in the base is the span of
-        the relations.
-        """
+        """Cached (ambient, index, module) in weight w: ``_with_modulus`` of the
+        relation rows, whose span maps onto the span of the relations."""
         cached = self._reducers.get(w)
-        if cached is not None:
-            return cached
-        ambient, index, rows = self._relation_rows(w)
-        h, pivots = hnf(self._with_modulus(rows, len(ambient)))
-        data = (ambient, index, h, pivots)
-        self._reducers[w] = data
-        return data
-
-    def _reduce_weight_vector(self, w: int, vec: dict):
-        """Canonically reduce {mono: coeff} of weight w against the lattice HNF."""
-        ambient, index, rows, pivots = self._reducer(w)
-        base = self.base
-        v = [base.zero()] * len(ambient)
-        for m, c in vec.items():
-            v[index[m]] = c
-        for row, c in zip(rows, pivots):
-            entry = v[c]
-            if base.is_zero(entry):
-                continue
-            p = row[c]
-            if p == 1:
-                q = entry
-            elif base.is_unit(base.from_int(p)):
-                q = base.divide_exact(entry, base.from_int(p))
-            else:
-                ei = base.as_int(entry)
-                if ei is None:
-                    raise NonConfluentPresentation(
-                        "cannot reduce non-integer coefficients against a torsion pivot")
-                q = base.from_int(ei // p)
-                if base.is_zero(q):
-                    continue
-            for j in range(c, len(row)):
-                if row[j]:
-                    v[j] = base.sub(v[j], base.mul(q, base.from_int(row[j])))
-        return {m: c for m, c in zip(ambient, v) if not base.is_zero(c)}
+        if cached is None:
+            ambient, index, rows = self._relation_rows(w)
+            cached = self._reducers[w] = (ambient, index, self._with_modulus(rows, len(ambient)))
+        return cached
 
     def _degreewise_reduce_poly(self, p: Polynomial) -> Polynomial:
+        """Canonical reduction of each weight's terms against its relation module."""
+        base = self.base
         by_weight: dict[int, dict] = {}
         for m, c in p.terms.items():
             w = self.mono_weight(m)
@@ -443,8 +406,13 @@ class PresentedRing:
             by_weight.setdefault(w, {})[m] = c
         out: dict = {}
         for w, vec in by_weight.items():
-            out.update(self._reduce_weight_vector(w, vec))
-        return Polynomial(self.base, out, _clean=True)
+            ambient, index, module = self._reducer(w)
+            v = [base.zero()] * len(ambient)
+            for m, c in vec.items():
+                v[index[m]] = c
+            _, r = module.reduce(v, base)
+            out.update({m: c for m, c in zip(ambient, r) if not base.is_zero(c)})
+        return Polynomial(base, out, _clean=True)
 
     # ------------------------------------------------------------------
     # public operations
@@ -500,11 +468,9 @@ class PresentedRing:
                 basis = self._monomials(w, leading) if leading else self.monomials_of_weight(w)
                 free, torsion = len(basis), []
             else:
-                ambient, _, rows, pivots = self._reducer(w)
-                pivot_value = {c: row[c] for row, c in zip(rows, pivots)}
-                basis = [m for j, m in enumerate(ambient)
-                         if base.is_zero(base.from_int(pivot_value.get(j, 0)))]
-                free, torsion = cokernel(rows, pivots, len(ambient), base)
+                ambient, _, module = self._reducer(w)
+                basis = [ambient[j] for j in module.standard_columns(base)]
+                free, torsion = module.rank_torsion(base)
             piece = self._pieces[w] = GradedPiece(w, basis, free, torsion)
         return piece
 
@@ -743,9 +709,9 @@ class RingMap:
         monomials, a free basis of the piece, so the rows are stacked in
         those coordinates (with n times each unit vector over Z/n); on
         the degreewise route they are stacked on the HNF of the target's
-        relation lattice.  The map is onto when the stack's ``cokernel``
-        over the base is zero (over Q the integer one need only be
-        finite).  An image row with a coefficient that has no integer
+        relation module (``FPModule.quotient``).  The map is onto when the
+        quotient is zero over the base (over Q the integer one need only
+        be finite).  An image row with a coefficient that has no integer
         value is left out, which can only shrink the span: the verdict is
         then True if the other rows already span, else None, a partial
         verdict.  It is also None when a relation coefficient has no
@@ -756,12 +722,13 @@ class RingMap:
         if target.route == "rewrite":
             columns = target.graded_basis(w).basis
             index = {m: j for j, m in enumerate(columns)}
-            lattice = target._with_modulus([], len(columns))
+            quotient = lambda rows: target._with_modulus(rows, len(columns))
         else:
             try:
-                columns, index, lattice, _ = target._reducer(w)
+                columns, index, module = target._reducer(w)
             except NonConfluentPresentation:
                 return None
+            quotient = module.quotient
         rows = []
         for m in self.source.monomials_of_weight(w):
             col = [base.zero()] * len(columns)
@@ -769,7 +736,7 @@ class RingMap:
                 col[index[mm]] = c
             rows.append(target._as_integers(col))
         integer = [r for r in rows if r is not None]
-        if cokernel(*hnf(integer + lattice), len(columns), base) == (0, []):
+        if quotient(integer).rank_torsion(base) == (0, []):
             return True
         return None if len(integer) < len(rows) else False
 

@@ -58,9 +58,10 @@ def base_ring_from_json(data: dict) -> BaseRing:
     if kind == "Rationals":
         return QQ
     if kind == "IntegersModuloN":
-        return ModularRing(data["n"])
+        return ModularRing(_integer(data["n"], "IntegersModuloN n"))
     if kind == "LaurentAdjoined":
-        return LaurentRing(base_ring_from_json(data["base"]), data["symbol"], data["weight"])
+        return LaurentRing(base_ring_from_json(data["base"]), data["symbol"],
+                           _integer(data["weight"], "LaurentAdjoined weight"))
     if kind == "PresentedQuotient":
         return QuotientCoefficients(presented_ring_from_json(data["ring"]))
     raise ValueError(f"unknown coefficient domain kind {kind!r}")
@@ -81,9 +82,9 @@ def presented_ring_to_json(ring: PresentedRing) -> dict:
 
 def presented_ring_from_json(data: dict) -> PresentedRing:
     base = base_ring_from_json(data["base"])
-    variables = [(n, w) for n, w in data["variables"]]
+    variables = [(n, _integer(w, f"weight of variable {n!r}")) for n, w in data["variables"]]
     relations = [poly_from_json(base, r) for r in data["relations"]]
-    return PresentedRing(base, variables, relations, data["truncation"])
+    return PresentedRing(base, variables, relations, _integer(data["truncation"], "truncation"))
 
 
 def ringmap_to_json(rmap: RingMap) -> dict:
@@ -120,7 +121,7 @@ def fgl_from_json(data: dict) -> FormalGroupLaw:
     base = base_ring_from_json(data["base"])
     series = poly_from_json(base, data["series"])
     beta = base.coeff_from_str(data["beta"]) if data.get("beta") is not None else None
-    return FormalGroupLaw(base, series, data["truncation"], beta=beta)
+    return FormalGroupLaw(base, series, _integer(data["truncation"], "group law truncation"), beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +179,23 @@ def space_from_json(data) -> object:
         return InfiniteProjectiveSpace()
     if tag == "BGL":
         return ClassifyingBGL(None if payload in ("inf", None) else _integer(payload, "BGL"))
-    if tag == "Grassmannian":
+    if tag in ("Grassmannian", "Flag", "ProjectiveBundle"):
+        if not isinstance(payload, dict):
+            raise ValueError(f"{tag} descriptor must be an object, got {payload!r}")
         base_ring, chern = _bundle_payload(payload)
-        return GrassmannianBundle(_integer(payload["m"], "Grassmannian m"),
-                                  _integer(payload["n"], "Grassmannian n"), chern, base_ring)
-    if tag == "Flag":
-        base_ring, chern = _bundle_payload(payload)
-        return FlagBundle(_integer(payload["n"], "Flag n"), chern, base_ring)
-    if tag == "ProjectiveBundle":
-        base_ring, chern = _bundle_payload(payload)
-        return ProjectiveBundle(_integer(payload["rank"], "ProjectiveBundle rank"), chern, base_ring)
+
+        def size(key):
+            if key not in payload:
+                raise ValueError(f"{tag} descriptor is missing the field {key!r}")
+            return _integer(payload[key], f"{tag} {key}")
+        if tag == "Grassmannian":
+            return GrassmannianBundle(size("m"), size("n"), chern, base_ring)
+        if tag == "Flag":
+            return FlagBundle(size("n"), chern, base_ring)
+        return ProjectiveBundle(size("rank"), chern, base_ring)
     if tag == "Product":
+        if not isinstance(payload, list) or len(payload) != 2:
+            raise ValueError(f"Product descriptor must list exactly two factors, got {payload!r}")
         return Product(space_from_json(payload[0]), space_from_json(payload[1]))
     raise ValueError(f"unknown space tag {tag!r}")
 

@@ -3,11 +3,11 @@ first derived limit, telescope colimits, and the split-tower comparison.
 
 Modules are presented over the integers (torsion relations encode
 finite coefficients such as Z/n), one finitely presented piece per
-weight.  Each ``FPModule`` owns its relation lattice, the Hermite
-normal form of its relations, computed once: membership, coefficients
-over the lattice (``solve``), invariants and presentation equality all
-read it.  Exact answers are produced in the regimes the constructions
-actually need:
+weight.  Each piece is an ``intlinalg.FPModule``, which answers
+membership, coefficients over its relations, invariants, quotients and
+presentation equality; this module composes integer matrices and asks
+those questions.  Exact answers are produced in the regimes the
+constructions actually need:
 
 * surjective towers: the derived limit vanishes (Mittag-Leffler) and,
   with a periodic window, the limit is the stable stage, because a
@@ -26,74 +26,11 @@ reported for it.
 
 from __future__ import annotations
 
-from functools import cached_property
-
-from .coefficients import ZZ
-from .intlinalg import cokernel, det_bareiss_ring, hnf, int_matrix, kernel_basis
+from .intlinalg import FPModule, det_bareiss_ring, kernel_basis
 
 
 class UndecidableTower(ValueError):
     """No finiteness, periodicity or surjectivity hypothesis available."""
-
-
-class FPModule:
-    """Z^ngens modulo the row span of an integer relation matrix.
-
-    Instances are immutable after construction.  ``lattice`` is the row
-    HNF (H, pivot columns) of the relations, computed on first use.
-    ``solve(vec)`` returns the integer coefficients of vec over the rows
-    of H, or None when vec is off the relation lattice; ``contains(vec)``
-    says whether vec is zero in the module.
-    """
-
-    def __init__(self, ngens: int, relations=()):
-        self.ngens = int(ngens)
-        self.relations = [list(map(int, r)) for r in relations]
-        for r in self.relations:
-            if len(r) != self.ngens:
-                raise ValueError("relation length must equal the generator count")
-
-    @classmethod
-    def free(cls, rank: int) -> "FPModule":
-        return cls(rank)
-
-    @classmethod
-    def modular(cls, n: int, rank: int) -> "FPModule":
-        return cls(rank, [[n if j == i else 0 for j in range(rank)] for i in range(rank)])
-
-    @cached_property
-    def lattice(self) -> tuple[list[list[int]], list[int]]:
-        return hnf(self.relations)
-
-    def solve(self, vec) -> list[int] | None:
-        h, pivots = self.lattice
-        v = list(map(int, vec))
-        coeffs = []
-        for row, c in zip(h, pivots):
-            q, rem = divmod(v[c], row[c])
-            if rem:
-                return None
-            coeffs.append(q)
-            if q:
-                for j in range(c, len(v)):  # an HNF row is zero left of its pivot
-                    v[j] -= q * row[j]
-        return None if any(v) else coeffs
-
-    def contains(self, vec) -> bool:
-        return self.solve(vec) is not None
-
-    def rank_torsion(self) -> tuple[int, list[int]]:
-        return cokernel(*self.lattice, self.ngens)
-
-    def is_finite(self) -> bool:
-        return len(self.lattice[1]) == self.ngens
-
-    def same_presentation(self, other: "FPModule") -> bool:
-        return self.ngens == other.ngens and self.lattice[0] == other.lattice[0]
-
-    def __repr__(self):
-        r, t = self.rank_torsion()
-        return f"FPModule(rank={r}, torsion={t})"
 
 
 def _eye(rows: int, cols: int) -> list[list[int]]:
@@ -117,8 +54,8 @@ def map_well_defined(matrix, source: FPModule, target: FPModule) -> bool:
 
 
 def map_surjective(matrix, target: FPModule) -> bool:
-    """Onto exactly when the cokernel (target modulo the image) is zero."""
-    return FPModule(target.ngens, list(zip(*matrix)) + target.relations).rank_torsion() == (0, [])
+    """Onto exactly when the target modulo the image columns is zero."""
+    return target.quotient(zip(*matrix)).rank_torsion() == (0, [])
 
 
 def compose_matrices(a, b, ncols: int):
@@ -135,7 +72,7 @@ def _submodule_presentation(gens, module: FPModule) -> FPModule:
     relations solved over that basis as relations.
     """
     combined = FPModule(module.ngens, list(gens) + module.relations)
-    return FPModule(len(combined.lattice[0]), [combined.solve(rel) for rel in module.relations])
+    return FPModule(combined.rank, [combined.solve(rel) for rel in module.relations])
 
 
 def _weights(stages) -> list[int]:
@@ -333,7 +270,7 @@ def tower_limit_and_lim1(tower: ModuleTower, weight: int) -> tuple[dict, dict]:
         module, mat = tower.window_composite(w)
         rank, torsion = module.rank_torsion()
         if rank > 0 and not torsion and not module.relations:
-            d = abs(det_bareiss_ring(int_matrix(mat, module.ngens), ZZ))
+            d = abs(det_bareiss_ring(mat))
             if d == 1:
                 return (_exact(rank, [], "unimodular window composite: tower of isomorphisms"),
                         _exact(0, [], "tower of isomorphisms"))
@@ -419,7 +356,7 @@ def _kernel_into_quotient(r_mat, source: FPModule, target: FPModule):
     for i in range(n):
         row = [r_mat[i][j] for j in range(m)] + [target.relations[k][i] for k in range(nrel)]
         block.append(row)
-    kern = kernel_basis(int_matrix(block, m + nrel), m + nrel)
+    kern = kernel_basis(block, m + nrel)
     return [list(map(int, v[:m])) for v in kern]
 
 
@@ -457,7 +394,7 @@ def random_surjective_tower(rng) -> ModuleTower:
     window = random_unimodular(rng, n)
     if modular:
         window = [[v % p for v in row] for row in window]
-        if det_bareiss_ring(int_matrix(window, n), ZZ) % p == 0:
+        if det_bareiss_ring(window) % p == 0:
             window = _eye(n, n)
     towers_stages = []
     towers_maps = []
@@ -526,12 +463,12 @@ def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
         return _exact(rank, torsion, "eventually isomorphic system: stable value")
     # localize the free part at the window determinant
     if not module.relations:
-        d = abs(det_bareiss_ring(int_matrix(mat, module.ngens), ZZ)) if module.ngens else 1
+        d = abs(det_bareiss_ring(mat))
         if d == 0:
             power = mat
             for _ in range(module.ngens):
                 power = compose_matrices(power, mat, module.ngens)
-            return _exact(len(hnf(int_matrix(power, module.ngens))[1]), [],
+            return _exact(FPModule(module.ngens, power).rank, [],
                           "rank of the stable image over the localized base")
         return _exact(rank, [], f"rank {rank} over the base with {d} inverted", localized_at=d)
     return _partial("partial: torsion telescope outside the supported regimes", rank, torsion)

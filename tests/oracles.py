@@ -108,6 +108,38 @@ def in_relation_ideal(ring: PresentedRing, g: Polynomial) -> bool:
         return alone.normal_form(g).is_zero()
 
 
+def reduce_against_hnf(h, pivots, vec: list, base) -> list:
+    """Remainder of vec against the HNF rows (h, pivots) over ``base``.
+
+    The degreewise reduction loop as ``PresentedRing`` ran it before it
+    moved into ``FPModule.reduce``, kept as the reference: a pivot that
+    is a unit of the base clears its column, any other pivot p takes the
+    integer value of its entry into [0, p).
+    """
+    v = list(vec)
+    for row, c in zip(h, pivots):
+        entry = v[c]
+        if base.is_zero(entry):
+            continue
+        p = row[c]
+        if p == 1:
+            q = entry
+        elif base.is_unit(base.from_int(p)):
+            q = base.divide_exact(entry, base.from_int(p))
+        else:
+            ei = base.as_int(entry)
+            if ei is None:
+                raise NonConfluentPresentation(
+                    "cannot reduce non-integer coefficients against a torsion pivot")
+            q = base.from_int(ei // p)
+            if base.is_zero(q):
+                continue
+        for j in range(c, len(row)):
+            if row[j]:
+                v[j] = base.sub(v[j], base.mul(q, base.from_int(row[j])))
+    return v
+
+
 def rank_over_Q(rows) -> int:
     """Row rank by plain Fraction Gaussian elimination."""
     mat = [[Fraction(v) for v in row] for row in rows]

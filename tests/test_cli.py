@@ -330,6 +330,12 @@ def test_operation_coverage_complete_and_disjoint():
     assert expected <= set(seen)
 
 
+def _base(coefficients, truncation=8, weight=1):
+    """A bundle base ring on one generator l with no relations."""
+    return {"base": coefficients, "relations": [], "truncation": truncation,
+            "variables": [["l", weight]]}
+
+
 @pytest.mark.parametrize("space, message", [
     ({"Pn": 2.7}, "Pn must be an integer, got 2.7"),
     ({"Pn": True}, "Pn must be an integer, got True"),
@@ -340,6 +346,24 @@ def test_operation_coverage_complete_and_disjoint():
     # a Chern class without a base ring used to be dropped, answering
     # the trivial flag's ranks
     ({"Flag": {"n": 3, "chern": [[[[1], "1"]]]}}, "nonzero Chern classes need a bundle base ring"),
+    # a missing field used to print only "'n'", a non-object payload a
+    # TypeError text, and a one-factor product an IndexError with exit 3
+    ({"Grassmannian": {"m": 2}}, "Grassmannian descriptor is missing the field 'n'"),
+    ({"Flag": 3}, "Flag descriptor must be an object, got 3"),
+    ({"Product": [{"Pn": 1}]}, "Product descriptor must list exactly two factors, got [{'Pn': 1}]"),
+    # the base ring's integer fields used to be coerced or compared raw:
+    # truncation 8.9 answered at 8, weight 1.7 as 1, modulus 4.5 as Z/4
+    ({"Flag": {"n": 2, "base": _base({"kind": "Integers"}, truncation=8.9)}},
+     "truncation must be an integer, got 8.9"),
+    ({"Flag": {"n": 2, "base": _base({"kind": "Integers"}, weight=1.7)}},
+     "weight of variable 'l' must be an integer, got 1.7"),
+    ({"Flag": {"n": 2, "base": _base({"kind": "IntegersModuloN", "n": 4.5})}},
+     "IntegersModuloN n must be an integer, got 4.5"),
+    ({"Flag": {"n": 2, "base": _base({"kind": "IntegersModuloN", "n": "4"})}},
+     "IntegersModuloN n must be an integer, got '4'"),
+    ({"Flag": {"n": 2, "base": _base({"kind": "LaurentAdjoined", "base": {"kind": "Integers"},
+                                      "symbol": "b", "weight": -1.5})}},
+     "LaurentAdjoined weight must be an integer, got -1.5"),
 ], ids=repr)
 def test_malformed_space_descriptors_exit_2(capsys, space, message):
     # sizes used to be coerced with int(): {"Pn": 2.7} answered as P^2
@@ -349,6 +373,21 @@ def test_malformed_space_descriptors_exit_2(capsys, space, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"input error: {message}\n"
+
+
+def test_group_law_truncation_must_be_an_integer(tmp_path):
+    # "truncation": 6.7 used to check the law at 6
+    from orcohom.fgl import make_multiplicative
+    from orcohom.serialize import fgl_to_json
+
+    law = fgl_to_json(make_multiplicative(truncation=6))
+    law["truncation"] = 6.7
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(law))
+    res = run_cli("fgl-check", "--input", str(path), "--format", "json")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "input error: group law truncation must be an integer, got 6.7\n"
 
 
 def test_zero_chern_classes_need_no_base(capsys):

@@ -1,19 +1,26 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from orcohom.coefficients import QQ, ZZ, ModularRing, NonDivisibleBase, laurent_over
+from orcohom.coefficients import QQ, ZZ, LaurentRing, ModularRing, NonDivisibleBase, laurent_over
 from orcohom.intlinalg import (
-    cokernel,
+    FPModule,
+    NonConfluentPresentation,
     det_bareiss_ring,
     field_rref,
     hnf,
-    int_matrix,
     kernel_basis,
     snf_invariants,
 )
 
-from oracles import det_cofactor, rank_over_Q, torsion_via_minor_gcd
+from oracles import (
+    det_cofactor,
+    integer_span_contains,
+    rank_over_Q,
+    reduce_against_hnf,
+    torsion_via_minor_gcd,
+)
 
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -33,7 +40,7 @@ def test_hnf_rank_matches_fraction_elimination():
     for _ in range(40):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = random_matrix(rng, rows, cols)
-        assert rank(int_matrix(m, cols)) == rank_over_Q(m)
+        assert rank(m) == rank_over_Q(m)
 
 
 def test_snf_matches_minor_gcd_oracle():
@@ -41,15 +48,15 @@ def test_snf_matches_minor_gcd_oracle():
     for _ in range(30):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = random_matrix(rng, rows, cols)
-        free, torsion = cokernel(*hnf(int_matrix(m, cols)), cols)
+        free, torsion = FPModule(cols, m).rank_torsion()
         ofree, otorsion = torsion_via_minor_gcd(m, cols)
         assert (free, torsion) == (ofree, otorsion)
 
 
 def test_snf_worked_examples():
-    assert cokernel(*hnf(int_matrix([[2]], 1)), 1) == (0, [2])
-    assert cokernel(*hnf([]), 3) == (3, [])
-    m = int_matrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], 3)
+    assert FPModule(1, [[2]]).rank_torsion() == (0, [2])
+    assert FPModule(3).rank_torsion() == (3, [])
+    m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     assert snf_invariants(m) == [2, 2, 156]
 
 
@@ -57,7 +64,7 @@ def test_kernel_basis_annihilates():
     rng = random.Random(303)
     for _ in range(25):
         rows, cols = rng.randint(1, 5), rng.randint(1, 6)
-        m = int_matrix(random_matrix(rng, rows, cols), cols)
+        m = random_matrix(rng, rows, cols)
         kern = kernel_basis(m, cols)
         assert len(kern) == cols - rank(m)
         for v in kern:
@@ -70,16 +77,16 @@ def test_det_bareiss_matches_cofactor():
     for _ in range(25):
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, n)
-        assert det_bareiss_ring(int_matrix(m, n), ZZ) == det_cofactor(m)
+        assert det_bareiss_ring(m) == det_cofactor(m)
 
 
 def test_hnf_transform_unimodular():
     rng = random.Random(505)
     for _ in range(10):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        m = int_matrix(random_matrix(rng, rows, cols), cols)
+        m = random_matrix(rng, rows, cols)
         h, pivots, u = hnf(m, transform=True)
-        assert abs(det_bareiss_ring(u, ZZ)) == 1
+        assert abs(det_bareiss_ring(u)) == 1
         prod = matmul(u, m)
         assert prod[: len(h)] == h
         if len(h) < rows:
@@ -104,25 +111,25 @@ def test_cokernel_splits_unit_pivots_off_a_torsion_residual():
             c1, c2 = rng.sample(range(cols), 2)
             for row in m:
                 row[c1] += row[c2]
-        h, pivots = hnf(int_matrix(m, cols))
+        module = FPModule(cols, m)
+        h, pivots = module.lattice
         invs = snf_invariants(m)
         torsion = [d for d in invs if d != 1]
         assert (cols - len(invs), torsion) == torsion_via_minor_gcd(m, cols)
-        assert cokernel(h, pivots, cols) == torsion_via_minor_gcd(m, cols)
+        assert module.rank_torsion() == torsion_via_minor_gcd(m, cols)
         residual_rows.append(sum(1 for row, c in zip(h, pivots) if row[c] != 1))
     # the cases exercise both a torsion residual and an empty one
     assert max(residual_rows) > 0 and min(residual_rows) == 0
 
 
 def test_cokernel_of_a_unimodular_hnf_is_free():
-    h, pivots = hnf([[1, 2, 3], [0, 1, 4]])
-    assert cokernel(h, pivots, 3) == (1, [])
-    assert cokernel([], [], 0) == (0, [])
-    h, pivots = hnf([[1, 1, 0], [0, 2, 2]])
-    assert cokernel(h, pivots, 3) == (1, [2])
+    assert FPModule(3, [[1, 2, 3], [0, 1, 4]]).rank_torsion() == (1, [])
+    assert FPModule(0).rank_torsion() == (0, [])
+    module = FPModule(3, [[1, 1, 0], [0, 2, 2]])
+    assert module.rank_torsion() == (1, [2])
     # invariants 1, 2, 0: the unit pivot's 1 is neither free nor torsion,
     # so over Z/2 only the 2 and the missing invariant are free
-    assert cokernel(h, pivots, 3, ModularRing(2)) == (2, [])
+    assert module.rank_torsion(ModularRing(2)) == (2, [])
 
 
 def _shaped_matrix(rng, rows, cols):
@@ -167,7 +174,7 @@ def test_snf_invariants_of_nonsingular_matrices_multiply_to_the_determinant():
         m = random_matrix(rng, n, n, -3, 3)
         for i in rng.sample(range(n), 3):
             m[i] = [rng.choice([2, 3, 4]) * v for v in m[i]]
-        det = det_bareiss_ring(int_matrix(m, n), ZZ)
+        det = det_bareiss_ring(m)
         if det == 0:
             continue
         invs = snf_invariants(m)
@@ -181,7 +188,7 @@ def test_snf_invariants_of_nonsingular_matrices_multiply_to_the_determinant():
 
 
 def _classify(invs, zero, unit):
-    """(free rank, torsion) from Smith invariants, by the rule cokernel states."""
+    """(free rank, torsion) from Smith invariants, by the rule rank_torsion states."""
     return (sum(1 for d in invs if zero(d)),
             [d for d in invs if not zero(d) and not unit(d)])
 
@@ -203,15 +210,66 @@ def test_cokernel_classifies_invariants_over_the_base(base, zero, unit):
         free, torsion = torsion_via_minor_gcd(m, cols)
         units = cols - free - len(torsion)
         invs = [1] * units + torsion + [0] * free
-        assert cokernel(*hnf(int_matrix(m, cols)), cols, base) == _classify(invs, zero, unit)
+        assert FPModule(cols, m).rank_torsion(base) == _classify(invs, zero, unit)
 
 
-def test_int_matrix_rejects_ragged_rows():
-    with pytest.raises(ValueError):
-        int_matrix([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        int_matrix([[1, 2]], 3)
-    assert int_matrix([], 4) == []
+def _random_element(rng, base):
+    """A small element of the base; over Z[b, b^-1] now and then a power of b."""
+    k = rng.randint(-9, 9)
+    if base == QQ:
+        return Fraction(k, rng.choice([1, 1, 2, 3]))
+    if isinstance(base, LaurentRing) and k and rng.random() < 0.1:
+        return {rng.choice([-1, 1]): k}
+    return base.from_int(k)
+
+
+BASES = [ZZ, ModularRing(4), ModularRing(6), QQ, laurent_over(ZZ, "b", -1)]
+
+
+@pytest.mark.parametrize("base", BASES, ids=["Z", "Z4", "Z6", "Q", "Zb"])
+def test_reduce_matches_the_reference_loop(base):
+    rng = random.Random(1001)
+    pivots_above_one = 0
+    for _ in range(80):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = _shaped_matrix(rng, rows, cols)
+        if isinstance(base, ModularRing):
+            m += FPModule.modular(base.n, cols).relations
+        module = FPModule(cols, m)
+        h, pivots = module.lattice
+        pivots_above_one += any(row[c] != 1 for row, c in zip(h, pivots))
+        vec = [_random_element(rng, base) for _ in range(cols)]
+        try:
+            want = reduce_against_hnf(h, pivots, vec, base)
+        except NonConfluentPresentation:
+            with pytest.raises(NonConfluentPresentation, match="against a torsion pivot"):
+                module.reduce(vec, base)
+            continue
+        assert module.reduce(vec, base)[1] == want
+    # over Q such a pivot is divided out, elsewhere it is a torsion pivot
+    assert pivots_above_one > 10
+
+
+def test_reduce_over_z_decides_membership_and_rebuilds_the_vector():
+    rng = random.Random(1002)
+    members = 0
+    for _ in range(120):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = _shaped_matrix(rng, rows, cols)
+        module = FPModule(cols, m)
+        h, pivots = module.lattice
+        if m and rng.random() < 0.5:  # a vector on the lattice
+            coeffs = [rng.randint(-3, 3) for _ in m]
+            vec = [sum(a * row[j] for a, row in zip(coeffs, m)) for j in range(cols)]
+        else:
+            vec = [rng.randint(-9, 9) for _ in range(cols)]
+        q, r = module.reduce(vec)
+        assert (not any(r)) == module.contains(vec) == integer_span_contains(m, vec)
+        assert module.solve(vec) == (q if module.contains(vec) else None)
+        assert [sum(a * row[j] for a, row in zip(q, h)) + r[j] for j in range(cols)] == vec
+        assert all(0 <= r[c] < row[c] for row, c in zip(h, pivots))
+        members += module.contains(vec)
+    assert 10 < members < 110
 
 
 def _field_rref_full_width(rows, ring):

@@ -219,10 +219,23 @@ def test_rewrite_rings_from_spaces_build_no_relation_lattice():
         assert ring.route == "rewrite" and ring._reducers == {}, ring
 
 
+def test_torsion_pivot_refuses_coefficients_without_an_integer_value():
+    # 2 is no unit of Z[b, b^-1], so x with relation 2x takes the
+    # degreewise route, where 2 is a torsion pivot
+    base = laurent_over(ZZ, "b", -1)
+    x = Polynomial.variable(base, 0)
+    ring = PresentedRing(base, [("x", 1)], [x.scale(base.from_int(2))], 4)
+    assert ring.route == "degreewise"
+    with pytest.raises(NonConfluentPresentation,
+                       match="cannot reduce non-integer coefficients against a torsion pivot"):
+        ring.normal_form(x.scale(base.generator()))
+    assert ring.normal_form(x.scale(base.from_int(3))) == x
+
+
 def test_relations_matrix_rank_agrees():
     # the Smith data of the stored relation rows matches the rank data
     # the ring reports, on either route
-    from orcohom.intlinalg import cokernel, hnf
+    from orcohom.intlinalg import FPModule
     from orcohom.spaces import FlagBundle, additive_theory, cohomology
 
     flag4 = cohomology(additive_theory(ZZ, 6), FlagBundle(4), 6)
@@ -230,7 +243,7 @@ def test_relations_matrix_rank_agrees():
     for ring, w in [(grassmannian_ring(), 3)] + [(flag4, w) for w in range(7)]:
         ambient, _, rows = ring._relation_rows(w)
         piece = ring.graded_basis(w)
-        assert cokernel(*hnf(rows), len(ambient)) == (piece.free_rank, piece.torsion)
+        assert FPModule(len(ambient), rows).rank_torsion() == (piece.free_rank, piece.torsion)
 
 
 def test_serialization_canonical_and_stable():

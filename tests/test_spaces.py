@@ -74,7 +74,8 @@ def test_grassmannian_gaussian_binomials_n7_non_unit_pivot():
             assert R.graded_ranks() == gaussian_binomial_ranks(m, n - m), (base, m)
             assert R.total_rank() == comb(n, m)
     R = cohomology(TH, GrassmannianBundle(3, 7), 8)
-    _, _, h, pivots = R._reducer(8)
+    _, _, module = R._reducer(8)
+    h, pivots = module.lattice
     assert max(h[k][c] for k, c in enumerate(pivots)) == 2
 
 
