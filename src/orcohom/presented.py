@@ -445,17 +445,6 @@ class PresentedRing:
         self._validate_element(b)
         return self._reduce(a.product(b, self.weights, self.truncation))
 
-    def pow(self, a: Polynomial, k: int) -> Polynomial:
-        result = self.one_poly()
-        square = a
-        while k:
-            if k & 1:
-                result = self.mul(result, square)
-            k >>= 1
-            if k:
-                square = self.mul(square, square)
-        return result
-
     def graded_basis(self, w: int) -> GradedPiece:
         """Standard-monomial basis and rank data of the weight-w piece."""
         if not 0 <= w <= self.truncation:
@@ -565,7 +554,18 @@ class QuotientCoefficients(BaseRing):
         return json.dumps(poly_to_json(a, self.ring.weights, self.ring.nvars), separators=(",", ":"))
 
     def coeff_from_str(self, s):
-        return poly_from_json(self.ring.base, json.loads(s))
+        """The normal form of a coefficient written as its JSON term list."""
+        n = self.ring.nvars
+        try:
+            data = json.loads(s)
+            if not all(len(d) <= n and all(type(e) is int and e >= 0 for e in d)
+                       and isinstance(c, str) for d, c in data):
+                raise ValueError
+            p = poly_from_json(self.ring.base, data)
+        except (TypeError, ValueError):
+            raise ValueError(f"coefficient {s!r} is not a term list [[exponents, \"coefficient\"], ...] "
+                             f"with at most {n} exponents per term") from None
+        return self.from_poly(p)
 
     def __repr__(self):
         return f"Quotient({self.ring!r})"
@@ -575,32 +575,43 @@ def compose(target: PresentedRing, p: Polynomial, images, source_base: BaseRing)
     """Evaluate p at the given generator images inside the target ring.
 
     Coefficients are carried over identically when the bases agree and
-    through the canonical map when the source base is the integers.
+    through the canonical map when the source base is the integers.  Each
+    used image is validated once.  Terms are grouped by their first (i, e)
+    factor, recursively (Horner), so a group costs one product, image_i^e
+    from a per-call table built by image_i^e = image_i^(e-1) * image_i,
+    times the value of the rest; products are formed as ``mul`` forms them.
     """
     tb = target.base
     if source_base == tb:
         coerce = lambda c: c
     elif isinstance(source_base, IntegerRing):
-        coerce = lambda c: tb.from_int(c)
+        coerce = tb.from_int
     else:
         raise ValueError("coefficient bases are incompatible for substitution")
-    pow_cache: dict[tuple[int, int], Polynomial] = {}
+    for i in sorted(p.variables()):
+        target._validate_element(images[i])
+    product = lambda a, b: target._reduce(a.product(b, target.weights, target.truncation))
+    powers: dict[int, list[Polynomial]] = {}
 
     def power(i: int, e: int) -> Polynomial:
-        key = (i, e)
-        got = pow_cache.get(key)
-        if got is None:
-            got = target.pow(images[i], e)
-            pow_cache[key] = got
-        return got
+        table = powers.setdefault(i, [target.one_poly()])
+        while len(table) <= e:
+            table.append(product(table[-1], images[i]))
+        return table[e]
 
-    out = Polynomial.zero(tb)
-    for m, c in p.terms.items():
-        term = Polynomial.constant(tb, coerce(c))
-        for i, e in m:
-            term = target.mul(term, power(i, e))
-        out = out + term
-    return target.normal_form(out)
+    def evaluate(terms) -> Polynomial:
+        out, groups = Polynomial.zero(tb), {}
+        for m, c in terms:
+            if m:
+                groups.setdefault(m[0], []).append((m[1:], c))
+            else:
+                out = Polynomial.constant(tb, coerce(c))
+        for (i, e), rest in groups.items():
+            if not (pw := power(i, e)).is_zero():
+                out = out + product(pw, evaluate(rest))
+        return out
+
+    return target.normal_form(evaluate(p.terms.items()))
 
 
 class RingMap:

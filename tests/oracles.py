@@ -5,7 +5,8 @@ through Fraction Gaussian elimination, determinants through cofactor
 expansion, torsion through minor gcds, and partition counts through
 the Euler recurrence.  Coassociativity is checked on the coproduct
 dictionaries alone.  Relation-ideal membership goes through the
-degreewise relation lattice, with no cofactor certificate.
+degreewise relation lattice, with no cofactor certificate.  Substitution
+goes term by term, one ring product per variable factor.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from orcohom.coefficients import ZZ
+from orcohom.coefficients import IntegerRing, ZZ
 from orcohom.polynomials import Polynomial, mono_divides
 from orcohom.presented import NonConfluentPresentation, PresentedRing
 
@@ -106,6 +107,44 @@ def in_relation_ideal(ring: PresentedRing, g: Polynomial) -> bool:
         alone = PresentedRing(ring.base, ring.variables, ring.relations, ring.truncation)
         assert alone.route == "rewrite", "no reference membership test for this ring"
         return alone.normal_form(g).is_zero()
+
+
+def compose_termwise(target: PresentedRing, p: Polynomial, images, source_base) -> Polynomial:
+    """``presented.compose`` term by term, its reference.
+
+    Each term c * x_i^e * ... starts from the constant c and takes one
+    ring product per variable factor; x_i^e is a cached power of the
+    image by repeated squaring, and the terms are summed one at a time.
+    """
+    tb = target.base
+    if source_base == tb:
+        coerce = lambda c: c
+    elif isinstance(source_base, IntegerRing):
+        coerce = lambda c: tb.from_int(c)
+    else:
+        raise ValueError("coefficient bases are incompatible for substitution")
+
+    def pow(a: Polynomial, k: int) -> Polynomial:
+        result = target.one_poly()
+        square = a
+        while k:
+            if k & 1:
+                result = target.mul(result, square)
+            k >>= 1
+            if k:
+                square = target.mul(square, square)
+        return result
+
+    pow_cache: dict = {}
+    out = Polynomial.zero(tb)
+    for m, c in p.terms.items():
+        term = Polynomial.constant(tb, coerce(c))
+        for i, e in m:
+            if (i, e) not in pow_cache:
+                pow_cache[(i, e)] = pow(images[i], e)
+            term = target.mul(term, pow_cache[(i, e)])
+        out = out + term
+    return target.normal_form(out)
 
 
 def reduce_against_hnf(h, pivots, vec: list, base) -> list:

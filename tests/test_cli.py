@@ -268,6 +268,18 @@ def test_cohomology_reduce_flag():
     assert data["reduced_pretty"] == "(2)*l"
 
 
+@pytest.mark.parametrize("coefficient", ['"1"', r'"[[[0,0,0,0,0,0,0,0,0,3],\"1\"]]"'],
+                         ids=["plain-string", "long-exponent-vector"])
+def test_universal_coefficient_must_be_a_term_list(coefficient):
+    # a universal-theory coefficient is itself a polynomial over Z in the
+    # six Lazard generators of weight at most 4
+    res = run_cli("cohomology", "--space", '{"Pn":2}', "--theory", "universal", "--truncation", "4",
+                  "--reduce", f'[[[2],{coefficient}]]')
+    assert res.returncode == 2
+    assert f"coefficient {json.loads(coefficient)!r} is not a term list" in res.stderr
+    assert '[[exponents, "coefficient"], ...] with at most 6 exponents' in res.stderr
+
+
 def test_cohomology_tensor_flag():
     res = run_cli("cohomology", "--space", '{"Product":[{"Pinf":true},{"Pinf":true}]}',
                   "--theory", "multiplicative", "--truncation", "6",

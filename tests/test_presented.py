@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from orcohom.presented import (
 from orcohom.serialize import canonical_dumps, poly_to_json
 
 from oracles import (
+    compose_termwise,
     in_relation_ideal,
     int_poly,
     integer_span_contains,
@@ -505,3 +507,142 @@ def test_out_of_range_variable_rejected_by_mul_and_compose():
             R.mul(a, b)
     with pytest.raises(ValueError, match="outside ring"):
         compose(R, R.var("l"), [stray], ZZ)
+
+
+def _compose_case(name):
+    """(target ring, coefficient sampler) of a compose comparison case."""
+    from orcohom.fgl import lazard_ring, series_ring
+
+    base_id, _, route = name.partition("-")
+    if base_id == "universal":
+        pres = lazard_ring(5)
+        if route == "lazard":
+            return pres.ring, lambda rng: ZZ.from_int(rng.randint(-3, 3))
+        coeffs = pres.coefficients
+        inner = coeffs.ring
+
+        def coeff(rng):
+            k = rng.randrange(inner.nvars)
+            return coeffs.from_poly(int_poly(ZZ, {(): rng.randint(-3, 3), ((k, 1),): rng.randint(-3, 3)}))
+        return series_ring(coeffs, ("x", "y", "z"), 5), coeff
+    base = {"Z": ZZ, "Z4": ModularRing(4), "Q": QQ, "Zb": laurent_over(ZZ)}[base_id]
+    if base_id == "Q":
+        coeff = lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    elif base_id == "Zb":
+        b = base.generator()
+        units = (b, base.inv_unit(b))
+        coeff = lambda rng: base.add(base.from_int(rng.randint(-2, 2)),
+                                     base.mul(base.from_int(rng.randint(-2, 2)), rng.choice(units)))
+    else:
+        coeff = lambda rng: base.from_int(rng.randint(-3, 3))
+    poly = lambda terms: Polynomial(base, {m: base.from_int(c) for m, c in terms.items()})
+    if route == "rewrite":
+        # leading monomials x^3 and y^2 are coprime and unit-monic
+        rels = [poly({((0, 3),): 1, ((0, 1), (2, 1)): 2}), poly({((1, 2),): 1, ((2, 1),): -1})]
+        ring = PresentedRing(base, [("x", 1), ("y", 1), ("z", 2)], rels, 6)
+    else:
+        # the Gr(2,4) relations; over Z and Z/4 a generator u with
+        # 2*s1 + 2*u = 0 gives every weight non-unit pivots, where a sum
+        # of normal forms need not be one
+        variables = [("s1", 1), ("s2", 2), ("t1", 1), ("t2", 2)]
+        rels = [
+            poly({((0, 1),): 1, ((2, 1),): 1}),
+            poly({((1, 1),): 1, ((0, 1), (2, 1)): 1, ((3, 1),): 1}),
+            poly({((1, 1), (2, 1)): 1, ((0, 1), (3, 1)): 1}),
+            poly({((1, 1), (3, 1)): 1}),
+        ]
+        if base_id in ("Z", "Z4"):
+            variables.append(("u", 1))
+            rels.append(poly({((0, 1),): 2, ((4, 1),): 2}))
+        ring = PresentedRing(base, variables, rels, 6)
+    assert ring.route == route
+    return ring, coeff
+
+
+COMPOSE_CASES = ["Z-rewrite", "Z-degreewise", "Z4-rewrite", "Z4-degreewise", "Q-rewrite",
+                 "Q-degreewise", "Zb-rewrite", "Zb-degreewise", "universal-series",
+                 "universal-lazard"]
+
+
+@pytest.mark.parametrize("name", COMPOSE_CASES)
+def test_compose_matches_termwise_evaluation(name):
+    # random p in three source generators, with a constant term, and
+    # images that are polynomials with terms above D, constants or zero;
+    # source coefficients over the target base or over Z
+    ring, coeff = _compose_case(name)
+    base, D = ring.base, ring.truncation
+    rng = random.Random(sum(map(ord, name)))
+
+    def element():
+        return Polynomial(base, {rng.choice(ring.monomials_of_weight(w)): coeff(rng)
+                                 for w in rng.sample(range(D + 3), 3)})
+
+    for trial in range(12):
+        source_base = ZZ if trial % 3 == 0 else base
+        terms = {(): source_base.from_int(rng.randint(1, 3))}
+        for _ in range(rng.randint(1, 6)):
+            m = tuple((i, e) for i, e in enumerate(rng.choices(range(4), k=3)) if e)
+            terms[m] = rng.randint(-3, 3) if source_base is ZZ else coeff(rng)
+        p = Polynomial(source_base, terms)
+        images = [rng.choice([element, element, lambda: Polynomial.constant(base, coeff(rng)),
+                              lambda: Polynomial.zero(base)])() for _ in range(3)]
+        got = compose(ring, p, images, source_base)
+        assert got == compose_termwise(ring, p, images, source_base)
+        assert got == ring.normal_form(got)
+
+
+@pytest.mark.parametrize("name", ["Z-degreewise", "Z4-degreewise", "universal-lazard"])
+def test_compose_reduces_a_sum_past_a_non_unit_pivot(name):
+    # x + y at x, y -> m sums nf(m) twice, which is no normal form when
+    # nf(m) has an entry at a non-unit pivot
+    ring, _ = _compose_case(name)
+    base = ring.base
+    for w in range(1, ring.truncation + 1):
+        for m in ring.monomials_of_weight(w):
+            image = Polynomial(base, {m: base.one()})
+            twice = ring.normal_form(image).scale(base.from_int(2))
+            if twice != ring.normal_form(twice):
+                x_plus_y = P({((0, 1),): 1, ((1, 1),): 1})
+                assert compose(ring, x_plus_y, [image, image], ZZ) == ring.normal_form(twice)
+                return
+    pytest.fail("no weight has a non-unit pivot")
+
+
+@pytest.mark.parametrize("law_name", ["multiplicative", "universal"])
+def test_compose_matches_termwise_on_group_law_shapes(law_name):
+    # F(F(x, y), z), and the residue F(x, i(x)) of the formal inverse
+    from orcohom.fgl import formal_inverse, lazard_ring, make_multiplicative, series_ring
+
+    law = make_multiplicative(truncation=6) if law_name == "multiplicative" else lazard_ring(5).generic
+    base, D = law.base, law.truncation
+    r3 = series_ring(base, ("x", "y", "z"), D)
+    X, Y, Z = (Polynomial.variable(base, i) for i in range(3))
+    inner = compose(r3, law.series, [X, Y], base)
+    assert inner == compose_termwise(r3, law.series, [X, Y], base)
+    assert compose(r3, law.series, [inner, Z], base) == \
+        compose_termwise(r3, law.series, [inner, Z], base)
+    inv = formal_inverse(law)
+    partial = Polynomial(base, {m: c for m, c in inv.terms.items() if law.ring2.mono_weight(m) < D})
+    for i, want_zero in ((inv, True), (partial, False)):
+        residue = compose(law.ring2, law.series, [law.x(), i], base)
+        assert residue == compose_termwise(law.ring2, law.series, [law.x(), i], base)
+        assert residue.is_zero() == want_zero
+
+
+@pytest.mark.parametrize("evaluate", [compose, compose_termwise], ids=["compose", "termwise"])
+def test_compose_error_paths(evaluate):
+    R = truncated_power_ring(2, D=4)
+    l, zero = R.var("l"), Polynomial.zero(ZZ)
+    stray = Polynomial.variable(ZZ, 1)
+    for p, source_base in ((Polynomial.variable(QQ, 0), QQ),
+                           (Polynomial.variable(ModularRing(4), 0), ModularRing(4))):
+        with pytest.raises(ValueError, match="incompatible"):
+            evaluate(R, p, [l], source_base)
+    with pytest.raises(ValueError, match="outside the ring base"):
+        evaluate(R, l, [Polynomial.variable(QQ, 0)], ZZ)
+    # the image of a generator p uses is checked even under a zero factor
+    with pytest.raises(ValueError, match="outside ring"):
+        evaluate(R, P({((0, 1), (1, 1)): 1}), [zero, stray], ZZ)
+    # the image of a generator p does not use is never checked
+    assert evaluate(R, l, [l, stray], ZZ) == l
+    assert evaluate(R, l, [l, Polynomial.variable(QQ, 0)], ZZ) == l
