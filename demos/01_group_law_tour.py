@@ -1,8 +1,8 @@
 """Tour of the formal group law calculus.
 
 Builds the two classical laws, checks the axioms, and walks through the
-inverse, iterates, logarithm, and the truncated universal coefficients
-with their classifying maps.
+inverse, iterates, logarithm, the truncated universal coefficients
+with their classifying maps, and the a_ij as polynomials in Z[b].
 """
 
 from orcohom import (
@@ -17,6 +17,7 @@ from orcohom import (
     make_additive,
     make_multiplicative,
     n_series,
+    universal_law,
 )
 
 D = 8
@@ -51,3 +52,14 @@ cm = classifying_map(make_multiplicative(truncation=6), pres)
 images = {f"a{i}_{j}": cm.target.base.coeff_str(im.constant_term())
           for (i, j), im in zip(pres.gens, cm.images) if not im.is_zero()}
 print("multiplicative law classifies through:", images)
+
+print()
+print("== the universal law over Z[b] = H_*MU ==")
+# g(g^-1(x) + g^-1(y)) for g(x) = x + b1*x^2 + b2*x^3 + ...; the map from
+# the a_ij to Z[b] is injective (Lazard), so each a_ij is its b-polynomial
+univ = universal_law(5)
+print("check_axioms:", check_axioms(univ).passed)
+classifying_map(univ, pres)  # raises IllDefinedMap unless every relation vanishes in Z[b]
+print("every associativity relation of the presentation vanishes in Z[b]")
+for i, j in pres.gens:
+    print(f"  a{i}_{j} ->", univ.base.ring.poly_str(univ.coefficient(i, j)))

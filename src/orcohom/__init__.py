@@ -52,6 +52,7 @@ from .fgl import (
     make_additive,
     make_multiplicative,
     n_series,
+    universal_law,
 )
 from .spaces import (
     ClassifyingBGL,

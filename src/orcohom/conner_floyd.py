@@ -2,15 +2,15 @@
 and the multiplicative one on finite instances.
 
 The cobordism side of an instance is its cohomology presentation over
-the truncated universal coefficients carrying the generic law; the
-K-side is the same space over the integral Laurent domain with the
+the universal coefficients Z[b_1..b_D] carrying ``fgl.universal_law``;
+the K-side is the same space over the integral Laurent domain with the
 multiplicative law.  Verification tensors the cobordism presentation
-along the classifying map of the multiplicative law (generator
-preserving, coefficients mapped through a11 -> -b) and checks a graded
+along the map classifying the multiplicative law (generator preserving,
+coefficients mapped through b_i -> (-b)^i/(i+1)!, read off its
+exponential (1 - e^(-bu))/b, so a1_1 = 2 b_1 -> -b) and checks a graded
 isomorphism against the directly built K-side, weight by weight.
 
-The universal coefficients here are the truncated presentation by
-associativity relations; whether that models the degree-zero cobordism
+Whether the universal coefficients model the degree-zero cobordism
 coefficients over a general base is precisely what remains unknown, so
 the module verifies the algebraic content of the base-change statement
 on the supported instances, nothing more.
@@ -18,8 +18,11 @@ on the supported instances, nothing more.
 
 from __future__ import annotations
 
-from .coefficients import LaurentRing
-from .fgl import LAZARD_DEFAULT_BOUND, classifying_map, lazard_ring, make_multiplicative
+from fractions import Fraction
+from math import factorial
+
+from .coefficients import QQ, LaurentRing, NonDivisibleBase, laurent_over
+from .fgl import universal_law
 from .polynomials import Polynomial
 from .presented import IllDefinedMap, PresentedRing, QuotientCoefficients, RingMap
 from .spaces import (
@@ -33,16 +36,15 @@ from .spaces import (
 )
 
 _UNIVERSAL_CACHE: dict[int, OrientedTheory] = {}
-_IMAGES_CACHE: dict[int, tuple] = {}
 
 
 def universal_theory(truncation: int = 8) -> OrientedTheory:
-    """Oriented theory over the truncated universal coefficients."""
+    """Oriented theory over Z[b_1..b_D] with the universal law."""
     cached = _UNIVERSAL_CACHE.get(truncation)
     if cached is not None:
         return cached
-    pres = lazard_ring(truncation, max(truncation, LAZARD_DEFAULT_BOUND))
-    theory = OrientedTheory(pres.coefficients, pres.generic, validate=False)
+    law = universal_law(truncation)
+    theory = OrientedTheory(law.base, law)
     _UNIVERSAL_CACHE[truncation] = theory
     return theory
 
@@ -74,33 +76,32 @@ def k_theory_presentation(space, truncation: int = 8) -> PresentedRing:
 
 
 def _coefficient_images(truncation: int):
-    """(Laurent domain, tuple of the scalar images of the universal generators
-    under the multiplicative law), cached per truncation."""
-    cached = _IMAGES_CACHE.get(truncation)
-    if cached is None:
-        law = make_multiplicative(truncation=truncation + 1)
-        pres = lazard_ring(truncation, max(truncation, LAZARD_DEFAULT_BOUND))
-        cmap = classifying_map(law, pres)
-        cached = _IMAGES_CACHE[truncation] = (
-            law.base, tuple(im.constant_term() for im in cmap.images))
-    return cached
+    """(Z[b, b^-1], the images b_i -> (-b)^i/(i+1)! in Q[b, b^-1] for i = 1..D)."""
+    return laurent_over(), tuple({i: Fraction((-1) ** i, factorial(i + 1))}
+                                 for i in range(1, truncation + 1))
 
 
 def base_change(ring: PresentedRing, target_base: LaurentRing, scalars) -> PresentedRing:
     """Tensor a presentation over the universal coefficients along the
-    coefficient map a_ij -> scalars, keeping generators and weights."""
+    coefficient map b_i -> scalars[i - 1] in Q[b, b^-1], keeping generators
+    and weights; a coefficient not mapped into ``target_base`` raises
+    NonDivisibleBase."""
     if not isinstance(ring.base, QuotientCoefficients):
         raise ValueError("base change starts from a presented-quotient base")
+    rational = LaurentRing(QQ, target_base.symbol, target_base.weight)
 
     def map_coeff(c: Polynomial):
-        out = target_base.zero()
+        out = rational.zero()
         for mono, k in c.terms.items():
-            term = target_base.from_int(k)
+            term = rational.from_int(k)
             for idx, e in mono:
                 for _ in range(e):
-                    term = target_base.mul(term, scalars[idx])
-            out = target_base.add(out, term)
-        return out
+                    term = rational.mul(term, scalars[idx])
+            out = rational.add(out, term)
+        if any(v.denominator != 1 for v in out.values()):
+            raise NonDivisibleBase(f"coefficient {ring.base.coeff_str(c)} maps to "
+                                   f"{rational.coeff_str(out)}, outside {target_base}")
+        return {e: target_base.base.from_int(v.numerator) for e, v in out.items()}
 
     def map_poly(p: Polynomial) -> Polynomial:
         return Polynomial(target_base, {m: map_coeff(c) for m, c in p.terms.items()})
@@ -113,7 +114,7 @@ def verify_conner_floyd(space, truncation: int = 8) -> dict:
     """Run the base-change isomorphism check on one instance.
 
     Builds both presentations, tensors the cobordism side along the
-    classifying map of the multiplicative law, compares graded pieces
+    map classifying the multiplicative law, compares graded pieces
     through the generator-preserving map, and checks two-sided
     normal-form containment of the relation ideals.
     """

@@ -3,10 +3,15 @@
 A law is a truncated bivariate series F(x, y) over a coefficient
 domain satisfying F(x, 0) = x, F(0, y) = y, symmetry, and
 associativity modulo terms of weight above the truncation bound.  The
-universal example is presented by generators a_ij (i <= j) of weight
-i + j - 1 subject to the coefficients of the associator, and carries
-the generic series; specializing a law amounts to the classifying map
-sending each a_ij to the matching series coefficient.
+universal coefficients are presented by generators a_ij (i <= j) of
+weight i + j - 1 subject to the coefficients of the associator
+(``lazard_ring``); specializing a law amounts to the classifying map
+sending each a_ij to the matching series coefficient.  By Lazard's
+theorem L -> Z[b] = H_*MU is injective (Adams, *Stable Homotopy and
+Generalised Homology*, Part II; Ravenel, *Complex Cobordism*, A2.1), so
+``universal_law`` carries the universal law over Z[b_1..b_D] as
+g(g^-1(x) + g^-1(y)), g(x) = x + sum b_i x^(i+1): each a_ij is exactly
+its b-polynomial, with no relation lattice and no normal form.
 """
 
 from __future__ import annotations
@@ -129,17 +134,32 @@ def make_multiplicative(base: BaseRing | None = None, beta=None,
     return FormalGroupLaw(base, series, truncation, beta=beta if base.is_unit(beta) else None)
 
 
-def check_axioms(law: FormalGroupLaw, upto: int | None = None) -> AxiomReport:
-    """Unit, commutativity and associativity, with first offending terms.
+def universal_law(truncation: int = 8) -> FormalGroupLaw:
+    """F(x, y) = g(g^-1(x) + g^-1(y)) for g(x) = x + sum b_i x^(i+1), truncated at D + 1.
 
-    ``upto`` lowers the weight bound of the associativity check, which
-    is what a series truncated at D actually determines when its top
-    coefficients are only known modulo relations of higher weight.
+    The coefficients lie in the relation-free ring Z[b_1..b_D], b_i of
+    weight i.  g^-1 is integral: it is solved one weight at a time, the
+    correction at x^k being the negative of the x^k coefficient of g(g^-1).
     """
-    d = law.truncation if upto is None else min(upto, law.truncation)
+    D = int(truncation)
+    base = QuotientCoefficients(PresentedRing(ZZ, [(f"b{i}", i) for i in range(1, D + 1)], [], D))
+    x = Polynomial.variable(base, _X)
+    g = x + Polynomial(base, {((_X, i + 1),): Polynomial.variable(ZZ, i - 1) for i in range(1, D + 1)})
+    r1 = series_ring(base, ("x",), D + 1)
+    g_inv = x
+    for k in range(2, D + 2):
+        c = compose(r1, g, [g_inv], base).coefficient(((_X, k),))
+        g_inv = g_inv - Polynomial(base, {((_X, k),): c})
+    g_inv_y = g_inv.map_monomials(lambda m: ((_Y, m[0][1]),))
+    series = compose(series_ring(base, ("x", "y"), D + 1), g, [g_inv + g_inv_y], base)
+    return FormalGroupLaw(base, series, D + 1)
+
+
+def check_axioms(law: FormalGroupLaw) -> AxiomReport:
+    """Unit, commutativity and associativity, with first offending terms."""
     base = law.base
-    r2 = series_ring(base, ("x", "y"), d)
-    series = r2.truncate(law.series)
+    r2 = law.ring2
+    series = law.series
     failures: list[AxiomFailure] = []
 
     def first_failure(axiom: str, diff: Polynomial, ring: PresentedRing):
@@ -163,7 +183,7 @@ def check_axioms(law: FormalGroupLaw, upto: int | None = None) -> AxiomReport:
     if not comm_ok:
         first_failure("commutativity", comm_diff, r2)
 
-    r3 = series_ring(base, ("x", "y", "z"), d)
+    r3 = series_ring(base, ("x", "y", "z"), law.truncation)
     X = Polynomial.variable(base, 0)
     Y = Polynomial.variable(base, 1)
     Z = Polynomial.variable(base, 2)
@@ -176,7 +196,7 @@ def check_axioms(law: FormalGroupLaw, upto: int | None = None) -> AxiomReport:
     if not assoc_ok:
         first_failure("associativity", assoc_diff, r3)
 
-    return AxiomReport(unit_ok, comm_ok, assoc_ok, d, failures)
+    return AxiomReport(unit_ok, comm_ok, assoc_ok, law.truncation, failures)
 
 
 def formal_inverse(law: FormalGroupLaw) -> Polynomial:
@@ -253,7 +273,7 @@ def logarithm(law: FormalGroupLaw) -> Polynomial:
 
 @dataclass
 class LazardPresentation:
-    """Truncated universal coefficients with the generic series.
+    """Truncated universal coefficients presented by associativity.
 
     generators are (i, j) pairs with i <= j and weight i + j - 1 at
     most the bound; relations are the coefficients of the associator
@@ -264,8 +284,6 @@ class LazardPresentation:
     bound: int
     gens: tuple[tuple[int, int], ...]
     ring: PresentedRing
-    coefficients: QuotientCoefficients
-    generic: FormalGroupLaw
 
 
 def _lazard_generators(bound: int) -> list[tuple[int, int]]:
@@ -274,13 +292,13 @@ def _lazard_generators(bound: int) -> list[tuple[int, int]]:
     return gens
 
 
-def _generic_series(base: BaseRing, gens, coeff_of) -> Polynomial:
+def _generic_series(base: BaseRing, gens) -> Polynomial:
     terms = {
         ((_X, 1),): base.one(),
         ((_Y, 1),): base.one(),
     }
     for k, (i, j) in enumerate(gens):
-        c = coeff_of(k)
+        c = Polynomial.variable(ZZ, k)
         terms[tuple(p for p in ((_X, i), (_Y, j)) if p[1])] = c
         if i != j:
             terms[tuple(p for p in ((_X, j), (_Y, i)) if p[1])] = c
@@ -307,9 +325,7 @@ def lazard_ring(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> LazardPre
     names = [(f"a{i}_{j}", i + j - 1) for i, j in gens]
     free = PresentedRing(ZZ, names, [], truncation)
     free_coeffs = QuotientCoefficients(free)
-    series = _generic_series(
-        free_coeffs, gens,
-        lambda k: Polynomial.variable(ZZ, k))
+    series = _generic_series(free_coeffs, gens)
     r3 = series_ring(free_coeffs, ("x", "y", "z"), truncation + 1)
     X = Polynomial.variable(free_coeffs, 0)
     Y = Polynomial.variable(free_coeffs, 1)
@@ -334,13 +350,7 @@ def lazard_ring(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> LazardPre
             continue
         seen.add(key)
         relations.append(rel)
-    ring = PresentedRing(ZZ, names, relations, truncation)
-    coeffs = QuotientCoefficients(ring)
-    generic = FormalGroupLaw(
-        coeffs,
-        _generic_series(coeffs, gens, lambda k: coeffs.from_poly(Polynomial.variable(ZZ, k))),
-        truncation + 1)
-    result = LazardPresentation(truncation, tuple(gens), ring, coeffs, generic)
+    result = LazardPresentation(truncation, tuple(gens), PresentedRing(ZZ, names, relations, truncation))
     _LAZARD_CACHE[truncation] = result
     return result
 

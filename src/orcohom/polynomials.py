@@ -275,8 +275,15 @@ def poly_to_json(p: Polynomial, weights, nvars: int) -> list:
 
 
 def poly_from_json(base: BaseRing, data) -> Polynomial:
+    """The inverse of ``poly_to_json``.  Exponents must be non-negative
+    integers (a bool is not one) and no monomial may be listed twice;
+    anything else raises ValueError."""
     terms = {}
     for dense, cs in data:
+        if not all(type(e) is int and e >= 0 for e in dense):
+            raise ValueError(f"exponents {dense!r} are not non-negative integers")
         m = tuple((i, e) for i, e in enumerate(dense) if e)
+        if m in terms:
+            raise ValueError(f"exponent vector {dense!r} repeats a monomial")
         terms[m] = base.coeff_from_str(cs)
     return Polynomial(base, terms)

@@ -501,8 +501,8 @@ class QuotientCoefficients(BaseRing):
     """Classes of a presented ring used as scalars for another ring.
 
     Elements are polynomials of the inner ring kept in normal form;
-    this is how rings over truncated universal coefficients (such as a
-    Lazard-type base) are expressed.
+    this is how rings over the universal coefficients Z[b_1..b_D] (a
+    relation-free inner ring, see ``fgl.universal_law``) are expressed.
     """
 
     kind = "PresentedQuotient"
@@ -558,8 +558,7 @@ class QuotientCoefficients(BaseRing):
         n = self.ring.nvars
         try:
             data = json.loads(s)
-            if not all(len(d) <= n and all(type(e) is int and e >= 0 for e in d)
-                       and isinstance(c, str) for d, c in data):
+            if not all(len(d) <= n and isinstance(c, str) for d, c in data):
                 raise ValueError
             p = poly_from_json(self.ring.base, data)
         except (TypeError, ValueError):

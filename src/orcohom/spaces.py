@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coefficients import BaseRing, ZZ
-from .fgl import FormalGroupLaw, check_axioms, formal_inverse, make_additive, make_multiplicative
+from .fgl import FormalGroupLaw, formal_inverse, make_additive, make_multiplicative
 from .polynomials import Polynomial
 from .presented import PresentedRing, RingMap, compose
 from .symfunc import (
@@ -32,17 +32,15 @@ from .symfunc import (
 
 class OrientedTheory:
     """Coefficient domain plus group law; the law's ``beta``, when set, is
-    the periodicity unit."""
+    the periodicity unit.  The law is not checked: the package builds
+    theories only on x + y, x + y - bxy and ``fgl.universal_law``, group
+    laws by construction; run ``check_axioms`` on any other law first."""
 
-    def __init__(self, coefficients: BaseRing, law: FormalGroupLaw, validate: bool = True):
+    def __init__(self, coefficients: BaseRing, law: FormalGroupLaw):
         if law.base != coefficients:
             raise ValueError("law must be defined over the theory coefficients")
         self.coefficients = coefficients
         self.law = law
-        if validate:
-            report = check_axioms(law)
-            if not report.passed:
-                raise ValueError("oriented theory requires a valid group law")
 
     def __repr__(self):
         return f"OrientedTheory({self.coefficients!r})"

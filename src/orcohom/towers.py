@@ -26,7 +26,7 @@ reported for it.
 
 from __future__ import annotations
 
-from .intlinalg import FPModule, det_bareiss_ring, kernel_basis
+from .intlinalg import FPModule, det_bareiss_ring, kernel_basis, snf_invariants
 
 
 class UndecidableTower(ValueError):
@@ -445,13 +445,27 @@ class TelescopeDiagram(_StageSystem):
     ``maps[k]`` sends stage k to stage k+1."""
 
 
+def _prime_divisors(n: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + ([n] if n > 1 else [])
+
+
 def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
     """Weight piece of the colimit.
 
-    Eventually isomorphic systems give the stable value exactly; a
-    periodic window with self-map h gives the h-localized module, with
-    the inverted determinant reported; anything else is the last stored
-    stage flagged partial.
+    Eventually isomorphic systems give the stable value exactly.  A
+    periodic window with self-map h on Z^n of determinant d != 0 gives
+    Z[1/d]^n exactly when, for every prime p | d, the rank s_p of h^n
+    mod p is 0 (h is nilpotent mod p); otherwise p is not invertible on
+    the colimit (Z^2 under diag(2, 3) gives Z[1/2] + Z[1/3]) and the
+    answer is partial, with each s_p in the note.  Anything else is the
+    last stored stage flagged partial.
     """
     w = weight
     if t.periodicity is None:
@@ -464,11 +478,18 @@ def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
     # localize the free part at the window determinant
     if not module.relations:
         d = abs(det_bareiss_ring(mat))
+        power = mat
+        for _ in range(module.ngens):
+            power = compose_matrices(power, mat, module.ngens)
         if d == 0:
-            power = mat
-            for _ in range(module.ngens):
-                power = compose_matrices(power, mat, module.ngens)
             return _exact(FPModule(module.ngens, power).rank, [],
                           "rank of the stable image over the localized base")
+        # rank mod p of h^(n+1), which equals that of h^n
+        invariants = snf_invariants(power)
+        stable = {p: sum(1 for v in invariants if v % p) for p in _prime_divisors(d)}
+        if any(stable.values()):
+            ranks = ", ".join(f"s_{p}={s}" for p, s in stable.items())
+            return _partial(f"partial: {d} is not invertible on the colimit; "
+                            f"ranks of the window power mod p: {ranks}", rank, [])
         return _exact(rank, [], f"rank {rank} over the base with {d} inverted", localized_at=d)
     return _partial("partial: torsion telescope outside the supported regimes", rank, torsion)

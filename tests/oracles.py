@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from orcohom.coefficients import IntegerRing, ZZ
 from orcohom.polynomials import Polynomial, mono_divides
@@ -401,3 +401,33 @@ def coassociativity_check(hopf, w: int) -> bool:
         lhs[nu] = {k: v for k, v in l.items() if v}
         rhs[nu] = {k: v for k, v in r.items() if v}
     return lhs == rhs
+
+
+def prime_divisors(n: int) -> list[int]:
+    """Primes dividing n > 0, ascending, by trial division."""
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def lazard_b_gcd(n: int) -> int:
+    """gcd of the b_n coefficients of the weight-n a_ij in Z[b] (Lazard):
+    the gcd of the binomials C(n+1, i), 0 < i < n+1, which is p when
+    n + 1 is a power of the prime p and 1 otherwise."""
+    primes = prime_divisors(n + 1)
+    return primes[0] if len(primes) == 1 else 1
+
+
+def telescope_stable_ranks(mat) -> dict[int, int]:
+    """For each prime p dividing det(mat) != 0, by trying every v in F_p^n:
+    s_p = n - log_p #{v : mat^n v = 0 mod p}, the rank of the part of
+    F_p^n on which mat is invertible.  The colimit of Z^n under mat is
+    Z[1/det]^n exactly when every s_p is 0."""
+    n = len(mat)
+    out = {}
+    for p in prime_divisors(abs(det_cofactor(mat))):
+        killed = 0
+        for v in product(range(p), repeat=n):
+            for _ in range(n):
+                v = [sum(a * b for a, b in zip(row, v)) % p for row in mat]
+            killed += not any(v)
+        out[p] = n - next(k for k in range(n + 1) if p ** k == killed)
+    return out

@@ -271,13 +271,37 @@ def test_cohomology_reduce_flag():
 @pytest.mark.parametrize("coefficient", ['"1"', r'"[[[0,0,0,0,0,0,0,0,0,3],\"1\"]]"'],
                          ids=["plain-string", "long-exponent-vector"])
 def test_universal_coefficient_must_be_a_term_list(coefficient):
-    # a universal-theory coefficient is itself a polynomial over Z in the
-    # six Lazard generators of weight at most 4
+    # a universal-theory coefficient is itself a polynomial over Z in
+    # b1..b4, the generators of weight at most 4
     res = run_cli("cohomology", "--space", '{"Pn":2}', "--theory", "universal", "--truncation", "4",
                   "--reduce", f'[[[2],{coefficient}]]')
     assert res.returncode == 2
     assert f"coefficient {json.loads(coefficient)!r} is not a term list" in res.stderr
-    assert '[[exponents, "coefficient"], ...] with at most 6 exponents' in res.stderr
+    assert '[[exponents, "coefficient"], ...] with at most 4 exponents' in res.stderr
+
+
+def test_universal_coefficients_are_b_polynomials():
+    # a1_1 = 2*b1, and a coefficient given over b1..b4 reads back unchanged
+    res = run_cli("cohomology", "--space", '{"Product":[{"Pinf":true},{"Pinf":true}]}',
+                  "--theory", "universal", "--truncation", "4", "--tensor", "l,l'",
+                  "--reduce", r'[[[1,1],"[[[2,0,0,0],\"-3\"],[[0,1,0,0],\"1\"]]"]]',
+                  "--format", "json")
+    assert res.returncode == 0, res.stderr
+    data = json.loads(res.stdout)
+    assert '([[[1,0,0,0],"2"]])*l*l\'' in data["tensor_class"]
+    assert data["reduced"] == [[[1, 1], '[[[2,0,0,0],"-3"],[[0,1,0,0],"1"]]']]
+
+
+@pytest.mark.parametrize("terms", ['[[[-1],"1"]]', '[[[1.5],"1"]]', '[[[true],"1"]]',
+                                   '[[[1],"1"],[[1],"2"]]', '[[[1],"1"],[[1,0],"2"]]'],
+                         ids=["negative", "fraction", "bool", "repeated", "repeated-padded"])
+def test_polynomial_exponents_must_be_distinct_non_negative_integers(terms):
+    # -1 used to print l, 1.5 printed l^1.5, and a repeated exponent
+    # vector silently dropped the earlier term
+    res = run_cli("cohomology", "--space", '{"Pn":2}', "--reduce", terms)
+    assert res.returncode == 2, res.stdout
+    assert res.stdout == ""
+    assert "exponent" in res.stderr
 
 
 def test_cohomology_tensor_flag():

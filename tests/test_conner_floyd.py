@@ -62,7 +62,7 @@ def test_base_change_functoriality():
 
     target, scalars = _coefficient_images(6)
     theory = universal_theory(6)
-    a11 = theory.coefficients.from_poly(Polynomial.variable(__import__("orcohom").ZZ, 0))
+    a11 = theory.law.coefficient(1, 1)
     custom = PresentedRing(theory.coefficients, [("l", 1)],
                            [Polynomial(theory.coefficients, {((0, 1),): a11})], 6)
 
@@ -85,31 +85,62 @@ def test_universal_theory_cached_and_valid():
     th2 = universal_theory(6)
     assert th1 is th2
     from orcohom.fgl import check_axioms
-    assert check_axioms(th1.law, upto=4).passed
+    assert check_axioms(th1.law).passed
 
 
-def test_coefficient_images_cached_per_truncation(monkeypatch):
-    # one classifying map per truncation, however many instances ask;
-    # the images are a tuple, so no caller can change what the next reads
-    from orcohom import conner_floyd
-    from orcohom.fgl import classifying_map
+def _coefficient_relations(D):
+    """A ring over the universal coefficients with one weight-1 generator
+    per a_ij of weight <= D and the relation a_ij * l_ij."""
+    from orcohom.polynomials import Polynomial
+    from orcohom.presented import PresentedRing
 
-    calls = []
+    theory = universal_theory(D)
+    gens = [(i, w + 1 - i) for w in range(1, D + 1) for i in range(1, (w + 1) // 2 + 1)]
+    rels = [Polynomial(theory.coefficients, {((k, 1),): theory.law.coefficient(i, j)})
+            for k, (i, j) in enumerate(gens)]
+    return gens, PresentedRing(theory.coefficients, [(f"l{i}_{j}", 1) for i, j in gens], rels, D)
 
-    def counting(law, pres):
-        calls.append(pres)
-        return classifying_map(law, pres)
 
-    monkeypatch.setattr(conner_floyd, "classifying_map", counting)
-    monkeypatch.setattr(conner_floyd, "_IMAGES_CACHE", {})
-    first = conner_floyd._coefficient_images(5)
-    for space in (ProjectiveSpace(1), ProjectiveSpace(2), FlagBundle(2)):
-        assert verify_conner_floyd(space, 5)["isomorphism"] is True
-    assert len(calls) == 1
-    assert conner_floyd._coefficient_images(5) is first
-    scalars = first[1]
-    assert isinstance(scalars, tuple)
-    assert len(scalars) == universal_theory(5).coefficients.ring.nvars
+@pytest.mark.parametrize("D", range(1, 13))
+def test_coefficient_images_classify_the_multiplicative_law(D):
+    # b_i -> (-b)^i/(i+1)! sends a1_1 -> -b and every other a_ij -> 0,
+    # which is the classifying map of x + y - b*x*y
+    from orcohom.conner_floyd import _coefficient_images
+    from orcohom.fgl import classifying_map, lazard_ring, make_multiplicative
+
+    gens, ring = _coefficient_relations(D)
+    assert len(ring.relations) == len(gens)  # every a_ij is nonzero in Z[b]
+    target, scalars = _coefficient_images(D)
+    images = {gens[m[0][0]]: c for r in base_change(ring, target, scalars).relations
+              for m, c in r.terms.items()}
+    assert images == {(1, 1): target.neg(target.generator())}
+    if D <= 8:
+        pres = lazard_ring(D)
+        cmap = classifying_map(make_multiplicative(truncation=D + 1), pres)
+        assert images == {ij: im.constant_term() for ij, im in zip(pres.gens, cmap.images)
+                          if not im.is_zero()}
+
+
+def test_non_integral_base_change_is_an_internal_error(monkeypatch, capsys):
+    # b_1 alone maps to -b/2, outside Z[b, b^-1]: NonDivisibleBase, which
+    # the CLI reports as an internal error (exit 3), never as bad input
+    from orcohom import cli
+    from orcohom import conner_floyd as cf
+    from orcohom.coefficients import ZZ, NonDivisibleBase
+    from orcohom.polynomials import Polynomial
+    from orcohom.presented import PresentedRing
+
+    theory = universal_theory(4)
+    b1 = theory.coefficients.from_poly(Polynomial.variable(ZZ, 0))
+    ring = PresentedRing(theory.coefficients, [("l", 1)],
+                         [Polynomial(theory.coefficients, {((0, 1),): b1})], 4)
+    with pytest.raises(NonDivisibleBase, match="outside"):
+        base_change(ring, *cf._coefficient_images(4))
+    monkeypatch.setattr(cf, "cobordism_presentation", lambda space, D: ring)
+    assert cli.main(["conner-floyd", "--space", '{"Pn":0}', "--truncation", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: NonDivisibleBase: coefficient [[[1,0,0,0],\"1\"]]")
 
 
 def test_describe_space():
@@ -141,11 +172,11 @@ def test_universal_chern_tensor_uses_generic_series():
     theory = universal_theory(4)
     ring = PresentedRing(theory.coefficients, [("x", 1), ("y", 1)], [], 4)
     t = chern_tensor(theory, ring, ring.var(0), ring.var(1))
-    # x + y + a1_1 xy + higher coefficient terms
+    # x + y + a1_1 xy + higher coefficient terms, with a1_1 = 2*b1 in Z[b]
     assert theory.coefficients.is_one(t.coefficient(((0, 1),)))
     a11 = t.coefficient(((0, 1), (1, 1)))
     assert theory.coefficients.eq(
-        a11, theory.coefficients.from_poly(Polynomial.variable(ZZ, 0)))
+        a11, theory.coefficients.from_poly(Polynomial.variable(ZZ, 0).scale(2)))
 
 
 def test_unexpected_error_in_ideal_check_propagates(monkeypatch):

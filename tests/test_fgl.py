@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,11 +15,13 @@ from orcohom.fgl import (
     make_additive,
     make_multiplicative,
     n_series,
+    universal_law,
 )
+from orcohom.intlinalg import FPModule
 from orcohom.polynomials import Polynomial
 from orcohom.presented import IllDefinedMap, compose
 
-from oracles import int_poly, partition_count
+from oracles import int_poly, lazard_b_gcd, partition_count, rank_over_Q
 
 
 def test_additive_axioms():
@@ -141,8 +144,21 @@ def test_lazard_bound_enforced():
 
 
 def test_generic_law_passes_axioms_at_bound():
-    pres = lazard_ring(4)
-    assert check_axioms(pres.generic, upto=4).passed
+    # the universal law over Z[b] is a group law up to its truncation
+    # D + 1; adding b_D to the top coefficients of x*y^D and x^D*y keeps
+    # it graded and symmetric but breaks associativity once D >= 3 (for
+    # D <= 2 the perturbation is a multiple of the symmetric 2-cocycle
+    # ((x + y)^(D+1) - x^(D+1) - y^(D+1)) / d, which keeps a group law)
+    for D in range(1, 11):
+        law = universal_law(D)
+        assert law.truncation == D + 1
+        assert check_axioms(law).passed, D
+        if D <= 2:
+            continue
+        b_top = law.base.from_poly(Polynomial.variable(ZZ, D - 1))
+        bumped = law.series + Polynomial(law.base, {((0, 1), (1, D)): b_top, ((0, D), (1, 1)): b_top})
+        rep = check_axioms(FormalGroupLaw(law.base, bumped, law.truncation))
+        assert rep.unit_ok and rep.commutative_ok and not rep.associative_ok, D
 
 
 def test_classifying_map_additive_and_multiplicative():
@@ -158,12 +174,58 @@ def test_classifying_map_additive_and_multiplicative():
 
 
 def test_classifying_map_generic_identity():
-    pres = lazard_ring(3)
-    cm = classifying_map(pres.generic, pres)
-    for k in range(len(pres.gens)):
-        expected = pres.coefficients.from_poly(Polynomial.variable(ZZ, k))
-        assert cm.images[k].is_constant()
-        assert pres.coefficients.eq(cm.images[k].constant_term(), expected)
+    # well-definedness of a_ij -> (coefficient of the universal law) is
+    # the statement that every associativity relation vanishes in Z[b]
+    for D in range(1, 11):
+        pres = lazard_ring(D, bound=D)
+        law = universal_law(D)
+        cm = classifying_map(law, pres)
+        for (i, j), im in zip(pres.gens, cm.images):
+            assert im.is_constant()
+            assert law.base.eq(im.constant_term(), law.coefficient(i, j))
+
+
+def test_lazard_relations_are_the_kernel_into_z_b():
+    # In each weight w <= 10 the relation lattice R of the a-monomials is
+    # the integer kernel of their evaluation E into Z[b]_w: R lies in the
+    # kernel, rank R + rank E is the monomial count, and Z^n / R is
+    # torsion-free, so the kernel (saturated, of the same rank) is R.
+    D = 10
+    pres, law = lazard_ring(D, bound=D), universal_law(D)
+    B = law.base
+    images = [law.coefficient(i, j) for i, j in pres.gens]
+    for w in range(1, D + 1):
+        monos = pres.ring.monomials_of_weight(w)
+        index = {m: k for k, m in enumerate(B.ring.monomials_of_weight(w))}
+        evaluation = []
+        for m in monos:
+            value = B.one()
+            for i, e in m:
+                for _ in range(e):
+                    value = B.mul(value, images[i])
+            row = [0] * len(index)
+            for bm, c in value.terms.items():
+                row[index[bm]] = c
+            evaluation.append(row)
+        _, _, relations = pres.ring._relation_rows(w)
+        for r in relations:
+            assert all(sum(c * row[k] for c, row in zip(r, evaluation)) == 0 for k in range(len(index)))
+        lattice = FPModule(len(monos), relations)
+        assert lattice.rank + rank_over_Q(evaluation) == len(monos), w
+        assert lattice.rank_torsion() == (len(monos) - lattice.rank, []), w
+
+
+def test_lazard_b_gcd_matches_universal_law():
+    # modulo decomposables the weight-n coefficients a_ij are multiples of
+    # b_n, and their gcd is p when n + 1 is a power of the prime p, else 1
+    D = 12
+    law = universal_law(D)
+    for n in range(1, D + 1):
+        b_n = ((n - 1, 1),)
+        g = 0
+        for i in range(1, n + 1):
+            g = math.gcd(g, law.coefficient(i, n + 1 - i).coefficient(b_n))
+        assert g == lazard_b_gcd(n), n
 
 
 def test_classifying_map_rejects_invalid_series():

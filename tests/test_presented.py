@@ -511,14 +511,13 @@ def test_out_of_range_variable_rejected_by_mul_and_compose():
 
 def _compose_case(name):
     """(target ring, coefficient sampler) of a compose comparison case."""
-    from orcohom.fgl import lazard_ring, series_ring
+    from orcohom.fgl import lazard_ring, series_ring, universal_law
 
     base_id, _, route = name.partition("-")
     if base_id == "universal":
-        pres = lazard_ring(5)
         if route == "lazard":
-            return pres.ring, lambda rng: ZZ.from_int(rng.randint(-3, 3))
-        coeffs = pres.coefficients
+            return lazard_ring(5).ring, lambda rng: ZZ.from_int(rng.randint(-3, 3))
+        coeffs = universal_law(5).base
         inner = coeffs.ring
 
         def coeff(rng):
@@ -611,9 +610,9 @@ def test_compose_reduces_a_sum_past_a_non_unit_pivot(name):
 @pytest.mark.parametrize("law_name", ["multiplicative", "universal"])
 def test_compose_matches_termwise_on_group_law_shapes(law_name):
     # F(F(x, y), z), and the residue F(x, i(x)) of the formal inverse
-    from orcohom.fgl import formal_inverse, lazard_ring, make_multiplicative, series_ring
+    from orcohom.fgl import formal_inverse, make_multiplicative, series_ring, universal_law
 
-    law = make_multiplicative(truncation=6) if law_name == "multiplicative" else lazard_ring(5).generic
+    law = make_multiplicative(truncation=6) if law_name == "multiplicative" else universal_law(5)
     base, D = law.base, law.truncation
     r3 = series_ring(base, ("x", "y", "z"), D)
     X, Y, Z = (Polynomial.variable(base, i) for i in range(3))

@@ -18,7 +18,7 @@ from orcohom.towers import (
     tower_limit_and_lim1,
 )
 
-from oracles import mod_p_rank
+from oracles import mod_p_rank, telescope_stable_ranks
 
 
 def constant_tower(module, matrix, stages=4):
@@ -257,6 +257,40 @@ def test_telescope_examples():
                              periodicity=(0, 3))
     with pytest.raises(ValueError, match="do not cover the periodic window"):
         telescope_colimit(short, 0)
+
+
+def _z2_telescope(mat):
+    gm = GradedFPModule({0: FPModule.free(len(mat))})
+    return TelescopeDiagram([gm] * 4, [GradedMap({0: mat})] * 3, periodicity=(0, 1))
+
+
+@pytest.mark.parametrize("mat, stable", [
+    ([[2, 0], [0, 3]], "s_2=1, s_3=1"),  # Z[1/2] + Z[1/3], not Z[1/6]^2
+    ([[2, 0], [0, 1]], "s_2=1"),  # Z[1/2] + Z
+    ([[2, 1], [0, 1]], "s_2=1"),
+])
+def test_telescope_with_a_prime_not_inverted_is_partial(mat, stable):
+    rep = telescope_colimit(_z2_telescope(mat), 0)
+    assert rep["exact"] is False and "localized_at" not in rep
+    assert rep["rank"] == 2
+    assert rep["note"].endswith(stable)
+
+
+def test_telescope_verdict_matches_brute_force_oracle():
+    # exact Z[1/d]^n exactly when the window is nilpotent mod every p | d
+    rng = random.Random(16)
+    checked = 0
+    while checked < 60:
+        n = rng.choice([2, 3])
+        mat = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        stable = telescope_stable_ranks(mat)
+        if not stable:
+            continue  # determinant 0 or a unit: other regimes
+        rep = telescope_colimit(_z2_telescope(mat), 0)
+        assert rep["exact"] == (not any(stable.values())), (mat, rep)
+        if not rep["exact"]:
+            assert rep["note"].endswith(", ".join(f"s_{p}={s}" for p, s in stable.items())), mat
+        checked += 1
 
 
 def test_telescope_bott_system():
