@@ -24,7 +24,7 @@ from . import towers as tw
 from .coefficients import NonDivisibleBase
 from .partitions import partition_count
 from .polynomials import Polynomial
-from .presented import IllDefinedMap, NonConfluentPresentation
+from .presented import IllDefinedMap
 
 OPERATION_COVERAGE = {
     "fgl-check": ["make_additive", "make_multiplicative", "check_axioms",
@@ -369,26 +369,29 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="exact oriented-cohomology calculus")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--input", help="path to a JSON input file")
-        p.add_argument("--truncation", "-D", type=int, default=8)
+    def common(p, *shared):
+        # --format, and only those of the shared flags the handler reads
         p.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--theory", choices=["additive", "multiplicative", "universal"],
-                       default="additive")
+        if "input" in shared:
+            p.add_argument("--input", help="path to a JSON input file")
+        if "truncation" in shared:
+            p.add_argument("--truncation", "-D", type=int, default=8)
+        if "theory" in shared:
+            p.add_argument("--theory", choices=["additive", "multiplicative", "universal"],
+                           default="additive")
 
     p = sub.add_parser("fgl-check", help="group-law axioms and calculus")
-    common(p)
+    common(p, "input", "truncation")
     p.add_argument("--law", choices=["additive", "multiplicative"], default="multiplicative")
     p.set_defaults(handler=run_fgl_check)
 
     p = sub.add_parser("fgl-lazard", help="universal-coefficient presentation and ranks")
-    common(p)
+    common(p, "truncation")
     p.add_argument("--bound", type=int, default=fgl_mod.LAZARD_DEFAULT_BOUND)
     p.set_defaults(handler=run_fgl_lazard)
 
     p = sub.add_parser("cohomology", help="presentations for spaces and bundles")
-    common(p)
+    common(p, "input", "truncation", "theory")
     p.add_argument("--space", help="inline space JSON")
     p.add_argument("--reduce", help="polynomial JSON to put in normal form")
     p.add_argument("--tensor", help="two generator names for the product line bundle class")
@@ -397,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=run_cohomology)
 
     p = sub.add_parser("restriction", help="restriction maps along canonical inclusions")
-    common(p)
+    common(p, "truncation", "theory")
     p.add_argument("--bigger", required=True)
     p.add_argument("--smaller", required=True)
     p.add_argument("--apply", help="polynomial JSON to push through the map")
@@ -405,15 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=run_restriction)
 
     p = sub.add_parser("hopf-primitives", help="primitives and indecomposables")
-    common(p)
+    common(p, "truncation", "theory")
     p.set_defaults(handler=run_hopf)
 
     p = sub.add_parser("thom-decompose", help="filtration quotients and multiplicativity")
-    common(p)
+    common(p, "truncation", "theory")
     p.set_defaults(handler=run_thom)
 
     p = sub.add_parser("tower", help="inverse limits and the derived limit")
-    common(p)
+    common(p, "input")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weight", type=int)
     p.add_argument("--compare", action="store_true", help="input holds a split comparison")
     p.add_argument("--random-check", choices=["surjective", "split"])
@@ -421,12 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=run_tower)
 
     p = sub.add_parser("telescope", help="telescope colimits")
-    common(p)
+    common(p, "input")
     p.add_argument("--weight", type=int)
     p.set_defaults(handler=run_telescope)
 
     p = sub.add_parser("conner-floyd", help="base-change isomorphism on instances")
-    common(p)
+    common(p, "truncation")
     p.add_argument("--space", help="inline space JSON")
     p.add_argument("--suite", action="store_true", help="run the standard instance suite")
     p.set_defaults(handler=run_conner_floyd)
@@ -469,12 +473,6 @@ def main(argv=None) -> int:
     out = sys.stdout
     try:
         result, verified, csv_rows = args.handler(args)
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except (tw.UndecidableTower, NonConfluentPresentation) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
     except IllDefinedMap as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 1

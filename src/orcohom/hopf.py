@@ -85,7 +85,6 @@ class HopfData:
         self.theory = theory
         self.truncation = int(truncation)
         self.algebra = SymFilteredAlgebra(theory.coefficients, truncation)
-        self.ring = cohomology(theory, ClassifyingBGL(None), truncation)
         self._trans: dict[int, tuple] = {}
         self._delta: dict[int, dict] = {}
         self._kernel: dict[int, tuple] = {}

@@ -245,18 +245,18 @@ class Polynomial:
     def to_str(self, names) -> str:
         if not self.terms:
             return "0"
+        base = self.base
         parts = []
         for m in sorted(self.terms, key=lambda m: (-mono_degree(m), m)):
             c = self.terms[m]
-            cs = self.base.coeff_str(c)
             if m == ONE_MONO:
-                parts.append(cs)
-            elif cs == "1":
+                parts.append(base.coeff_str(c))
+            elif base.is_one(c):
                 parts.append(mono_str(m, names))
-            elif cs == "-1":
+            elif base.is_one(base.neg(c)):
                 parts.append("-" + mono_str(m, names))
             else:
-                parts.append(f"({cs})*{mono_str(m, names)}")
+                parts.append(f"({base.coeff_str(c)})*{mono_str(m, names)}")
         return " + ".join(parts)
 
     def __repr__(self):

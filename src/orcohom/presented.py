@@ -28,11 +28,11 @@ monomials: on the rewriting route those no leading monomial divides,
 listed directly by a pruned monomial recursion; on the degreewise route
 the columns whose pivot is zero in the base (the non-pivot columns over
 Z and Q, the columns with pivot n over Z/n).  A degreewise pivot that is
-neither a unit nor zero in the base (Gr(3,7) in weight 8 has a pivot 2,
-over Z and over Z/n for even n) is the exception: a multiple of its
-monomial lies in the relation span but the monomial itself does not, so
-the normal form can keep that monomial although the reported basis
-omits it.
+neither a unit nor zero in the base (among the Grassmannians first at
+Gr(4,7) in weight 8; Gr(4,8) has a pivot 2 in weight 11, over Z and
+over Z/n for even n) is the exception: a multiple of its monomial lies
+in the relation span but the monomial itself does not, so the normal
+form can keep that monomial although the reported basis omits it.
 """
 
 from __future__ import annotations

@@ -4,13 +4,15 @@ classifying spaces over an oriented periodic theory.
 Space descriptors are plain data; ``cohomology`` instantiates the
 corresponding presented ring over the theory's coefficients with the
 standard generators: l (first Chern class of the tautological line
-bundle), l1..ln (flag line bundles), s1..sm and t1..tk (Chern classes
-of the tautological and quotient bundles on a Grassmannian).  Flag and
+bundle), l1..ln (flag line bundles), s1..sm (Chern classes of the
+tautological subbundle S on a Grassmannian; the quotient's Chern class
+t_j is the class of q_j, the weight-j part of c(V) c(S)^-1).  Flag and
 projective-bundle rings carry a triangular rewrite completion, with
 cofactors over the stored relations, whose leading terms are pure
 variable powers, so their normal forms run on the fast confluent route;
-Grassmannian rings reduce degreewise.  A bundle over a base ring keeps
-the rewrite route only when the base has one; a product, only when both
+Grassmannian rings reduce degreewise, except Gr(1,n), whose one relation
+is led by a unit times s1^n.  A bundle over a base ring keeps the
+rewrite route only when the base has one; a product, only when both
 factors do.
 """
 
@@ -237,21 +239,21 @@ def cohomology(theory: OrientedTheory, space, truncation: int = 8) -> PresentedR
         m, n = space.m, space.n
         if not 0 < m <= n:
             raise ValueError("Grassmannian requires 0 < m <= n")
-        # the fiber has m + (n - m) = n variables
-        chern = [c.shift_indices(n) for c in _check_chern(theory, space, n, D)]
-        nm = n - m
-        # c(S) c(Q) = c(V): sum_{i+j=k} s_i t_j = c_k, with s_0 = t_0 = 1
-        sigma = [Polynomial.one(base)] + [Polynomial.variable(base, i) for i in range(m)]
-        tau = [Polynomial.one(base)] + [Polynomial.variable(base, m + j) for j in range(nm)]
-        rels = []
+        # c_0 = 1, then the Chern classes shifted past s1..sm
+        chern = [Polynomial.one(base)] + [
+            c.shift_indices(m) for c in _check_chern(theory, space, n, D)]
+        # q = c(S)^-1: q_0 = 1, q_k = -(s1 q_{k-1} + ... + sm q_{k-m}).
+        # c(Q) = c(V) q has rank n - m, so c(Q)_k = 0 for k > n - m;
+        # k = n-m+1..n generate the rest by the recurrence (Fulton,
+        # Young Tableaux, 9.4).  The Chern classes t_j of Q are c(Q)_j.
+        q = [Polynomial.one(base)]
         for k in range(1, n + 1):
-            acc = Polynomial.zero(base)
-            for i in range(max(0, k - nm), min(m, k) + 1):
-                acc = acc + sigma[i] * tau[k - i]
-            rels.append(acc - chern[k - 1])
-        fiber_vars = ([(f"s{i}", i) for i in range(1, m + 1)]
-                      + [(f"t{j}", j) for j in range(1, nm + 1)])
-        return _over(theory, fiber_vars, rels, None, space.base_ring, D)
+            q.append(-sum((Polynomial.variable(base, i - 1) * q[k - i]
+                           for i in range(1, min(m, k) + 1)), Polynomial.zero(base)))
+        rels = [sum((chern[j] * q[k - j] for j in range(k + 1)), Polynomial.zero(base))
+                for k in range(n - m + 1, n + 1)]
+        return _over(theory, [(f"s{i}", i) for i in range(1, m + 1)], rels, None,
+                     space.base_ring, D)
 
     if isinstance(space, ClassifyingBGL):
         n = D if space.n is None else space.n
@@ -307,13 +309,14 @@ def restriction_map(theory: OrientedTheory, bigger, smaller, truncation: int = 8
     """Generator-to-generator restriction along a canonical inclusion.
 
     Supported pairs: projective spaces (including the infinite one),
-    classifying spaces, and one-step Grassmannian stabilizations with
-    trivial bundles.  The map is verified well defined.
+    classifying spaces, and one-step Grassmannian stabilizations over
+    the point with trivial bundles.  Generator i goes to generator i of the smaller
+    ring, or to 0 past its last generator; the map is verified well
+    defined.
     """
     D = truncation
     src = cohomology(theory, bigger, D)
     tgt = cohomology(theory, smaller, D)
-    base = theory.coefficients
 
     def proj_dim(s):
         if isinstance(s, InfiniteProjectiveSpace):
@@ -324,43 +327,23 @@ def restriction_map(theory: OrientedTheory, bigger, smaller, truncation: int = 8
 
     if proj_dim(bigger) != -1 and proj_dim(smaller) != -1:
         nb, ns = proj_dim(bigger), proj_dim(smaller)
-        if nb is not None and (ns is None or ns > nb):
-            raise ValueError("unsupported inclusion pair")
-        rmap = RingMap(src, tgt, [tgt.var(0)])
-        rmap.check_well_defined()
-        return rmap
-
-    if isinstance(bigger, ClassifyingBGL) and isinstance(smaller, ClassifyingBGL):
+        supported = nb is None or (ns is not None and ns <= nb)
+    elif isinstance(bigger, ClassifyingBGL) and isinstance(smaller, ClassifyingBGL):
         nb = bigger.n if bigger.n is not None else D
         ns = smaller.n if smaller.n is not None else D
-        if ns > nb:
-            raise ValueError("unsupported inclusion pair")
-        images = [tgt.var(i) if i < ns else Polynomial.zero(base) for i in range(nb)]
-        rmap = RingMap(src, tgt, images)
-        rmap.check_well_defined()
-        return rmap
-
-    if isinstance(bigger, GrassmannianBundle) and isinstance(smaller, GrassmannianBundle):
-        if (bigger.m != smaller.m or smaller.n != bigger.n - 1
-                or any(not c.is_zero() for c in bigger.chern + smaller.chern)):
-            raise ValueError("unsupported inclusion pair")
-        m, nm_small = bigger.m, smaller.n - smaller.m
-        images = [tgt.var(i) for i in range(m + nm_small)]
-        # the top quotient Chern class restricts to the expression the
-        # rank drop forces: t_k = -(s1 t_{k-1} + ... ) in the target
-        k = bigger.n - bigger.m
-        acc = Polynomial.zero(base)
-        for i in range(1, min(m, k) + 1):
-            si = tgt.var(i - 1)
-            tj = tgt.var(m + (k - i) - 1) if 0 < k - i <= nm_small else (
-                Polynomial.one(base) if k - i == 0 else Polynomial.zero(base))
-            acc = acc + si * tj
-        images.append(tgt.normal_form(-acc))
-        rmap = RingMap(src, tgt, images)
-        rmap.check_well_defined()
-        return rmap
-
-    raise ValueError("unsupported inclusion pair")
+        supported = ns <= nb
+    elif isinstance(bigger, GrassmannianBundle) and isinstance(smaller, GrassmannianBundle):
+        supported = (bigger.m == smaller.m and smaller.n == bigger.n - 1
+                     and bigger.base_ring is None and smaller.base_ring is None
+                     and all(c.is_zero() for c in bigger.chern + smaller.chern))
+    else:
+        supported = False
+    if not supported:
+        raise ValueError("unsupported inclusion pair")
+    zero = Polynomial.zero(theory.coefficients)
+    rmap = RingMap(src, tgt, [tgt.var(i) if i < tgt.nvars else zero for i in range(src.nvars)])
+    rmap.check_well_defined()
+    return rmap
 
 
 def surjectivity_report(rmap: RingMap) -> list[dict]:

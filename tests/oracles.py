@@ -70,6 +70,25 @@ def gaussian_binomial_ranks(m: int, k: int) -> list[int]:
     return [partitions_in_box(m, k, s) for s in range(m * k + 1)]
 
 
+def whitney_grassmannian(base, m: int, n: int, D: int, chern=(), base_ring=None) -> PresentedRing:
+    """Gr(m, n) on s1..sm and t1..t(n-m), the Chern classes of the
+    tautological and quotient bundles, with the n Whitney relations
+    sum_{i+j=k} s_i t_j = c_k of c(S) c(Q) = c(V) (k = 1..n).  Over a
+    base ring, its variables follow the fiber's, primed, and its
+    relations and the Chern classes c_k move past the fiber."""
+    nm = n - m
+    sigma = [Polynomial.one(base)] + [Polynomial.variable(base, i) for i in range(m)]
+    tau = [Polynomial.one(base)] + [Polynomial.variable(base, m + j) for j in range(nm)]
+    c = [ck.shift_indices(n) for ck in chern] + [Polynomial.zero(base)] * (n - len(chern))
+    rels = [sum((sigma[i] * tau[k - i] for i in range(max(0, k - nm), min(m, k) + 1)),
+                Polynomial.zero(base)) - c[k - 1] for k in range(1, n + 1)]
+    variables = [(f"s{i}", i) for i in range(1, m + 1)] + [(f"t{j}", j) for j in range(1, nm + 1)]
+    if base_ring is not None:
+        variables += [(name + "'", w) for name, w in base_ring.variables]
+        rels += [r.shift_indices(n) for r in base_ring.relations]
+    return PresentedRing(base, variables, rels, D)
+
+
 def q_factorial_ranks(n: int) -> list[int]:
     """Coefficient list of [n]_q!: permutations of n counted by inversions."""
     out = [0] * (n * (n - 1) // 2 + 1)

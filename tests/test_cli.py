@@ -23,6 +23,29 @@ def test_malformed_json_exits_2_with_position():
     assert "position" in res.stderr
 
 
+# the shared flags each subcommand used to accept and ignore
+UNREAD_FLAGS = {
+    "--seed": ["fgl-check", "fgl-lazard", "cohomology", "restriction", "hopf-primitives",
+               "thom-decompose", "telescope", "conner-floyd", "schema"],
+    "--theory": ["fgl-check", "fgl-lazard", "tower", "telescope", "conner-floyd", "schema"],
+    "--input": ["fgl-lazard", "restriction", "hopf-primitives", "thom-decompose", "conner-floyd",
+                "schema"],
+    "--truncation": ["tower", "telescope", "schema"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for f, cs in UNREAD_FLAGS.items() for c in cs])
+def test_unread_flags_are_argument_errors(capsys, command, flag):
+    from orcohom import cli
+
+    required = ["--bigger", "{}", "--smaller", "{}"] if command == "restriction" else []
+    value = "additive" if flag == "--theory" else "1"
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([command, *required, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 def test_missing_input_exits_2():
     res = run_cli("tower")
     assert res.returncode == 2

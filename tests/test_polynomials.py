@@ -70,3 +70,20 @@ def test_not_hashable():
 
 def test_equality_respects_base():
     assert Polynomial.one(ZZ) != Polynomial.one(QQ)
+
+
+def test_to_str_abbreviates_units_by_value():
+    # 1 and -1 print as a bare or negated monomial over every base,
+    # however the base spells them: 4 in Z/5, 1@0 in Z[b, b^-1], a
+    # constant term list in the universal coefficients
+    from orcohom.coefficients import ModularRing, laurent_over
+    from orcohom.fgl import universal_law
+
+    L, U = laurent_over(ZZ), universal_law(3).base
+    for base in (ZZ, QQ, ModularRing(5), L, U):
+        one = base.one()
+        p = Polynomial(base, {((0, 1),): one, ((1, 1),): base.neg(one), ((0, 2),): base.from_int(2)})
+        assert p.to_str(["x", "y"]) == f"({base.coeff_str(base.from_int(2))})*x^2 + x + -y", base
+    b = Polynomial(L, {((0, 1),): L.generator()})
+    assert b.to_str(["l"]) == "(1@1)*l"
+    assert Polynomial(ModularRing(2), {((0, 1),): 1, (): 1}).to_str(["l"]) == "l + 1"

@@ -25,7 +25,7 @@ from orcohom.spaces import (
 from orcohom.presented import RingMap
 
 from oracles import (gaussian_binomial_ranks, int_poly, partition_count, partitions_exactly_k,
-                     q_factorial_ranks)
+                     q_factorial_ranks, whitney_grassmannian)
 
 TH = additive_theory(truncation=12)
 
@@ -50,33 +50,79 @@ def test_infinite_projective_space_truncation_consistency():
 
 
 def test_grassmannian_gaussian_binomials():
-    for n in range(1, 7):
-        for m in range(1, n + 1):
-            D = max(1, m * (n - m))
-            R = cohomology(TH, GrassmannianBundle(m, n), D)
-            ranks = R.graded_ranks()
-            expected = gaussian_binomial_ranks(m, n - m) + [0] * (len(ranks) - m * (n - m) - 1)
-            assert ranks == expected, (m, n)
-            assert R.total_rank() == comb(n, m)
+    # every Gr(m,n) with n <= 9 over Z and n <= 8 over the other bases;
+    # from Gr(4,7) on some pivots are neither units nor zero over Z, Z/4
+    # and Z/6 (see below), and units over Q and Z/5
+    for base, top in ((ZZ, 9), (QQ, 8), (ModularRing(4), 8), (ModularRing(5), 8),
+                      (ModularRing(6), 8)):
+        for n in range(1, top + 1):
+            for m in range(1, n + 1):
+                D = max(1, m * (n - m))
+                R = cohomology(additive_theory(base, D), GrassmannianBundle(m, n), D)
+                ranks = R.graded_ranks()
+                expected = gaussian_binomial_ranks(m, n - m) + [0] * (len(ranks) - m * (n - m) - 1)
+                assert ranks == expected, (base, m, n)
+                assert R.total_rank() == comb(n, m)
 
 
-def test_grassmannian_gaussian_binomials_n7_non_unit_pivot():
-    # n = 7 is the first n whose degreewise echelon form has a pivot
-    # other than 1 (Gr(3,7), weight 8), so the ranks there come from the
-    # Smith form of a non-empty residual block.
-    # The oracle holds over every base: over Q and Z/5 the pivot 2 is a
-    # unit, over Z/4 it is neither a unit nor zero.
-    n = 7
-    for base in (ZZ, QQ, ModularRing(5), ModularRing(4)):
+@pytest.mark.parametrize("base", [ZZ, ModularRing(4)], ids=str)
+def test_grassmannian_first_non_unit_pivots(base):
+    # no Gr(m,n) with n <= 6 has a pivot neither a unit nor zero in the
+    # base; Gr(4,7) has the first (weight 8) and Gr(4,8) one in weight
+    # 11, so the ranks there come from the Smith form of a non-empty
+    # residual block
+    def non_unit_pivots(R, w):
+        h, pivots = R._reducer(w)[2].lattice
+        return {R.monomials_of_weight(w)[c]: h[k][c] for k, c in enumerate(pivots)
+                if not (base.is_unit(h[k][c]) or base.is_zero(h[k][c]))}
+
+    for n in range(2, 7):
         for m in range(1, n):
             D = m * (n - m)
-            R = cohomology(additive_theory(base, 12), GrassmannianBundle(m, n), D)
-            assert R.graded_ranks() == gaussian_binomial_ranks(m, n - m), (base, m)
-            assert R.total_rank() == comb(n, m)
-    R = cohomology(TH, GrassmannianBundle(3, 7), 8)
-    _, _, module = R._reducer(8)
-    h, pivots = module.lattice
-    assert max(h[k][c] for k, c in enumerate(pivots)) == 2
+            R = cohomology(additive_theory(base, D), GrassmannianBundle(m, n), D)
+            assert not any(non_unit_pivots(R, w) for w in range(D + 1)), (m, n)
+    for n, w, exponents in ((7, 8, (1, 0, 1, 1)), (8, 11, (1, 1, 0, 2))):
+        R = cohomology(additive_theory(base, w), GrassmannianBundle(4, n), w)
+        witness = tuple((i, e) for i, e in enumerate(exponents) if e)
+        assert not any(non_unit_pivots(R, v) for v in range(w))
+        assert non_unit_pivots(R, w)[witness] == 2, n
+
+
+def _whitney_to_new(base, m, n, D, chern=(), base_ring=None):
+    """The map from the (s, t) Whitney presentation to the s-presentation:
+    s_i and the base variables to themselves, t_j to c(Q)_j = (c(V) q)_j."""
+    new = cohomology(additive_theory(base, D), GrassmannianBundle(m, n, chern, base_ring), D)
+    old = whitney_grassmannian(base, m, n, D, chern, base_ring)
+    zero = Polynomial.zero(base)
+    c = [Polynomial.one(base)] + [ck.shift_indices(m) for ck in chern] + [zero] * (n - len(chern))
+    q = [Polynomial.one(base)]
+    for k in range(1, n + 1):
+        q.append(-sum((new.var(i - 1) * q[k - i] for i in range(1, min(m, k) + 1)), zero))
+    t = [new.normal_form(sum((c[i] * q[j - i] for i in range(j + 1)), zero)) for j in range(1, n - m + 1)]
+    return RingMap(old, new, [new.var(i) for i in range(m)] + t
+                   + [new.var(i) for i in range(m, new.nvars)])
+
+
+def test_whitney_presentation_maps_isomorphically():
+    # the old presentation on s1..sm, t1..t(n-m) with the n Whitney
+    # relations is the same ring, trivial bundles for n <= 7 and bundles
+    # with Chern classes over P^3 (rewrite route) and Gr(2,4)
+    for n in range(1, 8):
+        for m in range(1, n + 1):
+            rmap = _whitney_to_new(ZZ, m, n, max(1, m * (n - m)))
+            rmap.check_well_defined()
+            assert rmap.is_graded_isomorphism()[0] is True, (m, n)
+    for base in (ZZ, ModularRing(4)):
+        th = additive_theory(base, 7)
+        x, y = (Polynomial.variable(base, i) for i in range(2))
+        two, three = base.from_int(2), base.from_int(3)
+        bases = [(cohomology(th, ProjectiveSpace(3), 7), [x.scale(three), (x * x).scale(two), x * x * x]),
+                 (cohomology(th, GrassmannianBundle(2, 4), 7), [x, y.scale(three), x * y])]
+        for base_ring, chern in bases:
+            for m, n in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 3)):
+                rmap = _whitney_to_new(base, m, n, 7, chern[:n], base_ring)
+                rmap.check_well_defined()
+                assert rmap.is_graded_isomorphism()[0] is True, (base, base_ring, m, n)
 
 
 def test_flag_factorial_ranks():
@@ -128,8 +174,8 @@ def test_bundles_over_both_routes_follow_leray_hirsch(coeffs):
     fibers = [(ProjectiveBundle, (2,), [1, 1], ["l"]),
               (FlagBundle, (2,), q_factorial_ranks(2), ["l1", "l2"]),
               (FlagBundle, (3,), q_factorial_ranks(3), ["l1", "l2", "l3"]),
-              (GrassmannianBundle, (1, 3), gaussian_binomial_ranks(1, 2), ["s1", "t1", "t2"]),
-              (GrassmannianBundle, (2, 4), gaussian_binomial_ranks(2, 2), ["s1", "s2", "t1", "t2"])]
+              (GrassmannianBundle, (1, 3), gaussian_binomial_ranks(1, 2), ["s1"]),
+              (GrassmannianBundle, (2, 4), gaussian_binomial_ranks(2, 2), ["s1", "s2"])]
     p2 = cohomology(th, ProjectiveSpace(2), D)
     g24 = cohomology(th, GrassmannianBundle(2, 4), D)
     l = s1 = Polynomial.variable(coeffs, 0)
@@ -141,14 +187,16 @@ def test_bundles_over_both_routes_follow_leray_hirsch(coeffs):
             R = cohomology(th, cls(*args, chern, base_ring), D)
             want = _truncated_product(base_ring.graded_ranks(), poincare, D + 1)
             assert R.graded_ranks() == want, (cls, args, base_ring)
-            keeps_rewrite = cls is not GrassmannianBundle and base_ring.route == "rewrite"
+            # Gr(1,n) has one relation, led by a unit times s1^n
+            keeps_rewrite = (cls is not GrassmannianBundle or args[0] == 1) and \
+                base_ring.route == "rewrite"
             assert R.route == ("rewrite" if keeps_rewrite else "degreewise"), (cls, args)
             assert (R.rewrite_source is None) == (R.route == "degreewise")
             renamed = [nm + "'" if nm in names else nm for nm in base_ring.names]
             assert list(R.names) == names + renamed
     assert cohomology(th, ProjectiveBundle(2, [], p2), D).names == ("l", "l'")
     gr_over_gr = cohomology(th, GrassmannianBundle(1, 3, [], g24), D)
-    assert gr_over_gr.names[3:] == ("s1'", "s2", "t1'", "t2'")
+    assert gr_over_gr.names == ("s1", "s1'", "s2")
     for left, right in ((ProjectiveSpace(2), GrassmannianBundle(2, 4)),
                         (GrassmannianBundle(2, 4), ProjectiveSpace(2))):
         R = cohomology(th, Product(left, right), D)
@@ -337,13 +385,28 @@ def test_restriction_classifying():
 
 
 def test_restriction_grassmannian_stabilization():
-    rmap = restriction_map(TH, GrassmannianBundle(2, 4), GrassmannianBundle(2, 3), 6)
-    rmap.check_well_defined()
+    # Gr(m,n) -> Gr(m,n-1) sends s_i to s_i: well defined and onto
+    for n in range(2, 9):
+        for m in range(1, n):
+            D = m * (n - m)
+            rmap = restriction_map(additive_theory(ZZ, D), GrassmannianBundle(m, n),
+                                   GrassmannianBundle(m, n - 1), D)
+            tgt = rmap.target
+            assert list(rmap.images) == [tgt.normal_form(tgt.var(i)) for i in range(m)]
+            rmap.check_well_defined()
+            assert all(e["surjective"] for e in surjectivity_report(rmap)), (m, n)
 
 
 def test_restriction_unsupported_pair():
     with pytest.raises(ValueError):
         restriction_map(TH, ProjectiveSpace(1), ProjectiveSpace(2), 6)
+    # a Grassmannian over a base ring is no supported pair, even with
+    # zero Chern classes: generator to generator would send l to 0
+    p2 = cohomology(TH, ProjectiveSpace(2), 6)
+    for smaller_base in (p2, None):
+        with pytest.raises(ValueError, match="unsupported inclusion pair"):
+            restriction_map(TH, GrassmannianBundle(2, 4, [], p2),
+                            GrassmannianBundle(2, 3, [], smaller_base), 6)
 
 
 def test_homology_dual():
@@ -358,11 +421,13 @@ def test_homology_dual():
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_homology_dual_ranks_over_a_composite_modulus(n):
-    # every weight piece of Gr(3,7) over Z/n is free of the Gaussian
+    # every weight piece of Gr(4,8) over Z/n is free of the Gaussian
     # binomial rank, though fewer standard monomials than that are left
-    theory = additive_theory(ModularRing(n), truncation=12)
-    dual = homology_dual(theory, GrassmannianBundle(3, 7), 12)
-    assert [dual.rank(w) for w in range(13)] == gaussian_binomial_ranks(3, 4)
+    theory = additive_theory(ModularRing(n), truncation=16)
+    ring = cohomology(theory, GrassmannianBundle(4, 8), 16)
+    assert len(ring.graded_basis(11).basis) < ring.graded_basis(11).free_rank
+    dual = homology_dual(theory, GrassmannianBundle(4, 8), 16)
+    assert [dual.rank(w) for w in range(17)] == gaussian_binomial_ranks(4, 4)
 
 
 def test_invariance_check():
