@@ -75,7 +75,6 @@ from .spaces import (
 )
 from .hopf import (
     HopfData,
-    SymFilteredAlgebra,
     additive_maps_identification,
     build_hopf,
     indecomposables,

@@ -178,8 +178,7 @@ def run_cohomology(args):
         t = sp.chern_tensor(theory, ring, ring.var(names[0].strip()), ring.var(names[1].strip()))
         result["tensor_class"] = ring.poly_str(t)
     if args.dual:
-        dual = sp.homology_dual(theory, space, D)
-        result["homology_dual_ranks"] = [dual.rank(w) for w in range(D + 1)]
+        result["homology_dual_ranks"] = sp.homology_dual(theory, space, D)
     if args.invariance:
         inv = sp.invariance_check(theory, args.invariance, min(D, 6))
         result["invariance"] = inv

@@ -231,19 +231,6 @@ class ModularRing(BaseRing):
         n_, a_, b_ = self.n // g, a // g, b // g
         return (a_ * pow(b_, -1, n_)) % n_ if n_ > 1 else 0
 
-    def is_prime(self) -> bool:
-        n = self.n
-        if n < 4:
-            return True
-        if n % 2 == 0:
-            return False
-        f = 3
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
-        return True
-
     def as_int(self, a):
         return int(a) % self.n
 

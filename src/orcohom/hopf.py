@@ -19,8 +19,8 @@ from functools import lru_cache
 from itertools import groupby, product
 from math import comb, prod
 
-from .coefficients import ZZ, BaseRing, ModularRing, NonDivisibleBase
-from .intlinalg import det_bareiss_ring, field_rref, kernel_basis
+from .coefficients import ZZ, ModularRing, NonDivisibleBase
+from .intlinalg import field_rref, kernel_basis
 from .partitions import merge, partitions
 from .spaces import ClassifyingBGL, OrientedTheory, cohomology
 
@@ -58,33 +58,16 @@ def _conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for x in p if x > i) for i in range(p[0] if p else 0))
 
 
-class SymFilteredAlgebra:
-    """Filtered symmetric algebra on one generator per positive weight.
-
-    Basis elements are partitions; the product is multiset union, and
-    level n consists of partitions with at most n parts (padding by the
-    unit b_0 realizes the inclusion of level n-1 into level n).
-    """
-
-    def __init__(self, coefficients: BaseRing, truncation: int):
-        if isinstance(coefficients, ModularRing):
-            raise ValueError("torsion coefficients are rejected for the Hopf layer")
-        self.coefficients = coefficients
-        self.truncation = int(truncation)
-
-    def multiplication_table(self, wa: int, wb: int):
-        """Pairs ((alpha, beta) -> alpha merged beta) in weights wa, wb."""
-        return {(a, b): merge(a, b) for a in partitions(wa) for b in partitions(wb)}
-
-
 class HopfData:
     """Comultiplication data for the truncated cohomology of the stable
-    classifying space, expressed on the s-monomial (partition) basis."""
+    classifying space, expressed on the s-monomial (partition) basis.
+    Torsion coefficients are rejected."""
 
     def __init__(self, theory: OrientedTheory, truncation: int):
+        if isinstance(theory.coefficients, ModularRing):
+            raise ValueError("torsion coefficients are rejected for the Hopf layer")
         self.theory = theory
         self.truncation = int(truncation)
-        self.algebra = SymFilteredAlgebra(theory.coefficients, truncation)
         self._trans: dict[int, tuple] = {}
         self._delta: dict[int, dict] = {}
         self._kernel: dict[int, tuple] = {}
@@ -145,8 +128,7 @@ class HopfData:
             nb = len(pb)
             sparse_a = [[(j * nb, c) for j, c in enumerate(row) if c] for row in inva]
             sparse_b = [[(j, c) for j, c in enumerate(row) if c] for row in invb]
-            table = self.algebra.multiplication_table(wa, wb)
-            merged = [[index[table[alpha, beta]] for beta in pb] for alpha in pa]
+            merged = [[index[merge(alpha, beta)] for beta in pb] for alpha in pa]
             keys = [(rho, sig) for rho in pa for sig in pb]
             for nu, row in zip(parts, E):
                 # block[rho, sig] = sum_alpha Einv_wa[alpha][rho] P_alpha[sig], with
@@ -220,34 +202,24 @@ def primitives(hopf: HopfData, w: int) -> dict:
 def indecomposables(hopf: HopfData, w: int) -> dict:
     """Basis of I/I^2 in weight w with the duality check against primitives.
 
-    I^2 is spanned by products of positive-weight basis elements, read
-    off the multiplication table of the filtered algebra; the quotient
-    should be rank one, dual to the primitives under the partition
-    pairing with unimodular pairing matrix.
+    A partition with two or more parts is the product of its first part
+    and the rest, so I^2 is spanned by those p(w) - 1 partitions and
+    I/I^2 by the one-part partition (w), as for any polynomial algebra
+    (Milnor-Moore, Ann. of Math. 81, 1965, section 3).  What is computed
+    is the pairing of the primitives with (w), which should be
+    unimodular.
     """
     if w < 1:
         raise ValueError("weight must be positive")
-    parts = partitions(w)
-    index = {p: i for i, p in enumerate(parts)}
-    # each product is a single basis partition, so I^2 is spanned by the
-    # merged products and the quotient by the partitions left over
-    squares = {p for wa in range(1, w)
-               for p in hopf.algebra.multiplication_table(wa, w - wa).values()}
-    quotient_basis = [p for p in parts if p not in squares]
-    prim = primitives(hopf, w)
-    parts_w, E, _ = hopf.transition(w)
-    pairing = []
-    for v in prim["basis"]:
-        mcoords = [sum(v[i] * E[i][j] for i in range(len(parts_w))) for j in range(len(parts_w))]
-        pairing.append([mcoords[index[mu]] for mu in quotient_basis])
-    det = None
-    if len(pairing) == len(quotient_basis) and pairing:
-        det = det_bareiss_ring(pairing)
+    parts, E, _ = hopf.transition(w)
+    # parts[0] is (w); the pairing reads the m_(w) coordinate of each primitive
+    pairing = [sum(c * row[0] for c, row in zip(v, E)) for v in primitives(hopf, w)["basis"]]
+    det = pairing[0] if len(pairing) == 1 else None
     return {
         "weight": w,
-        "rank": len(quotient_basis),
-        "basis": [list(p) for p in quotient_basis],
-        "squares_rank": len(squares),
+        "rank": 1,
+        "basis": [[w]],
+        "squares_rank": len(parts) - 1,
         "pairing_determinant": det,
         "pairing_unimodular": det in (1, -1),
     }

@@ -682,14 +682,14 @@ class RingMap:
         isomorphism.  A weight whose surjectivity cannot be decided has
         ``ok`` None and a note, and makes the overall verdict None unless
         another weight is False; None is a partial verdict, not a failure.
-        Over composite moduli the report notes that the check is
-        surjectivity plus cardinality.
+        That holds over Z/n with n composite too: every Smith invariant
+        of a piece divides n, so equal free rank and torsion make the two
+        pieces finite of one size, and a surjection between them is a
+        bijection.
         """
         self.check_well_defined()
         if self.source.truncation != self.target.truncation:
             raise ValueError("source and target must share a truncation bound")
-        base = self.target.base
-        composite = isinstance(base, ModularRing) and not base.is_prime()
         report = []
         for w in range(self.source.truncation + 1):
             ps = self.source.graded_basis(w)
@@ -701,9 +701,7 @@ class RingMap:
                 entry["note"] = "rank or torsion mismatch"
             else:
                 entry["ok"] = self.surjective(w)
-                if composite:
-                    entry["note"] = "composite modulus: surjectivity and cardinality only"
-                elif entry["ok"] is None:
+                if entry["ok"] is None:
                     entry["note"] = "a coefficient has no integer value"
             report.append(entry)
         verdicts = [e["ok"] for e in report]

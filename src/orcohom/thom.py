@@ -11,7 +11,7 @@ universal class of the rank-n quotient.
 from __future__ import annotations
 
 from .coefficients import ModularRing
-from .hopf import HopfData, SymFilteredAlgebra
+from .hopf import HopfData
 from .partitions import merge, partitions_exact_parts, sub_partition_splits
 from .spaces import ClassifyingBGL, OrientedTheory, cohomology
 
@@ -38,22 +38,22 @@ class ThomDecomposition:
         return out
 
 
-def thom_decompose(source: HopfData | SymFilteredAlgebra | OrientedTheory,
+def thom_decompose(source: HopfData | OrientedTheory,
                    truncation: int = 8) -> ThomDecomposition:
     """Build the decomposition of the algebra underlying ``source``.
 
     The pieces are the partitions of each weight grouped by their number
     of parts, so their ranks sum to p(w) by construction; nothing is
-    checked here.  HopfData and SymFilteredAlgebra bring their own
-    truncation and have rejected torsion coefficients already.
+    checked here.  HopfData brings its own truncation and has rejected
+    torsion coefficients already.
     """
-    if isinstance(source, (HopfData, SymFilteredAlgebra)):
+    if isinstance(source, HopfData):
         truncation = source.truncation
     elif isinstance(source, OrientedTheory):
         if isinstance(source.coefficients, ModularRing):
             raise ValueError("torsion coefficients are rejected for the Hopf layer")
     else:
-        raise TypeError("expected HopfData, SymFilteredAlgebra or OrientedTheory")
+        raise TypeError("expected HopfData or OrientedTheory")
     return ThomDecomposition(truncation)
 
 

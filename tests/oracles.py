@@ -4,9 +4,10 @@ Everything here deliberately avoids the library's code paths: ranks go
 through Fraction Gaussian elimination, determinants through cofactor
 expansion, torsion through minor gcds, and partition counts through
 the Euler recurrence.  Coassociativity is checked on the coproduct
-dictionaries alone.  Relation-ideal membership goes through the
-degreewise relation lattice, with no cofactor certificate.  Substitution
-goes term by term, one ring product per variable factor.
+dictionaries alone, and indecomposables on the whole multiplication
+table.  Relation-ideal membership goes through the degreewise relation
+lattice, with no cofactor certificate.  Substitution goes term by term,
+one ring product per variable factor.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from orcohom.coefficients import IntegerRing, ZZ
+from orcohom.conner_floyd import (_coefficient_images, base_change, cobordism_presentation,
+                                  k_theory_presentation)
 from orcohom.polynomials import Polynomial, mono_divides
-from orcohom.presented import NonConfluentPresentation, PresentedRing
+from orcohom.presented import NonConfluentPresentation, PresentedRing, RingMap
 
 
 @lru_cache(maxsize=None)
@@ -420,6 +423,36 @@ def coassociativity_check(hopf, w: int) -> bool:
         lhs[nu] = {k: v for k, v in l.items() if v}
         rhs[nu] = {k: v for k, v in r.items() if v}
     return lhs == rhs
+
+
+@lru_cache(maxsize=None)
+def partition_list(n: int, top: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Partitions of n with parts at most ``top``, largest part first."""
+    top = n if top is None else top
+    if n == 0:
+        return ((),)
+    return tuple((k,) + rest for k in range(min(n, top), 0, -1)
+                 for rest in partition_list(n - k, k))
+
+
+def indecomposables_by_products(w: int) -> tuple[list, set]:
+    """(basis of I/I^2, the partitions spanning I^2) in weight w of the
+    symmetric algebra on one generator per weight, read off the whole
+    multiplication table: each product of two positive-weight partitions
+    (multiset union) lies in I^2, and the partitions no product reaches
+    span I/I^2."""
+    squares = {tuple(sorted(a + b, reverse=True))
+               for wa in range(1, w) for a in partition_list(wa) for b in partition_list(w - wa)}
+    return [p for p in partition_list(w) if p not in squares], squares
+
+
+def conner_floyd_backward_map(space, D: int) -> RingMap:
+    """The generator-preserving map from the K-side of a Conner-Floyd
+    instance back to the base-changed cobordism side; it is well defined
+    when every K-side relation holds on the cobordism side."""
+    changed = base_change(cobordism_presentation(space, D), *_coefficient_images(D))
+    right = k_theory_presentation(space, D)
+    return RingMap(right, changed, [changed.var(i) for i in range(right.nvars)])
 
 
 def prime_divisors(n: int) -> list[int]:

@@ -42,6 +42,7 @@ from orcohom.towers import (
 from orcohom.conner_floyd import verify_conner_floyd
 
 from oracles import (
+    conner_floyd_backward_map,
     gaussian_binomial_ranks,
     partition_count,
     partitions_exactly_k,
@@ -197,7 +198,7 @@ def test_criterion_8_conner_floyd_instances():
     for X in instances:
         rep = verify_conner_floyd(X, 8)
         assert rep["isomorphism"], rep["instance"]
-        assert rep["relation_ideals_match"], rep["instance"]
+        conner_floyd_backward_map(X, 8).check_well_defined()
         assert rep["total_rank"] == expected_totals[rep["instance"]]
         for entry in rep["per_weight"]:
             assert entry["cobordism_rank"] == entry["k_rank"]

@@ -11,7 +11,7 @@ from orcohom.conner_floyd import (
 from orcohom.presented import QuotientCoefficients, RingMap
 from orcohom.spaces import FlagBundle, GrassmannianBundle, InfiniteProjectiveSpace, ProjectiveSpace
 
-from oracles import gaussian_binomial_ranks
+from oracles import conner_floyd_backward_map, gaussian_binomial_ranks
 
 
 def test_point_presentations():
@@ -41,8 +41,22 @@ def test_verify_small_instances():
     for X in (ProjectiveSpace(0), ProjectiveSpace(2), GrassmannianBundle(2, 4), FlagBundle(3)):
         rep = verify_conner_floyd(X, 6)
         assert rep["isomorphism"], rep
-        assert rep["relation_ideals_match"]
+        conner_floyd_backward_map(X, 6).check_well_defined()
         assert all(e["cobordism_rank"] == e["k_rank"] for e in rep["per_weight"])
+
+
+@pytest.mark.parametrize("D", [8, 12])
+def test_backward_generator_map_inverts_each_isomorphism(D):
+    # a generator-preserving map bijective in every weight has the
+    # generator-preserving map back as its inverse, so wherever the suite
+    # reports an isomorphism the backward map must be well defined
+    from orcohom.cli import STANDARD_CF_INSTANCES
+    from orcohom.serialize import space_from_json
+
+    for doc in STANDARD_CF_INSTANCES:
+        X = space_from_json(doc)
+        assert verify_conner_floyd(X, D)["isomorphism"], doc
+        conner_floyd_backward_map(X, D).check_well_defined()
 
 
 def test_unsupported_descriptor():
@@ -179,26 +193,18 @@ def test_universal_chern_tensor_uses_generic_series():
         a11, theory.coefficients.from_poly(Polynomial.variable(ZZ, 0).scale(2)))
 
 
-def test_unexpected_error_in_ideal_check_propagates(monkeypatch):
-    # Only IllDefinedMap means "the relation ideals differ"; any other
-    # error in the backward check must surface instead of becoming a
-    # false verdict.
-    forward_done = []
-    original_iso = RingMap.is_graded_isomorphism
-    original_check = RingMap.check_well_defined
+def test_unexpected_error_in_isomorphism_check_propagates(monkeypatch, capsys):
+    # an error inside the forward check must surface, in the library and
+    # as an internal error (exit 3) from the CLI, never as a False verdict
+    from orcohom import cli
 
-    def iso(self):
-        result = original_iso(self)
-        forward_done.append(True)
-        return result
+    def fail(self, w):
+        raise ArithmeticError("injected")
 
-    def check(self):
-        if forward_done:
-            raise ArithmeticError("injected")
-        return original_check(self)
-
-    monkeypatch.setattr(RingMap, "is_graded_isomorphism", iso)
-    monkeypatch.setattr(RingMap, "check_well_defined", check)
+    monkeypatch.setattr(RingMap, "surjective", fail)
     with pytest.raises(ArithmeticError, match="injected"):
         verify_conner_floyd(ProjectiveSpace(1), 4)
-    assert forward_done
+    assert cli.main(["conner-floyd", "--space", '{"Pn":1}', "--truncation", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: ArithmeticError: injected")

@@ -1,6 +1,5 @@
 from orcohom.coefficients import QQ, ModularRing
 from orcohom.hopf import (
-    SymFilteredAlgebra,
     additive_maps_identification,
     build_hopf,
     indecomposables,
@@ -11,8 +10,9 @@ from orcohom.spaces import additive_theory
 
 import pytest
 
-from oracles import (coassociativity_check, conjugate_partition, dominates, partition_count,
-                     partitions_exactly_k, whitney_coproduct, zero_one_matrix_count)
+from oracles import (coassociativity_check, conjugate_partition, dominates,
+                     indecomposables_by_products, partition_count, partitions_exactly_k,
+                     whitney_coproduct, zero_one_matrix_count)
 
 TH = additive_theory(truncation=8)
 
@@ -66,9 +66,9 @@ def test_primitives_are_power_sums():
 
 
 def test_torsion_coefficients_rejected():
-    z4 = ModularRing(4)
-    with pytest.raises(ValueError):
-        SymFilteredAlgebra(z4, 4)
+    z4 = additive_theory(ModularRing(4), 4)
+    with pytest.raises(ValueError, match="torsion coefficients are rejected"):
+        build_hopf(z4, 4)
 
 
 def test_additive_maps_identification():
@@ -114,6 +114,17 @@ def test_filtration_level_ranks():
 @pytest.fixture(scope="module")
 def hd14():
     return build_hopf(additive_theory(truncation=14), 14)
+
+
+def test_indecomposables_match_the_multiplication_table(hd14):
+    # the oracle enumerates every product of two positive-weight classes;
+    # the library knows I/I^2 is spanned by the one-part partition
+    for w in range(1, 15):
+        rep = indecomposables(hd14, w)
+        basis, squares = indecomposables_by_products(w)
+        assert rep["basis"] == [list(p) for p in basis] == [[w]]
+        assert rep["squares_rank"] == len(squares) == partition_count(w) - 1
+        assert rep["pairing_unimodular"], w
 
 
 def test_transition_counts_zero_one_matrices():

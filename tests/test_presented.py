@@ -424,13 +424,21 @@ def test_quotient_coefficients_arithmetic():
     assert Q.coeff_from_str(Q.coeff_str(l)) == l
 
 
-def test_composite_modulus_iso_downgrade():
-    z6 = ModularRing(6)
-    ring = PresentedRing(z6, [("l", 1)], [Polynomial(z6, {((0, 2),): 1})], 4)
-    ident = RingMap(ring, ring, [ring.var("l")])
-    ok, report = ident.is_graded_isomorphism()
-    assert ok
-    assert any("composite" in e.get("note", "") for e in report)
+@pytest.mark.parametrize("n", [4, 6])
+def test_composite_modulus_iso_verdicts_are_proved(n):
+    # over Z/n equal rank and torsion plus surjectivity is a proof: the
+    # units l -> l and l -> (n-1)l are isomorphisms with no note, and
+    # l -> 2l, onto neither Z/4 nor Z/6 in weight 1, is not
+    zn = ModularRing(n)
+    ring = PresentedRing(zn, [("l", 1)], [Polynomial(zn, {((0, 3),): 1})], 4)
+    l = ring.var("l")
+    for image in (l, l.scale(n - 1)):
+        ok, report = RingMap(ring, ring, [image]).is_graded_isomorphism()
+        assert ok is True
+        assert not any("note" in e for e in report)
+    ok, report = RingMap(ring, ring, [l.scale(2)]).is_graded_isomorphism()
+    assert ok is False
+    assert report[1]["ok"] is False
 
 
 def test_ill_defined_map_names_relation():

@@ -1,3 +1,4 @@
+import json
 from math import comb, factorial
 
 import pytest
@@ -410,13 +411,10 @@ def test_restriction_unsupported_pair():
 
 
 def test_homology_dual():
-    dual = homology_dual(TH, ProjectiveSpace(2), 6)
-    assert [dual.rank(w) for w in range(4)] == [1, 1, 1, 0]
-    dinf = homology_dual(TH, InfiniteProjectiveSpace(), 6)
-    assert all(dinf.rank(w) == 1 for w in range(7))
-    point = homology_dual(TH, ProjectiveSpace(0), 6)
-    assert point.rank(0) == 1
-    assert all(point.rank(w) == 0 for w in range(1, 7))
+    # one rank per weight 0..D
+    assert homology_dual(TH, ProjectiveSpace(2), 6) == [1, 1, 1, 0, 0, 0, 0]
+    assert homology_dual(TH, InfiniteProjectiveSpace(), 6) == [1] * 7
+    assert homology_dual(TH, ProjectiveSpace(0), 6) == [1, 0, 0, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -426,8 +424,7 @@ def test_homology_dual_ranks_over_a_composite_modulus(n):
     theory = additive_theory(ModularRing(n), truncation=16)
     ring = cohomology(theory, GrassmannianBundle(4, 8), 16)
     assert len(ring.graded_basis(11).basis) < ring.graded_basis(11).free_rank
-    dual = homology_dual(theory, GrassmannianBundle(4, 8), 16)
-    assert [dual.rank(w) for w in range(17)] == gaussian_binomial_ranks(4, 4)
+    assert homology_dual(theory, GrassmannianBundle(4, 8), 16) == gaussian_binomial_ranks(4, 4)
 
 
 def test_invariance_check():
@@ -451,14 +448,24 @@ def test_invariance_check_sees_swapped_images(monkeypatch):
     assert any(f["monomial"] == "s1" for f in rep["failures"])
 
 
-def test_homology_dual_rejects_torsion():
+def test_homology_dual_rejects_torsion(capsys):
+    # a line bundle over Z[l]/(2l) has 2-torsion in weight 1, so its
+    # dual is not free: an input error naming the weight
+    from orcohom import cli
     from orcohom.presented import PresentedRing
-    from orcohom.spaces import HomologyDual
 
-    torsion_ring = PresentedRing(ZZ, [("l", 1)],
-                                 [int_poly(ZZ, {((0, 1),): 2})], 4)
-    with pytest.raises(ValueError):
-        HomologyDual(torsion_ring)
+    base = PresentedRing(ZZ, [("l", 1)], [int_poly(ZZ, {((0, 1),): 2})], 4)
+    message = "torsion detected in weight 1; dual module is not free"
+    with pytest.raises(ValueError, match=message):
+        homology_dual(TH, ProjectiveBundle(1, [], base), 4)
+    space = {"ProjectiveBundle": {"rank": 1, "base": {
+        "base": {"kind": "Integers"}, "relations": [[[[1], "2"]]], "truncation": 4,
+        "variables": [["l", 1]]}}}
+    assert cli.main(["cohomology", "--space", json.dumps(space), "--truncation", "4",
+                     "--dual", "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {message}\n"
 
 
 def test_presentations_are_law_independent():

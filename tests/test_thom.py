@@ -1,7 +1,7 @@
 import pytest
 
 from orcohom.coefficients import ModularRing
-from orcohom.hopf import SymFilteredAlgebra, build_hopf
+from orcohom.hopf import build_hopf
 from orcohom.spaces import additive_theory, multiplicative_theory
 from orcohom.thom import thom_decompose, thom_iso_check, thom_product_check
 
@@ -25,7 +25,6 @@ def test_decomposition_piece_ranks():
 def test_decomposition_sources_and_torsion():
     # each source kind gives its truncation; torsion coefficients are rejected
     assert thom_decompose(build_hopf(TH, 5)).truncation == 5
-    assert thom_decompose(SymFilteredAlgebra(TH.coefficients, 6)).truncation == 6
     assert thom_decompose(TH, 7).truncation == 7
     torsion = additive_theory(ModularRing(5), 4)
     with pytest.raises(ValueError):
