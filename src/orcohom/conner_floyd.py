@@ -53,7 +53,7 @@ def universal_theory(truncation: int = 8) -> OrientedTheory:
     return theory
 
 
-def _supported(space) -> None:
+def _check_supported(space) -> None:
     if isinstance(space, ProjectiveSpace):
         ok = space.n >= 0
     elif isinstance(space, (FlagBundle, GrassmannianBundle)):
@@ -67,14 +67,14 @@ def _supported(space) -> None:
 
 def cobordism_presentation(space, truncation: int = 8) -> PresentedRing:
     """Presentation of the instance over the universal coefficients."""
-    _supported(space)
+    _check_supported(space)
     return cohomology(universal_theory(truncation), space, truncation)
 
 
 def k_theory_presentation(space, truncation: int = 8) -> PresentedRing:
     """Presentation of the instance over the Laurent domain with the
     multiplicative law."""
-    _supported(space)
+    _check_supported(space)
     return cohomology(multiplicative_theory(truncation), space, truncation)
 
 
