@@ -97,7 +97,6 @@ from .towers import (
 from .conner_floyd import (
     base_change,
     cobordism_presentation,
-    k_theory_presentation,
     universal_theory,
     verify_conner_floyd,
 )

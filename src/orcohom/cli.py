@@ -38,7 +38,7 @@ OPERATION_COVERAGE = {
     "thom-decompose": ["thom_decompose", "thom_product_check", "thom_iso_check"],
     "tower": ["tower_limit_and_lim1", "split_tower_compare"],
     "telescope": ["telescope_colimit"],
-    "conner-floyd": ["cobordism_presentation", "k_theory_presentation", "verify_conner_floyd"],
+    "conner-floyd": ["cobordism_presentation", "verify_conner_floyd"],
     "schema": ["schema"],
 }
 

@@ -71,13 +71,6 @@ def cobordism_presentation(space, truncation: int = 8) -> PresentedRing:
     return cohomology(universal_theory(truncation), space, truncation)
 
 
-def k_theory_presentation(space, truncation: int = 8) -> PresentedRing:
-    """Presentation of the instance over the Laurent domain with the
-    multiplicative law."""
-    _check_supported(space)
-    return cohomology(multiplicative_theory(truncation), space, truncation)
-
-
 def _coefficient_images(truncation: int):
     """(Z[b, b^-1], the images b_i -> (-b)^i/(i+1)! in Q[b, b^-1] for i = 1..D)."""
     return laurent_over(), tuple({i: Fraction((-1) ** i, factorial(i + 1))}

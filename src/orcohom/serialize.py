@@ -247,19 +247,16 @@ def tower_to_json(tower: ModuleTower) -> dict:
         "stages": [_graded_module_to_json(s) for s in tower.stages],
         "maps": [_graded_map_to_json(m) for m in tower.maps],
         "periodicity": list(tower.periodicity) if tower.periodicity else None,
-        "surjectivity": tower.surjectivity_flags,
     }
 
 
 def tower_from_json(data: dict) -> ModuleTower:
-    flags = data.get("surjectivity")
-    if flags is not None and not (isinstance(flags, list) and all(isinstance(f, bool) for f in flags)):
-        raise ValueError(f"surjectivity must be null or a list of booleans, got {flags!r}")
+    """A tower; a ``surjectivity`` key, which older documents carry, is
+    ignored: surjectivity is computed, never declared."""
     return ModuleTower(
         [_graded_module_from_json(s) for s in data["stages"]],
         [_graded_map_from_json(m) for m in data["maps"]],
         _periodicity_from_json(data),
-        flags,
     )
 
 
@@ -320,7 +317,6 @@ def schemas() -> dict:
             "stages": "[{weight: FPModule}, ...]",
             "maps": "[{weight: matrix rows target x source}, ...] (maps[k]: stage k+1 -> stage k)",
             "periodicity": "[k0, rho] or null",
-            "surjectivity": "[bool per map] or null",
         },
         "TelescopeDiagram": {
             "stages": "[{weight: FPModule}, ...]",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .coefficients import ModularRing
 from .hopf import HopfData
 from .partitions import merge, partitions_exact_parts, sub_partition_splits
-from .spaces import ClassifyingBGL, OrientedTheory, cohomology
+from .spaces import POINT, ClassifyingBGL, OrientedTheory, cohomology
 
 
 class ThomDecomposition:
@@ -100,23 +100,15 @@ def thom_iso_check(theory: OrientedTheory, n: int, truncation: int = 8) -> dict:
     """Degree-shift module comparison for the rank-n piece.
 
     The rank of the n-th piece in weight w must equal the rank of the
-    rank-n classifying ring in weight w - n; both sides are computed by
-    independent routes (partition enumeration against the presented
-    ring's graded bases).
+    rank-n classifying ring (the point for n = 0) in weight w - n; both
+    sides are computed by independent routes (partition enumeration
+    against the presented ring's graded bases).
     """
     if n < 0 or n > 3:
         raise ValueError("piece index supported for 0 <= n <= 3")
     D = truncation
     dec = thom_decompose(theory, D)
-    if n == 0:
-        per_weight = [{"weight": w,
-                       "piece_rank": dec.piece_rank(0, w),
-                       "shifted_rank": 1 if w == 0 else 0,
-                       "ok": dec.piece_rank(0, w) == (1 if w == 0 else 0)}
-                      for w in range(D + 1)]
-        return {"n": 0, "truncation": D, "per_weight": per_weight,
-                "ok": all(e["ok"] for e in per_weight)}
-    bgl = cohomology(theory, ClassifyingBGL(n), D)
+    bgl = cohomology(theory, ClassifyingBGL(n) if n else POINT, D)
     per_weight = []
     ok = True
     for w in range(D + 1):

@@ -6,22 +6,20 @@ finite coefficients such as Z/n), one finitely presented piece per
 weight.  Each piece is an ``intlinalg.FPModule``, which answers
 membership, coefficients over its relations, invariants, quotients and
 presentation equality; this module composes integer matrices and asks
-those questions.  Exact answers are produced in the regimes the
-constructions actually need:
+those questions.
 
-* surjective towers: the derived limit vanishes (Mittag-Leffler) and,
-  with a periodic window, the limit is the stable stage, because a
-  surjective endomorphism of a finitely generated module is bijective;
-* towers of finite modules: the derived limit vanishes and the limit is
-  the stable image of the window composite, which stabilizes by
-  cardinality;
-* periodic windows whose composite acts unimodularly on the stable
-  sublattice: eventually a tower of isomorphisms.
+A periodic system is answered from its window alone: lim, lim1 and the
+colimit depend only on a cofinal subsystem (Milnor, Pacific J. Math. 12,
+1962; Weibel, *An Introduction to Homological Algebra*, 3.5), so the
+module M at the window's start and the composite h once around the
+window decide them.  A tower without a window is answered from its
+stored stages: surjective or finite stages kill the derived limit
+(Mittag-Leffler).
 
-Anything else is returned flagged partial rather than wrong: the
-derived limit of a non-Mittag-Leffler tower of infinite modules (the
-adic example) is not finitely presentable, so no presentation is
-reported for it.
+Where no hypothesis decides, the answer is flagged partial rather than
+wrong: the derived limit of a non-Mittag-Leffler tower of infinite
+modules (the adic example) is not finitely presentable, so no
+presentation is reported for it.
 """
 
 from __future__ import annotations
@@ -151,8 +149,6 @@ class _StageSystem:
 
     def window_composite(self, w: int):
         """(module, matrix) of the composite map once around the window."""
-        if self.periodicity is None:
-            raise UndecidableTower("no periodic window declared")
         k0, rho = self.periodicity
         if k0 + rho > len(self.maps):
             raise ValueError("stored stages do not cover the periodic window")
@@ -168,43 +164,44 @@ class ModuleTower(_StageSystem):
     """Inverse system M_0 <- M_1 <- ... with optional periodicity window.
 
     ``maps[k]`` sends stage k+1 to stage k.  A declared periodicity is
-    verified on the stored window.  Surjectivity flags, one per
-    connecting map, are verified too: a map flagged True must be onto in
-    every weight.  A flag only states what ``map_surjective`` computes
-    anyway.
+    verified on the stored window.
     """
 
     forward = False
-
-    def __init__(self, stages, maps, periodicity: tuple[int, int] | None = None,
-                 surjectivity_flags=None):
-        super().__init__(stages, maps, periodicity)
-        self.surjectivity_flags = list(surjectivity_flags) if surjectivity_flags is not None else None
-        if self.surjectivity_flags is not None:
-            if len(self.surjectivity_flags) != len(self.maps):
-                raise ValueError("need one surjectivity flag per connecting map")
-            for k in [k for k, flag in enumerate(self.surjectivity_flags) if flag]:
-                for w in _weights(self.ends(k)):
-                    if not self.map_surjective(k, w):
-                        raise ValueError(f"declared surjectivity fails on map {k} in weight {w}")
 
     def map_surjective(self, k: int, w: int) -> bool:
         return map_surjective(self.map_matrix(k, w), self.stages[k].piece(w))
 
 
+def _power(mat, k: int, n: int):
+    """h^k for an n x n integer matrix h."""
+    power = _eye(n, n)
+    for _ in range(k):
+        power = compose_matrices(mat, power, n)
+    return power
+
+
 def _stable_image(module: FPModule, mat) -> FPModule:
-    """Stable image of an endomorphism of a finite module."""
-    power = mat
-    seen = None
-    for _ in range(64):
-        sub = _submodule_presentation(zip(*power), module)
-        data = sub.rank_torsion()
-        if data == seen:
-            # one extra confirmation step: image presentation stabilized
-            return sub
-        seen = data
-        power = compose_matrices(mat, power, module.ngens)
-    raise ArithmeticError("image chain failed to stabilize")
+    """Stable image of an endomorphism h of a finite module M: the image
+    of h^L, L the total bit length of M's invariants d1 | d2 | ...  Each
+    strict step of the falling chain of images at least halves the
+    order, so L steps reach its bottom.  The last invariant kills M, so
+    the entries of the powers are reduced modulo it."""
+    n, invariants = module.ngens, module.rank_torsion()[1]
+    power = _eye(n, n)
+    for _ in range(sum(v.bit_length() for v in invariants)):
+        power = [[v % invariants[-1] for v in row] for row in compose_matrices(mat, power, n)]
+    return _submodule_presentation(zip(*power), module)
+
+
+def _stable_part(mat, n: int) -> tuple[int, int]:
+    """(r, d) for h on Z^n: r the rank of the stable image L = h^n(Z^n)
+    and d = |det| of h on L, on the HNF basis of L.  The ranks of the
+    powers of h stop falling by h^n, so h maps L into itself injectively
+    and d > 0 (d = 1 when r = 0)."""
+    stable = FPModule(n, [list(col) for col in zip(*_power(mat, n, n))])
+    basis = stable.lattice[0]
+    return len(basis), abs(det_bareiss_ring([stable.solve(_apply(mat, b)) for b in basis]))
 
 
 def _exact(rank, torsion, note: str, **extra) -> dict:
@@ -222,65 +219,50 @@ def tower_limit_and_lim1(tower: ModuleTower, weight: int) -> tuple[dict, dict]:
     False only for flagged partial answers, which happens when no
     hypothesis pins down the tail behavior.
     """
-    # Window sufficiency.  The limit and derived limit are the kernel
-    # and cokernel of (1 - shift) on the full infinite product, but the
-    # stored window determines them in each supported regime:
-    #  - surjective maps: (1 - shift) is onto the infinite product by
-    #    backward substitution (Mittag-Leffler), so lim1 = 0; with a
-    #    periodic window the composite around the window is a
-    #    surjective endomorphism of a finitely generated module, hence
-    #    bijective, so the tail is a tower of isomorphisms and lim is
-    #    the window stage itself;
-    #  - finite stages: the descending images of the window composite
-    #    stabilize by cardinality, the tail restricted to the stable
-    #    image is again a tower of isomorphisms, and Mittag-Leffler
-    #    kills lim1;
-    #  - free stages with unimodular window composite: the composite is
-    #    an isomorphism outright.
-    # Outside these regimes the kernel/cokernel of (1 - shift) is not
-    # determined by finite data (the adic example), so the answer is
-    # flagged partial instead of fabricated.
+    # lim and lim1 are the kernel and cokernel of (1 - shift) on the
+    # infinite product, and depend only on a cofinal subsystem: for a
+    # periodic tower, the constant tower of the window composite h on the
+    # window module M.  An onto h is bijective (Hopfian); on a finite M
+    # the images of h stabilize; on a free M they stabilize at the stable
+    # image L when h is unimodular on L.  Each case is eventually a tower
+    # of isomorphisms, so lim is the stable image and Mittag-Leffler
+    # kills lim1.  Otherwise (the adic example) neither is determined by
+    # finite data, so the answer is flagged partial, not fabricated.
     #
     # Connecting maps are single weight-preserving matrices per stage:
     # the suspension shift and the periodicity unit cancel against each
     # other in the collapsed grading, so no degree bookkeeping appears
     # in the matrices themselves.
     w = weight
-    mods = [stage.piece(w) for stage in tower.stages]
-    periodic = tower.periodicity is not None
+    surjective_note = "surjective tower: Mittag-Leffler"
+    finite_note = "finite stages: images stabilize (Mittag-Leffler)"
+    if tower.periodicity is None:
+        mods = [stage.piece(w) for stage in tower.stages]
+        if all(tower.map_surjective(k, w) for k in range(len(tower.maps))):
+            return (_partial("partial: surjectivity without a periodic window", *mods[-1].rank_torsion()),
+                    _exact(0, [], surjective_note))
+        if all(m.is_finite() for m in mods):
+            return _partial("partial: finite stages without a periodic window"), _exact(0, [], finite_note)
+        raise UndecidableTower(
+            "need finite stages, a periodic window, or surjectivity to compute limits")
 
-    if all(tower.map_surjective(k, w) for k in range(len(tower.maps))):
-        lim1 = _exact(0, [], "surjective tower: Mittag-Leffler")
-        if periodic:
-            module, _ = tower.window_composite(w)
-            lim = _exact(*module.rank_torsion(), "surjective window composite is bijective (Hopfian)")
-        else:
-            lim = _partial("partial: surjectivity without a periodic window", *mods[-1].rank_torsion())
-        return lim, lim1
-
-    if all(m.is_finite() for m in mods):
-        lim1 = _exact(0, [], "finite stages: images stabilize (Mittag-Leffler)")
-        if periodic:
-            module, mat = tower.window_composite(w)
-            stable = _stable_image(module, mat)
-            return _exact(*stable.rank_torsion(), "stable image of the window composite"), lim1
-        return _partial("partial: finite stages without a periodic window"), lim1
-
-    if periodic:
-        module, mat = tower.window_composite(w)
-        rank, torsion = module.rank_torsion()
-        if rank > 0 and not torsion and not module.relations:
-            d = abs(det_bareiss_ring(mat))
-            if d == 1:
-                return (_exact(rank, [], "unimodular window composite: tower of isomorphisms"),
-                        _exact(0, [], "tower of isomorphisms"))
-            return (_partial(f"partial: window determinant {d}; limit is an adic object"),
-                    _partial("partial: derived limit not finitely presentable"))
-        note = "partial: mixed free/torsion non-surjective window"
-        return _partial(note), _partial(note)
-
-    raise UndecidableTower(
-        "need finite stages, a periodic window, or surjectivity to compute limits")
+    module, mat = tower.window_composite(w)
+    if map_surjective(mat, module):
+        return (_exact(*module.rank_torsion(), "surjective window composite is bijective (Hopfian)"),
+                _exact(0, [], surjective_note))
+    if module.is_finite():
+        stable = _stable_image(module, mat)
+        return _exact(*stable.rank_torsion(), "stable image of the window composite"), \
+            _exact(0, [], finite_note)
+    if not module.relations:
+        rank, d = _stable_part(mat, module.ngens)
+        if d == 1:
+            return (_exact(rank, [], "window composite unimodular on its stable image"),
+                    _exact(0, [], "free stages: images stabilize (Mittag-Leffler)"))
+        return (_partial(f"partial: window determinant {d}; limit is an adic object"),
+                _partial("partial: derived limit not finitely presentable"))
+    note = "partial: mixed free/torsion non-surjective window"
+    return _partial(note), _partial(note)
 
 
 def split_tower_compare(Y: ModuleTower, Z: ModuleTower, r: GradedMap, s: GradedMap,
@@ -460,12 +442,13 @@ def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
     """Weight piece of the colimit.
 
     Eventually isomorphic systems give the stable value exactly.  A
-    periodic window with self-map h on Z^n of determinant d != 0 gives
-    Z[1/d]^n exactly when, for every prime p | d, the rank s_p of h^n
-    mod p is 0 (h is nilpotent mod p); otherwise p is not invertible on
-    the colimit (Z^2 under diag(2, 3) gives Z[1/2] + Z[1/3]) and the
-    answer is partial, with each s_p in the note.  Anything else is the
-    last stored stage flagged partial.
+    periodic window with self-map h on Z^n has the colimit of h on its
+    stable image L, of rank r, where h has determinant d != 0: Z^r
+    exactly when d = 1, and Z[1/d]^r exactly when, for every prime
+    p | d, the rank s_p of h^n mod p is 0 (h is nilpotent mod p);
+    otherwise p is not invertible on the colimit (Z^2 under diag(2, 3)
+    gives Z[1/2] + Z[1/3]) and the answer is partial, with each s_p in
+    the note.  Anything else is the last stored stage flagged partial.
     """
     w = weight
     if t.periodicity is None:
@@ -477,21 +460,16 @@ def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
     rank, torsion = module.rank_torsion()
     if map_surjective(mat, module):
         return _exact(rank, torsion, "eventually isomorphic system: stable value")
-    # localize the free part at the window determinant
-    if not module.relations:
-        d = abs(det_bareiss_ring(mat))
-        power = mat
-        for _ in range(module.ngens):
-            power = compose_matrices(power, mat, module.ngens)
-        if d == 0:
-            return _exact(FPModule(module.ngens, power).rank, [],
-                          "rank of the stable image over the localized base")
-        # rank mod p of h^(n+1), which equals that of h^n
-        invariants = snf_invariants(power)
-        stable = {p: sum(1 for v in invariants if v % p) for p in _prime_divisors(d)}
-        if any(stable.values()):
-            ranks = ", ".join(f"s_{p}={s}" for p, s in stable.items())
-            return _partial(f"partial: {d} is not invertible on the colimit; "
-                            f"ranks of the window power mod p: {ranks}", rank, [])
-        return _exact(rank, [], f"rank {rank} over the base with {d} inverted", localized_at=d)
-    return _partial("partial: torsion telescope outside the supported regimes", rank, torsion)
+    if module.relations:
+        return _partial("partial: torsion telescope outside the supported regimes", rank, torsion)
+    rank, d = _stable_part(mat, module.ngens)
+    if d == 1:
+        return _exact(rank, [], "stable value on the stable image of the window")
+    # rank mod p of h^n: the SNF invariants p does not divide
+    invariants = snf_invariants(_power(mat, module.ngens, module.ngens))
+    stable = {p: sum(1 for v in invariants if v % p) for p in _prime_divisors(d)}
+    if any(stable.values()):
+        ranks = ", ".join(f"s_{p}={s}" for p, s in stable.items())
+        return _partial(f"partial: {d} is not invertible on the colimit; "
+                        f"ranks of the window power mod p: {ranks}", rank, [])
+    return _exact(rank, [], f"rank {rank} over the base with {d} inverted", localized_at=d)

@@ -18,10 +18,10 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from orcohom.coefficients import IntegerRing, ZZ
-from orcohom.conner_floyd import (_coefficient_images, base_change, cobordism_presentation,
-                                  k_theory_presentation)
+from orcohom.conner_floyd import _coefficient_images, base_change, cobordism_presentation
 from orcohom.polynomials import Polynomial, mono_divides
 from orcohom.presented import NonConfluentPresentation, PresentedRing, RingMap
+from orcohom.spaces import cohomology, multiplicative_theory
 
 
 @lru_cache(maxsize=None)
@@ -451,7 +451,7 @@ def conner_floyd_backward_map(space, D: int) -> RingMap:
     instance back to the base-changed cobordism side; it is well defined
     when every K-side relation holds on the cobordism side."""
     changed = base_change(cobordism_presentation(space, D), *_coefficient_images(D))
-    right = k_theory_presentation(space, D)
+    right = cohomology(multiplicative_theory(D), space, D)
     return RingMap(right, changed, [changed.var(i) for i in range(right.nvars)])
 
 
@@ -468,18 +468,28 @@ def lazard_b_gcd(n: int) -> int:
     return primes[0] if len(primes) == 1 else 1
 
 
-def telescope_stable_ranks(mat) -> dict[int, int]:
-    """For each prime p dividing det(mat) != 0, by trying every v in F_p^n:
+def telescope_stable_part(mat) -> tuple[int, int, dict[int, int]]:
+    """(r, d, {p: s_p}) for Z^n under mat, read off the characteristic
+    polynomial: r is the rank over Q of mat^n, and d the absolute value
+    of its lowest nonzero coefficient, the sum of the principal r x r
+    minors, which is the determinant of mat on its stable image.  For
+    each prime p | d, by trying every v in F_p^n,
     s_p = n - log_p #{v : mat^n v = 0 mod p}, the rank of the part of
-    F_p^n on which mat is invertible.  The colimit of Z^n under mat is
-    Z[1/det]^n exactly when every s_p is 0."""
+    F_p^n on which mat is invertible.  The colimit is Z^r when d = 1, and
+    Z[1/d]^r exactly when every s_p is 0."""
     n = len(mat)
-    out = {}
-    for p in prime_divisors(abs(det_cofactor(mat))):
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        power = [[sum(row[k] * power[k][j] for k in range(n)) for j in range(n)] for row in mat]
+    r = rank_over_Q(power)
+    d = abs(sum(det_cofactor([[mat[i][j] for j in idx] for i in idx])
+                for idx in combinations(range(n), r)))
+    stable = {}
+    for p in prime_divisors(d):
         killed = 0
         for v in product(range(p), repeat=n):
             for _ in range(n):
                 v = [sum(a * b for a, b in zip(row, v)) % p for row in mat]
             killed += not any(v)
-        out[p] = n - next(k for k in range(n + 1) if p ** k == killed)
-    return out
+        stable[p] = n - next(k for k in range(n + 1) if p ** k == killed)
+    return r, d, stable

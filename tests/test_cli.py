@@ -143,39 +143,26 @@ def test_undecidable_tower_exits_2(tmp_path):
     assert "input error" in res.stderr
 
 
-def test_declared_surjectivity_is_verified(tmp_path):
-    # Z <-2- Z <-2- Z is not onto; declaring it so used to yield lim = Z
-    # flagged exact, where the undeclared tower is partial (determinant 2)
+@pytest.mark.parametrize("flags", [[True, True], [False], "no", ["no"], [1], [[True]]], ids=repr)
+def test_surjectivity_key_is_read_as_absent(tmp_path, flags):
+    # Z <-2- Z <-2- Z is not onto: whatever an old "surjectivity" key
+    # declares, the answer is the partial one of the document without it,
+    # never lim = Z flagged exact
     doc = {
         "stages": [{"0": {"ngens": 1, "relations": []}}] * 3,
         "maps": [{"0": [[2]]}] * 2,
         "periodicity": [0, 1],
-        "surjectivity": [True, True],
     }
     path = tmp_path / "tower.json"
     path.write_text(json.dumps(doc))
+    plain = run_cli("tower", "--input", str(path), "--format", "json")
+    path.write_text(json.dumps({**doc, "surjectivity": flags}))
     res = run_cli("tower", "--input", str(path), "--format", "json")
-    assert res.returncode == 2
-    assert "declared surjectivity fails on map 0" in res.stderr
-    assert res.stdout == ""
-    doc["surjectivity"] = [False]
-    path.write_text(json.dumps(doc))
-    res = run_cli("tower", "--input", str(path))
-    assert res.returncode == 2
-    assert "one surjectivity flag per connecting map" in res.stderr
-
-
-@pytest.mark.parametrize("flags", ["no", ["no"], [1], [[True]]], ids=repr)
-def test_surjectivity_flags_must_be_booleans(tmp_path, flags):
-    # ["no"] used to count as a declaration of surjectivity
-    doc = {"stages": [{"0": {"ngens": 1, "relations": []}}] * 2,
-           "maps": [{"0": [[2]]}], "periodicity": None, "surjectivity": flags}
-    path = tmp_path / "tower.json"
-    path.write_text(json.dumps(doc))
-    res = run_cli("tower", "--input", str(path))
-    assert res.returncode == 2
-    assert "surjectivity must be null or a list of booleans" in res.stderr
-    assert res.stdout == ""
+    assert res.returncode == plain.returncode == 0
+    assert res.stdout == plain.stdout
+    lim = json.loads(res.stdout)["weights"][0]["lim"]
+    assert lim["exact"] is False
+    assert lim["note"] == "partial: window determinant 2; limit is an adic object"
 
 
 def test_periodic_window_must_be_stored(tmp_path):
@@ -381,7 +368,7 @@ def test_operation_coverage_complete_and_disjoint():
         "build_hopf", "primitives", "additive_maps_identification", "indecomposables",
         "thom_decompose", "thom_product_check", "thom_iso_check",
         "telescope_colimit", "tower_limit_and_lim1", "split_tower_compare",
-        "cobordism_presentation", "k_theory_presentation", "verify_conner_floyd",
+        "cobordism_presentation", "verify_conner_floyd",
         "schema",
     }
     seen = [op for ops in OPERATION_COVERAGE.values() for op in ops]

@@ -4,12 +4,18 @@ from orcohom.conner_floyd import (
     base_change,
     cobordism_presentation,
     describe_space,
-    k_theory_presentation,
     universal_theory,
     verify_conner_floyd,
 )
 from orcohom.presented import QuotientCoefficients, RingMap
-from orcohom.spaces import FlagBundle, GrassmannianBundle, InfiniteProjectiveSpace, ProjectiveSpace
+from orcohom.spaces import (
+    FlagBundle,
+    GrassmannianBundle,
+    InfiniteProjectiveSpace,
+    ProjectiveSpace,
+    cohomology,
+    multiplicative_theory,
+)
 
 from oracles import conner_floyd_backward_map, gaussian_binomial_ranks
 
@@ -18,17 +24,17 @@ def test_point_presentations():
     left = cobordism_presentation(ProjectiveSpace(0), 6)
     assert left.total_rank() == 1
     assert isinstance(left.base, QuotientCoefficients)
-    right = k_theory_presentation(ProjectiveSpace(0), 6)
+    right = cohomology(multiplicative_theory(6), ProjectiveSpace(0), 6)
     assert right.graded_ranks() == [1, 0, 0, 0, 0, 0, 0]
 
 
 def test_k_theory_line_is_rank_two():
-    ring = k_theory_presentation(ProjectiveSpace(1), 6)
+    ring = cohomology(multiplicative_theory(6), ProjectiveSpace(1), 6)
     assert ring.total_rank() == 2
 
 
 def test_k_theory_p3_rank_four():
-    ring = k_theory_presentation(ProjectiveSpace(3), 6)
+    ring = cohomology(multiplicative_theory(6), ProjectiveSpace(3), 6)
     assert ring.total_rank() == 4
 
 
@@ -63,7 +69,7 @@ def test_unsupported_descriptor():
     with pytest.raises(ValueError):
         cobordism_presentation(InfiniteProjectiveSpace(), 6)
     with pytest.raises(ValueError):
-        k_theory_presentation(ProjectiveSpace(-1), 6)
+        verify_conner_floyd(ProjectiveSpace(-1), 6)
 
 
 def test_base_change_functoriality():

@@ -334,10 +334,9 @@ def test_rewrite_route_surjectivity_with_non_integer_relation_coefficients():
 
 
 def _conner_floyd_forward(space, D):
-    from orcohom.conner_floyd import (_coefficient_images, base_change, cobordism_presentation,
-                                      k_theory_presentation)
+    from orcohom.conner_floyd import _coefficient_images, base_change, cobordism_presentation
 
-    right = k_theory_presentation(space, D)
+    right = cohomology(multiplicative_theory(D), space, D)
     changed = base_change(cobordism_presentation(space, D), *_coefficient_images(D))
     return RingMap(changed, right, [right.var(i) for i in range(changed.nvars)])
 

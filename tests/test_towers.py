@@ -18,7 +18,7 @@ from orcohom.towers import (
     tower_limit_and_lim1,
 )
 
-from oracles import mod_p_rank, telescope_stable_ranks
+from oracles import mod_p_rank, telescope_stable_part
 
 
 def constant_tower(module, matrix, stages=4):
@@ -276,21 +276,122 @@ def test_telescope_with_a_prime_not_inverted_is_partial(mat, stable):
     assert rep["note"].endswith(stable)
 
 
-def test_telescope_verdict_matches_brute_force_oracle():
-    # exact Z[1/d]^n exactly when the window is nilpotent mod every p | d
-    rng = random.Random(16)
-    checked = 0
-    while checked < 60:
+def _random_windows(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.choice([2, 3])
-        mat = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        stable = telescope_stable_ranks(mat)
-        if not stable:
-            continue  # determinant 0 or a unit: other regimes
+        yield [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+
+
+def test_telescope_verdict_matches_brute_force_oracle():
+    # Z^r when h is unimodular on its stable image, else exact Z[1/d]^r
+    # exactly when the window is nilpotent mod every p | d; singular
+    # windows included
+    singular = 0
+    for mat in _random_windows(16, 80):
+        r, d, stable = telescope_stable_part(mat)
         rep = telescope_colimit(_z2_telescope(mat), 0)
+        assert rep["rank"] == r, (mat, rep)
         assert rep["exact"] == (not any(stable.values())), (mat, rep)
+        assert rep.get("localized_at") == (d if rep["exact"] and d > 1 else None), (mat, rep)
         if not rep["exact"]:
             assert rep["note"].endswith(", ".join(f"s_{p}={s}" for p, s in stable.items())), mat
-        checked += 1
+        singular += r < len(mat)
+    assert singular >= 10
+
+
+def test_tower_verdict_matches_the_principal_minor_oracle():
+    # exact lim = Z^r, lim1 = 0 exactly when h is unimodular on its
+    # stable image; otherwise partial, naming that determinant
+    singular = 0
+    for mat in _random_windows(19, 80):
+        r, d, _ = telescope_stable_part(mat)
+        lim, lim1 = tower_limit_and_lim1(constant_tower(FPModule.free(len(mat)), mat), 0)
+        if d == 1:
+            assert (lim["rank"], lim["torsion"], lim["exact"]) == (r, [], True), mat
+            assert (lim1["rank"], lim1["torsion"], lim1["exact"]) == (0, [], True), mat
+        else:
+            assert not lim["exact"] and not lim1["exact"], mat
+            assert lim["note"] == f"partial: window determinant {d}; limit is an adic object", mat
+        singular += r < len(mat)
+    assert singular >= 10
+
+
+@pytest.mark.parametrize("mat, rank, localized_at", [
+    ([[2, 0], [0, 0]], 1, 2),  # Z[1/2]
+    ([[1, 0], [0, 0]], 1, None),  # Z
+    ([[0, 1], [0, 0]], 0, None),  # nilpotent: 0
+])
+def test_telescope_singular_windows_are_exact(mat, rank, localized_at):
+    rep = telescope_colimit(_z2_telescope(mat), 0)
+    assert (rep["rank"], rep["torsion"], rep["exact"]) == (rank, [], True)
+    assert rep.get("localized_at") == localized_at
+
+
+def test_tower_singular_windows():
+    lim, lim1 = tower_limit_and_lim1(constant_tower(FPModule.free(2), [[1, 0], [0, 0]]), 0)
+    assert (lim["rank"], lim["torsion"], lim["exact"]) == (1, [], True)
+    assert (lim1["rank"], lim1["torsion"], lim1["exact"]) == (0, [], True)
+    lim, lim1 = tower_limit_and_lim1(constant_tower(FPModule.free(2), [[2, 0], [0, 0]]), 0)
+    assert not lim["exact"] and not lim1["exact"]
+    assert lim["note"] == "partial: window determinant 2; limit is an adic object"
+
+
+def _behind_a_z_stage(tower, rng):
+    """The tower with a Z stage put before stage 0 in weight 0, reached by
+    a zero map or, from a free stage, by twice the first coordinate."""
+    first = tower.stages[0].piece(0)
+    row = [0] * first.ngens
+    if not first.relations and rng.random() < 0.5:
+        row[0] = 2
+    z = GradedFPModule({0: FPModule.free(1)})
+    k0, rho = tower.periodicity
+    return ModuleTower([z] + tower.stages, [GradedMap({0: [row]})] + tower.maps,
+                       periodicity=(k0 + 1, rho))
+
+
+def test_stages_before_the_window_leave_the_limits_unchanged():
+    rng = random.Random(41)
+    towers = [random_surjective_tower(rng) for _ in range(30)]
+    towers += [random_split_tower(rng)[0] for _ in range(10)]
+    for tower in towers:
+        longer = _behind_a_z_stage(tower, rng)
+        assert not longer.map_surjective(0, 0)
+        for before, after in zip(tower_limit_and_lim1(tower, 0), tower_limit_and_lim1(longer, 0)):
+            assert (after["rank"], after["torsion"], after["exact"]) == \
+                (before["rank"], before["torsion"], True)
+    # Z <-0- Z/2 <-1- Z/2 <-1- ...: the limit is Z/2, exact
+    z2 = constant_tower(FPModule.modular(2, 1), [[1]])
+    lim, lim1 = tower_limit_and_lim1(_behind_a_z_stage(z2, rng), 0)
+    assert (lim["rank"], lim["torsion"], lim["exact"]) == (0, [2], True)
+    assert (lim1["rank"], lim1["torsion"], lim1["exact"]) == (0, [], True)
+
+
+def test_towers_without_a_window():
+    # surjective or finite stages give lim1 = 0 exactly, but no limit
+    z4 = GradedFPModule({0: FPModule.modular(4, 1)})
+    onto = ModuleTower([z4] * 3, [GradedMap({0: [[1]]})] * 2)
+    lim, lim1 = tower_limit_and_lim1(onto, 0)
+    assert lim == {"rank": 0, "torsion": [4], "exact": False,
+                   "note": "partial: surjectivity without a periodic window"}
+    assert (lim1["rank"], lim1["torsion"], lim1["exact"]) == (0, [], True)
+    finite = ModuleTower([z4] * 3, [GradedMap({0: [[2]]})] * 2)
+    lim, lim1 = tower_limit_and_lim1(finite, 0)
+    assert lim == {"rank": None, "torsion": None, "exact": False,
+                   "note": "partial: finite stages without a periodic window"}
+    assert (lim1["rank"], lim1["torsion"], lim1["exact"]) == (0, [], True)
+
+
+def test_mixed_window_and_torsion_telescope_are_partial():
+    # Z + Z/2 under diag(2, 1) as a tower; Z/4 under 2 as a telescope
+    lim, lim1 = tower_limit_and_lim1(constant_tower(FPModule(2, [[0, 2]]), [[2, 0], [0, 1]]), 0)
+    assert lim["note"] == lim1["note"] == "partial: mixed free/torsion non-surjective window"
+    assert not lim["exact"] and not lim1["exact"]
+    gm = GradedFPModule({0: FPModule.modular(4, 1)})
+    rep = telescope_colimit(TelescopeDiagram([gm] * 3, [GradedMap({0: [[2]]})] * 2,
+                                             periodicity=(0, 1)), 0)
+    assert rep == {"rank": 0, "torsion": [4], "exact": False,
+                   "note": "partial: torsion telescope outside the supported regimes"}
 
 
 def test_telescope_bott_system():
