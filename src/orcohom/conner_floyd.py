@@ -32,7 +32,6 @@ from .presented import PresentedRing, QuotientCoefficients, RingMap
 from .spaces import (
     FlagBundle,
     GrassmannianBundle,
-    InfiniteProjectiveSpace,
     OrientedTheory,
     ProjectiveSpace,
     cohomology,
@@ -56,10 +55,9 @@ def universal_theory(truncation: int = 8) -> OrientedTheory:
 def _check_supported(space) -> None:
     if isinstance(space, ProjectiveSpace):
         ok = space.n >= 0
-    elif isinstance(space, (FlagBundle, GrassmannianBundle)):
-        ok = space.base_ring is None and all(c.is_zero() for c in space.chern)
     else:
-        ok = False
+        ok = (isinstance(space, (FlagBundle, GrassmannianBundle)) and space.base_ring is None
+              and all(c.is_zero() for c in space.chern))
     if not ok:
         raise ValueError("supported instances: projective spaces, trivial flag and "
                          "Grassmannian bundles over a point")
@@ -143,12 +141,9 @@ def verify_conner_floyd(space, truncation: int = 8) -> dict:
 
 
 def describe_space(space) -> str:
+    """Name of an instance ``_check_supported`` admits."""
     if isinstance(space, ProjectiveSpace):
         return "point" if space.n == 0 else f"P{space.n}"
-    if isinstance(space, InfiniteProjectiveSpace):
-        return "Pinf"
     if isinstance(space, FlagBundle):
         return f"flag(A{space.rank})"
-    if isinstance(space, GrassmannianBundle):
-        return f"Gr{space.m}(A{space.n})"
-    return repr(space)
+    return f"Gr{space.m}(A{space.n})"

@@ -16,8 +16,6 @@ its b-polynomial, with no relation lattice and no normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .coefficients import BaseRing, NonDivisibleBase, ZZ, laurent_over
 from .polynomials import Mono, Polynomial
 from .presented import PresentedRing, QuotientCoefficients, RingMap, compose, scalar_ring
@@ -37,20 +35,22 @@ def _coefficient(series: Polynomial, i: int, j: int):
     return series.coefficient(m)
 
 
-@dataclass
 class AxiomFailure:
-    axiom: str
-    monomial: str
-    coefficient: str
+    def __init__(self, axiom: str, monomial: str, coefficient: str):
+        # in this order: ``AxiomReport.as_dict`` emits ``vars`` of a failure
+        self.axiom = axiom
+        self.monomial = monomial
+        self.coefficient = coefficient
 
 
-@dataclass
 class AxiomReport:
-    unit_ok: bool
-    commutative_ok: bool
-    associative_ok: bool
-    truncation: int
-    failures: list[AxiomFailure] = field(default_factory=list)
+    def __init__(self, unit_ok: bool, commutative_ok: bool, associative_ok: bool,
+                 truncation: int, failures: list[AxiomFailure]):
+        self.unit_ok = unit_ok
+        self.commutative_ok = commutative_ok
+        self.associative_ok = associative_ok
+        self.truncation = truncation
+        self.failures = failures
 
     @property
     def passed(self) -> bool:
@@ -271,19 +271,18 @@ def logarithm(law: FormalGroupLaw) -> Polynomial:
     return Polynomial(base, terms)
 
 
-@dataclass
 class LazardPresentation:
     """Truncated universal coefficients presented by associativity.
 
     generators are (i, j) pairs with i <= j and weight i + j - 1 at
-    most the bound; relations are the coefficients of the associator
-    F(F(x, y), z) - F(x, F(y, z)) on monomials x^a y^b z^c with
-    a + b + c at most bound + 1.
+    most the ring's truncation D; relations are the coefficients of the
+    associator F(F(x, y), z) - F(x, F(y, z)) on monomials x^a y^b z^c
+    with a + b + c at most D + 1.
     """
 
-    bound: int
-    gens: tuple[tuple[int, int], ...]
-    ring: PresentedRing
+    def __init__(self, gens: tuple[tuple[int, int], ...], ring: PresentedRing):
+        self.gens = gens
+        self.ring = ring
 
 
 def _lazard_generators(bound: int) -> list[tuple[int, int]]:
@@ -350,7 +349,7 @@ def lazard_ring(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> LazardPre
             continue
         seen.add(key)
         relations.append(rel)
-    result = LazardPresentation(truncation, tuple(gens), PresentedRing(ZZ, names, relations, truncation))
+    result = LazardPresentation(tuple(gens), PresentedRing(ZZ, names, relations, truncation))
     _LAZARD_CACHE[truncation] = result
     return result
 
@@ -368,14 +367,14 @@ def lazard_graded_ranks(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> l
 def classifying_map(law: FormalGroupLaw, pres: LazardPresentation) -> RingMap:
     """Map a_ij to the matching coefficient of the law.
 
-    The law must be truncated strictly beyond the presentation bound so
-    every generator's coefficient is determined.  Well-definedness of
+    The law must be truncated strictly beyond the presentation's
+    truncation so every generator's coefficient is determined.  Well-definedness of
     the map is checked and doubles as an associativity certificate; an
     invalid series raises IllDefinedMap.
     """
-    if law.truncation <= pres.bound:
+    if law.truncation <= pres.ring.truncation:
         raise ValueError("law truncation must exceed the presentation bound")
-    target = scalar_ring(law.base, pres.bound)
+    target = scalar_ring(law.base, pres.ring.truncation)
     images = []
     for i, j in pres.gens:
         c = law.coefficient(i, j)

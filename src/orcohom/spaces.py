@@ -18,8 +18,6 @@ factors do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coefficients import BaseRing, ZZ
 from .fgl import FormalGroupLaw, formal_inverse, make_additive, make_multiplicative
 from .polynomials import Polynomial
@@ -60,14 +58,17 @@ def multiplicative_theory(truncation: int = 8) -> OrientedTheory:
 # space descriptors
 
 
-@dataclass(frozen=True)
 class ProjectiveSpace:
-    n: int
+    def __init__(self, n: int):
+        self.n = n
+
+    def __repr__(self):
+        return f"ProjectiveSpace(n={self.n!r})"
 
 
-@dataclass(frozen=True)
 class InfiniteProjectiveSpace:
-    pass
+    def __repr__(self):
+        return "InfiniteProjectiveSpace()"
 
 
 class ProjectiveBundle:
@@ -94,9 +95,12 @@ class GrassmannianBundle:
         self.base_ring = base_ring
 
 
-@dataclass(frozen=True)
 class ClassifyingBGL:
-    n: int | None = None  # None means the stable classifying space
+    def __init__(self, n: int | None = None):
+        self.n = n  # None means the stable classifying space
+
+    def __repr__(self):
+        return f"ClassifyingBGL(n={self.n!r})"
 
 
 class Product:

@@ -181,17 +181,17 @@ def _power(mat, k: int, n: int):
     return power
 
 
-def _stable_image(module: FPModule, mat) -> FPModule:
-    """Stable image of an endomorphism h of a finite module M: the image
-    of h^L, L the total bit length of M's invariants d1 | d2 | ...  Each
-    strict step of the falling chain of images at least halves the
-    order, so L steps reach its bottom.  The last invariant kills M, so
-    the entries of the powers are reduced modulo it."""
+def _stable_image(module: FPModule, mat) -> tuple[int, list[int]]:
+    """Rank and torsion of the stable image of an endomorphism h of a finite
+    module M: the image of h^L, L the total bit length of M's invariants
+    d1 | d2 | ...  Each strict step of the falling chain of images at least
+    halves the order, so L steps reach its bottom.  The last invariant
+    kills M, so the entries of the powers are reduced modulo it."""
     n, invariants = module.ngens, module.rank_torsion()[1]
     power = _eye(n, n)
     for _ in range(sum(v.bit_length() for v in invariants)):
         power = [[v % invariants[-1] for v in row] for row in compose_matrices(mat, power, n)]
-    return _submodule_presentation(zip(*power), module)
+    return _submodule_presentation(zip(*power), module).rank_torsion()
 
 
 def _stable_part(mat, n: int) -> tuple[int, int]:
@@ -234,13 +234,12 @@ def tower_limit_and_lim1(tower: ModuleTower, weight: int) -> tuple[dict, dict]:
     # other in the collapsed grading, so no degree bookkeeping appears
     # in the matrices themselves.
     w = weight
-    surjective_note = "surjective tower: Mittag-Leffler"
     finite_note = "finite stages: images stabilize (Mittag-Leffler)"
     if tower.periodicity is None:
         mods = [stage.piece(w) for stage in tower.stages]
         if all(tower.map_surjective(k, w) for k in range(len(tower.maps))):
             return (_partial("partial: surjectivity without a periodic window", *mods[-1].rank_torsion()),
-                    _exact(0, [], surjective_note))
+                    _exact(0, [], "surjective tower: Mittag-Leffler"))
         if all(m.is_finite() for m in mods):
             return _partial("partial: finite stages without a periodic window"), _exact(0, [], finite_note)
         raise UndecidableTower(
@@ -249,10 +248,9 @@ def tower_limit_and_lim1(tower: ModuleTower, weight: int) -> tuple[dict, dict]:
     module, mat = tower.window_composite(w)
     if map_surjective(mat, module):
         return (_exact(*module.rank_torsion(), "surjective window composite is bijective (Hopfian)"),
-                _exact(0, [], surjective_note))
+                _exact(0, [], "window composite onto: eventually isomorphisms (Mittag-Leffler)"))
     if module.is_finite():
-        stable = _stable_image(module, mat)
-        return _exact(*stable.rank_torsion(), "stable image of the window composite"), \
+        return _exact(*_stable_image(module, mat), "stable image of the window composite"), \
             _exact(0, [], finite_note)
     if not module.relations:
         rank, d = _stable_part(mat, module.ngens)
@@ -448,7 +446,9 @@ def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
     p | d, the rank s_p of h^n mod p is 0 (h is nilpotent mod p);
     otherwise p is not invertible on the colimit (Z^2 under diag(2, 3)
     gives Z[1/2] + Z[1/3]) and the answer is partial, with each s_p in
-    the note.  Anything else is the last stored stage flagged partial.
+    the note.  A finite M is the stable image plus a part h kills (Fitting),
+    so that image is the colimit (Z/12 under 2 gives Z/3).  Anything else
+    is the last stored stage flagged partial.
     """
     w = weight
     if t.periodicity is None:
@@ -460,6 +460,8 @@ def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
     rank, torsion = module.rank_torsion()
     if map_surjective(mat, module):
         return _exact(rank, torsion, "eventually isomorphic system: stable value")
+    if module.is_finite():
+        return _exact(*_stable_image(module, mat), "stable image of the window composite")
     if module.relations:
         return _partial("partial: torsion telescope outside the supported regimes", rank, torsion)
     rank, d = _stable_part(mat, module.ngens)

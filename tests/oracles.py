@@ -493,3 +493,19 @@ def telescope_stable_part(mat) -> tuple[int, int, dict[int, int]]:
             killed += not any(v)
         stable[p] = n - next(k for k in range(n + 1) if p ** k == killed)
     return r, d, stable
+
+
+def finite_stable_image_kill_counts(modulus: int, mat) -> dict[int, int]:
+    """{d: #{x in S : d x = 0}} over the divisors d of ``modulus``, where
+    S is the stable image of (Z/modulus)^n under mat, found by applying
+    mat to the whole set of elements until the set stops shrinking.
+    These counts determine a finite abelian group up to isomorphism."""
+    n = len(mat)
+    image = set(product(range(modulus), repeat=n))
+    while True:
+        smaller = {tuple(sum(a * b for a, b in zip(row, v)) % modulus for row in mat) for v in image}
+        if smaller == image:
+            break
+        image = smaller
+    return {d: sum(not any(d * c % modulus for c in v) for v in image)
+            for d in range(1, modulus + 1) if modulus % d == 0}

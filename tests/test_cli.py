@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -352,6 +354,17 @@ def test_cli_import_loads_only_the_standard_library():
             "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
             "print(sorted(new - set(sys.stdlib_module_names) - {'orcohom'}))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_cli_import_skips_the_dataclasses_chain():
+    # dataclasses pulls in inspect, ast, dis and tokenize, a measurable
+    # share of every cold call; -S keeps site hooks from loading them first
+    code = ("import sys, orcohom.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
 

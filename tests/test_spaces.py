@@ -493,3 +493,11 @@ def test_malformed_descriptors_rejected():
     wrong_weight = Polynomial.variable(ZZ, 0, 2)  # weight 2, offered as c1
     with pytest.raises(ValueError):
         cohomology(TH, ProjectiveBundle(1, [wrong_weight], base_ring=base), 6)
+
+
+def test_descriptor_reprs_name_their_fields():
+    # error messages quote descriptors with !r
+    assert [repr(s) for s in (ProjectiveSpace(3), InfiniteProjectiveSpace(),
+                              ClassifyingBGL(), ClassifyingBGL(4))] == \
+        ["ProjectiveSpace(n=3)", "InfiniteProjectiveSpace()", "ClassifyingBGL(n=None)",
+         "ClassifyingBGL(n=4)"]

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from orcohom.towers import (
     tower_limit_and_lim1,
 )
 
-from oracles import mod_p_rank, telescope_stable_part
+from oracles import finite_stable_image_kill_counts, mod_p_rank, telescope_stable_part
 
 
 def constant_tower(module, matrix, stages=4):
@@ -259,9 +260,13 @@ def test_telescope_examples():
         telescope_colimit(short, 0)
 
 
-def _z2_telescope(mat):
-    gm = GradedFPModule({0: FPModule.free(len(mat))})
+def _window_telescope(module, mat):
+    gm = GradedFPModule({0: module})
     return TelescopeDiagram([gm] * 4, [GradedMap({0: mat})] * 3, periodicity=(0, 1))
+
+
+def _z2_telescope(mat):
+    return _window_telescope(FPModule.free(len(mat)), mat)
 
 
 @pytest.mark.parametrize("mat, stable", [
@@ -383,15 +388,54 @@ def test_towers_without_a_window():
 
 
 def test_mixed_window_and_torsion_telescope_are_partial():
-    # Z + Z/2 under diag(2, 1) as a tower; Z/4 under 2 as a telescope
-    lim, lim1 = tower_limit_and_lim1(constant_tower(FPModule(2, [[0, 2]]), [[2, 0], [0, 1]]), 0)
+    # Z + Z/2 under diag(2, 1), as a tower and as a telescope
+    window = FPModule(2, [[0, 2]])
+    lim, lim1 = tower_limit_and_lim1(constant_tower(window, [[2, 0], [0, 1]]), 0)
     assert lim["note"] == lim1["note"] == "partial: mixed free/torsion non-surjective window"
     assert not lim["exact"] and not lim1["exact"]
-    gm = GradedFPModule({0: FPModule.modular(4, 1)})
-    rep = telescope_colimit(TelescopeDiagram([gm] * 3, [GradedMap({0: [[2]]})] * 2,
-                                             periodicity=(0, 1)), 0)
-    assert rep == {"rank": 0, "torsion": [4], "exact": False,
+    rep = telescope_colimit(_window_telescope(window, [[2, 0], [0, 1]]), 0)
+    assert rep == {"rank": 1, "torsion": [2], "exact": False,
                    "note": "partial: torsion telescope outside the supported regimes"}
+
+
+@pytest.mark.parametrize("modulus, mat, torsion", [
+    (4, [[2]], []),  # nilpotent: 0
+    (12, [[2]], [3]),  # Z/4 + Z/3, h kills Z/4 eventually: Z/3
+    (8, [[1, 0], [0, 2]], [8]),
+    (6, [[0, 1], [0, 0]], []),
+])
+def test_finite_telescope_windows_are_stable_images(modulus, mat, torsion):
+    rep = telescope_colimit(_window_telescope(FPModule.modular(modulus, len(mat)), mat), 0)
+    assert rep == {"rank": 0, "torsion": torsion, "exact": True,
+                   "note": "stable image of the window composite"}
+
+
+def test_finite_telescope_windows_match_the_orbit_oracle():
+    # the colimit of a finite window is its stable image under h: compare
+    # the count of elements killed by each divisor with a brute force
+    rng = random.Random(23)
+    for _ in range(60):
+        modulus, n = rng.randint(2, 12), rng.choice([1, 2])
+        mat = [[rng.randrange(modulus) for _ in range(n)] for _ in range(n)]
+        rep = telescope_colimit(_window_telescope(FPModule.modular(modulus, n), mat), 0)
+        assert rep["exact"] and rep["rank"] == 0, (modulus, mat)
+        counts = {d: math.prod(math.gcd(d, t) for t in rep["torsion"])
+                  for d in range(1, modulus + 1) if modulus % d == 0}
+        assert counts == finite_stable_image_kill_counts(modulus, mat), (modulus, mat, rep)
+
+
+def test_onto_window_behind_a_zero_map_names_its_proof():
+    # Z <-0- Z/2 <-1- Z/2 <-1- ...: the first map is not onto, so lim1 = 0
+    # comes from the window alone, not from a surjective tower
+    z, z2 = GradedFPModule({0: FPModule.free(1)}), GradedFPModule({0: FPModule.modular(2, 1)})
+    tower = ModuleTower([z, z2, z2], [GradedMap({0: [[0]]}), GradedMap({0: [[1]]})],
+                        periodicity=(1, 1))
+    assert not tower.map_surjective(0, 0)
+    lim, lim1 = tower_limit_and_lim1(tower, 0)
+    assert lim == {"rank": 0, "torsion": [2], "exact": True,
+                   "note": "surjective window composite is bijective (Hopfian)"}
+    assert lim1 == {"rank": 0, "torsion": [], "exact": True,
+                    "note": "window composite onto: eventually isomorphisms (Mittag-Leffler)"}
 
 
 def test_telescope_bott_system():
