@@ -179,7 +179,7 @@ def run_cohomology(args):
         result["tensor_class"] = ring.poly_str(t)
     if args.dual:
         result["homology_dual_ranks"] = sp.homology_dual(theory, space, D)
-    if args.invariance:
+    if args.invariance is not None:
         inv = sp.invariance_check(theory, args.invariance, min(D, 6))
         result["invariance"] = inv
         verified = inv["ok"]
@@ -280,6 +280,8 @@ def run_tower(args):
     rng = random.Random(args.seed)
     if args.random_check:
         trials = args.trials
+        if trials < 1:
+            raise InputError(f"--trials must be at least 1, got {trials}")
         if args.random_check == "surjective":
             results = []
             for t in range(trials):

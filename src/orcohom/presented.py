@@ -7,13 +7,12 @@ truncation bound D.  Power-series rings are modelled by truncation, so
 "the weight-w piece" is always a finitely generated module over the
 coefficient domain.
 
-Normal forms use one of two routes, chosen per ring:
+Normal forms use one of two routes, chosen by the relations alone:
 
-* rewriting: when the relations (or a supplied confluent completion of
-  them) have unit leading coefficients and pairwise coprime leading
-  monomials, leading-term rewriting to a fixpoint is confluent
-  (Buchberger's first criterion) and normal forms are computed by
-  memoized monomial reduction;
+* rewriting: when the relations have unit leading coefficients and
+  pairwise coprime leading monomials, leading-term rewriting to a
+  fixpoint is confluent (Buchberger's first criterion) and normal forms
+  are computed by memoized monomial reduction;
 * degreewise: otherwise each weight-w piece is an ``intlinalg.FPModule``
   on the ambient monomials, which is exact for any homogeneous relation
   list.  Its relations are the relation rows as integer vectors (over Q
@@ -83,15 +82,11 @@ class PresentedRing:
     """Graded quotient ring, truncated at total weight D.
 
     variables is an ordered list of (name, positive weight); relations
-    are weight-homogeneous polynomials in those variables.  An optional
-    ``rewrite_basis`` supplies a confluent completion generating the
-    same ideal as ``(g, cofactors)`` pairs, where ``cofactors`` maps an
-    index into the stored ``relations`` to a polynomial over the base.
-    It is validated in both directions before use: every stored relation
-    rewrites to zero, and every g equals sum_k cofactors[k] * relations[k]
-    exactly, so no relation lattice is built.  ``rewrite_source`` holds
-    the pairs of a rewrite-route ring; rules taken from the relations
-    themselves report ``(r_k, {k: 1})``.
+    are weight-homogeneous polynomials in those variables.  The route
+    (see the module docstring) depends on the relations only, so a ring
+    rebuilt from its relations reduces the same way; a presentation that
+    should rewrite states relations that rewrite, as the flag bundles'
+    triangular ones do.
 
     Instances are immutable after construction and all operations are
     pure; the per-weight reducer and normal-form caches are internal
@@ -99,8 +94,7 @@ class PresentedRing:
     resolves, so concurrent use is safe.
     """
 
-    def __init__(self, base: BaseRing, variables, relations=(), truncation: int = 8,
-                 rewrite_basis=None):
+    def __init__(self, base: BaseRing, variables, relations=(), truncation: int = 8):
         if truncation < 1:
             raise ValueError("truncation bound must be positive")
         self.base = base
@@ -125,30 +119,8 @@ class PresentedRing:
         self._reducers: dict[int, tuple] = {}
         self._pieces: dict[int, GradedPiece] = {}
         self._mono_cache: dict[int, list[Mono]] = {}
-        self.rewrite_rules = None
-        explicit = rewrite_basis is not None
-        if explicit:
-            candidate = tuple((g, dict(cofactors)) for g, cofactors in rewrite_basis)
-            for g, _ in candidate:
-                self._validate_element(g)
-                if self.homogeneous_weight(g) is None:
-                    raise NonConfluentPresentation("rewrite basis must be weight-homogeneous")
-        else:
-            one = self.one_poly()
-            candidate = tuple((r, {k: one}) for k, r in enumerate(self.relations))
-        rules = self._try_build_rules(g for g, _ in candidate)
-        if rules is None:
-            if explicit:
-                raise NonConfluentPresentation(
-                    "supplied rewrite basis is not unit-monic with pairwise coprime leading monomials")
-            self.route = "degreewise"
-            self.rewrite_source = None
-        else:
-            self.rewrite_rules = rules
-            self.route = "rewrite"
-            self.rewrite_source = candidate
-            if explicit:
-                self._check_rewrite_basis_matches(candidate)
+        self.rewrite_rules = self._try_build_rules(self.relations)
+        self.route = "degreewise" if self.rewrite_rules is None else "rewrite"
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -158,8 +130,12 @@ class PresentedRing:
         return len(self.variables)
 
     def var(self, name_or_index) -> Polynomial:
-        idx = name_or_index if isinstance(name_or_index, int) else self.names.index(name_or_index)
-        return Polynomial.variable(self.base, idx)
+        if isinstance(name_or_index, int):
+            return Polynomial.variable(self.base, name_or_index)
+        if name_or_index not in self.names:
+            raise ValueError(f"unknown generator {name_or_index!r}; the ring's generators are "
+                             f"{', '.join(self.names) or 'none'}")
+        return Polynomial.variable(self.base, self.names.index(name_or_index))
 
     def one_poly(self) -> Polynomial:
         return Polynomial.one(self.base)
@@ -235,8 +211,8 @@ class PresentedRing:
     # ------------------------------------------------------------------
     # rewriting route
 
-    def _try_build_rules(self, candidate):
-        """Rules (lm, minus_inv_tail) when the candidate set is confluent.
+    def _try_build_rules(self, relations):
+        """Rules (lm, minus_inv_tail) if rewriting by the relations is confluent, else None.
 
         Requires unit leading coefficients and pairwise coprime leading
         monomials; under those conditions every S-pair reduces to zero
@@ -244,9 +220,7 @@ class PresentedRing:
         """
         rules = []
         seen: list[tuple[set[int], bool]] = []
-        for r in candidate:
-            if r.is_zero():
-                continue
+        for r in relations:
             lm, lc = r.leading(self.weights, self.nvars)
             if lm == ONE_MONO:
                 return None
@@ -264,23 +238,6 @@ class PresentedRing:
             tail = Polynomial(self.base, {m: c for m, c in r.terms.items() if m != lm})
             rules.append((lm, tail.scale(inv)))
         return tuple(rules)
-
-    def _check_rewrite_basis_matches(self, candidate):
-        """Two-sided ideal equality between relations and the completion."""
-        for r in self.relations:
-            if not self.normal_form(r).is_zero():
-                raise NonConfluentPresentation("stored relation does not rewrite to zero")
-        for g, cofactors in candidate:
-            combination = Polynomial.zero(self.base)
-            for k, c in cofactors.items():
-                if not 0 <= k < len(self.relations):
-                    raise NonConfluentPresentation(f"cofactor index {k!r} names no stored relation")
-                self._validate_element(c)
-                combination = combination + c * self.relations[k]
-            if combination != g:
-                raise NonConfluentPresentation(
-                    f"rewrite basis element of weight {self.homogeneous_weight(g)} "
-                    "is not the combination of relations its cofactors name")
 
     def _nf_monomial(self, m: Mono) -> Polynomial:
         """Normal form of a single monomial, memoized.

@@ -7,13 +7,12 @@ standard generators: l (first Chern class of the tautological line
 bundle), l1..ln (flag line bundles), s1..sm (Chern classes of the
 tautological subbundle S on a Grassmannian; the quotient's Chern class
 t_j is the class of q_j, the weight-j part of c(V) c(S)^-1).  Flag and
-projective-bundle rings carry a triangular rewrite completion, with
-cofactors over the stored relations, whose leading terms are pure
-variable powers, so their normal forms run on the fast confluent route;
-Grassmannian rings reduce degreewise, except Gr(1,n), whose one relation
-is led by a unit times s1^n.  A bundle over a base ring keeps the
-rewrite route only when the base has one; a product, only when both
-factors do.
+projective-bundle rings are presented by triangular relations led by
+pure variable powers, so their normal forms run on the fast confluent
+route; Grassmannian rings reduce degreewise, except Gr(1,n), whose one
+relation is led by a unit times s1^n.  The route follows from the
+relations alone (see ``presented``): a bundle over a base ring rewrites
+only when the base does, and a product only when both factors do.
 """
 
 from __future__ import annotations
@@ -156,28 +155,22 @@ def _merge_vars(fiber_vars, base_vars):
     return merged
 
 
-def _over(theory: OrientedTheory, fiber_vars, fiber_rels, fiber_rewrite,
+def _over(theory: OrientedTheory, fiber_vars, fiber_rels,
           base_ring: PresentedRing | None, D: int) -> PresentedRing:
     """The fiber presentation over a base ring (none: over the point).
 
     Fiber variables come first, the base's after them (renamed on
-    collision), with the base relations shifted past the fiber.  The
-    ring keeps the rewrite route only when the base has one: the
-    rewrite basis is the fiber's (g, cofactors) pairs followed by the
-    base's, whose variables move past the fiber variables and whose
-    relation indices move past the fiber relations; with either missing
-    no basis is passed.
+    collision), with the base relations shifted past the fiber.  When
+    the fiber relations rewrite, led by monomials in the fiber variables,
+    the ring rewrites exactly when the base relations do: the two sets
+    of leading monomials share no variable.
     """
-    variables, rels, rewrite = list(fiber_vars), list(fiber_rels), fiber_rewrite
+    variables, rels = list(fiber_vars), list(fiber_rels)
     if base_ring is not None:
-        off, nrels = len(fiber_vars), len(fiber_rels)
+        off = len(fiber_vars)
         variables = _merge_vars(fiber_vars, base_ring.variables)
         rels += [r.shift_indices(off) for r in base_ring.relations]
-        base_rw = base_ring.rewrite_source
-        rewrite = None if rewrite is None or base_rw is None else list(rewrite) + [
-            (g.shift_indices(off), {k + nrels: c.shift_indices(off) for k, c in cofactors.items()})
-            for g, cofactors in base_rw]
-    return PresentedRing(theory.coefficients, variables, rels, D, rewrite_basis=rewrite)
+    return PresentedRing(theory.coefficients, variables, rels, D)
 
 
 def cohomology(theory: OrientedTheory, space, truncation: int = 8) -> PresentedRing:
@@ -208,8 +201,7 @@ def cohomology(theory: OrientedTheory, space, truncation: int = 8) -> PresentedR
         for k in range(1, n + 1):
             lp = Polynomial.variable(base, 0, n - k) if n - k else Polynomial.one(base)
             rel = rel + (chern[k - 1].shift_indices(1) * lp).scale(base.from_int((-1) ** k))
-        return _over(theory, [("l", 1)], [rel], [(rel, {0: Polynomial.one(base)})],
-                     space.base_ring, D)
+        return _over(theory, [("l", 1)], [rel], space.base_ring, D)
 
     if isinstance(space, FlagBundle):
         n = space.rank
@@ -218,25 +210,19 @@ def cohomology(theory: OrientedTheory, space, truncation: int = 8) -> PresentedR
         # c_0 = 1, then the Chern classes shifted past l1..ln
         chern = [Polynomial.one(base)] + [
             c.shift_indices(n) for c in _check_chern(theory, space, n, D)]
-        rels = [elementary_symmetric(base, k, range(n)) - chern[k] for k in range(1, n + 1)]
-        # triangular completion by successive divided differences of the
-        # Chern polynomial: g_i = sum_k (-1)^k c_k h_{i-k}(l_i..l_n) has
-        # leading monomial l_i^i.  Its certificate: g_i is the sum over
-        # k >= 1 of (-1)^(k+1) h_{i-k}(l_i..l_n) (e_k - c_k), since
-        # sum_k (-1)^k e_k(l_1..l_n) h_{i-k}(l_i..l_n) is the t^i
-        # coefficient of prod_{j<i} (1 - l_j t), of degree i - 1
-        # (Macdonald, Symmetric Functions and Hall Polynomials, I (2.6))
-        completion = []
-        for i in range(1, n + 1):
-            g, cofactors = Polynomial.zero(base), {}
-            for k in range(0, i + 1):
-                h = complete_homogeneous(base, i - k, range(i - 1, n))
-                g = g + (chern[k] * h).scale(base.from_int((-1) ** k))
-                if k:
-                    cofactors[k - 1] = h.scale(base.from_int((-1) ** (k + 1)))
-            completion.append((g, cofactors))
+        # the triangular relations g_i = sum_k (-1)^k c_k h_{i-k}(l_i..l_n),
+        # successive divided differences of the Chern polynomial, led by
+        # l_i^i.  g_i is the sum over k >= 1 of (-1)^(k+1) h_{i-k}(l_i..l_n)
+        # (e_k - c_k), since sum_k (-1)^k e_k(l_1..l_n) h_{i-k}(l_i..l_n) is
+        # the t^i coefficient of prod_{j<i} (1 - l_j t), of degree i - 1
+        # (Macdonald, Symmetric Functions and Hall Polynomials, I (2.6)).
+        # That change of generators is triangular with unit diagonal, so
+        # the g_i generate the ideal of the e_k(l) - c_k over any base.
+        rels = [sum(((chern[k] * complete_homogeneous(base, i - k, range(i - 1, n)))
+                     .scale(base.from_int((-1) ** k)) for k in range(i + 1)), Polynomial.zero(base))
+                for i in range(1, n + 1)]
         fiber_vars = [(f"l{i}", 1) for i in range(1, n + 1)]
-        return _over(theory, fiber_vars, rels, completion, space.base_ring, D)
+        return _over(theory, fiber_vars, rels, space.base_ring, D)
 
     if isinstance(space, GrassmannianBundle):
         m, n = space.m, space.n
@@ -255,8 +241,7 @@ def cohomology(theory: OrientedTheory, space, truncation: int = 8) -> PresentedR
                            for i in range(1, min(m, k) + 1)), Polynomial.zero(base)))
         rels = [sum((chern[j] * q[k - j] for j in range(k + 1)), Polynomial.zero(base))
                 for k in range(n - m + 1, n + 1)]
-        return _over(theory, [(f"s{i}", i) for i in range(1, m + 1)], rels, None,
-                     space.base_ring, D)
+        return _over(theory, [(f"s{i}", i) for i in range(1, m + 1)], rels, space.base_ring, D)
 
     if isinstance(space, ClassifyingBGL):
         n = D if space.n is None else space.n
@@ -273,7 +258,7 @@ def cohomology(theory: OrientedTheory, space, truncation: int = 8) -> PresentedR
         for factor, ring in (("left", left), ("right", right)):
             if not ring.is_degreewise_free(D):
                 raise ValueError(f"{factor} factor is not degreewise free; product rejected")
-        return _over(theory, left.variables, left.relations, left.rewrite_source, right, D)
+        return _over(theory, left.variables, left.relations, right, D)
 
     raise ValueError(f"unsupported space descriptor {space!r}")
 

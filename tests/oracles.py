@@ -6,16 +6,18 @@ expansion, torsion through minor gcds, and partition counts through
 the Euler recurrence.  Coassociativity is checked on the coproduct
 dictionaries alone, and indecomposables on the whole multiplication
 table.  Relation-ideal membership goes through the degreewise relation
-lattice, with no cofactor certificate.  Substitution goes term by term,
-one ring product per variable factor.
+lattice, with no cofactor certificate, and the flag relations are
+rebuilt from e_k and h_k summed term by term.  Substitution goes term
+by term, one ring product per variable factor.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from orcohom.coefficients import IntegerRing, ZZ
 from orcohom.conner_floyd import _coefficient_images, base_change, cobordism_presentation
@@ -111,7 +113,6 @@ def degreewise_twin(ring: PresentedRing) -> PresentedRing:
     twin = PresentedRing(ring.base, ring.variables, ring.relations, ring.truncation)
     twin.route = "degreewise"
     twin.rewrite_rules = None
-    twin.rewrite_source = None
     return twin
 
 
@@ -120,15 +121,37 @@ def in_relation_ideal(ring: PresentedRing, g: Polynomial) -> bool:
 
     Asks for no certificate: the degreewise twin reduces g against the
     HNF of each weight's relation lattice.  A ring whose relations have
-    no integer lattice (a coefficient such as 1 + b) must rewrite
-    confluently on its own relations, and then those rules decide.
+    no integer lattice (a coefficient such as 1 + b) raises
+    NonConfluentPresentation.
     """
-    try:
-        return degreewise_twin(ring).normal_form(g).is_zero()
-    except NonConfluentPresentation:
-        alone = PresentedRing(ring.base, ring.variables, ring.relations, ring.truncation)
-        assert alone.route == "rewrite", "no reference membership test for this ring"
-        return alone.normal_form(g).is_zero()
+    return degreewise_twin(ring).normal_form(g).is_zero()
+
+
+def flag_relation_certificate(base, n: int, chern=(), start: int = 0):
+    """The relations e_k(l) - c_k (k = 1..n) of a rank-n flag bundle,
+    and the triangular relations built from them: for i = 1..n,
+    g_i = sum_{k=1..i} (-1)^(k+1) h_{i-k}(l_i..l_n) (e_k - c_k)
+    (Macdonald, Symmetric Functions and Hall Polynomials, I (2.6)).
+
+    The line classes l_1..l_n are the variables start..start+n-1, and
+    chern lists c_1, c_2, ... in the ring's variables (missing classes
+    are zero).  e_k and h_k are sums over the k-subsets and k-multisets
+    of the indices, term by term.
+    """
+    def symmetric_sum(indices, k, choose):
+        return int_poly(base, {tuple(sorted(Counter(pick).items())): 1 for pick in choose(indices, k)})
+
+    lines = range(start, start + n)
+    chern = list(chern) + [Polynomial.zero(base)] * (n - len(chern))
+    symmetric = [symmetric_sum(lines, k, combinations) - chern[k - 1] for k in range(1, n + 1)]
+    triangular = []
+    for i in range(1, n + 1):
+        g = Polynomial.zero(base)
+        for k in range(1, i + 1):
+            h = symmetric_sum(lines[i - 1:], i - k, combinations_with_replacement)
+            g = g + (h * symmetric[k - 1]).scale(base.from_int((-1) ** (k + 1)))
+        triangular.append(g)
+    return symmetric, triangular
 
 
 def compose_termwise(target: PresentedRing, p: Polynomial, images, source_base) -> Polynomial:

@@ -115,6 +115,15 @@ def test_tower_random_checks_deterministic():
     assert res.returncode == 0
 
 
+@pytest.mark.parametrize("check, trials", [("split", "0"), ("surjective", "-3")])
+def test_random_checks_refuse_fewer_than_one_trial(check, trials):
+    # zero trials used to report "ok": true over nothing
+    res = run_cli("tower", "--random-check", check, "--trials", trials, "--format", "json")
+    assert res.returncode == 2, res.stdout
+    assert res.stdout == ""
+    assert f"--trials must be at least 1, got {trials}" in res.stderr
+
+
 def test_tower_from_file(tmp_path):
     doc = {
         "stages": [{"0": {"ngens": 1, "relations": [[8]]}}] * 4,
@@ -323,6 +332,25 @@ def test_cohomology_tensor_flag():
     assert res.returncode == 0
     data = json.loads(res.stdout)
     assert "l*l'" in data["tensor_class"]
+
+
+@pytest.mark.parametrize("n", ["0", "5"])
+def test_invariance_rank_outside_one_to_four_is_an_input_error(n):
+    # --invariance 0 used to be skipped silently, with exit 0
+    res = run_cli("cohomology", "--space", '{"BGL":4}', "--invariance", n, "--format", "json")
+    assert res.returncode == 2, res.stdout
+    assert res.stdout == ""
+    assert "invariance check supported for 1 <= n <= 4" in res.stderr
+
+
+def test_cohomology_tensor_names_an_unknown_generator():
+    res = run_cli("cohomology", "--space", '{"Pn":2}', "--tensor", "l,zz", "--format", "json")
+    assert res.returncode == 2, res.stdout
+    assert res.stdout == ""
+    assert "unknown generator 'zz'; the ring's generators are l" in res.stderr
+    res = run_cli("cohomology", "--space", '{"Flag":{"n":3}}', "--tensor", "l,l1", "--format", "json")
+    assert res.returncode == 2
+    assert "unknown generator 'l'; the ring's generators are l1, l2, l3" in res.stderr
 
 
 def test_schema_subcommand():

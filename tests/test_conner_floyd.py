@@ -100,6 +100,19 @@ def test_base_change_functoriality():
     assert base_change(custom, target, scalars) == step1
 
 
+@pytest.mark.parametrize("space", [ProjectiveSpace(0), ProjectiveSpace(3), FlagBundle(3)],
+                         ids=["point", "P3", "Flag3"])
+def test_base_change_keeps_the_rewrite_route(space):
+    # the changed presentation is rebuilt from its relations alone, and
+    # those relations rewrite as the cobordism side's do
+    from orcohom.conner_floyd import _coefficient_images
+
+    left = cobordism_presentation(space, 8)
+    changed = base_change(left, *_coefficient_images(8))
+    assert left.route == changed.route == "rewrite"
+    assert [lm for lm, _ in changed.rewrite_rules] == [lm for lm, _ in left.rewrite_rules]
+
+
 def test_universal_theory_cached_and_valid():
     th1 = universal_theory(6)
     th2 = universal_theory(6)

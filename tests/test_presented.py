@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from orcohom.serialize import canonical_dumps, poly_to_json
 
 from oracles import (
     compose_termwise,
+    flag_relation_certificate,
     in_relation_ideal,
     int_poly,
     integer_span_contains,
@@ -153,10 +155,37 @@ def test_rewrite_basis_lists_the_standard_monomials(name):
         assert [lm for lm, _ in ring.rewrite_rules] == [((0, 1), (1, 1)), ((2, 1), (3, 1)), ((3, 2),)]
 
 
+@pytest.mark.parametrize("name", REWRITE_NAMES)
+def test_rewrite_route_survives_a_json_round_trip(name):
+    # the route is read off the relations, so a ring rebuilt from its
+    # JSON reduces the same way
+    from orcohom.serialize import presented_ring_from_json, presented_ring_to_json
+
+    ring = _rewrite_ring(name)
+    back = presented_ring_from_json(json.loads(canonical_dumps(presented_ring_to_json(ring))))
+    assert back == ring
+    assert back.route == ring.route == "rewrite"
+    assert back.rewrite_rules == ring.rewrite_rules
+
+
+def _flag_fibers(name):
+    """The flag fibers of a REWRITE_NAMES ring: (index of l1, rank,
+    Chern classes in the ring's variables)."""
+    if name.startswith("Flag"):
+        return [(0, int(name[4:]), [])]
+    if name == "F2-over-P2":
+        l = Polynomial.variable(ZZ, 2)
+        return [(0, 2, [l.scale(3), (l * l).scale(2)])]
+    if name == "P2xFlag3":
+        return [(1, 3, [])]
+    return []
+
+
 def _bundle_rings():
     """Flag(2) and P(V) bundles over P^2 (rewrite route) and Gr(2,4)
     (degreewise) over Z, Z/4 and Q, and P(V) over the multiplicative P^1
-    with c1 = (1 + b) l, whose rule has no integer coefficient."""
+    with c1 = (1 + b) l, whose rule has no integer coefficient; each with
+    its flag fibers as in ``_flag_fibers``."""
     from orcohom.spaces import (FlagBundle, GrassmannianBundle, ProjectiveBundle, ProjectiveSpace,
                                 additive_theory, cohomology, multiplicative_theory)
 
@@ -167,55 +196,47 @@ def _bundle_rings():
         x, y = (Polynomial.variable(coeffs, i) for i in range(2))
         for base_ring, chern in ((p2, [x.scale(coeffs.from_int(3)), (x * x).scale(coeffs.from_int(2))]),
                                  (g24, [x, y])):
-            for cls in (FlagBundle, ProjectiveBundle):
-                yield cohomology(th, cls(2, chern, base_ring), 6)
+            yield (cohomology(th, FlagBundle(2, chern, base_ring), 6),
+                   [(0, 2, [c.shift_indices(2) for c in chern])])
+            yield cohomology(th, ProjectiveBundle(2, chern, base_ring), 6), []
     th = multiplicative_theory(4)
     p1 = cohomology(th, ProjectiveSpace(1), 4)
     L = p1.base
-    yield cohomology(th, ProjectiveBundle(2, [p1.var(0).scale(L.add(L.one(), L.generator()))], p1), 4)
+    yield cohomology(th, ProjectiveBundle(2, [p1.var(0).scale(L.add(L.one(), L.generator()))], p1), 4), []
 
 
-def test_completion_matches_its_certificate_and_the_membership_oracle():
-    # every supplied completion element is exactly the combination of
-    # stored relations its cofactors name, and the certificate-free
-    # reference agrees that it lies in the relation ideal
-    rings = [_rewrite_ring(name) for name in REWRITE_NAMES] + list(_bundle_rings())
+def test_flag_relations_match_the_symmetric_function_oracle():
+    # each flag fiber is presented by the triangular g_i, which the
+    # oracle builds from the e_k - c_k with Macdonald's cofactors; the
+    # e_k - c_k reduce to zero, the membership oracle agrees, and the
+    # e_k - c_k presentation itself takes the degreewise route with the
+    # same ranks (up to weight 6) and contains every g_i
+    cases = [(_rewrite_ring(name), _flag_fibers(name)) for name in REWRITE_NAMES]
+    cases += list(_bundle_rings())
     checked = 0
-    for ring in rings:
-        assert (ring.rewrite_source is None) == (ring.route == "degreewise"), ring
-        for g, cofactors in ring.rewrite_source or ():
-            combination = Polynomial.zero(ring.base)
-            for k, c in cofactors.items():
-                combination = combination + c * ring.relations[k]
-            assert combination == g, (ring, ring.poly_str(g))
-            assert in_relation_ideal(ring, g), (ring, ring.poly_str(g))
-            checked += 1
-    assert checked == 51
-
-
-def test_flipped_cofactor_sign_is_refused():
-    from orcohom.spaces import FlagBundle, ProjectiveBundle, ProjectiveSpace, additive_theory, cohomology
-
-    th = additive_theory(ZZ, 8)
-    p2 = cohomology(th, ProjectiveSpace(2), 6)
-    l = Polynomial.variable(ZZ, 0)
-    for ring in (cohomology(th, FlagBundle(4), 6),
-                 cohomology(th, ProjectiveBundle(2, [l.scale(3), l * l], p2), 6)):
-        for i, (g, cofactors) in enumerate(ring.rewrite_source):
-            for k in cofactors:
-                mutant = list(ring.rewrite_source)
-                mutant[i] = (g, {**cofactors, k: -cofactors[k]})
-                with pytest.raises(NonConfluentPresentation, match="cofactors name"):
-                    PresentedRing(ring.base, ring.variables, ring.relations, ring.truncation,
-                                  rewrite_basis=mutant)
-        # the unmutated pairs validate
-        PresentedRing(ring.base, ring.variables, ring.relations, ring.truncation,
-                      rewrite_basis=ring.rewrite_source)
+    for ring, fibers in cases:
+        for start, n, chern in fibers:
+            symmetric, triangular = flag_relation_certificate(ring.base, n, chern, start)
+            for g in triangular:
+                assert g in ring.relations, (ring, ring.poly_str(g))
+            for r in symmetric:
+                assert ring.normal_form(r).is_zero(), (ring, ring.poly_str(r))
+                assert in_relation_ideal(ring, r), (ring, ring.poly_str(r))
+            others = [r for r in ring.relations if r not in triangular]
+            assert len(others) == len(ring.relations) - n
+            old = PresentedRing(ring.base, ring.variables, symmetric + others, ring.truncation)
+            assert old.route == "degreewise", ring
+            upto = min(6, ring.truncation)
+            assert old.graded_ranks(upto) == ring.graded_ranks(upto), ring
+            for g in triangular:
+                assert in_relation_ideal(old, g), (ring, ring.poly_str(g))
+            checked += n
+    assert checked == 2 + 3 + 4 + 5 + 6 + 2 + 3 + 6 * 2
 
 
 def test_rewrite_rings_from_spaces_build_no_relation_lattice():
     rings = [_rewrite_ring(name) for name in REWRITE_NAMES if name != "mixed"]
-    rings += [R for R in _bundle_rings() if R.route == "rewrite"]
+    rings += [R for R, _ in _bundle_rings() if R.route == "rewrite"]
     assert len(rings) == 18
     for ring in rings:
         assert ring.route == "rewrite" and ring._reducers == {}, ring
@@ -406,13 +427,6 @@ def test_prime_field_route():
     ident = RingMap(ring, ring, [ring.var(0), ring.var(1)])
     ok, _ = ident.is_graded_isomorphism()
     assert ok
-
-
-def test_invalid_rewrite_basis_rejected():
-    with pytest.raises(NonConfluentPresentation):
-        PresentedRing(ZZ, [("x", 1), ("y", 1)],
-                      [P({((0, 1),): 1, ((1, 1),): 1})], 4,
-                      rewrite_basis=[(P({((0, 1),): 1}), {0: P({(): 1})})])
 
 
 def test_quotient_coefficients_arithmetic():
