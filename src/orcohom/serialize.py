@@ -9,6 +9,7 @@ trips reproduce byte-identical documents.
 from __future__ import annotations
 
 import json
+import re
 
 from .coefficients import BaseRing, IntegerRing, LaurentRing, ModularRing, RationalRing, QQ, ZZ
 from .fgl import FormalGroupLaw
@@ -217,7 +218,17 @@ def _integer(value, what: str) -> int:
 
 def _periodicity_from_json(data: dict):
     window = data.get("periodicity")
-    return tuple(_integer(v, "periodicity") for v in window) if window else None
+    if window is None:
+        return None
+    if not isinstance(window, list) or len(window) != 2:
+        raise ValueError(f"periodicity must be [k0, rho] or null, got {window!r}")
+    return tuple(_integer(v, "periodicity") for v in window)
+
+
+def _weight(key: str) -> int:
+    if re.fullmatch(r"-?[0-9]+", key) is None:
+        raise ValueError(f"weight key must be an integer, got {key!r}")
+    return int(key)
 
 
 def _module_from_json(data: dict) -> FPModule:
@@ -230,7 +241,7 @@ def _graded_module_to_json(gm: GradedFPModule) -> dict:
 
 
 def _graded_module_from_json(data: dict) -> GradedFPModule:
-    return GradedFPModule({int(w): _module_from_json(m) for w, m in data.items()})
+    return GradedFPModule({_weight(w): _module_from_json(m) for w, m in data.items()})
 
 
 def _graded_map_to_json(gm: GradedMap) -> dict:
@@ -238,42 +249,33 @@ def _graded_map_to_json(gm: GradedMap) -> dict:
 
 
 def _graded_map_from_json(data: dict) -> GradedMap:
-    return GradedMap({int(w): [[_integer(v, "map entry") for v in r] for r in mat]
+    return GradedMap({_weight(w): [[_integer(v, "map entry") for v in r] for r in mat]
                       for w, mat in data.items()})
 
 
-def tower_to_json(tower: ModuleTower) -> dict:
+def diagram_to_json(diagram: ModuleTower | TelescopeDiagram) -> dict:
+    """A tower or a telescope: its stages, maps and periodicity window."""
     return {
-        "stages": [_graded_module_to_json(s) for s in tower.stages],
-        "maps": [_graded_map_to_json(m) for m in tower.maps],
-        "periodicity": list(tower.periodicity) if tower.periodicity else None,
+        "stages": [_graded_module_to_json(s) for s in diagram.stages],
+        "maps": [_graded_map_to_json(m) for m in diagram.maps],
+        "periodicity": list(diagram.periodicity) if diagram.periodicity else None,
     }
+
+
+def _diagram_from_json(kind, data: dict):
+    return kind([_graded_module_from_json(s) for s in data["stages"]],
+                [_graded_map_from_json(m) for m in data["maps"]],
+                _periodicity_from_json(data))
 
 
 def tower_from_json(data: dict) -> ModuleTower:
     """A tower; a ``surjectivity`` key, which older documents carry, is
     ignored: surjectivity is computed, never declared."""
-    return ModuleTower(
-        [_graded_module_from_json(s) for s in data["stages"]],
-        [_graded_map_from_json(m) for m in data["maps"]],
-        _periodicity_from_json(data),
-    )
-
-
-def telescope_to_json(t: TelescopeDiagram) -> dict:
-    return {
-        "stages": [_graded_module_to_json(s) for s in t.stages],
-        "maps": [_graded_map_to_json(m) for m in t.maps],
-        "periodicity": list(t.periodicity) if t.periodicity else None,
-    }
+    return _diagram_from_json(ModuleTower, data)
 
 
 def telescope_from_json(data: dict) -> TelescopeDiagram:
-    return TelescopeDiagram(
-        [_graded_module_from_json(s) for s in data["stages"]],
-        [_graded_map_from_json(m) for m in data["maps"]],
-        _periodicity_from_json(data),
-    )
+    return _diagram_from_json(TelescopeDiagram, data)
 
 
 # ---------------------------------------------------------------------------

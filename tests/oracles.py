@@ -4,11 +4,13 @@ Everything here deliberately avoids the library's code paths: ranks go
 through Fraction Gaussian elimination, determinants through cofactor
 expansion, torsion through minor gcds, and partition counts through
 the Euler recurrence.  Coassociativity is checked on the coproduct
-dictionaries alone, and indecomposables on the whole multiplication
-table.  Relation-ideal membership goes through the degreewise relation
-lattice, with no cofactor certificate, and the flag relations are
-rebuilt from e_k and h_k summed term by term.  Substitution goes term
-by term, one ring product per variable factor.
+dictionaries alone, primitives as the integer kernel of the coproduct
+conditions rather than by Newton's identity, and indecomposables on
+the whole multiplication table.  Relation-ideal membership goes
+through the degreewise relation lattice, with no cofactor certificate,
+and the flag relations are rebuilt from e_k and h_k summed term by
+term.  Substitution goes term by term, one ring product per variable
+factor.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 from orcohom.coefficients import IntegerRing, ZZ
 from orcohom.conner_floyd import _coefficient_images, base_change, cobordism_presentation
+from orcohom.intlinalg import kernel_basis
 from orcohom.polynomials import Polynomial, mono_divides
 from orcohom.presented import NonConfluentPresentation, PresentedRing, RingMap
 from orcohom.spaces import cohomology, multiplicative_theory
@@ -446,6 +449,22 @@ def coassociativity_check(hopf, w: int) -> bool:
         lhs[nu] = {k: v for k, v in l.items() if v}
         rhs[nu] = {k: v for k, v in r.items() if v}
     return lhs == rhs
+
+
+def primitive_by_kernel(hopf, w: int) -> list[int]:
+    """The weight-w primitive as the integer kernel of Delta(f) = f x 1 + 1 x f.
+
+    One condition row per pair (alpha, beta) of nonempty partitions, read
+    off the coproduct dictionaries; the saturated kernel must be one line.
+    """
+    parts = partition_list(w)
+    conditions: dict = {}
+    for i, nu in enumerate(parts):
+        for (alpha, beta), coeff in hopf.delta(w)[nu].items():
+            if alpha and beta:
+                conditions.setdefault((alpha, beta), [0] * len(parts))[i] += coeff
+    (vector,) = kernel_basis(list(conditions.values()), len(parts))
+    return [int(c) for c in vector]
 
 
 @lru_cache(maxsize=None)

@@ -240,6 +240,27 @@ def test_non_integer_system_entries_exit_2(tmp_path, command, field, value):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["tower", "telescope"])
+@pytest.mark.parametrize("change, message", [
+    # these used to print Python's unpacking and int() errors; [] meant no window
+    ({"periodicity": [0]}, "periodicity must be [k0, rho] or null, got [0]"),
+    ({"periodicity": [0, 1, 5]}, "periodicity must be [k0, rho] or null, got [0, 1, 5]"),
+    ({"periodicity": []}, "periodicity must be [k0, rho] or null, got []"),
+    ({"stages": [{"x": {"ngens": 1, "relations": []}}] * 3},
+     "weight key must be an integer, got 'x'"),
+    ({"maps": [{"x": [[1]]}] * 2}, "weight key must be an integer, got 'x'"),
+], ids=repr)
+def test_malformed_system_shape_exits_2(tmp_path, command, change, message):
+    doc = {"stages": [{"0": {"ngens": 1, "relations": []}}] * 3, "maps": [{"0": [[1]]}] * 2,
+           "periodicity": [0, 1], **change}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli(command, "--input", str(path))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"input error: {message}\n"
+
+
 def test_telescope_input_is_checked_like_a_tower(tmp_path):
     # maps 2, 1, 1 on Z are not periodic from stage 0
     doc = {"stages": [{"0": {"ngens": 1, "relations": []}}] * 4,
@@ -351,6 +372,26 @@ def test_cohomology_tensor_names_an_unknown_generator():
     res = run_cli("cohomology", "--space", '{"Flag":{"n":3}}', "--tensor", "l,l1", "--format", "json")
     assert res.returncode == 2
     assert "unknown generator 'l'; the ring's generators are l1, l2, l3" in res.stderr
+
+
+def test_every_result_carries_the_schema_version(tmp_path, capsys):
+    from orcohom import cli
+
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"stages": [{"0": {"ngens": 1, "relations": []}}] * 2,
+                                "maps": [{"0": [[1]]}], "periodicity": [0, 1]}))
+    small = ["--truncation", "3"]
+    runs = [["fgl-check", *small], ["fgl-lazard", "--truncation", "3", "--bound", "3"],
+            ["cohomology", "--space", '{"Pn":2}', *small],
+            ["restriction", "--bigger", '{"Pn":2}', "--smaller", '{"Pn":1}', *small],
+            ["hopf-primitives", *small], ["thom-decompose", *small],
+            ["tower", "--random-check", "split", "--trials", "1"],
+            ["tower", "--random-check", "surjective", "--trials", "1"],
+            ["tower", "--input", str(path)], ["telescope", "--input", str(path)],
+            ["conner-floyd", "--space", '{"Pn":1}', *small], ["schema"]]
+    for argv in runs:
+        assert cli.main([*argv, "--format", "json"]) == 0, argv
+        assert json.loads(capsys.readouterr().out)["schemaVersion"] == 1, argv
 
 
 def test_schema_subcommand():

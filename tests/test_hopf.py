@@ -12,7 +12,7 @@ import pytest
 
 from oracles import (coassociativity_check, conjugate_partition, dominates,
                      indecomposables_by_products, partition_count, partitions_exactly_k,
-                     whitney_coproduct, zero_one_matrix_count)
+                     primitive_by_kernel, whitney_coproduct, zero_one_matrix_count)
 
 TH = additive_theory(truncation=8)
 
@@ -51,18 +51,16 @@ def test_primitive_weight_two_is_newton_direction():
     hd = build_hopf(TH, 4)
     p2 = primitives(hd, 2)
     vec = {tuple(m): c for m, c in zip(p2["monomials"], p2["basis"][0])}
-    base = vec[(1, 1)]
-    assert base in (1, -1)
-    assert vec[(2,)] == -2 * base
+    assert vec == {(2,): -2, (1, 1): 1}  # p2 = e1^2 - 2 e2
 
 
 def test_primitives_are_power_sums():
-    # the weight-w primitive restricted along s1 -> l has coefficient +-1
+    # the weight-w primitive restricted along s1 -> l has coefficient 1
     hd = build_hopf(TH, 6)
     for w in range(1, 7):
         p = primitives(hd, w)
         ones_index = p["monomials"].index([1] * w)
-        assert abs(p["basis"][0][ones_index]) == 1
+        assert p["basis"][0][ones_index] == 1
 
 
 def test_torsion_coefficients_rejected():
@@ -177,8 +175,17 @@ def test_transition_is_unitriangular_up_to_conjugation(hd14):
                     assert dominates(conj, mu), (nu, mu)
 
 
+def test_primitives_match_the_coproduct_kernel(hd14):
+    # Newton's identity against the integer kernel of the coproduct
+    # conditions, sign included; the formula never builds the coproduct
+    hd = build_hopf(additive_theory(truncation=14), 14)
+    for w in range(1, 15):
+        assert primitives(hd, w)["basis"] == [primitive_by_kernel(hd14, w)], w
+    assert hd._delta == {}
+
+
 def test_primitives_returns_fresh_lists():
-    # the kernel is solved once per weight; callers must not share it
+    # each call builds its own lists; callers must not share them
     hd = build_hopf(TH, 4)
     first = primitives(hd, 3)
     first["basis"][0][0] += 1
