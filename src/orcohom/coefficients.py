@@ -28,7 +28,9 @@ class BaseRing:
     Subclasses implement a small protocol: ``zero``, ``one``,
     ``from_int``, ``add``, ``neg``, ``mul``, ``is_zero``, ``is_unit``,
     ``inv_unit``, ``divide_exact``, and canonical string round-trips
-    ``coeff_str`` / ``coeff_from_str``.
+    ``coeff_str`` / ``coeff_from_str``.  A sum of products is a chain of
+    ``fma`` (multiply-accumulate from None) closed by one ``settle``;
+    ``mul`` is a chain of one, so a subclass defines ``mul`` or ``fma``.
     """
 
     kind: str = "?"
@@ -52,7 +54,16 @@ class BaseRing:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return self.settle(self.fma(None, a, b))
+
+    def fma(self, acc, a, b):
+        """acc + a*b for acc None or an earlier ``fma`` result, which it may update in place."""
+        p = self.mul(a, b)
+        return p if acc is None else self.add(acc, p)
+
+    def settle(self, acc):
+        """The element an ``fma`` chain accumulated."""
+        return acc
 
     def is_zero(self, a) -> bool:
         raise NotImplementedError
@@ -125,6 +136,9 @@ class IntegerRing(BaseRing):
     def mul(self, a, b):
         return a * b
 
+    def fma(self, acc, a, b):
+        return a * b if acc is None else acc + a * b
+
     def is_zero(self, a):
         return a == 0
 
@@ -164,6 +178,8 @@ class RationalRing(BaseRing):
 
     def mul(self, a, b):
         return a * b
+
+    fma = IntegerRing.fma
 
     def is_zero(self, a):
         return a == 0
@@ -214,6 +230,11 @@ class ModularRing(BaseRing):
 
     def mul(self, a, b):
         return (a * b) % self.n
+
+    fma = IntegerRing.fma  # an unreduced integer, reduced once by settle
+
+    def settle(self, acc):
+        return acc % self.n
 
     def is_zero(self, a):
         return a % self.n == 0
@@ -287,18 +308,17 @@ class LaurentRing(BaseRing):
     def neg(self, a):
         return {e: self.base.neg(c) for e, c in a.items()}
 
-    def mul(self, a, b):
-        out: dict = {}
+    def fma(self, acc, a, b):
+        acc = {} if acc is None else acc
+        fma = self.base.fma
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = e1 + e2
-                p = self.base.mul(c1, c2)
-                s = self.base.add(out.get(e, self.base.zero()), p)
-                if self.base.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return out
+                acc[e] = fma(acc.get(e), c1, c2)
+        return acc
+
+    def settle(self, acc):
+        return {e: s for e, v in acc.items() if not self.base.is_zero(s := self.base.settle(v))}
 
     def is_zero(self, a):
         return not a

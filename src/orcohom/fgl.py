@@ -139,16 +139,15 @@ def universal_law(truncation: int = 8) -> FormalGroupLaw:
 
     The coefficients lie in the relation-free ring Z[b_1..b_D], b_i of
     weight i.  g^-1 is integral: it is solved one weight at a time, the
-    correction at x^k being the negative of the x^k coefficient of g(g^-1).
+    correction at x^k being minus the x^k coefficient of g(g^-1) truncated at k.
     """
     D = int(truncation)
     base = QuotientCoefficients(PresentedRing(ZZ, [(f"b{i}", i) for i in range(1, D + 1)], [], D))
     x = Polynomial.variable(base, _X)
     g = x + Polynomial(base, {((_X, i + 1),): Polynomial.variable(ZZ, i - 1) for i in range(1, D + 1)})
-    r1 = series_ring(base, ("x",), D + 1)
     g_inv = x
     for k in range(2, D + 2):
-        c = compose(r1, g, [g_inv], base).coefficient(((_X, k),))
+        c = compose(series_ring(base, ("x",), k), g, [g_inv], base).coefficient(((_X, k),))
         g_inv = g_inv - Polynomial(base, {((_X, k),): c})
     g_inv_y = g_inv.map_monomials(lambda m: ((_Y, m[0][1]),))
     series = compose(series_ring(base, ("x", "y"), D + 1), g, [g_inv + g_inv_y], base)
@@ -184,13 +183,9 @@ def check_axioms(law: FormalGroupLaw) -> AxiomReport:
         first_failure("commutativity", comm_diff, r2)
 
     r3 = series_ring(base, ("x", "y", "z"), law.truncation)
-    X = Polynomial.variable(base, 0)
-    Y = Polynomial.variable(base, 1)
-    Z = Polynomial.variable(base, 2)
-    inner_left = compose(r3, series, [X, Y], base)
-    lhs = compose(r3, series, [inner_left, Z], base)
-    inner_right = compose(r3, series, [Y, Z], base)
-    rhs = compose(r3, series, [X, inner_right], base)
+    # F(x, y) and F(y, z) are the series and its shift, with no composing
+    lhs = compose(r3, series, [r3.normal_form(series), Polynomial.variable(base, 2)], base)
+    rhs = compose(r3, series, [Polynomial.variable(base, 0), series.shift_indices(1)], base)
     assoc_diff = lhs - rhs
     assoc_ok = assoc_diff.is_zero()
     if not assoc_ok:
@@ -256,10 +251,10 @@ def logarithm(law: FormalGroupLaw) -> Polynomial:
     h = [base.zero()] * (d + 1)
     h[0] = base.one()
     for k in range(1, d + 1):
-        acc = base.zero()
+        acc = None
         for j in range(1, k + 1):
-            acc = base.add(acc, base.mul(g[j], h[k - j]))
-        h[k] = base.neg(acc)
+            acc = base.fma(acc, g[j], h[k - j])
+        h[k] = base.neg(base.settle(acc))
     terms = {}
     for k in range(0, d):
         if base.is_zero(h[k]):
@@ -326,13 +321,10 @@ def lazard_ring(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> LazardPre
     free_coeffs = QuotientCoefficients(free)
     series = _generic_series(free_coeffs, gens)
     r3 = series_ring(free_coeffs, ("x", "y", "z"), truncation + 1)
-    X = Polynomial.variable(free_coeffs, 0)
-    Y = Polynomial.variable(free_coeffs, 1)
-    Z = Polynomial.variable(free_coeffs, 2)
-    inner = compose(r3, series, [X, Y], free_coeffs)
-    lhs = compose(r3, series, [inner, Z], free_coeffs)
-    # the generic series is symmetric, so F(x, F(y, z)) is the x<->z
-    # relabelling of F(F(x, y), z)
+    # F(x, y) is the series itself; the series is symmetric, so F(x, F(y, z))
+    # is the x<->z relabelling of F(F(x, y), z)
+    inner = r3.normal_form(series)
+    lhs = compose(r3, series, [inner, Polynomial.variable(free_coeffs, 2)], free_coeffs)
     rhs = lhs.map_monomials(
         lambda m: tuple(sorted((2 if i == 0 else 0 if i == 2 else i, e) for i, e in m)))
     delta = lhs - rhs

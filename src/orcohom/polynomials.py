@@ -159,25 +159,10 @@ class Polynomial:
 
         Weight is additive, so the skipped term pairs are exactly those
         giving monomials above the bound, and the kept monomials come out
-        in the full product's order and with its coefficients.
+        with the full product's coefficients.  Each output coefficient is
+        one ``fma`` chain of the base, settled once.
         """
-        base = self.base
-        out: dict = {}
-        zero = base.zero()
-        right = [(m, c, 0 if bound is None else mono_weight(m, weights))
-                 for m, c in other.terms.items()]
-        for m1, c1 in self.terms.items():
-            room = 0 if bound is None else bound - mono_weight(m1, weights)
-            for m2, c2, w2 in right:
-                if w2 > room:
-                    continue
-                m = mono_mul(m1, m2)
-                s = base.add(out.get(m, zero), base.mul(c1, c2))
-                if base.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Polynomial(base, out, _clean=True)
+        return settled(self.base, accumulate({}, self.terms, other.terms, self.base.fma, weights, bound))
 
     __mul__ = product
 
@@ -261,6 +246,25 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({len(self.terms)} terms)"
+
+
+def accumulate(acc: dict, a: dict, b: dict, fma, weights=None, bound: int | None = None) -> dict:
+    """Multiply-accumulate the term products of a and b into acc in place,
+    keeping those of weight at most ``bound`` when ``weights`` are given."""
+    right = [(m, c, 0 if bound is None else mono_weight(m, weights)) for m, c in b.items()]
+    for m1, c1 in a.items():
+        room = 0 if bound is None else bound - mono_weight(m1, weights)
+        for m2, c2, w2 in right:
+            if w2 <= room:
+                m = mono_mul(m1, m2)
+                acc[m] = fma(acc.get(m), c1, c2)
+    return acc
+
+
+def settled(base: BaseRing, acc: dict) -> Polynomial:
+    """The polynomial whose coefficients the ``fma`` chains in acc hold."""
+    settle, is_zero = base.settle, base.is_zero
+    return Polynomial(base, {m: c for m, a in acc.items() if not is_zero(c := settle(a))}, _clean=True)
 
 
 def poly_to_json(p: Polynomial, weights, nvars: int) -> list:

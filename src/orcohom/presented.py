@@ -45,12 +45,14 @@ from .polynomials import (
     Mono,
     ONE_MONO,
     Polynomial,
+    accumulate,
     mono_div,
     mono_divides,
     mono_mul,
     mono_weight,
     poly_from_json,
     poly_to_json,
+    settled,
 )
 
 
@@ -110,10 +112,11 @@ class PresentedRing:
         self.relations = tuple(r for r in relations if not r.is_zero())
         for r in self.relations:
             self._validate_element(r)
-            if self.homogeneous_weight(r) is None:
-                raise ValueError("relations must be weight-homogeneous")
-            if self.homogeneous_weight(r) < 1:
-                raise ValueError("weight-0 relations are not supported")
+        self._relation_weights = [self.homogeneous_weight(r) for r in self.relations]
+        if None in self._relation_weights:
+            raise ValueError("relations must be weight-homogeneous")
+        if 0 in self._relation_weights:
+            raise ValueError("weight-0 relations are not supported")
         # reduction route
         self._nf_mono_cache: dict[Mono, Polynomial] = {}
         self._reducers: dict[int, tuple] = {}
@@ -276,10 +279,11 @@ class PresentedRing:
             if missing:
                 stack.extend(missing)
                 continue
-            out = Polynomial.zero(self.base)
+            fma, acc = self.base.fma, {}
             for mq, c in expanded:
-                out = out + cache[mq].scale(c)
-            cache[cur] = out
+                for mm, v in cache[mq].terms.items():
+                    acc[mm] = fma(acc.get(mm), c, v)
+            cache[cur] = settled(self.base, acc)
             stack.pop()
         return cache[m]
 
@@ -287,10 +291,11 @@ class PresentedRing:
         """Normal form of p, which has no term above D, by the rewrite rules."""
         if not self.rewrite_rules:
             return p
-        out = Polynomial.zero(self.base)
+        fma, acc = self.base.fma, {}
         for m, c in p.terms.items():
-            out = out + self._nf_monomial(m).scale(c)
-        return out
+            for mm, v in self._nf_monomial(m).terms.items():
+                acc[mm] = fma(acc.get(mm), c, v)
+        return settled(self.base, acc)
 
     # ------------------------------------------------------------------
     # degreewise route
@@ -326,8 +331,7 @@ class PresentedRing:
         ambient = self.monomials_of_weight(w)
         index = {m: j for j, m in enumerate(ambient)}
         rows = []
-        for rel in self.relations:
-            u = self.homogeneous_weight(rel)
+        for rel, u in zip(self.relations, self._relation_weights):
             mults = self.monomials_of_weight(w - u)
             if not mults:
                 continue
@@ -484,8 +488,15 @@ class QuotientCoefficients(BaseRing):
     def neg(self, a):
         return -a
 
-    def mul(self, a, b):
-        return self.ring.mul(a, b)
+    def fma(self, acc, a, b):
+        # raw truncated products of ring elements, summed term by term
+        ring = self.ring
+        return accumulate({} if acc is None else acc, a.terms, b.terms, ring.base.fma,
+                          ring.weights, ring.truncation)
+
+    def settle(self, acc):
+        # normal forms are linear, so the whole sum is reduced once
+        return self.ring._reduce(settled(self.ring.base, acc))
 
     def is_zero(self, a):
         return a.is_zero()
@@ -494,8 +505,11 @@ class QuotientCoefficients(BaseRing):
         return a.is_constant() and self.ring.base.is_unit(a.constant_term())
 
     def divide_exact(self, a, b):
-        if self.is_unit(b):
-            return self.ring.normal_form(a.scale(self.ring.base.inv_unit(b.constant_term())))
+        # a/b termwise when b is a constant; otherwise only 0/b
+        if b.is_constant():
+            inner, c = self.ring.base, b.constant_term()
+            q = {m: inner.divide_exact(v, c) for m, v in a.terms.items()}
+            return None if None in q.values() else self.ring.normal_form(Polynomial(inner, q))
         if a.is_zero():
             return self.zero()
         return None

@@ -10,7 +10,8 @@ the whole multiplication table.  Relation-ideal membership goes
 through the degreewise relation lattice, with no cofactor certificate,
 and the flag relations are rebuilt from e_k and h_k summed term by
 term.  Substitution goes term by term, one ring product per variable
-factor.
+factor.  Products fold term by term into a running sum, and the
+universal law's g^-1 is solved at the full truncation.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from orcohom.coefficients import IntegerRing, ZZ
 from orcohom.conner_floyd import _coefficient_images, base_change, cobordism_presentation
 from orcohom.intlinalg import kernel_basis
-from orcohom.polynomials import Polynomial, mono_divides
-from orcohom.presented import NonConfluentPresentation, PresentedRing, RingMap
+from orcohom.fgl import FormalGroupLaw, _generic_series, _lazard_generators, _poly_key, series_ring
+from orcohom.polynomials import Polynomial, mono_divides, mono_mul, mono_weight
+from orcohom.presented import NonConfluentPresentation, PresentedRing, QuotientCoefficients, RingMap, compose
 from orcohom.spaces import cohomology, multiplicative_theory
 
 
@@ -551,3 +553,58 @@ def finite_stable_image_kill_counts(modulus: int, mat) -> dict[int, int]:
         image = smaller
     return {d: sum(not any(d * c % modulus for c in v) for v in image)
             for d in range(1, modulus + 1) if modulus % d == 0}
+
+
+def product_by_fold(p: Polynomial, q: Polynomial, weights=None, bound=None) -> Polynomial:
+    """``Polynomial.product`` by folding each term pair into a running sum
+    with the base's ``add`` and ``mul``, dropping a coefficient that
+    cancels to zero."""
+    base = p.base
+    out: dict = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = mono_mul(m1, m2)
+            if bound is not None and mono_weight(m, weights) > bound:
+                continue
+            s = base.add(out.get(m, base.zero()), base.mul(c1, c2))
+            if base.is_zero(s):
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return Polynomial(base, out, _clean=True)
+
+
+def universal_law_reference(D: int) -> FormalGroupLaw:
+    """``fgl.universal_law`` with every step of g^-1 composed at the full
+    truncation D + 1."""
+    base = QuotientCoefficients(PresentedRing(ZZ, [(f"b{i}", i) for i in range(1, D + 1)], [], D))
+    x = Polynomial.variable(base, 0)
+    g = x + Polynomial(base, {((0, i + 1),): Polynomial.variable(ZZ, i - 1) for i in range(1, D + 1)})
+    r1 = series_ring(base, ("x",), D + 1)
+    g_inv = x
+    for k in range(2, D + 2):
+        c = compose(r1, g, [g_inv], base).coefficient(((0, k),))
+        g_inv = g_inv - Polynomial(base, {((0, k),): c})
+    g_inv_y = g_inv.map_monomials(lambda m: ((1, m[0][1]),))
+    series = compose(series_ring(base, ("x", "y"), D + 1), g, [g_inv + g_inv_y], base)
+    return FormalGroupLaw(base, series, D + 1)
+
+
+def lazard_relations_by_compose(D: int) -> list[Polynomial]:
+    """The associativity relations of ``fgl.lazard_ring``, with F(x, y)
+    formed by composing the generic series with the identity images."""
+    gens = _lazard_generators(D)
+    coeffs = QuotientCoefficients(PresentedRing(ZZ, [(f"a{i}_{j}", i + j - 1) for i, j in gens], [], D))
+    series = _generic_series(coeffs, gens)
+    r3 = series_ring(coeffs, ("x", "y", "z"), D + 1)
+    X, Y, Z = (Polynomial.variable(coeffs, i) for i in range(3))
+    lhs = compose(r3, series, [compose(r3, series, [X, Y], coeffs), Z], coeffs)
+    rhs = compose(r3, series, [X, compose(r3, series, [Y, Z], coeffs)], coeffs)
+    delta = lhs - rhs
+    relations, seen = [], set()
+    for m in sorted(delta.terms, key=lambda m: (r3.mono_weight(m), m)):
+        rel = delta.terms[m]
+        if _poly_key(rel) not in seen and _poly_key(-rel) not in seen:
+            seen.add(_poly_key(rel))
+            relations.append(rel)
+    return relations

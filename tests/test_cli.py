@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -69,6 +70,22 @@ def test_fgl_check_multiplicative_passes():
     assert res.returncode == 0
     data = json.loads(res.stdout)
     assert data["axioms"]["passed"] and data["inverse_identity"]
+
+
+def test_fgl_check_reports_the_universal_logarithm(tmp_path):
+    # the logarithm of g(g^-1(x) + g^-1(y)) is g^-1 = x - b1 x^2 + ...,
+    # integral although its recurrence divides by k + 1
+    from orcohom.fgl import universal_law
+    from orcohom.serialize import fgl_to_json
+
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(fgl_to_json(universal_law(3))))
+    res = run_cli("fgl-check", "--input", str(path), "--format", "json")
+    assert res.returncode == 0, res.stderr
+    log = dict((tuple(m), c) for m, c in json.loads(res.stdout)["logarithm"])
+    assert log[(1, 0)] == '[[[0,0,0],"1"]]'
+    assert log[(2, 0)] == '[[[1,0,0],"-1"]]'
+    assert log[(3, 0)] == '[[[2,0,0],"2"],[[0,1,0],"-1"]]'
 
 
 def test_fgl_check_invalid_law_exits_1(tmp_path):
@@ -407,6 +424,41 @@ def test_conner_floyd_suite_byte_deterministic():
     second = run_cli(*args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+# determinism fixtures: the sha256 of stdout of commands whose outputs
+# carry b-polynomial coefficients, Lazard relations and Laurent images,
+# so a change to coefficient arithmetic that moves a byte shows here
+STDOUT_DIGESTS = [
+    ("fgl-lazard-D9", ("fgl-lazard", "-D", "9", "--bound", "9"),
+     "b6a93ece48a666d6a1839aa618aacc5d84860db5c0a599dafba4e3f466bbdacc"),
+    ("conner-floyd-suite-D8", ("conner-floyd", "--suite"),
+     "be90fc3226546166f1344ea50c89bf35b59d2fe600c9398d07d9e65374e59461"),
+    ("conner-floyd-suite-D12", ("conner-floyd", "--suite", "--truncation", "12"),
+     "7ab4e204a852a73c75950ffff8178bc742f5aec1167a65b516b82efce22d2b3a"),
+    ("conner-floyd-flag4-D10", ("conner-floyd", "--space", '{"Flag":{"n":4}}', "-D", "10"),
+     "0a0d80270a8e0f32890417f4be25e07cf7fb135bd2d3becc18d99c0c46afb418"),
+    ("cohomology-universal-P3",
+     ("cohomology", "--space", '{"Pn":3}', "--theory", "universal", "-D", "6"),
+     "6084da5516dcf47c340e82c272307292e39e68ce7b837d79eae4bd1bfec190d7"),
+    ("cohomology-universal-tensor",
+     ("cohomology", "--space", '{"Product":[{"Pinf":true},{"Pinf":true}]}', "--theory", "universal",
+      "-D", "6", "--tensor", "l,l'"),
+     "b6c78dba0cb1cdde0b3322c6a158ecabb7460066db33d68fc2dcc3ff913a9048"),
+    ("restriction-universal",
+     ("restriction", "--bigger", '{"Pn":3}', "--smaller", '{"Pn":2}', "--theory", "universal",
+      "-D", "6"),
+     "96cc20708244e3dca009218751ee59405203d2ac58f2823933e1bc3823e56b9c"),
+    ("fgl-check-multiplicative", ("fgl-check", "--law", "multiplicative"),
+     "ed689714ef824a64ec0b4a4110be743f95a33ec6a681732c4510813b123ad58e"),
+]
+
+
+@pytest.mark.parametrize("name, args, digest", STDOUT_DIGESTS, ids=[n for n, _, _ in STDOUT_DIGESTS])
+def test_stdout_digests_are_pinned(name, args, digest):
+    res = run_cli(*args, "--format", "json")
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
 
 def test_fgl_lazard_default_flags():

@@ -21,7 +21,14 @@ from orcohom.intlinalg import FPModule
 from orcohom.polynomials import Polynomial
 from orcohom.presented import IllDefinedMap, compose
 
-from oracles import int_poly, lazard_b_gcd, partition_count, rank_over_Q
+from oracles import (
+    int_poly,
+    lazard_b_gcd,
+    lazard_relations_by_compose,
+    partition_count,
+    rank_over_Q,
+    universal_law_reference,
+)
 
 
 def test_additive_axioms():
@@ -128,6 +135,32 @@ def test_logarithm():
     assert fx_y == split
     with pytest.raises(NonDivisibleBase):
         logarithm(make_multiplicative(truncation=6))
+
+
+def test_logarithm_of_the_universal_law_is_g_inverse():
+    # F = g(g^-1(x) + g^-1(y)) has logarithm g^-1, which is integral
+    # (its x^2 coefficient is h_1 / 2 = -b_1): so g(log(x)) = x
+    for D in range(1, 9):
+        law = universal_law(D)
+        base = law.base
+        log = logarithm(law)
+        b1 = base.from_poly(Polynomial.variable(ZZ, 0))
+        assert log.coefficient(((0, 2),)) == base.neg(b1)
+        g = law.x() + Polynomial(base, {((0, i + 1),): base.from_poly(Polynomial.variable(ZZ, i - 1))
+                                       for i in range(1, D + 1)})
+        assert compose(law.ring2, g, [log], base) == law.x(), D
+
+
+def test_universal_law_matches_the_full_truncation_inverse():
+    for D in range(1, 11):
+        law, ref = universal_law(D), universal_law_reference(D)
+        assert law.base == ref.base and law.truncation == ref.truncation
+        assert law.series.terms == ref.series.terms, D
+
+
+def test_lazard_relations_match_composing_the_identity():
+    for D in range(1, 10):
+        assert list(lazard_ring(D, bound=D).ring.relations) == lazard_relations_by_compose(D), D
 
 
 def test_lazard_ranks_match_partition_numbers():

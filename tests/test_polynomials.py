@@ -87,3 +87,52 @@ def test_to_str_abbreviates_units_by_value():
     b = Polynomial(L, {((0, 1),): L.generator()})
     assert b.to_str(["l"]) == "(1@1)*l"
     assert Polynomial(ModularRing(2), {((0, 1),): 1, (): 1}).to_str(["l"]) == "l + 1"
+
+
+def _coefficient_bases():
+    from orcohom.coefficients import ModularRing, laurent_over
+    from orcohom.presented import PresentedRing, QuotientCoefficients
+
+    u, v = (Polynomial.variable(ZZ, i) for i in range(2))
+    free = PresentedRing(ZZ, [("b1", 1), ("b2", 2), ("b3", 3)], [], 5)
+    # u^2 -> 3v^2 rewrites; 2u has a non-unit leading coefficient, so a
+    # sum of two normal forms u + u must be reduced again
+    rewrite = PresentedRing(ZZ, [("u", 1), ("v", 1)], [u * u - (v * v).scale(3)], 5)
+    pivot = PresentedRing(ZZ, [("u", 1), ("v", 1)], [u.scale(2)], 5)
+    assert (rewrite.route, pivot.route) == ("rewrite", "degreewise")
+    return {"Z": ZZ, "Z/6": ModularRing(6), "Q": QQ, "Z[b,b^-1]": laurent_over(ZZ),
+            "Z[b]": QuotientCoefficients(free), "rewrite": QuotientCoefficients(rewrite),
+            "non-unit-pivot": QuotientCoefficients(pivot)}
+
+
+@pytest.mark.parametrize("name", ["Z", "Z/6", "Q", "Z[b,b^-1]", "Z[b]", "rewrite", "non-unit-pivot"])
+def test_product_matches_the_fold_reference(name):
+    # every output coefficient is one multiply-accumulate chain settled
+    # once; the reference adds each term pair's product into a running sum
+    import random
+
+    from oracles import product_by_fold
+
+    base = _coefficient_bases()[name]
+    rng = random.Random(2300 + len(name))
+    if hasattr(base, "ring"):
+        inner = base.ring
+        monos = [m for w in range(3) for m in inner.monomials_of_weight(w)]
+
+        def coeff():
+            return base.from_poly(int_poly(ZZ, {rng.choice(monos): rng.randint(-3, 3) for _ in range(3)}))
+    elif name == "Z[b,b^-1]":
+        def coeff():
+            return base.coeff_from_str(";".join(f"{rng.randint(-3, 3)}@{rng.randint(-2, 2)}"
+                                                for _ in range(2)))
+    else:
+        def coeff():
+            return base.from_int(rng.randint(-5, 5))
+    weights = (1, 2)
+    for _ in range(20):
+        p, q = (Polynomial(base, {((0, rng.randint(0, 3)), (1, rng.randint(0, 2))): coeff()
+                                  for _ in range(rng.randint(1, 6))}) for _ in range(2))
+        # coefficients compare as stored, so an unreduced one shows
+        assert p.product(q).terms == product_by_fold(p, q).terms, name
+        bound = rng.randint(0, 6)
+        assert p.product(q, weights, bound).terms == product_by_fold(p, q, weights, bound).terms, name
