@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .polynomials import accumulate, weighted
+
 
 class NonDivisibleBase(ArithmeticError):
     """An exact division was requested that the domain cannot perform."""
@@ -64,6 +66,10 @@ class BaseRing:
     def settle(self, acc):
         """The element an ``fma`` chain accumulated."""
         return acc
+
+    def accumulate(self, acc: dict, a: dict, b: dict, weights=None, bound: int | None = None) -> dict:
+        """``fma`` the term products of the term dicts a and b into acc's chains, in place."""
+        return accumulate(acc, weighted(a, weights), weighted(b, weights), self.fma, bound)
 
     def is_zero(self, a) -> bool:
         raise NotImplementedError

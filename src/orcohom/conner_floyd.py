@@ -2,13 +2,15 @@
 and the multiplicative one on finite instances.
 
 The cobordism side of an instance is its cohomology presentation over
-the universal coefficients Z[b_1..b_D] carrying ``fgl.universal_law``;
-the K-side is the same space over the integral Laurent domain with the
-multiplicative law.  Verification tensors the cobordism presentation
-along the map classifying the multiplicative law (generator preserving,
-coefficients mapped through b_i -> (-b)^i/(i+1)!, read off its
-exponential (1 - e^(-bu))/b, so a1_1 = 2 b_1 -> -b) and checks a graded
-isomorphism against the directly built K-side, weight by weight.  That
+the universal coefficients Z[b_1..b_D] carrying ``fgl.universal_law``
+(built only when ``theory.law`` is read, which the supported instances'
+integer relations never do); the K-side is the same space over the
+integral Laurent domain with the multiplicative law.  Verification
+tensors the cobordism presentation along the map classifying the
+multiplicative law (generator preserving, coefficients mapped through
+b_i -> (-b)^i/(i+1)!, read off its exponential (1 - e^(-bu))/b, so
+a1_1 = 2 b_1 -> -b) and checks a graded isomorphism against the
+directly built K-side, weight by weight.  That
 verdict is the whole check: the inverse of a generator-preserving map
 that is bijective in every weight is the generator-preserving map back,
 so the relation ideals agree up to the truncation whenever the
@@ -23,10 +25,11 @@ on the supported instances, nothing more.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .coefficients import QQ, LaurentRing, NonDivisibleBase, laurent_over
-from .fgl import universal_law
+from .fgl import FormalGroupLaw, universal_coefficients, universal_law
 from .polynomials import Polynomial
 from .presented import PresentedRing, QuotientCoefficients, RingMap
 from .spaces import (
@@ -38,17 +41,26 @@ from .spaces import (
     multiplicative_theory,
 )
 
+
+class _UniversalTheory(OrientedTheory):
+    """Z[b_1..b_D] up front, ``universal_law`` over them when first read."""
+
+    def __init__(self, truncation: int):
+        self.truncation, self.coefficients = truncation, universal_coefficients(truncation)
+
+    @cached_property
+    def law(self) -> FormalGroupLaw:
+        return universal_law(self.truncation, self.coefficients)
+
+
 _UNIVERSAL_CACHE: dict[int, OrientedTheory] = {}
 
 
 def universal_theory(truncation: int = 8) -> OrientedTheory:
-    """Oriented theory over Z[b_1..b_D] with the universal law."""
-    cached = _UNIVERSAL_CACHE.get(truncation)
-    if cached is not None:
-        return cached
-    law = universal_law(truncation)
-    theory = OrientedTheory(law.base, law)
-    _UNIVERSAL_CACHE[truncation] = theory
+    """The theory over Z[b_1..b_D], one per truncation; its law is built on first read."""
+    theory = _UNIVERSAL_CACHE.get(truncation)
+    if theory is None:
+        theory = _UNIVERSAL_CACHE[truncation] = _UniversalTheory(truncation)
     return theory
 
 

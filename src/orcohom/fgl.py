@@ -30,11 +30,6 @@ def series_ring(base: BaseRing, names, truncation: int) -> PresentedRing:
     return PresentedRing(base, [(n, 1) for n in names], [], truncation)
 
 
-def _coefficient(series: Polynomial, i: int, j: int):
-    m: Mono = tuple(p for p in ((_X, i), (_Y, j)) if p[1])
-    return series.coefficient(m)
-
-
 class AxiomFailure:
     def __init__(self, axiom: str, monomial: str, coefficient: str):
         # in this order: ``AxiomReport.as_dict`` emits ``vars`` of a failure
@@ -93,7 +88,7 @@ class FormalGroupLaw:
         return Polynomial.variable(self.base, _Y)
 
     def coefficient(self, i: int, j: int):
-        return _coefficient(self.series, i, j)
+        return self.series.coefficient(tuple(p for p in ((_X, i), (_Y, j)) if p[1]))
 
     def apply(self, target: PresentedRing, a: Polynomial, b: Polynomial) -> Polynomial:
         """Evaluate F at two elements of a presented ring."""
@@ -134,15 +129,21 @@ def make_multiplicative(base: BaseRing | None = None, beta=None,
     return FormalGroupLaw(base, series, truncation, beta=beta if base.is_unit(beta) else None)
 
 
-def universal_law(truncation: int = 8) -> FormalGroupLaw:
+def universal_coefficients(truncation: int = 8) -> QuotientCoefficients:
+    """The relation-free ring Z[b_1..b_D], b_i of weight i, as scalars."""
+    D = int(truncation)
+    return QuotientCoefficients(PresentedRing(ZZ, [(f"b{i}", i) for i in range(1, D + 1)], [], D))
+
+
+def universal_law(truncation: int = 8, base: QuotientCoefficients | None = None) -> FormalGroupLaw:
     """F(x, y) = g(g^-1(x) + g^-1(y)) for g(x) = x + sum b_i x^(i+1), truncated at D + 1.
 
-    The coefficients lie in the relation-free ring Z[b_1..b_D], b_i of
-    weight i.  g^-1 is integral: it is solved one weight at a time, the
-    correction at x^k being minus the x^k coefficient of g(g^-1) truncated at k.
+    The coefficients lie in ``base``, by default ``universal_coefficients(D)``.
+    g^-1 is integral: it is solved one weight at a time, the correction
+    at x^k being minus the x^k coefficient of g(g^-1) truncated at k.
     """
     D = int(truncation)
-    base = QuotientCoefficients(PresentedRing(ZZ, [(f"b{i}", i) for i in range(1, D + 1)], [], D))
+    base = universal_coefficients(D) if base is None else base
     x = Polynomial.variable(base, _X)
     g = x + Polynomial(base, {((_X, i + 1),): Polynomial.variable(ZZ, i - 1) for i in range(1, D + 1)})
     g_inv = x
@@ -197,19 +198,16 @@ def check_axioms(law: FormalGroupLaw) -> AxiomReport:
 def formal_inverse(law: FormalGroupLaw) -> Polynomial:
     """The series i(x) with F(x, i(x)) = 0 up to the truncation.
 
-    Solved weight by weight; the correction at weight k is exactly the
-    negative of the current residue coefficient because dF/dy = 1 plus
-    higher terms.  No division is ever needed.
+    Solved weight by weight, step k in the series ring truncated at k:
+    the correction at weight k is minus the residue's x^k coefficient,
+    because dF/dy = 1 plus higher terms, so no division is ever needed.
     """
     base = law.base
-    r2 = law.ring2
     x = law.x()
     inv = -x
     for k in range(2, law.truncation + 1):
-        residue = compose(r2, law.series, [x, inv], base)
-        c = residue.coefficient(((_X, k),))
-        if not base.is_zero(c):
-            inv = inv - Polynomial(base, {((_X, k),): c})
+        residue = compose(series_ring(base, ("x", "y"), k), law.series, [x, inv], base)
+        inv = inv - Polynomial(base, {((_X, k),): residue.coefficient(((_X, k),))})
     return inv
 
 
@@ -333,8 +331,6 @@ def lazard_ring(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> LazardPre
     order = sorted(delta.terms, key=lambda m: (r3.mono_weight(m), m))
     for m in order:
         rel = delta.terms[m]
-        if rel.is_zero():
-            continue
         key = _poly_key(rel)
         neg_key = _poly_key(-rel)
         if key in seen or neg_key in seen:

@@ -13,7 +13,10 @@ variable index, larger exponent first.
 
 from __future__ import annotations
 
-from .coefficients import BaseRing
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # coefficients imports this module
+    from .coefficients import BaseRing
 
 Mono = tuple[tuple[int, int], ...]
 
@@ -160,9 +163,9 @@ class Polynomial:
         Weight is additive, so the skipped term pairs are exactly those
         giving monomials above the bound, and the kept monomials come out
         with the full product's coefficients.  Each output coefficient is
-        one ``fma`` chain of the base, settled once.
+        one chain of the base's ``accumulate``, settled once.
         """
-        return settled(self.base, accumulate({}, self.terms, other.terms, self.base.fma, weights, bound))
+        return settled(self.base, self.base.accumulate({}, self.terms, other.terms, weights, bound))
 
     __mul__ = product
 
@@ -248,13 +251,18 @@ class Polynomial:
         return f"Polynomial({len(self.terms)} terms)"
 
 
-def accumulate(acc: dict, a: dict, b: dict, fma, weights=None, bound: int | None = None) -> dict:
-    """Multiply-accumulate the term products of a and b into acc in place,
-    keeping those of weight at most ``bound`` when ``weights`` are given."""
-    right = [(m, c, 0 if bound is None else mono_weight(m, weights)) for m, c in b.items()]
-    for m1, c1 in a.items():
-        room = 0 if bound is None else bound - mono_weight(m1, weights)
-        for m2, c2, w2 in right:
+def weighted(terms: dict, weights=None) -> list:
+    """(monomial, weight, coefficient) triples of a term dict; weight 0 without weights."""
+    return [(m, 0 if weights is None else mono_weight(m, weights), c) for m, c in terms.items()]
+
+
+def accumulate(acc: dict | None, left: list, right: list, fma, bound: int | None = None) -> dict:
+    """Multiply-accumulate the term products of two ``weighted`` lists into
+    acc (None: a new dict) in place, keeping those of weight at most ``bound``."""
+    acc = {} if acc is None else acc
+    for m1, w1, c1 in left:
+        room = float("inf") if bound is None else bound - w1
+        for m2, w2, c2 in right:
             if w2 <= room:
                 m = mono_mul(m1, m2)
                 acc[m] = fma(acc.get(m), c1, c2)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 
 from .coefficients import BaseRing, IntegerRing, LaurentRing, ModularRing, RationalRing
 from .intlinalg import FPModule, NonConfluentPresentation
@@ -53,6 +54,7 @@ from .polynomials import (
     poly_from_json,
     poly_to_json,
     settled,
+    weighted,
 )
 
 
@@ -489,10 +491,16 @@ class QuotientCoefficients(BaseRing):
         return -a
 
     def fma(self, acc, a, b):
-        # raw truncated products of ring elements, summed term by term
+        # raw truncated products of ring elements: ``accumulate`` on constant terms
+        return self.accumulate({} if acc is None else {(): acc}, {(): a}, {(): b}).get((), {})
+
+    def accumulate(self, acc, a, b, weights=None, bound=None):
+        # ``fma`` on each coefficient's inner terms, listed once per product
         ring = self.ring
-        return accumulate({} if acc is None else acc, a.terms, b.terms, ring.base.fma,
-                          ring.weights, ring.truncation)
+        left, right = ([(m, w, weighted(c.terms, ring.weights)) for m, w, c in weighted(t, weights)]
+                       for t in (a, b))
+        inner = partial(accumulate, fma=ring.base.fma, bound=ring.truncation)
+        return accumulate(acc, left, right, inner, bound)
 
     def settle(self, acc):
         # normal forms are linear, so the whole sum is reduced once
@@ -549,7 +557,8 @@ def compose(target: PresentedRing, p: Polynomial, images, source_base: BaseRing)
     used image is validated once.  Terms are grouped by their first (i, e)
     factor, recursively (Horner), so a group costs one product, image_i^e
     from a per-call table built by image_i^e = image_i^(e-1) * image_i,
-    times the value of the rest; products are formed as ``mul`` forms them.
+    times the value of the rest.  A level sums its groups in one chain per
+    output monomial (the base's ``accumulate``), settled and reduced once.
     """
     tb = target.base
     if source_base == tb:
@@ -560,28 +569,28 @@ def compose(target: PresentedRing, p: Polynomial, images, source_base: BaseRing)
         raise ValueError("coefficient bases are incompatible for substitution")
     for i in sorted(p.variables()):
         target._validate_element(images[i])
-    product = lambda a, b: target._reduce(a.product(b, target.weights, target.truncation))
+    weights, D = target.weights, target.truncation
     powers: dict[int, list[Polynomial]] = {}
 
     def power(i: int, e: int) -> Polynomial:
         table = powers.setdefault(i, [target.one_poly()])
         while len(table) <= e:
-            table.append(product(table[-1], images[i]))
+            table.append(target._reduce(table[-1].product(images[i], weights, D)))
         return table[e]
 
     def evaluate(terms) -> Polynomial:
-        out, groups = Polynomial.zero(tb), {}
+        acc, groups = {}, {}
         for m, c in terms:
             if m:
                 groups.setdefault(m[0], []).append((m[1:], c))
             else:
-                out = Polynomial.constant(tb, coerce(c))
+                acc[ONE_MONO] = tb.fma(None, tb.one(), coerce(c))
         for (i, e), rest in groups.items():
             if not (pw := power(i, e)).is_zero():
-                out = out + product(pw, evaluate(rest))
-        return out
+                tb.accumulate(acc, pw.terms, evaluate(rest).terms, weights, D)
+        return target._reduce(settled(tb, acc))
 
-    return target.normal_form(evaluate(p.terms.items()))
+    return evaluate(p.terms.items())
 
 
 class RingMap:

@@ -11,7 +11,8 @@ through the degreewise relation lattice, with no cofactor certificate,
 and the flag relations are rebuilt from e_k and h_k summed term by
 term.  Substitution goes term by term, one ring product per variable
 factor.  Products fold term by term into a running sum, and the
-universal law's g^-1 is solved at the full truncation.
+universal law's g^-1 and the formal inverse are solved at the full
+truncation.
 """
 
 from __future__ import annotations
@@ -558,15 +559,17 @@ def finite_stable_image_kill_counts(modulus: int, mat) -> dict[int, int]:
 def product_by_fold(p: Polynomial, q: Polynomial, weights=None, bound=None) -> Polynomial:
     """``Polynomial.product`` by folding each term pair into a running sum
     with the base's ``add`` and ``mul``, dropping a coefficient that
-    cancels to zero."""
+    cancels to zero.  Nested coefficients multiply by their inner ring's
+    ``mul``, so no product shares the base's ``accumulate``."""
     base = p.base
+    mul = base.ring.mul if isinstance(base, QuotientCoefficients) else base.mul
     out: dict = {}
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
             m = mono_mul(m1, m2)
             if bound is not None and mono_weight(m, weights) > bound:
                 continue
-            s = base.add(out.get(m, base.zero()), base.mul(c1, c2))
+            s = base.add(out.get(m, base.zero()), mul(c1, c2))
             if base.is_zero(s):
                 out.pop(m, None)
             else:
@@ -588,6 +591,17 @@ def universal_law_reference(D: int) -> FormalGroupLaw:
     g_inv_y = g_inv.map_monomials(lambda m: ((1, m[0][1]),))
     series = compose(series_ring(base, ("x", "y"), D + 1), g, [g_inv + g_inv_y], base)
     return FormalGroupLaw(base, series, D + 1)
+
+
+def formal_inverse_reference(law: FormalGroupLaw) -> Polynomial:
+    """``fgl.formal_inverse`` with every residue F(x, i(x)) composed in the
+    law's own ring, at its full truncation."""
+    base, x = law.base, law.x()
+    inv = -x
+    for k in range(2, law.truncation + 1):
+        c = compose(law.ring2, law.series, [x, inv], base).coefficient(((0, k),))
+        inv = inv - Polynomial(base, {((0, k),): c})
+    return inv
 
 
 def lazard_relations_by_compose(D: int) -> list[Polynomial]:

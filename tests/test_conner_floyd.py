@@ -121,6 +121,52 @@ def test_universal_theory_cached_and_valid():
     assert check_axioms(th1.law).passed
 
 
+def _forbid_universal_law(monkeypatch):
+    """Make every binding of ``universal_law`` raise, on fresh theories."""
+    import orcohom
+    from orcohom import conner_floyd as cf
+    from orcohom import fgl
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("universal_law was built")
+
+    for module in (orcohom, cf, fgl):
+        monkeypatch.setattr(module, "universal_law", refuse)
+    monkeypatch.setattr(cf, "_UNIVERSAL_CACHE", {})
+
+
+def test_suite_never_builds_the_universal_law(monkeypatch):
+    # the supported instances have integer relations, so the cobordism
+    # side reads only the coefficients
+    from orcohom.cli import STANDARD_CF_INSTANCES
+    from orcohom.serialize import space_from_json
+
+    _forbid_universal_law(monkeypatch)
+    assert len(STANDARD_CF_INSTANCES) == 7
+    for doc in STANDARD_CF_INSTANCES:
+        assert verify_conner_floyd(space_from_json(doc), 8)["isomorphism"] is True, doc
+    theory = universal_theory(6)
+    for space, total in ((ProjectiveSpace(4), 5), (GrassmannianBundle(2, 4), 6), (FlagBundle(3), 6)):
+        ring = cohomology(theory, space, 6)
+        assert ring.base is theory.coefficients
+        assert ring.total_rank() == total, space
+    with pytest.raises(AssertionError, match="was built"):
+        theory.law
+
+
+@pytest.mark.parametrize("D", range(1, 9))
+def test_universal_theory_builds_its_law_on_first_read(D, monkeypatch):
+    from orcohom.fgl import universal_law
+
+    monkeypatch.setattr("orcohom.conner_floyd._UNIVERSAL_CACHE", {})
+    theory = universal_theory(D)
+    assert "law" not in vars(theory)
+    law = theory.law
+    assert law.base is theory.coefficients
+    assert theory.law is law and universal_theory(D) is theory
+    assert law.series.terms == universal_law(D).series.terms
+
+
 def _coefficient_relations(D):
     """A ring over the universal coefficients with one weight-1 generator
     per a_ij of weight <= D and the relation a_ij * l_ij."""

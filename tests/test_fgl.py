@@ -22,6 +22,7 @@ from orcohom.polynomials import Polynomial
 from orcohom.presented import IllDefinedMap, compose
 
 from oracles import (
+    formal_inverse_reference,
     int_poly,
     lazard_b_gcd,
     lazard_relations_by_compose,
@@ -95,6 +96,21 @@ def test_formal_inverse():
     assert inv.coefficient(()) == base.zero()
     residue = compose(mult.ring2, mult.series, [mult.x(), inv], base)
     assert residue.is_zero()
+
+
+def test_formal_inverse_matches_the_full_truncation_solve():
+    # step k reads only the x^k coefficient of F(x, i(x)), so composing it
+    # at truncation k gives the inverse solved at the law's truncation;
+    # [-1](x) is that inverse
+    from orcohom.coefficients import ModularRing
+
+    laws = [make_multiplicative(truncation=10), make_multiplicative(ModularRing(4), 2, 7),
+            make_additive(QQ, 5)] + [universal_law(D) for D in range(1, 8)]
+    for law in laws:
+        inv = formal_inverse(law)
+        assert inv.terms == formal_inverse_reference(law).terms, law
+        assert n_series(law, -1).terms == inv.terms, law
+        assert compose(law.ring2, law.series, [law.x(), inv], law.base).is_zero(), law
 
 
 def test_n_series():

@@ -99,16 +99,20 @@ def _coefficient_bases():
     # sum of two normal forms u + u must be reduced again
     rewrite = PresentedRing(ZZ, [("u", 1), ("v", 1)], [u * u - (v * v).scale(3)], 5)
     pivot = PresentedRing(ZZ, [("u", 1), ("v", 1)], [u.scale(2)], 5)
+    free_mod4 = PresentedRing(ModularRing(4), free.variables, [], 5)
     assert (rewrite.route, pivot.route) == ("rewrite", "degreewise")
     return {"Z": ZZ, "Z/6": ModularRing(6), "Q": QQ, "Z[b,b^-1]": laurent_over(ZZ),
             "Z[b]": QuotientCoefficients(free), "rewrite": QuotientCoefficients(rewrite),
-            "non-unit-pivot": QuotientCoefficients(pivot)}
+            "non-unit-pivot": QuotientCoefficients(pivot), "Z/4[b]": QuotientCoefficients(free_mod4)}
 
 
-@pytest.mark.parametrize("name", ["Z", "Z/6", "Q", "Z[b,b^-1]", "Z[b]", "rewrite", "non-unit-pivot"])
+@pytest.mark.parametrize("name", ["Z", "Z/6", "Q", "Z[b,b^-1]", "Z[b]", "rewrite", "non-unit-pivot",
+                                  "Z/4[b]"])
 def test_product_matches_the_fold_reference(name):
     # every output coefficient is one multiply-accumulate chain settled
-    # once; the reference adds each term pair's product into a running sum
+    # once; the reference adds each term pair's product into a running sum.
+    # Nested coefficients reach the inner truncation, so inner products are
+    # dropped above it, and the reference multiplies them in the inner ring
     import random
 
     from oracles import product_by_fold
@@ -117,10 +121,10 @@ def test_product_matches_the_fold_reference(name):
     rng = random.Random(2300 + len(name))
     if hasattr(base, "ring"):
         inner = base.ring
-        monos = [m for w in range(3) for m in inner.monomials_of_weight(w)]
+        monos = [m for w in range(inner.truncation + 1) for m in inner.monomials_of_weight(w)]
 
         def coeff():
-            return base.from_poly(int_poly(ZZ, {rng.choice(monos): rng.randint(-3, 3) for _ in range(3)}))
+            return base.from_poly(int_poly(inner.base, {rng.choice(monos): rng.randint(-3, 3) for _ in range(3)}))
     elif name == "Z[b,b^-1]":
         def coeff():
             return base.coeff_from_str(";".join(f"{rng.randint(-3, 3)}@{rng.randint(-2, 2)}"
@@ -136,3 +140,4 @@ def test_product_matches_the_fold_reference(name):
         assert p.product(q).terms == product_by_fold(p, q).terms, name
         bound = rng.randint(0, 6)
         assert p.product(q, weights, bound).terms == product_by_fold(p, q, weights, bound).terms, name
+

@@ -650,6 +650,23 @@ def test_compose_matches_termwise_on_group_law_shapes(law_name):
         assert residue.is_zero() == want_zero
 
 
+@pytest.mark.parametrize("D", range(4, 8))
+def test_compose_matches_termwise_on_the_lazard_associator(D):
+    # F(F(x, y), z) for the generic series over the free Z[a_ij], as
+    # ``lazard_ring`` forms it: one chain per output monomial at each
+    # Horner level against a sum of termwise products
+    from orcohom.fgl import _generic_series, _lazard_generators, series_ring
+
+    gens = _lazard_generators(D)
+    coeffs = QuotientCoefficients(PresentedRing(ZZ, [(f"a{i}_{j}", i + j - 1) for i, j in gens], [], D))
+    series = _generic_series(coeffs, gens)
+    r3 = series_ring(coeffs, ("x", "y", "z"), D + 1)
+    images = [r3.normal_form(series), Polynomial.variable(coeffs, 2)]
+    got = compose(r3, series, images, coeffs)
+    assert got == compose_termwise(r3, series, images, coeffs)
+    assert max(map(r3.mono_weight, got.terms)) == D + 1
+
+
 @pytest.mark.parametrize("evaluate", [compose, compose_termwise], ids=["compose", "termwise"])
 def test_compose_error_paths(evaluate):
     R = truncated_power_ring(2, D=4)
