@@ -46,7 +46,7 @@ Y, Z, r, s, g = random_split_tower(rng)
 rep = split_tower_compare(Y, Z, r, s, g)
 entry = rep["per_weight"][0]
 print("random split tower: limits agree:", entry["limits_agree"],
-      "| complement self-map zero:", entry["complement_self_map_zero"])
+      "| complement, the image of 1 - s r:", (entry["complement_rank"], entry["complement_torsion"]))
 
 print()
 print("== telescopes ==")

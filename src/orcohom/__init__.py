@@ -34,11 +34,6 @@ from .presented import (
     compose,
     scalar_ring,
 )
-from .symfunc import (
-    NotSymmetric,
-    elementary_symmetric,
-    elementary_symmetric_decompose,
-)
 from .fgl import (
     AxiomReport,
     FormalGroupLaw,
@@ -68,7 +63,6 @@ from .spaces import (
     chern_tensor,
     cohomology,
     homology_dual,
-    invariance_check,
     multiplicative_theory,
     restriction_map,
     surjectivity_report,

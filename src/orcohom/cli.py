@@ -30,8 +30,7 @@ OPERATION_COVERAGE = {
     "fgl-check": ["make_additive", "make_multiplicative", "check_axioms",
                   "formal_inverse", "n_series", "logarithm"],
     "fgl-lazard": ["lazard_ring", "lazard_graded_ranks", "classifying_map"],
-    "cohomology": ["cohomology", "normal_form", "graded_basis", "chern_tensor",
-                   "homology_dual", "invariance_check", "elementary_symmetric_decompose"],
+    "cohomology": ["cohomology", "normal_form", "graded_basis", "chern_tensor", "homology_dual"],
     "restriction": ["restriction_map", "apply", "is_graded_isomorphism"],
     "hopf-primitives": ["build_hopf", "primitives", "additive_maps_identification",
                         "indecomposables"],
@@ -146,11 +145,12 @@ def run_fgl_lazard(args):
 def run_cohomology(args):
     D = args.truncation
     theory = _theory(args.theory, D)
-    space = ser.space_from_json(_load_json(args, args.space))
+    space_doc = _load_json(args, args.space)
+    space = ser.space_from_json(space_doc)
     ring = sp.cohomology(theory, space, D)
     ranks = ring.graded_ranks()
     result = {
-        "space": _load_json(args, args.space),
+        "space": space_doc,
         "theory": args.theory,
         "truncation": D,
         "variables": [[n, w] for n, w in ring.variables],
@@ -161,7 +161,6 @@ def run_cohomology(args):
                            for m in ring.graded_basis(w).basis]
                   for w in range(min(D, 6) + 1)},
     }
-    verified = None
     if args.reduce:
         poly = ser.poly_from_json(ring.base, _load_json(args, args.reduce))
         nf = ring.normal_form(poly)
@@ -175,12 +174,8 @@ def run_cohomology(args):
         result["tensor_class"] = ring.poly_str(t)
     if args.dual:
         result["homology_dual_ranks"] = sp.homology_dual(theory, space, D)
-    if args.invariance is not None:
-        inv = sp.invariance_check(theory, args.invariance, min(D, 6))
-        result["invariance"] = inv
-        verified = inv["ok"]
     csv_rows = [["weight", "rank"]] + [[w, r] for w, r in enumerate(ranks)]
-    return result, verified, csv_rows
+    return result, None, csv_rows
 
 
 def run_restriction(args):
@@ -379,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduce", help="polynomial JSON to put in normal form")
     p.add_argument("--tensor", help="two generator names for the product line bundle class")
     p.add_argument("--dual", action="store_true", help="report homology dual ranks")
-    p.add_argument("--invariance", type=int, help="run the invariant-subring check for rank n")
     p.set_defaults(handler=run_cohomology)
 
     p = sub.add_parser("restriction", help="restriction maps along canonical inclusions")

@@ -108,7 +108,8 @@ def hnf(mat: list[list[int]], transform: bool = False):
 def kernel_basis(mat: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of the saturated integer lattice {x : mat @ x = 0} in Z^ncols.
 
-    Rows of the returned matrix are the basis vectors.
+    Rows of the returned matrix are the basis vectors.  No library code
+    calls it; the test oracles and the benchmark's wrapper do.
     """
     if ncols == 0:
         return []

@@ -13,6 +13,8 @@ route; Grassmannian rings reduce degreewise, except Gr(1,n), whose one
 relation is led by a unit times s1^n.  The route follows from the
 relations alone (see ``presented``): a bundle over a base ring rewrites
 only when the base does, and a product only when both factors do.
+BGL_n is presented free on its Chern classes; that s_i -> e_i embeds
+it in the symmetric invariants is a test oracle, not a library check.
 """
 
 from __future__ import annotations
@@ -21,11 +23,7 @@ from .coefficients import BaseRing, ZZ
 from .fgl import FormalGroupLaw, formal_inverse, make_additive, make_multiplicative
 from .polynomials import Polynomial
 from .presented import PresentedRing, RingMap, compose
-from .symfunc import (
-    complete_homogeneous,
-    elementary_symmetric,
-    elementary_symmetric_decompose,
-)
+from .symfunc import complete_homogeneous
 
 
 class OrientedTheory:
@@ -347,7 +345,7 @@ def surjectivity_report(rmap: RingMap) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# duality and invariance
+# duality
 
 
 def homology_dual(theory: OrientedTheory, space, truncation: int = 8) -> list[int]:
@@ -362,34 +360,3 @@ def homology_dual(theory: OrientedTheory, space, truncation: int = 8) -> list[in
             raise ValueError(f"torsion detected in weight {w}; dual module is not free")
         ranks.append(piece.free_rank)
     return ranks
-
-
-def invariance_check(theory: OrientedTheory, n: int, truncation: int = 8) -> dict:
-    """Symmetric-invariants model of the rank-n classifying space.
-
-    Sends each standard s-monomial of weight at most D through
-    s_i -> e_i of the line-bundle classes and checks that the elementary
-    symmetric decomposition of the image is the monomial itself.  The
-    image is a product of elementary symmetric polynomials, so it is
-    symmetric; the decomposition would refuse it otherwise.
-    """
-    if n < 1 or n > 4:
-        raise ValueError("invariance check supported for 1 <= n <= 4")
-    D = truncation
-    base = theory.coefficients
-    bgl = cohomology(theory, ClassifyingBGL(n), D)
-    lam_ring = PresentedRing(base, [(f"x{i}", 1) for i in range(1, n + 1)], [], D)
-    images = [elementary_symmetric(base, k, range(n)) for k in range(1, bgl.nvars + 1)]
-    checked = 0
-    failures = []
-    for w in range(1, D + 1):
-        for mono in bgl.graded_basis(w).basis:
-            p = Polynomial(base, {mono: base.one()})
-            image = compose(lam_ring, p, images, base)
-            if elementary_symmetric_decompose(image, n) != p:
-                failures.append({"weight": w, "monomial": bgl.poly_str(p),
-                                 "reason": "decomposition is not the monomial"})
-                continue
-            checked += 1
-    return {"n": n, "truncation": D, "checked": checked, "failures": failures,
-            "ok": not failures}

@@ -10,9 +10,12 @@ the whole multiplication table.  Relation-ideal membership goes
 through the degreewise relation lattice, with no cofactor certificate,
 and the flag relations are rebuilt from e_k and h_k summed term by
 term.  Substitution goes term by term, one ring product per variable
-factor.  Products fold term by term into a running sum, and the
+factor, each product folded term by term into a running sum.  The
 universal law's g^-1 and the formal inverse are solved at the full
-truncation.
+truncation.  Symmetric polynomials are decomposed over e_1..e_n by
+leading-term subtraction, and the complement of a split tower is found
+as the integer kernel of the retraction rather than as the image of
+1 - s r.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 from orcohom.coefficients import IntegerRing, ZZ
 from orcohom.conner_floyd import _coefficient_images, base_change, cobordism_presentation
-from orcohom.intlinalg import kernel_basis
+from orcohom.intlinalg import FPModule, kernel_basis
 from orcohom.fgl import FormalGroupLaw, _generic_series, _lazard_generators, _poly_key, series_ring
 from orcohom.polynomials import Polynomial, mono_divides, mono_mul, mono_weight
 from orcohom.presented import NonConfluentPresentation, PresentedRing, QuotientCoefficients, RingMap, compose
-from orcohom.spaces import cohomology, multiplicative_theory
+from orcohom.spaces import ClassifyingBGL, cohomology, multiplicative_theory
+from orcohom.symfunc import swap_variables
 
 
 @lru_cache(maxsize=None)
@@ -166,6 +170,8 @@ def compose_termwise(target: PresentedRing, p: Polynomial, images, source_base) 
     Each term c * x_i^e * ... starts from the constant c and takes one
     ring product per variable factor; x_i^e is a cached power of the
     image by repeated squaring, and the terms are summed one at a time.
+    A product is ``product_by_fold`` put in normal form, so no product
+    shares the base's ``accumulate`` with ``compose``.
     """
     tb = target.base
     if source_base == tb:
@@ -175,15 +181,21 @@ def compose_termwise(target: PresentedRing, p: Polynomial, images, source_base) 
     else:
         raise ValueError("coefficient bases are incompatible for substitution")
 
+    def mul(a: Polynomial, b: Polynomial) -> Polynomial:
+        # the operands are validated as ``PresentedRing.mul`` does
+        target._validate_element(a)
+        target._validate_element(b)
+        return target.normal_form(product_by_fold(a, b, target.weights, target.truncation))
+
     def pow(a: Polynomial, k: int) -> Polynomial:
         result = target.one_poly()
         square = a
         while k:
             if k & 1:
-                result = target.mul(result, square)
+                result = mul(result, square)
             k >>= 1
             if k:
-                square = target.mul(square, square)
+                square = mul(square, square)
         return result
 
     pow_cache: dict = {}
@@ -193,7 +205,7 @@ def compose_termwise(target: PresentedRing, p: Polynomial, images, source_base) 
         for i, e in m:
             if (i, e) not in pow_cache:
                 pow_cache[(i, e)] = pow(images[i], e)
-            term = target.mul(term, pow_cache[(i, e)])
+            term = mul(term, pow_cache[(i, e)])
         out = out + term
     return target.normal_form(out)
 
@@ -420,6 +432,87 @@ def substitute_elementary(q: Polynomial, n: int) -> Polynomial:
     return out
 
 
+class NotSymmetric(ValueError):
+    """Input polynomial is not invariant under variable permutations."""
+
+
+def elementary_symmetric(base, k: int, indices) -> Polynomial:
+    """e_k over the given variable indices (e_0 = 1)."""
+    indices = list(indices)
+    if k < 0 or k > len(indices):
+        return Polynomial.zero(base)
+    return Polynomial(base, {tuple((i, 1) for i in sorted(combo)): base.one()
+                             for combo in combinations(indices, k)})
+
+
+def is_symmetric(p: Polynomial, n: int) -> bool:
+    """Invariance under the adjacent transpositions of variables 0..n-1,
+    which generate the symmetric group."""
+    return all(swap_variables(p, i, i + 1) == p for i in range(n - 1))
+
+
+def elementary_symmetric_decompose(p: Polynomial, n: int) -> Polynomial:
+    """Write a symmetric polynomial in variables 0..n-1 over e_1..e_n, with
+    variable index k-1 for e_k (Macdonald, *Symmetric Functions and Hall
+    Polynomials*, I.2).  The graded-lex leading exponent a_1 >= ... >= a_n
+    is matched by the e-monomial with exponents (a_1-a_2, ..., a_n), and
+    the remainder is strictly smaller, so the loop ends with the unique
+    representation.  Each matched e-monomial is expanded from an e_k
+    cache built here, independently of ``substitute_elementary`` and of
+    the module's ``elementary_symmetric``."""
+    base = p.base
+    if not is_symmetric(p, n):
+        raise NotSymmetric(f"polynomial is not symmetric in {n} variables")
+    e_cache = {k: Polynomial(base, {tuple((i, 1) for i in subset): base.one()
+                                    for subset in combinations(range(n), k)})
+               for k in range(1, n + 1)}
+    out: dict = {}
+    rest = p
+    while not rest.is_zero():
+        lm, lc = rest.leading((1,) * n, n)
+        dense = [0] * n
+        for i, x in lm:
+            dense[i] = x
+        if any(dense[i] < dense[i + 1] for i in range(n - 1)):
+            raise NotSymmetric("leading exponents not weakly decreasing; input not symmetric")
+        exps = [dense[i] - dense[i + 1] for i in range(n - 1)] + [dense[n - 1]]
+        e_mono = tuple((k, x) for k, x in enumerate(exps) if x)
+        out[e_mono] = base.add(out.get(e_mono, base.zero()), lc)
+        expansion = Polynomial.one(base)
+        for k, x in e_mono:
+            expansion = expansion * e_cache[k + 1] ** x
+        rest = rest - expansion.scale(lc)
+    return Polynomial(base, out)
+
+
+def invariance_check(theory, n: int, truncation: int = 8) -> dict:
+    """Symmetric-invariants model of the rank-n classifying space.
+
+    Sends each standard s-monomial of weight at most D through
+    s_i -> e_i of the line-bundle classes and checks that the elementary
+    symmetric decomposition of the image is the monomial itself.
+    """
+    if n < 1 or n > 4:
+        raise ValueError("invariance check supported for 1 <= n <= 4")
+    D = truncation
+    base = theory.coefficients
+    bgl = cohomology(theory, ClassifyingBGL(n), D)
+    lam_ring = PresentedRing(base, [(f"x{i}", 1) for i in range(1, n + 1)], [], D)
+    images = [elementary_symmetric(base, k, range(n)) for k in range(1, bgl.nvars + 1)]
+    checked = 0
+    failures = []
+    for w in range(1, D + 1):
+        for mono in bgl.graded_basis(w).basis:
+            p = Polynomial(base, {mono: base.one()})
+            if elementary_symmetric_decompose(compose(lam_ring, p, images, base), n) != p:
+                failures.append({"weight": w, "monomial": bgl.poly_str(p),
+                                 "reason": "decomposition is not the monomial"})
+            else:
+                checked += 1
+    return {"n": n, "truncation": D, "checked": checked, "failures": failures,
+            "ok": not failures}
+
+
 def int_poly(base, terms: dict) -> Polynomial:
     """Polynomial over ``base`` from {mono: int}."""
     return Polynomial(base, {m: base.from_int(c) for m, c in terms.items()})
@@ -491,13 +584,24 @@ def indecomposables_by_products(w: int) -> tuple[list, set]:
     return [p for p in partition_list(w) if p not in squares], squares
 
 
+def _generator_map(source: PresentedRing, target: PresentedRing) -> RingMap:
+    return RingMap(source, target, [target.var(i) for i in range(source.nvars)])
+
+
+def conner_floyd_forward_map(space, D: int) -> RingMap:
+    """The generator-preserving map from the base-changed cobordism side
+    of a Conner-Floyd instance to its K-side, which ``verify_conner_floyd``
+    proves well defined and calls onto without computing it."""
+    changed = base_change(cobordism_presentation(space, D), *_coefficient_images(D))
+    return _generator_map(changed, cohomology(multiplicative_theory(D), space, D))
+
+
 def conner_floyd_backward_map(space, D: int) -> RingMap:
     """The generator-preserving map from the K-side of a Conner-Floyd
     instance back to the base-changed cobordism side; it is well defined
     when every K-side relation holds on the cobordism side."""
-    changed = base_change(cobordism_presentation(space, D), *_coefficient_images(D))
-    right = cohomology(multiplicative_theory(D), space, D)
-    return RingMap(right, changed, [changed.var(i) for i in range(right.nvars)])
+    forward = conner_floyd_forward_map(space, D)
+    return _generator_map(forward.target, forward.source)
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -554,6 +658,21 @@ def finite_stable_image_kill_counts(modulus: int, mat) -> dict[int, int]:
         image = smaller
     return {d: sum(not any(d * c % modulus for c in v) for v in image)
             for d in range(1, modulus + 1) if modulus % d == 0}
+
+
+def split_complement_by_kernel(r_mat, source: FPModule, target: FPModule) -> tuple[int, list[int]]:
+    """Free rank and torsion of ker(r) as a submodule of ``source``.
+
+    Generators of {x : r x lies in the target's relation span} come from
+    the integer kernel of [r | target relations]; the submodule is then
+    (generator span + relation span) / relation span, presented on the
+    HNF basis of the combined lattice with the source's relations solved
+    over that basis."""
+    m = source.ngens
+    block = [list(r_mat[i]) + [rel[i] for rel in target.relations] for i in range(target.ngens)]
+    kern = [[int(v) for v in row[:m]] for row in kernel_basis(block, m + len(target.relations))]
+    combined = FPModule(m, kern + source.relations)
+    return FPModule(combined.rank, [combined.solve(rel) for rel in source.relations]).rank_torsion()
 
 
 def product_by_fold(p: Polynomial, q: Polynomial, weights=None, bound=None) -> Polynomial:

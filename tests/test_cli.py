@@ -372,13 +372,72 @@ def test_cohomology_tensor_flag():
     assert "l*l'" in data["tensor_class"]
 
 
-@pytest.mark.parametrize("n", ["0", "5"])
-def test_invariance_rank_outside_one_to_four_is_an_input_error(n):
-    # --invariance 0 used to be skipped silently, with exit 0
-    res = run_cli("cohomology", "--space", '{"BGL":4}', "--invariance", n, "--format", "json")
+def test_invariance_option_is_refused():
+    # the invariant-subring check is a test oracle now, not a CLI option
+    res = run_cli("cohomology", "--space", '{"BGL":4}', "--invariance", "4", "--format", "json")
     assert res.returncode == 2, res.stdout
     assert res.stdout == ""
-    assert "invariance check supported for 1 <= n <= 4" in res.stderr
+    assert "unrecognized arguments: --invariance 4" in res.stderr
+
+
+def test_cohomology_input_file_is_parsed_once(tmp_path, capsys, monkeypatch):
+    from orcohom import cli
+
+    doc = {"Grassmannian": {"m": 2, "n": 4}}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    load = cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda *a: calls.append(a) or load(*a))
+    assert cli.main(["cohomology", "--input", str(path), "-D", "4", "--format", "json"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["space"] == doc
+
+
+SPLIT_DOC = {
+    # Y = Z/4 + Z/3 retracting onto Z = Z/4; the complement is Z/3
+    "Y": {"stages": [{"0": {"ngens": 2, "relations": [[4, 0], [0, 3]]}}] * 2,
+          "maps": [{"0": [[1, 0], [0, 0]]}], "periodicity": [0, 1]},
+    "Z": {"stages": [{"0": {"ngens": 1, "relations": [[4]]}}] * 2,
+          "maps": [{"0": [[1]]}], "periodicity": [0, 1]},
+    "r": {"0": [[1, 0]]},
+    "s": {"0": [[1], [0]]},
+}
+
+
+def test_tower_compare_reports_the_complement(tmp_path, capsys):
+    from orcohom import cli
+
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(SPLIT_DOC))
+    assert cli.main(["tower", "--compare", "--input", str(path), "--format", "json"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["comparison"]["per_weight"]
+    assert (entry["complement_rank"], entry["complement_torsion"]) == (0, [3])
+    assert entry["limits_agree"] and "complement_self_map_zero" not in entry
+
+
+def _ill_defined_split_doc(name):
+    """A split document in which only the named map ignores relations."""
+    if name == "g":
+        # Y = Z = Z/2 + Z; g = (a, b) -> (0, a) sends the relation (2, 0) to (0, 2)
+        both = {"stages": [{"0": {"ngens": 2, "relations": [[2, 0]]}}] * 2,
+                "maps": [{"0": [[1, 0], [0, 1]]}], "periodicity": [0, 1]}
+        ident = {"0": [[1, 0], [0, 1]]}
+        return {"Y": both, "Z": both, "r": ident, "s": ident, "g": {"0": [[0, 0], [1, 0]]}}
+    # r = (1, 1) sends the relation (0, 3) to 3, outside 4Z; s = (1, 1) sends 4 to (4, 4)
+    return {**SPLIT_DOC, name: {"0": {"r": [[1, 1]], "s": [[1], [1]]}[name]}}
+
+
+@pytest.mark.parametrize("name", ["r", "s", "g"])
+def test_tower_compare_ill_defined_map_exits_2(tmp_path, capsys, name):
+    from orcohom import cli
+
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(_ill_defined_split_doc(name)))
+    assert cli.main(["tower", "--compare", "--input", str(path), "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"input error: {name} does not respect relations in weight 0" in err
 
 
 def test_cohomology_tensor_names_an_unknown_generator():
@@ -494,11 +553,10 @@ def test_operation_coverage_complete_and_disjoint():
     from orcohom.cli import OPERATION_COVERAGE
 
     expected = {
-        "normal_form", "graded_basis", "elementary_symmetric_decompose",
-        "apply", "is_graded_isomorphism",
+        "normal_form", "graded_basis", "apply", "is_graded_isomorphism",
         "make_additive", "make_multiplicative", "check_axioms", "formal_inverse",
         "n_series", "logarithm", "lazard_ring", "lazard_graded_ranks", "classifying_map",
-        "cohomology", "chern_tensor", "restriction_map", "homology_dual", "invariance_check",
+        "cohomology", "chern_tensor", "restriction_map", "homology_dual",
         "build_hopf", "primitives", "additive_maps_identification", "indecomposables",
         "thom_decompose", "thom_product_check", "thom_iso_check",
         "telescope_colimit", "tower_limit_and_lim1", "split_tower_compare",

@@ -7,7 +7,7 @@ from orcohom.conner_floyd import (
     universal_theory,
     verify_conner_floyd,
 )
-from orcohom.presented import QuotientCoefficients, RingMap
+from orcohom.presented import PresentedRing, QuotientCoefficients
 from orcohom.spaces import (
     FlagBundle,
     GrassmannianBundle,
@@ -17,7 +17,7 @@ from orcohom.spaces import (
     multiplicative_theory,
 )
 
-from oracles import conner_floyd_backward_map, gaussian_binomial_ranks
+from oracles import conner_floyd_backward_map, conner_floyd_forward_map, gaussian_binomial_ranks
 
 
 def test_point_presentations():
@@ -63,6 +63,18 @@ def test_backward_generator_map_inverts_each_isomorphism(D):
         X = space_from_json(doc)
         assert verify_conner_floyd(X, D)["isomorphism"], doc
         conner_floyd_backward_map(X, D).check_well_defined()
+
+
+@pytest.mark.parametrize("D", [8, 12])
+def test_forward_generator_map_is_onto_in_every_weight(D):
+    # the verdict calls the forward map onto without computing it: it
+    # sends generators to the same-named generators over the same base
+    from orcohom.cli import STANDARD_CF_INSTANCES
+    from orcohom.serialize import space_from_json
+
+    for doc in STANDARD_CF_INSTANCES:
+        forward = conner_floyd_forward_map(space_from_json(doc), D)
+        assert [forward.surjective(w) for w in range(D + 1)] == [True] * (D + 1), doc
 
 
 def test_unsupported_descriptor():
@@ -266,7 +278,7 @@ def test_unexpected_error_in_isomorphism_check_propagates(monkeypatch, capsys):
     def fail(self, w):
         raise ArithmeticError("injected")
 
-    monkeypatch.setattr(RingMap, "surjective", fail)
+    monkeypatch.setattr(PresentedRing, "graded_basis", fail)
     with pytest.raises(ArithmeticError, match="injected"):
         verify_conner_floyd(ProjectiveSpace(1), 4)
     assert cli.main(["conner-floyd", "--space", '{"Pn":1}', "--truncation", "4"]) == 3

@@ -12,9 +12,8 @@ from orcohom.coefficients import ZZ
 from orcohom.polynomials import Polynomial
 from orcohom.presented import PresentedRing
 from orcohom.spaces import FlagBundle, ProjectiveBundle, ProjectiveSpace, additive_theory, cohomology
-from orcohom.symfunc import elementary_symmetric
 
-from oracles import degreewise_twin, int_poly
+from oracles import degreewise_twin, elementary_symmetric, int_poly
 
 
 def random_elements(rng, ring, count=20, terms=4, weight_cap=None):

@@ -18,15 +18,14 @@ from orcohom.spaces import (
     chern_tensor,
     cohomology,
     homology_dual,
-    invariance_check,
     multiplicative_theory,
     restriction_map,
     surjectivity_report,
 )
 from orcohom.presented import RingMap
 
-from oracles import (gaussian_binomial_ranks, int_poly, partition_count, partitions_exactly_k,
-                     q_factorial_ranks, whitney_grassmannian)
+from oracles import (elementary_symmetric, gaussian_binomial_ranks, int_poly, invariance_check,
+                     partition_count, partitions_exactly_k, q_factorial_ranks, whitney_grassmannian)
 
 TH = additive_theory(truncation=12)
 
@@ -215,8 +214,6 @@ def test_bundles_over_both_routes_follow_leray_hirsch(coeffs):
 
 
 def test_flag_relations_reduce_to_zero():
-    from orcohom.symfunc import elementary_symmetric
-
     R = cohomology(TH, FlagBundle(4), 6)
     for k in range(1, 5):
         assert R.normal_form(elementary_symmetric(ZZ, k, range(4))).is_zero()
@@ -370,8 +367,6 @@ def test_restriction_classifying():
     assert all(e["surjective"] for e in rep)
     # oracle: the invariant embedding s_i -> e_i(x1, x2) followed by
     # killing the second variable reproduces the images
-    from orcohom.symfunc import elementary_symmetric
-
     for i in (1, 2):
         ei = elementary_symmetric(ZZ, i, range(2))
         specialized = Polynomial(ZZ, {m: c for m, c in ei.terms.items()
@@ -434,11 +429,10 @@ def test_invariance_check():
 def test_invariance_check_sees_swapped_images(monkeypatch):
     # s1 -> e2 and s2 -> e1 still gives symmetric images, whose
     # decompositions are the monomials with s1 and s2 exchanged
-    import orcohom.spaces as sp
-    from orcohom.symfunc import elementary_symmetric
+    import oracles
 
     swap = {1: 2, 2: 1}
-    monkeypatch.setattr(sp, "elementary_symmetric",
+    monkeypatch.setattr(oracles, "elementary_symmetric",
                         lambda base, k, indices: elementary_symmetric(base, swap.get(k, k), indices))
     rep = invariance_check(TH, 3, 6)
     assert not rep["ok"]

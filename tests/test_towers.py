@@ -19,7 +19,8 @@ from orcohom.towers import (
     tower_limit_and_lim1,
 )
 
-from oracles import finite_stable_image_kill_counts, mod_p_rank, telescope_stable_part
+from oracles import (finite_stable_image_kill_counts, mod_p_rank, split_complement_by_kernel,
+                     telescope_stable_part)
 
 
 def constant_tower(module, matrix, stages=4):
@@ -121,36 +122,55 @@ def test_randomized_surjective_towers():
             assert mod_p_rank(tower.map_matrix(k, 0), p) == tower.stages[k].piece(0).ngens
 
 
+def _complement(entry):
+    return entry["complement_rank"], entry["complement_torsion"]
+
+
+def _complement_by_kernel(Y, Z, r, w=0):
+    """ker(r) by the kernel route, the reference for the image of 1 - s r."""
+    ym, zm = Y.stages[0].piece(w), Z.stages[0].piece(w)
+    return split_complement_by_kernel(r.matrix(w, zm.ngens, ym.ngens), ym, zm)
+
+
 def test_randomized_split_towers():
     rng = random.Random(777)
-    for _ in range(20):
+    for _ in range(200):
         Y, Z, r, s, g = random_split_tower(rng)
         rep = split_tower_compare(Y, Z, r, s, g)
         assert rep["ok"], rep
         for entry in rep["per_weight"]:
-            assert entry["complement_self_map_zero"]
             # the complement of (Z/5)^a in (Z/5)^(a+b) is (Z/5)^b
             extra = Y.stages[0].piece(0).ngens - Z.stages[0].piece(0).ngens
-            assert (entry["complement_rank"], entry["complement_torsion"]) == (0, [5] * extra)
+            assert _complement(entry) == (0, [5] * extra) == _complement_by_kernel(Y, Z, r)
 
 
 def test_split_compare_free_complement():
     y = constant_tower(FPModule.free(3), [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     z = constant_tower(FPModule.free(1), [[1]])
-    rep = split_tower_compare(y, z, GradedMap({0: [[1, 0, 0]]}), GradedMap({0: [[1], [0], [0]]}))
-    entry = rep["per_weight"][0]
-    assert (entry["complement_rank"], entry["complement_torsion"]) == (2, [])
-    assert entry["complement_self_map_zero"]
+    r = GradedMap({0: [[1, 0, 0]]})
+    rep = split_tower_compare(y, z, r, GradedMap({0: [[1], [0], [0]]}))
+    assert _complement(rep["per_weight"][0]) == (2, []) == _complement_by_kernel(y, z, r)
+
+
+def test_split_compare_skew_section():
+    # Z^2 onto Z by (1, 1) with section (0, 1): the image of 1 - s r is
+    # spanned by (1, -1), the kernel of r
+    y = constant_tower(FPModule.free(2), [[0, 0], [0, 0]])
+    z = constant_tower(FPModule.free(1), [[0]])
+    r = GradedMap({0: [[1, 1]]})
+    rep = split_tower_compare(y, z, r, GradedMap({0: [[0], [1]]}))
+    assert rep["ok"], rep
+    assert _complement(rep["per_weight"][0]) == (1, []) == _complement_by_kernel(y, z, r)
 
 
 def test_split_compare_mixed_torsion_complement():
     # Y = Z/4 + Z/3 retracting onto Z/4 leaves Z/3
     y = constant_tower(FPModule(2, [[4, 0], [0, 3]]), [[1, 0], [0, 0]])
     z = constant_tower(FPModule.modular(4, 1), [[1]])
-    rep = split_tower_compare(y, z, GradedMap({0: [[1, 0]]}), GradedMap({0: [[1], [0]]}))
-    entry = rep["per_weight"][0]
+    r = GradedMap({0: [[1, 0]]})
+    rep = split_tower_compare(y, z, r, GradedMap({0: [[1], [0]]}))
     assert rep["ok"]
-    assert (entry["complement_rank"], entry["complement_torsion"]) == (0, [3])
+    assert _complement(rep["per_weight"][0]) == (0, [3]) == _complement_by_kernel(y, z, r)
 
 
 def test_split_compare_trivial_complement():
@@ -158,8 +178,7 @@ def test_split_compare_trivial_complement():
     ident = GradedMap({0: [[1, 0], [0, 1]]})
     rep = split_tower_compare(z, z, ident, ident)
     assert rep["ok"]
-    assert rep["per_weight"][0]["complement_rank"] == 0
-    assert rep["per_weight"][0]["complement_torsion"] == []
+    assert _complement(rep["per_weight"][0]) == (0, []) == _complement_by_kernel(z, z, ident)
 
 
 def test_split_compare_detects_hypothesis_failure():
