@@ -47,6 +47,7 @@ print()
 print("== truncated universal coefficients ==")
 pres = lazard_ring(5)
 print("generators:", [f"a{i}_{j}" for i, j in pres.gens])
+# each weight's indecomposables are Z, so Lazard's theorem gives the ranks
 print("graded ranks:", lazard_graded_ranks(5), "(partition numbers)")
 cm = classifying_map(make_multiplicative(truncation=6), pres)
 images = {f"a{i}_{j}": cm.target.base.coeff_str(im.constant_term())

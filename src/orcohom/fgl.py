@@ -11,12 +11,17 @@ theorem L -> Z[b] = H_*MU is injective (Adams, *Stable Homotopy and
 Generalised Homology*, Part II; Ravenel, *Complex Cobordism*, A2.1), so
 ``universal_law`` carries the universal law over Z[b_1..b_D] as
 g(g^-1(x) + g^-1(y)), g(x) = x + sum b_i x^(i+1): each a_ij is exactly
-its b-polynomial, with no relation lattice and no normal form.
+its b-polynomial, with no relation lattice and no normal form.  The
+same theorem gives ``lazard_graded_ranks``: it checks the presentation
+weight by weight through its indecomposables, one small module per
+weight, and never forms the relation lattice.
 """
 
 from __future__ import annotations
 
 from .coefficients import BaseRing, NonDivisibleBase, ZZ, laurent_over
+from .intlinalg import FPModule
+from .partitions import partition_count
 from .polynomials import Mono, Polynomial
 from .presented import PresentedRing, QuotientCoefficients, RingMap, compose, scalar_ring
 
@@ -347,9 +352,27 @@ def _poly_key(p: Polynomial):
 
 
 def lazard_graded_ranks(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> list[int]:
-    """Cokernel ranks of the associativity presentation per weight 0..D."""
-    pres = lazard_ring(truncation, bound)
-    return pres.ring.graded_ranks(truncation)
+    """Ranks p(w) of the associativity presentation per weight 0..D.
+
+    Weight n is checked through the indecomposables: Q(L)_n, the a_ij of
+    weight n modulo the linear parts of the weight-n relations (a
+    relation times a positive-weight monomial is decomposable), must be
+    Z with no torsion; otherwise the presentation is wrong and
+    ArithmeticError names the weight.  The relations vanish in Z[b], so a
+    lift x_n of the generator maps to c_n b_n plus decomposables, c_n
+    the gcd of the C(n+1, i), never 0.  The x-monomials span L (graded
+    Nakayama) and their images are triangular, so L_w is free of rank
+    p(w): Lazard's theorem (Adams, *Stable Homotopy and Generalised
+    Homology*, Part II §7; Ravenel, *Complex Cobordism*, Thm A2.1.10).
+    """
+    ring = lazard_ring(truncation, bound).ring
+    relations = [(ring.homogeneous_weight(r), r.terms) for r in ring.relations]
+    for n in range(1, truncation + 1):
+        cols = [((k, 1),) for k, w in enumerate(ring.weights) if w == n]
+        rows = [[terms.get(m, 0) for m in cols] for w, terms in relations if w == n]
+        if FPModule(len(cols), rows).rank_torsion() != (1, []):
+            raise ArithmeticError(f"Lazard presentation: indecomposables are not Z in weight {n}")
+    return [partition_count(w) for w in range(truncation + 1)]
 
 
 def classifying_map(law: FormalGroupLaw, pres: LazardPresentation) -> RingMap:

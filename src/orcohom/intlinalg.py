@@ -5,7 +5,7 @@ BaseRing elements for the generic routines), so every entry is an
 arbitrary-precision Python number.  A matrix with no rows carries no
 column count; routines that need one take it as an argument.  Row
 Hermite normal form is the one integer elimination: Smith invariants
-alternate it with transposes and integer kernels read its transform.
+alternate it with transposes and integer kernels read it off [mat^T | I].
 :class:`FPModule` is the one relation lattice: it owns the HNF of its
 relation rows and is the only reader of that format, for reduction,
 membership, standard columns, and free rank and torsion over a base.
@@ -24,10 +24,6 @@ class NonConfluentPresentation(ValueError):
     """The relation set falls outside the supported reduction classes."""
 
 
-def _sub_row(a: list, q: int, b: list) -> list:
-    return [x - q * y for x, y in zip(a, b)]
-
-
 def _support(row: list, start: int) -> list[int]:
     """Nonzero columns of a pivot row from its pivot column on.
 
@@ -37,18 +33,16 @@ def _support(row: list, start: int) -> list[int]:
     return [j for j in range(start, len(row)) if row[j]]
 
 
-def hnf(mat: list[list[int]], transform: bool = False):
+def hnf(mat: list[list[int]]):
     """Row Hermite normal form.
 
     Returns (H, pivot_columns) where H contains only the nonzero rows,
     pivots are positive, and entries above each pivot are reduced into
-    [0, pivot).  With transform=True also returns a unimodular U with
-    U @ mat == (H padded with zero rows).
+    [0, pivot).
     """
     m = [list(r) for r in mat]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if transform else None
     r = 0
     pivots: list[int] = []
     for c in range(ncols):
@@ -62,8 +56,6 @@ def hnf(mat: list[list[int]], transform: bool = False):
             i0 = min(nz, key=lambda i: abs(m[i][c]))
             if i0 != r:
                 m[r], m[i0] = m[i0], m[r]
-                if transform:
-                    u[r], u[i0] = u[i0], u[r]
             pr = m[r]
             p = pr[c]
             support = _support(pr, c)
@@ -75,8 +67,6 @@ def hnf(mat: list[list[int]], transform: bool = False):
                     if q:
                         for j in support:
                             row[j] -= q * pr[j]
-                        if transform:
-                            u[i] = _sub_row(u[i], q, u[r])
                     if row[c] != 0:
                         done = False
             if done:
@@ -84,8 +74,6 @@ def hnf(mat: list[list[int]], transform: bool = False):
         if m[r][c] != 0:
             if m[r][c] < 0:
                 m[r] = [-x for x in m[r]]
-                if transform:
-                    u[r] = [-x for x in u[r]]
             pr = m[r]
             p = pr[c]
             support = _support(pr, c)
@@ -95,28 +83,23 @@ def hnf(mat: list[list[int]], transform: bool = False):
                 if q:
                     for j in support:
                         row[j] -= q * pr[j]
-                    if transform:
-                        u[i] = _sub_row(u[i], q, u[r])
             pivots.append(c)
             r += 1
-    h = m[:r]
-    if transform:
-        return h, pivots, u
-    return h, pivots
+    return m[:r], pivots
 
 
 def kernel_basis(mat: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of the saturated integer lattice {x : mat @ x = 0} in Z^ncols.
 
-    Rows of the returned matrix are the basis vectors.  No library code
-    calls it; the test oracles and the benchmark's wrapper do.
+    Rows of the returned matrix are the basis vectors: the rows of
+    HNF([mat^T | I]) whose pivot lies in the identity block, which are
+    zero on mat^T.  No library code calls it; the test oracles and the
+    benchmark's wrapper do.
     """
-    if ncols == 0:
-        return []
-    if not mat:
-        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    h, _, u = hnf([list(col) for col in zip(*mat)], transform=True)
-    return u[len(h):]
+    r = len(mat)
+    h, pivots = hnf([[row[j] for row in mat] + [int(i == j) for i in range(ncols)]
+                     for j in range(ncols)])
+    return [row[r:] for row, c in zip(h, pivots) if c >= r]
 
 
 def snf_invariants(mat: list[list[int]]) -> list[int]:

@@ -15,7 +15,8 @@ universal law's g^-1 and the formal inverse are solved at the full
 truncation.  Symmetric polynomials are decomposed over e_1..e_n by
 leading-term subtraction, and the complement of a split tower is found
 as the integer kernel of the retraction rather than as the image of
-1 - s r.
+1 - s r.  Lazard ranks come from the whole relation lattice of each
+weight, not from the indecomposables and Lazard's theorem.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from orcohom.coefficients import IntegerRing, ZZ
 from orcohom.conner_floyd import _coefficient_images, base_change, cobordism_presentation
 from orcohom.intlinalg import FPModule, kernel_basis
-from orcohom.fgl import FormalGroupLaw, _generic_series, _lazard_generators, _poly_key, series_ring
+from orcohom.fgl import (FormalGroupLaw, _generic_series, _lazard_generators, _poly_key, lazard_ring,
+                         series_ring)
 from orcohom.polynomials import Polynomial, mono_divides, mono_mul, mono_weight
 from orcohom.presented import NonConfluentPresentation, PresentedRing, QuotientCoefficients, RingMap, compose
 from orcohom.spaces import ClassifyingBGL, cohomology, multiplicative_theory
@@ -551,7 +553,8 @@ def primitive_by_kernel(hopf, w: int) -> list[int]:
     """The weight-w primitive as the integer kernel of Delta(f) = f x 1 + 1 x f.
 
     One condition row per pair (alpha, beta) of nonempty partitions, read
-    off the coproduct dictionaries; the saturated kernel must be one line.
+    off the coproduct dictionaries; the saturated kernel must be one line,
+    oriented so that its s1^w coordinate is positive.
     """
     parts = partition_list(w)
     conditions: dict = {}
@@ -560,7 +563,8 @@ def primitive_by_kernel(hopf, w: int) -> list[int]:
             if alpha and beta:
                 conditions.setdefault((alpha, beta), [0] * len(parts))[i] += coeff
     (vector,) = kernel_basis(list(conditions.values()), len(parts))
-    return [int(c) for c in vector]
+    sign = 1 if vector[parts.index((1,) * w)] > 0 else -1
+    return [sign * int(c) for c in vector]
 
 
 @lru_cache(maxsize=None)
@@ -615,6 +619,18 @@ def lazard_b_gcd(n: int) -> int:
     n + 1 is a power of the prime p and 1 otherwise."""
     primes = prime_divisors(n + 1)
     return primes[0] if len(primes) == 1 else 1
+
+
+def lazard_ranks_by_lattice(D: int, relations=None) -> list[tuple[int, list[int]]]:
+    """(free rank, torsion) in each weight 0..D of the Lazard presentation
+    by the dense route: the HNF of the whole relation lattice of the
+    a-monomials of each weight (``PresentedRing.graded_basis``), with no
+    appeal to Lazard's theorem.  ``relations`` replaces the associativity
+    relations of ``fgl.lazard_ring(D)``."""
+    ring = lazard_ring(D, bound=D).ring
+    if relations is not None:
+        ring = PresentedRing(ZZ, ring.variables, relations, D)
+    return [(piece.free_rank, piece.torsion) for piece in map(ring.graded_basis, range(D + 1))]
 
 
 def telescope_stable_part(mat) -> tuple[int, int, dict[int, int]]:

@@ -4,8 +4,10 @@ import random
 import pytest
 
 from orcohom.coefficients import NonDivisibleBase, QQ, ZZ, laurent_over
+from orcohom import fgl
 from orcohom.fgl import (
     FormalGroupLaw,
+    LazardPresentation,
     check_axioms,
     classifying_map,
     formal_inverse,
@@ -19,12 +21,13 @@ from orcohom.fgl import (
 )
 from orcohom.intlinalg import FPModule
 from orcohom.polynomials import Polynomial
-from orcohom.presented import IllDefinedMap, compose
+from orcohom.presented import IllDefinedMap, PresentedRing, compose
 
 from oracles import (
     formal_inverse_reference,
     int_poly,
     lazard_b_gcd,
+    lazard_ranks_by_lattice,
     lazard_relations_by_compose,
     partition_count,
     rank_over_Q,
@@ -180,11 +183,79 @@ def test_lazard_relations_match_composing_the_identity():
 
 
 def test_lazard_ranks_match_partition_numbers():
-    ranks = lazard_graded_ranks(5)
-    assert ranks == [partition_count(w) for w in range(6)]
-    pres = lazard_ring(5)
-    for w in range(1, 6):
-        assert not pres.ring.graded_basis(w).torsion
+    # the per-weight indecomposables check against the HNF of the whole
+    # relation lattice: ranks p(w) and no torsion, for every D <= 11
+    lattice = lazard_ranks_by_lattice(11)
+    assert lattice == [(partition_count(w), []) for w in range(12)]
+    assert lazard_graded_ranks(5) == [r for r, _ in lattice[:6]]
+    for D in range(1, 12):
+        assert lazard_graded_ranks(D, bound=D) == [r for r, _ in lattice[:D + 1]], D
+
+
+def test_lazard_ranks_need_no_relation_lattice(monkeypatch):
+    def fail(self, w):
+        raise AssertionError("the dense relation lattice ran")
+
+    monkeypatch.setattr(PresentedRing, "graded_basis", fail)
+    assert lazard_graded_ranks(16, bound=16) == [partition_count(w) for w in range(17)]
+
+
+def _with_relations(monkeypatch, D, relations):
+    """Make ``fgl.lazard_ring`` return the weight-D generators presented
+    by ``relations`` instead of the associativity relations."""
+    pres = lazard_ring(D, bound=D)
+    mutant = LazardPresentation(pres.gens, PresentedRing(ZZ, pres.ring.variables, relations, D))
+    monkeypatch.setattr(fgl, "lazard_ring", lambda *args, **kwargs: mutant)
+
+
+def test_lazard_check_refuses_exactly_where_the_lattice_departs(monkeypatch):
+    # scale one relation by 2, or drop it: the check refuses exactly the
+    # presentations whose dense lattice is not free of rank p(w)
+    D = 8
+    relations = list(lazard_ring(D, bound=D).ring.relations)
+    free = [(partition_count(w), []) for w in range(D + 1)]
+    refused = 0
+    for k, rel in enumerate(relations):
+        for change in ([rel.scale(2)], []):
+            mutant = relations[:k] + change + relations[k + 1:]
+            lattice_departs = lazard_ranks_by_lattice(D, mutant) != free
+            _with_relations(monkeypatch, D, mutant)
+            try:
+                lazard_graded_ranks(D, bound=D)
+            except ArithmeticError:
+                assert lattice_departs, (k, change)
+                refused += 1
+            else:
+                assert not lattice_departs, (k, change)
+    # both verdicts occur: 14 of the 68 mutants are refused
+    assert 0 < refused < 2 * len(relations)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("change", ["scale", "drop"])
+def test_lazard_check_refuses_a_broken_weight(monkeypatch, n, change):
+    D = 10
+    ring = lazard_ring(D, bound=D).ring
+    at_n = [ring.homogeneous_weight(r) == n for r in ring.relations]
+    if change == "scale":
+        relations = [r.scale(2) if hit else r for r, hit in zip(ring.relations, at_n)]
+    else:
+        relations = [r for r, hit in zip(ring.relations, at_n) if not hit]
+    _with_relations(monkeypatch, D, relations)
+    with pytest.raises(ArithmeticError, match=f"in weight {n}$"):
+        lazard_graded_ranks(D, bound=D)
+
+
+def test_cli_refuses_a_broken_presentation_as_an_internal_error(monkeypatch, capsys):
+    from orcohom import cli
+
+    D = 6
+    ring = lazard_ring(D, bound=D).ring
+    _with_relations(monkeypatch, D, [r for r in ring.relations if ring.homogeneous_weight(r) != 4])
+    assert cli.main(["fgl-lazard", "--truncation", str(D), "--bound", str(D)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: ArithmeticError:") and "weight 4" in err
 
 
 def test_lazard_bound_enforced():

@@ -74,9 +74,7 @@ def test_additive_maps_identification():
     rep = additive_maps_identification(hd)
     assert rep["ok"]
     assert rep["weight_zero_extra_rank"] == 1
-    for e in rep["per_weight"]:
-        assert e["primitive_rank"] == e["line_rank"] == 1
-        assert e["unimodular"]
+    assert rep["per_weight"] == [{"weight": w, "line_rank": 1} for w in range(1, 7)]
 
 
 def test_indecomposables():
