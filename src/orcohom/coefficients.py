@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polynomials import accumulate, weighted
+from .polynomials import accumulate, collect, weighted
 
 
 class NonDivisibleBase(ArithmeticError):
@@ -302,14 +302,7 @@ class LaurentRing(BaseRing):
         return self._norm({0: self.base.from_int(n)})
 
     def add(self, a, b):
-        out = dict(a)
-        for e, c in b.items():
-            s = self.base.add(out.get(e, self.base.zero()), c)
-            if self.base.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return out
+        return collect(self.base, dict(a), b.items())
 
     def neg(self, a):
         return {e: self.base.neg(c) for e, c in a.items()}
@@ -355,13 +348,8 @@ class LaurentRing(BaseRing):
             if q is None:
                 return None
             quot[deg_r - deg_b] = q
-            for e, c in bb.items():
-                ee = e + deg_r - deg_b
-                s = self.base.sub(rem.get(ee, self.base.zero()), self.base.mul(q, c))
-                if self.base.is_zero(s):
-                    rem.pop(ee, None)
-                else:
-                    rem[ee] = s
+            collect(self.base, rem, ((e + deg_r - deg_b, self.base.neg(self.base.mul(q, c)))
+                                     for e, c in bb.items()))
         return {e + shift_a - shift_b: c for e, c in quot.items()}
 
     def as_int(self, a):

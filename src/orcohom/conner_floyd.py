@@ -34,7 +34,7 @@ from math import factorial
 from .coefficients import QQ, LaurentRing, NonDivisibleBase, laurent_over
 from .fgl import FormalGroupLaw, universal_coefficients, universal_law
 from .polynomials import Polynomial
-from .presented import PresentedRing, QuotientCoefficients, RingMap
+from .presented import PresentedRing, QuotientCoefficients, RingMap, compose, scalar_ring
 from .spaces import (
     FlagBundle,
     GrassmannianBundle,
@@ -93,20 +93,17 @@ def _coefficient_images(truncation: int):
 def base_change(ring: PresentedRing, target_base: LaurentRing, scalars) -> PresentedRing:
     """Tensor a presentation over the universal coefficients along the
     coefficient map b_i -> scalars[i - 1] in Q[b, b^-1], keeping generators
-    and weights; a coefficient not mapped into ``target_base`` raises
-    NonDivisibleBase."""
+    and weights.  Each coefficient is evaluated by ``compose`` into
+    Q[b, b^-1] as a ring without generators; one not mapped into
+    ``target_base`` raises NonDivisibleBase."""
     if not isinstance(ring.base, QuotientCoefficients):
         raise ValueError("base change starts from a presented-quotient base")
     rational = LaurentRing(QQ, target_base.symbol, target_base.weight)
+    values = scalar_ring(rational, ring.truncation)
+    images = [Polynomial.constant(rational, s) for s in scalars]
 
     def map_coeff(c: Polynomial):
-        out = rational.zero()
-        for mono, k in c.terms.items():
-            term = rational.from_int(k)
-            for idx, e in mono:
-                for _ in range(e):
-                    term = rational.mul(term, scalars[idx])
-            out = rational.add(out, term)
+        out = compose(values, c, images, c.base).constant_term()
         if any(v.denominator != 1 for v in out.values()):
             raise NonDivisibleBase(f"coefficient {ring.base.coeff_str(c)} maps to "
                                    f"{rational.coeff_str(out)}, outside {target_base}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from .coefficients import BaseRing, NonDivisibleBase, ZZ, laurent_over
 from .intlinalg import FPModule
 from .partitions import partition_count
-from .polynomials import Mono, Polynomial
+from .polynomials import Mono, Polynomial, swap_variables
 from .presented import PresentedRing, QuotientCoefficients, RingMap, compose, scalar_ring
 
 LAZARD_DEFAULT_BOUND = 8
@@ -181,8 +181,6 @@ def check_axioms(law: FormalGroupLaw) -> AxiomReport:
     if not unit_ok:
         first_failure("unit", left_unit if not left_unit.is_zero() else right_unit, r2)
 
-    from .symfunc import swap_variables
-
     comm_diff = series - swap_variables(series, _X, _Y)
     comm_ok = comm_diff.is_zero()
     if not comm_ok:
@@ -328,8 +326,7 @@ def lazard_ring(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> LazardPre
     # is the x<->z relabelling of F(F(x, y), z)
     inner = r3.normal_form(series)
     lhs = compose(r3, series, [inner, Polynomial.variable(free_coeffs, 2)], free_coeffs)
-    rhs = lhs.map_monomials(
-        lambda m: tuple(sorted((2 if i == 0 else 0 if i == 2 else i, e) for i, e in m)))
+    rhs = swap_variables(lhs, 0, 2)
     delta = lhs - rhs
     relations: list[Polynomial] = []
     seen: set = set()

@@ -8,8 +8,9 @@ on the s-generators, with monomials indexed by the same partitions.
 The comultiplication on cohomology is computed by dualizing the
 homology product through the pairing between products of elementary
 symmetric functions and monomial symmetric functions: E (e to m) is
-built by peeling one e_r at a time, and Delta one weight-pair block at
-a time, the mirror block by transposing, as multiset union commutes.
+built by peeling one e_r at a time, over the part multiplicities of
+``partitions.groups``, and Delta one weight-pair block at a time, the
+mirror block by transposing, as multiset union commutes.
 The Whitney formula for Delta(e_n) serves only as a test oracle.  The
 primitive of weight w is the power sum p_w, read off from Newton's
 identity in closed form; Delta is not consulted for it.
@@ -18,18 +19,13 @@ identity in closed form; Delta is not consulted for it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import product
 from math import comb, factorial, prod
 
 from .coefficients import ZZ, ModularRing, NonDivisibleBase
 from .intlinalg import field_rref
-from .partitions import merge, partitions
+from .partitions import groups, merge, partitions
 from .spaces import ClassifyingBGL, OrientedTheory, cohomology
-
-
-def _groups(p: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(value, multiplicity) for each distinct part of p, in p's order."""
-    return [(v, len(list(g))) for v, g in groupby(p)]
 
 
 @lru_cache(maxsize=None)
@@ -37,13 +33,13 @@ def _peel(mu: tuple[int, ...], r: int) -> tuple[tuple[tuple[int, ...], int], ...
     """The (lam, c) with c the coefficient of m_mu in e_r * m_lam: lowering
     k_v of the parts of mu equal to v by one, sum k_v = r, sorts to lam,
     in prod C(mult_v(mu), k_v) ways; distinct k give distinct lam."""
-    groups = _groups(mu)
+    gs = groups(mu)
     out = []
-    for ks in product(*(range(m + 1) for _, m in groups)):
+    for ks in product(*(range(m + 1) for _, m in gs)):
         if sum(ks) == r:
             # values fall by at least one per group, so lam stays sorted
-            lam = [x for (v, m), k in zip(groups, ks) for x in [v] * (m - k) + [v - 1] * k if x]
-            out.append((tuple(lam), prod(comb(m, k) for (_, m), k in zip(groups, ks))))
+            lam = [x for (v, m), k in zip(gs, ks) for x in [v] * (m - k) + [v - 1] * k if x]
+            out.append((tuple(lam), prod(comb(m, k) for (_, m), k in zip(gs, ks))))
     return tuple(out)
 
 
@@ -159,7 +155,7 @@ class HopfData:
         return out
 
     def sigma_label(self, nu: tuple[int, ...]) -> str:
-        return "*".join(f"s{v}^{k}" if k > 1 else f"s{v}" for v, k in _groups(nu[::-1])) or "1"
+        return "*".join(f"s{v}^{k}" if k > 1 else f"s{v}" for v, k in groups(nu[::-1])) or "1"
 
 
 def build_hopf(theory: OrientedTheory, truncation: int = 8) -> HopfData:
@@ -181,7 +177,7 @@ def primitives(hopf: HopfData, w: int) -> dict:
         raise ValueError("weight out of range")
     parts = partitions(w)
     vector = [(-1) ** (w - len(lam)) * w * factorial(len(lam) - 1)
-              // prod(factorial(m) for _, m in _groups(lam)) for lam in parts]
+              // prod(factorial(m) for _, m in groups(lam)) for lam in parts]
     label = " + ".join(f"{c}*{hopf.sigma_label(nu)}" for c, nu in zip(vector, parts))
     return {"weight": w, "rank": 1, "basis": [vector],
             "monomials": [list(p) for p in parts], "pretty": [label]}

@@ -1,8 +1,11 @@
-"""Partition enumeration used by the filtered symmetric algebra layers."""
+"""Partition enumeration used by the filtered symmetric algebra layers:
+partitions in a fixed order, their part multiplicities, and their
+splits into two sub-multisets."""
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby, product
 
 
 @lru_cache(maxsize=None)
@@ -37,22 +40,18 @@ def merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(a + b, reverse=True))
 
 
+def groups(p: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(value, multiplicity) for each distinct part of p, in p's order."""
+    return [(v, len(list(g))) for v, g in groupby(p)]
+
+
 def sub_partition_splits(p: tuple[int, ...]):
     """All ordered pairs (alpha, beta) of partitions with union p.
 
-    Splits are produced by distributing the multiplicity of each part
-    value; the pair (p, ()) and ((), p) are included.
+    Of the m parts of p equal to v, alpha takes k and beta the other
+    m - k; every choice of the k is made in ``itertools.product`` order,
+    from ((), p) to (p, ()).
     """
-    from itertools import groupby
-
-    groups = [(v, sum(1 for _ in g)) for v, g in groupby(p)]
-
-    def rec(i: int, left: list[int], right: list[int]):
-        if i == len(groups):
-            yield tuple(left), tuple(right)
-            return
-        v, mult = groups[i]
-        for k in range(mult + 1):
-            yield from rec(i + 1, left + [v] * k, right + [v] * (mult - k))
-
-    yield from rec(0, [], [])
+    choices = [[((v,) * k, (v,) * (m - k)) for k in range(m + 1)] for v, m in groups(p)]
+    for pick in product(*choices):
+        yield sum((a for a, _ in pick), ()), sum((b for _, b in pick), ())

@@ -23,6 +23,19 @@ Mono = tuple[tuple[int, int], ...]
 ONE_MONO: Mono = ()
 
 
+def collect(base: BaseRing, out: dict, pairs) -> dict:
+    """Add each (key, coefficient) of pairs into out in place, dropping
+    the keys whose sum is zero; out keeps its insertion order."""
+    add, is_zero, zero = base.add, base.is_zero, base.zero()
+    for k, c in pairs:
+        s = add(out.get(k, zero), c)
+        if is_zero(s):
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
 def mono_mul(a: Mono, b: Mono) -> Mono:
     if not a:
         return b
@@ -94,17 +107,8 @@ class Polynomial:
         elif _clean:
             self.terms = terms
         else:
-            cleaned: dict = {}
-            for m, c in terms.items():
-                if base.is_zero(c):
-                    continue
-                m = tuple(sorted((i, e) for i, e in m if e))
-                s = base.add(cleaned.get(m, base.zero()), c)
-                if base.is_zero(s):
-                    cleaned.pop(m, None)
-                else:
-                    cleaned[m] = s
-            self.terms = cleaned
+            self.terms = collect(base, {}, ((tuple(sorted((i, e) for i, e in m if e)), c)
+                                            for m, c in terms.items()))
 
     @classmethod
     def zero(cls, base: BaseRing) -> "Polynomial":
@@ -141,15 +145,7 @@ class Polynomial:
         return out
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        base = self.base
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = base.add(out.get(m, base.zero()), c)
-            if base.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Polynomial(base, out, _clean=True)
+        return Polynomial(self.base, collect(self.base, dict(self.terms), other.terms.items()), _clean=True)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.base, {m: self.base.neg(c) for m, c in self.terms.items()}, _clean=True)
@@ -195,16 +191,8 @@ class Polynomial:
 
     def map_monomials(self, fn) -> "Polynomial":
         """Relabel monomials through fn (used for reindexing variables)."""
-        base = self.base
-        out: dict = {}
-        for m, c in self.terms.items():
-            mm = fn(m)
-            s = base.add(out.get(mm, base.zero()), c)
-            if base.is_zero(s):
-                out.pop(mm, None)
-            else:
-                out[mm] = s
-        return Polynomial(base, out, _clean=True)
+        return Polynomial(self.base, collect(self.base, {}, ((fn(m), c) for m, c in self.terms.items())),
+                          _clean=True)
 
     def shift_indices(self, offset: int) -> "Polynomial":
         return self.map_monomials(lambda m: tuple((i + offset, e) for i, e in m))
@@ -249,6 +237,11 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({len(self.terms)} terms)"
+
+
+def swap_variables(p: Polynomial, i: int, j: int) -> Polynomial:
+    """p with the variables i and j exchanged."""
+    return p.map_monomials(lambda m: tuple(sorted((j if v == i else i if v == j else v, e) for v, e in m)))
 
 
 def weighted(terms: dict, weights=None) -> list:

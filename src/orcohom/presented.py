@@ -567,13 +567,15 @@ def compose(target: PresentedRing, p: Polynomial, images, source_base: BaseRing)
         coerce = tb.from_int
     else:
         raise ValueError("coefficient bases are incompatible for substitution")
-    for i in sorted(p.variables()):
+    used = sorted(p.variables())
+    for i in used:
         target._validate_element(images[i])
     weights, D = target.weights, target.truncation
-    powers: dict[int, list[Polynomial]] = {}
+    one = target.one_poly()
+    powers = {i: [one] for i in used}
 
     def power(i: int, e: int) -> Polynomial:
-        table = powers.setdefault(i, [target.one_poly()])
+        table = powers[i]
         while len(table) <= e:
             table.append(target._reduce(table[-1].product(images[i], weights, D)))
         return table[e]

@@ -8,7 +8,8 @@ bundle), l1..ln (flag line bundles), s1..sm (Chern classes of the
 tautological subbundle S on a Grassmannian; the quotient's Chern class
 t_j is the class of q_j, the weight-j part of c(V) c(S)^-1).  Flag and
 projective-bundle rings are presented by triangular relations led by
-pure variable powers, so their normal forms run on the fast confluent
+pure variable powers (for flags, through the complete homogeneous h_k of
+``complete_homogeneous``), so their normal forms run on the fast confluent
 route; Grassmannian rings reduce degreewise, except Gr(1,n), whose one
 relation is led by a unit times s1^n.  The route follows from the
 relations alone (see ``presented``): a bundle over a base ring rewrites
@@ -19,11 +20,13 @@ it in the symmetric invariants is a test oracle, not a library check.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 from .coefficients import BaseRing, ZZ
 from .fgl import FormalGroupLaw, formal_inverse, make_additive, make_multiplicative
+from .partitions import groups
 from .polynomials import Polynomial
 from .presented import PresentedRing, RingMap, compose
-from .symfunc import complete_homogeneous
 
 
 class OrientedTheory:
@@ -111,6 +114,15 @@ POINT = ProjectiveSpace(0)
 
 # ---------------------------------------------------------------------------
 # presentation construction
+
+
+def complete_homogeneous(base: BaseRing, k: int, indices) -> Polynomial:
+    """h_k, the sum of all monomials of degree k in the given variables, listed
+    in descending lexicographic order of exponent vectors."""
+    if k < 0:
+        return Polynomial.zero(base)
+    return Polynomial(base, {tuple(groups(c)): base.one()
+                             for c in combinations_with_replacement(sorted(indices), k)}, _clean=True)
 
 
 def _check_chern(theory: OrientedTheory, space, rank: int, truncation: int):

@@ -32,10 +32,9 @@ from orcohom.conner_floyd import _coefficient_images, base_change, cobordism_pre
 from orcohom.intlinalg import FPModule, kernel_basis
 from orcohom.fgl import (FormalGroupLaw, _generic_series, _lazard_generators, _poly_key, lazard_ring,
                          series_ring)
-from orcohom.polynomials import Polynomial, mono_divides, mono_mul, mono_weight
+from orcohom.polynomials import Polynomial, mono_divides, mono_mul, mono_weight, swap_variables
 from orcohom.presented import NonConfluentPresentation, PresentedRing, QuotientCoefficients, RingMap, compose
 from orcohom.spaces import ClassifyingBGL, cohomology, multiplicative_theory
-from orcohom.symfunc import swap_variables
 
 
 @lru_cache(maxsize=None)

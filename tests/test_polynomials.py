@@ -43,6 +43,11 @@ def test_monomials_normalized_on_construction():
     assert q.terms == {((1, 2), (2, 1)): 5}
 
 
+def test_construction_drops_a_zero_sum_across_factor_orders():
+    q = Polynomial(ZZ, {((0, 1), (1, 1)): 2, ((1, 1), (0, 1)): -2, ((0, 0),): 5})
+    assert q.terms == {(): 5}
+
+
 def test_scale_and_shift():
     p = P({((0, 1),): 2, (): 1})
     assert p.scale(0).is_zero()

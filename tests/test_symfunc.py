@@ -1,10 +1,11 @@
 import random
+from math import comb
 
 import pytest
 
 from orcohom.coefficients import ZZ
 from orcohom.polynomials import Polynomial
-from orcohom.symfunc import complete_homogeneous
+from orcohom.spaces import complete_homogeneous
 
 from oracles import (
     NotSymmetric,
@@ -71,3 +72,24 @@ def test_complete_homogeneous_identity():
         acc = acc + (e * h).scale(ZZ.from_int(sign))
         sign = -sign
     assert acc.is_zero()
+
+
+def test_complete_homogeneous_edge_degrees():
+    assert complete_homogeneous(ZZ, -1, range(3)).is_zero()
+    assert complete_homogeneous(ZZ, 0, range(3)) == Polynomial.one(ZZ)
+    assert complete_homogeneous(ZZ, 0, []) == Polynomial.one(ZZ)
+    assert complete_homogeneous(ZZ, 2, []).is_zero()
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 4), (3, 3), (4, 5)])
+def test_complete_homogeneous_lists_every_monomial_in_descending_lex(n, k):
+    # the order the flag relations are built in; the count is C(n + k - 1, k)
+    indices = range(2, 2 + n)
+    h = complete_homogeneous(ZZ, k, reversed(indices))
+    dense = []
+    for m, c in h.terms.items():
+        assert c == 1 and sum(e for _, e in m) == k
+        exps = dict(m)
+        dense.append(tuple(exps.get(i, 0) for i in indices))
+    assert len(dense) == len(set(dense)) == comb(n + k - 1, k)
+    assert dense == sorted(dense, reverse=True)
