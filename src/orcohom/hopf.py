@@ -8,8 +8,9 @@ on the s-generators, with monomials indexed by the same partitions.
 The comultiplication on cohomology is computed by dualizing the
 homology product through the pairing between products of elementary
 symmetric functions and monomial symmetric functions: E (e to m) is
-built by peeling one e_r at a time, over the part multiplicities of
-``partitions.groups``, and Delta one weight-pair block at a time, the
+built by peeling one e_r at a time, every r of a mu in one pass over
+``partitions.groups``, each result stored by its index; Einv by the
+unit-pivot ``field_rref``; Delta one weight-pair block at a time, the
 mirror block by transposing, as multiset union commutes.
 The Whitney formula for Delta(e_n) serves only as a test oracle.  The
 primitive of weight w is the power sum p_w, read off from Newton's
@@ -19,28 +20,31 @@ identity in closed form; Delta is not consulted for it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import comb, factorial, prod
 
-from .coefficients import ZZ, ModularRing, NonDivisibleBase
+from .coefficients import ModularRing, NonDivisibleBase
 from .intlinalg import field_rref
 from .partitions import groups, merge, partitions
 from .spaces import ClassifyingBGL, OrientedTheory, cohomology
 
 
 @lru_cache(maxsize=None)
-def _peel(mu: tuple[int, ...], r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The (lam, c) with c the coefficient of m_mu in e_r * m_lam: lowering
-    k_v of the parts of mu equal to v by one, sum k_v = r, sorts to lam,
-    in prod C(mult_v(mu), k_v) ways; distinct k give distinct lam."""
-    gs = groups(mu)
-    out = []
-    for ks in product(*(range(m + 1) for _, m in gs)):
-        if sum(ks) == r:
+def _peels(w: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """Entry [r][j] lists the (i, c) with c the coefficient of m_mu in e_r * m_lam,
+    mu = partitions(w)[j], lam = partitions(w - r)[i]: lowering k_v of the
+    parts of mu equal to v by one, sum k_v = r, sorts to lam, in
+    prod C(mult_v(mu), k_v) ways; distinct k give distinct lam."""
+    index = [{p: i for i, p in enumerate(partitions(v))} for v in range(w + 1)]
+    table = [[[] for _ in partitions(w)] for _ in range(w + 1)]
+    for j, mu in enumerate(partitions(w)):
+        acc = [(0, (), 1)]  # (r, lam, c) over the k of the groups so far
+        for v, m in groups(mu):
             # values fall by at least one per group, so lam stays sorted
-            lam = [x for (v, m), k in zip(gs, ks) for x in [v] * (m - k) + [v - 1] * k if x]
-            out.append((tuple(lam), prod(comb(m, k) for (_, m), k in zip(gs, ks))))
-    return tuple(out)
+            acc = [(r + k, lam + (v,) * (m - k) + (v - 1,) * (k if v > 1 else 0), c * comb(m, k))
+                   for r, lam, c in acc for k in range(m + 1)]
+        for r, lam, c in acc:
+            table[r][j].append((index[w - r][lam], c))
+    return tuple(tuple(map(tuple, row)) for row in table)
 
 
 @lru_cache(maxsize=None)
@@ -50,10 +54,8 @@ def _e_row(nu: tuple[int, ...]) -> tuple[int, ...]:
     row sums nu and column sums mu (Macdonald, Symmetric Functions, I.6)."""
     if not nu:
         return (1,)
-    rest = nu[1:]
-    prev = dict(zip(partitions(sum(rest)), _e_row(rest)))
-    return tuple(sum(c * prev[lam] for lam, c in _peel(mu, nu[0]))
-                 for mu in partitions(sum(nu)))
+    prev = _e_row(nu[1:])
+    return tuple([sum([c * prev[i] for i, c in t]) if t else 0 for t in _peels(sum(nu))[nu[0]]])
 
 
 def _conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -78,7 +80,7 @@ class HopfData:
 
     def transition(self, w: int):
         """(partitions, E, Einv) with e^nu = sum_mu E[nu][mu] m_mu; the rows
-        of E come from ``_e_row``, Einv from ``field_rref`` over Z."""
+        of E come from ``_e_row``, Einv from the unit-pivot ``field_rref``."""
         cached = self._trans.get(w)
         if cached is not None:
             return cached
@@ -96,7 +98,7 @@ class HopfData:
         aug = [[row[conj[j]] for j in range(k)] + [int(j == i) for j in range(k)]
                for i, row in enumerate(E)]
         try:
-            red, pivots = field_rref(aug, ZZ)
+            red, pivots = field_rref(aug)
         except NonDivisibleBase:
             raise ArithmeticError("transition matrix is not unimodular") from None
         if pivots != list(range(k)):

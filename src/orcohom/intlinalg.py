@@ -4,8 +4,9 @@ Matrices are plain lists of rows (``list[list[int]]``, or rows of
 BaseRing elements for the generic routines), so every entry is an
 arbitrary-precision Python number.  A matrix with no rows carries no
 column count; routines that need one take it as an argument.  Row
-Hermite normal form is the one integer elimination: Smith invariants
-alternate it with transposes and integer kernels read it off [mat^T | I].
+Hermite normal form is the one general integer elimination (``field_rref``
+takes unit pivots only): Smith invariants alternate it with transposes
+and integer kernels read it off [mat^T | I].
 :class:`FPModule` is the one relation lattice: it owns the HNF of its
 relation rows and is the only reader of that format, for reduction,
 membership, standard columns, and free rank and torsion over a base.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import gcd
 
-from .coefficients import ZZ, BaseRing
+from .coefficients import ZZ, BaseRing, NonDivisibleBase
 
 
 class NonConfluentPresentation(ValueError):
@@ -273,37 +274,35 @@ def det_bareiss_ring(rows: list[list[int]]) -> int:
     return -d if sign else d
 
 
-def field_rref(rows: list[list], ring: BaseRing):
-    """Reduced row echelon form over a field (Q or Z/p), or over any domain
-    when every pivot it meets is a unit.
+def field_rref(rows: list[list[int]]):
+    """Reduced row echelon form over Z when every pivot it meets is a unit.
 
-    Each pivot row is scaled by the inverse of its pivot unless that is 1
-    (a non-unit raises NonDivisibleBase), then subtracted from the other
-    rows over its support only, as in ``hnf``.  Over Z this inverts a
-    unitriangular matrix exactly, as the Hopf layer does.  Returns
-    (reduced nonzero rows, pivot column indices).
+    A pivot row with pivot -1 is negated, any other pivot but 1 raises
+    NonDivisibleBase, and the row is subtracted from the other rows over
+    its support only, as in ``hnf``.  This inverts a unitriangular matrix
+    exactly, as the Hopf layer does.  Returns (reduced nonzero rows,
+    pivot column indices).
     """
     m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+    ncols = len(m[0]) if m else 0
     r = 0
     pivots = []
     for c in range(ncols):
-        sel = next((i for i in range(r, len(m)) if not ring.is_zero(m[i][c])), None)
+        sel = next((i for i in range(r, len(m)) if m[i][c]), None)
         if sel is None:
             continue
         m[r], m[sel] = m[sel], m[r]
         pr = m[r]
-        if not ring.is_one(pr[c]):
-            inv = ring.inv_unit(pr[c])
-            pr = m[r] = [ring.mul(inv, v) for v in pr]
-        support = [j for j in range(c, ncols) if not ring.is_zero(pr[j])]
+        if pr[c] == -1:
+            pr = m[r] = [-v for v in pr]
+        elif pr[c] != 1:
+            raise NonDivisibleBase(f"{pr[c]} is not invertible in {ZZ}")
+        support = [j for j in range(c, ncols) if pr[j]]
         for i, row in enumerate(m):
-            if i != r and not ring.is_zero(row[c]):
-                f = ring.neg(row[c])
+            f = row[c]
+            if f and i != r:
                 for j in support:
-                    row[j] = ring.add(row[j], ring.mul(f, pr[j]))
+                    row[j] -= f * pr[j]
         pivots.append(c)
         r += 1
         if r == len(m):

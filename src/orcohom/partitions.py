@@ -5,7 +5,7 @@ splits into two sub-multisets."""
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import groupby
 
 
 @lru_cache(maxsize=None)
@@ -27,6 +27,7 @@ def partitions(w: int, max_part: int | None = None) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def partitions_exact_parts(w: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(p for p in partitions(w) if len(p) == n)
 
@@ -45,13 +46,14 @@ def groups(p: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(v, len(list(g))) for v, g in groupby(p)]
 
 
-def sub_partition_splits(p: tuple[int, ...]):
-    """All ordered pairs (alpha, beta) of partitions with union p.
-
-    Of the m parts of p equal to v, alpha takes k and beta the other
-    m - k; every choice of the k is made in ``itertools.product`` order,
-    from ((), p) to (p, ()).
-    """
-    choices = [[((v,) * k, (v,) * (m - k)) for k in range(m + 1)] for v, m in groups(p)]
-    for pick in product(*choices):
-        yield sum((a for a, _ in pick), ()), sum((b for _, b in pick), ())
+def sub_partition_splits(p: tuple[int, ...], parts: int | None = None):
+    """All ordered pairs (alpha, beta) of partitions with union p, or those
+    whose alpha has ``parts`` parts.  Of the m parts of p equal to v,
+    alpha takes k and beta the other m - k; the k are chosen in
+    ``itertools.product`` order, from ((), p) to (p, ()), dropping a
+    partial choice that exceeds ``parts``."""
+    acc = [(0, (), ())]
+    for v, m in groups(p):
+        acc = [(n + k, a + (v,) * k, b + (v,) * (m - k)) for n, a, b in acc for k in range(m + 1)
+               if parts is None or n + k <= parts]
+    return [(a, b) for n, a, b in acc if parts is None or n == parts]

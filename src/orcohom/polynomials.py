@@ -37,14 +37,21 @@ def collect(base: BaseRing, out: dict, pairs) -> dict:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for i, e in b:
-        d[i] = d.get(i, 0) + e
-    return tuple(sorted(d.items()))
+    if not a or not b:
+        return a or b
+    out, i, j = [], 0, 0  # merge the two index-sorted tuples
+    while i < len(a) and j < len(b):
+        (ia, ea), (ib, eb) = a[i], b[j]
+        if ia < ib:
+            out.append(a[i])
+            i += 1
+        elif ib < ia:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append((ia, ea + eb))
+            i, j = i + 1, j + 1
+    return (*out, *a[i:], *b[j:])
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:

@@ -73,10 +73,10 @@ def thom_product_check(dec: ThomDecomposition, p: int, q: int) -> dict:
         raise ValueError("need p, q >= 0 with p + q within the truncation")
     square_ok = True
     for total in range(p + q, D + 1):
-        # the split route: split each class once, filed by left weight
+        # the split route: split each class once into p and q parts, by left weight
         splits: dict[int, set] = {}
         for mu in dec.piece_basis(p + q, total):
-            for alpha, beta in sub_partition_splits(mu):
+            for alpha, beta in sub_partition_splits(mu, p):
                 splits.setdefault(sum(alpha), set()).add((alpha, beta, mu))
         for wa in range(p, total - q + 1):
             pa = set(dec.piece_basis(p, wa))

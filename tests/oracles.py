@@ -16,7 +16,9 @@ truncation.  Symmetric polynomials are decomposed over e_1..e_n by
 leading-term subtraction, and the complement of a split tower is found
 as the integer kernel of the retraction rather than as the image of
 1 - s r.  Lazard ranks come from the whole relation lattice of each
-weight, not from the indecomposables and Lazard's theorem.
+weight, not from the indecomposables and Lazard's theorem.  Reduced
+row echelon forms over a field go through the coefficient ring's own
+arithmetic, with each pivot row scaled by its inverse.
 """
 
 from __future__ import annotations
@@ -263,6 +265,43 @@ def rank_over_Q(rows) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def field_rref_over(rows: list[list], ring):
+    """Reduced row echelon form over a field (Q or Z/p), or over any domain
+    when every pivot it meets is a unit.
+
+    Each pivot row is scaled by the inverse of its pivot unless that is 1
+    (a non-unit raises NonDivisibleBase), then subtracted from the other
+    rows over its support only.  Returns (reduced nonzero rows, pivot
+    column indices).
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(m)) if not ring.is_zero(m[i][c])), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        pr = m[r]
+        if not ring.is_one(pr[c]):
+            inv = ring.inv_unit(pr[c])
+            pr = m[r] = [ring.mul(inv, v) for v in pr]
+        support = [j for j in range(c, ncols) if not ring.is_zero(pr[j])]
+        for i, row in enumerate(m):
+            if i != r and not ring.is_zero(row[c]):
+                f = ring.neg(row[c])
+                for j in support:
+                    row[j] = ring.add(row[j], ring.mul(f, pr[j]))
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
 
 
 def det_cofactor(mat) -> int:

@@ -510,6 +510,10 @@ STDOUT_DIGESTS = [
      "96cc20708244e3dca009218751ee59405203d2ac58f2823933e1bc3823e56b9c"),
     ("fgl-check-multiplicative", ("fgl-check", "--law", "multiplicative"),
      "ed689714ef824a64ec0b4a4110be743f95a33ec6a681732c4510813b123ad58e"),
+    ("hopf-primitives-D12", ("hopf-primitives", "-D", "12"),
+     "b40bf00781d50a67cb9fdfd90d550b43a34c324020a1a1f1ea128e1a613d66c5"),
+    ("thom-decompose-D12", ("thom-decompose", "-D", "12"),
+     "a0f4aeb2552637760b47d63ae9fe8485369a2915e238b9d586b14404ad36481c"),
 ]
 
 

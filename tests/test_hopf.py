@@ -123,24 +123,23 @@ def test_indecomposables_match_the_multiplication_table(hd14):
         assert rep["pairing_unimodular"], w
 
 
-def test_transition_counts_zero_one_matrices():
+def test_transition_counts_zero_one_matrices(hd14):
     # E[nu][mu] is the number of 0-1 matrices with row sums nu and column
     # sums mu; the oracle enumerates each row's column set directly
-    hd = build_hopf(TH, 8)
-    for w in range(0, 9):
-        parts, E, _ = hd.transition(w)
+    for w in range(0, 10):
+        parts, E, _ = hd14.transition(w)
         assert E == [[zero_one_matrix_count(nu, mu) for mu in parts] for nu in parts], w
 
 
 def test_non_unimodular_transition_is_reported(monkeypatch):
-    # a non-unit pivot makes field_rref over Z raise NonDivisibleBase,
+    # a non-unit pivot makes the integer field_rref raise NonDivisibleBase,
     # which the transition reports as a non-unimodular matrix
     import orcohom.hopf as hopf_mod
 
     real = hopf_mod.field_rref
 
-    def doubled_first_row(rows, ring):
-        return real([[2 * v for v in rows[0]]] + rows[1:], ring)
+    def doubled_first_row(rows):
+        return real([[2 * v for v in rows[0]]] + rows[1:])
 
     monkeypatch.setattr(hopf_mod, "field_rref", doubled_first_row)
     with pytest.raises(ArithmeticError, match="not unimodular"):

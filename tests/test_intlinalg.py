@@ -16,6 +16,7 @@ from orcohom.intlinalg import (
 
 from oracles import (
     det_cofactor,
+    field_rref_over,
     integer_span_contains,
     rank_over_Q,
     reduce_against_hnf,
@@ -263,7 +264,7 @@ def test_reduce_over_z_decides_membership_and_rebuilds_the_vector():
 
 def _field_rref_full_width(rows, ring):
     """Reduced row echelon form that scales every pivot row and subtracts
-    over whole rows: the reference for field_rref's support-only steps."""
+    over whole rows: the reference for field_rref_over's support-only steps."""
     m = [list(r) for r in rows]
     if not m:
         return [], []
@@ -297,13 +298,63 @@ def test_field_rref_matches_full_width_elimination(ring):
               for _ in range(cols)] for _ in range(rows)]
         if rng.random() < 0.3:
             m.append(list(m[0]))  # a dependent row
-        assert field_rref(m, ring) == _field_rref_full_width(m, ring)
+        assert field_rref_over(m, ring) == _field_rref_full_width(m, ring)
 
 
 def test_field_rref_over_z_needs_unit_pivots():
-    red, pivots = field_rref([[1, 2, 0], [3, 7, 1]], ZZ)
+    red, pivots = field_rref([[1, 2, 0], [3, 7, 1]])
     assert (red, pivots) == ([[1, 0, -2], [0, 1, 1]], [0, 1])
+    assert field_rref([[0, -1, 2], [1, 4, 0]]) == ([[1, 0, 8], [0, 1, -2]], [0, 1])
+    assert field_rref([]) == ([], [])
     with pytest.raises(NonDivisibleBase):
-        field_rref([[2, 1], [0, 1]], ZZ)
+        field_rref([[2, 1], [0, 1]])
     with pytest.raises(NonDivisibleBase):
-        field_rref([[1, 1], [1, 3]], ZZ)  # the second pivot is 2
+        field_rref([[1, 1], [1, 3]])  # the second pivot is 2
+
+
+def _unit_pivot_matrix(rng):
+    """(L U, pivot columns, pivots) with U in echelon form on pivots +-1
+    and L unit lower triangular, so elimination meets U's pivots; one
+    column may be zero throughout, and combinations of the rows are
+    appended as dependent rows."""
+    rank, cols = rng.randint(1, 5), rng.randint(2, 8)
+    zero_col = rng.choice([None, rng.randrange(cols)])
+    pivot_cols = sorted(rng.sample([c for c in range(cols) if c != zero_col], min(rank, cols - 1)))
+    u = []
+    for c in pivot_cols:
+        row = [0] * c + [rng.choice([1, -1])] + [rng.randint(-3, 3) for _ in range(cols - c - 1)]
+        if zero_col is not None:
+            row[zero_col] = 0
+        u.append(row)
+    rows = []
+    for i, ui in enumerate(u):
+        ls = [rng.randint(-3, 3) for _ in range(i)]
+        rows.append([x + sum(l * uk[j] for l, uk in zip(ls, u)) for j, x in enumerate(ui)])
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        rows.append([a * x + b * y for x, y in zip(rng.choice(rows), rng.choice(rows))])
+    return rows, pivot_cols, [row[c] for row, c in zip(u, pivot_cols)]
+
+
+def test_integer_field_rref_matches_the_ring_reference():
+    # the native-integer elimination must give what the ring-generic
+    # reference gives over ZZ, and raise where it raises
+    rng = random.Random(283)
+    negated = dependent = 0
+    for _ in range(150):
+        m, pivot_cols, signs = _unit_pivot_matrix(rng)
+        assert field_rref(m) == field_rref_over(m, ZZ)
+        assert field_rref(m)[1] == pivot_cols
+        negated += -1 in signs
+        dependent += len(m) > len(pivot_cols)
+    assert negated > 50 and dependent > 50
+    for _ in range(200):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        m = [[rng.choice([0, 0, 0, 1, 1, -1, -1, 2, -3]) for _ in range(cols)] for _ in range(rows)]
+        try:
+            want = field_rref_over(m, ZZ)
+        except NonDivisibleBase:
+            with pytest.raises(NonDivisibleBase):
+                field_rref(m)
+        else:
+            assert field_rref(m) == want

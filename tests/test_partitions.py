@@ -21,3 +21,11 @@ def test_sub_partition_splits_are_all_the_splits(w):
             assert list(beta) == sorted(beta, reverse=True)
             assert merge(alpha, beta) == p
         assert splits[0] == ((), p) and splits[-1] == (p, ())
+
+
+@pytest.mark.parametrize("w", range(11))
+def test_sub_partition_splits_by_part_count_filter_the_full_enumeration(w):
+    for p in partitions(w):
+        every = list(sub_partition_splits(p))
+        for k in range(len(p) + 2):
+            assert list(sub_partition_splits(p, k)) == [s for s in every if len(s[0]) == k]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from orcohom.coefficients import QQ, ZZ
@@ -18,6 +20,31 @@ def test_monomial_helpers():
     assert not mono_divides(((1, 1),), a)
     assert mono_div(a, ((0, 2),)) == ((2, 1),)
     assert mono_weight(a, (1, 1, 2)) == 4
+
+
+def _mono_mul_by_dict(a, b):
+    d = dict(a)
+    for i, e in b:
+        d[i] = d.get(i, 0) + e
+    return tuple(sorted(d.items()))
+
+
+def test_mono_mul_merge_matches_the_dict_reference():
+    rng = random.Random(29)
+
+    def mono():
+        return tuple((i, rng.randint(1, 4)) for i in sorted(rng.sample(range(8), rng.randint(0, 5))))
+
+    cases = [((), ()), ((), ((1, 2),)), (((0, 1),), ()), (((0, 1), (3, 2)), ((1, 1), (4, 1))),
+             (((0, 1), (2, 2)), ((0, 3), (2, 1))), (((5, 1),), ((0, 2), (1, 1)))]
+    cases += [(mono(), mono()) for _ in range(500)]
+    shared = disjoint = 0
+    for a, b in cases:
+        assert mono_mul(a, b) == _mono_mul_by_dict(a, b) == mono_mul(b, a)
+        common = {i for i, _ in a} & {i for i, _ in b}
+        shared += bool(common)
+        disjoint += bool(a and b and not common)
+    assert shared > 100 and disjoint > 20
 
 
 def test_arithmetic():

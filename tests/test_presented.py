@@ -19,6 +19,7 @@ from orcohom.serialize import canonical_dumps, poly_to_json
 
 from oracles import (
     compose_termwise,
+    field_rref_over,
     flag_relation_certificate,
     in_relation_ideal,
     int_poly,
@@ -370,7 +371,6 @@ def test_composite_modulus_basis_spans_the_free_piece(n):
 
 def _field_rref_reference(ring, w):
     """(ambient, RREF rows, pivots) of the weight-w relation rows over a field base."""
-    from orcohom.intlinalg import field_rref
     from orcohom.polynomials import mono_mul
 
     base = ring.base
@@ -383,7 +383,7 @@ def _field_rref_reference(ring, w):
             for m, c in rel.terms.items():
                 row[index[mono_mul(m, mult)]] = c
             rows.append(row)
-    return (ambient, *field_rref(rows, base))
+    return (ambient, *field_rref_over(rows, base))
 
 
 @pytest.mark.parametrize("base", [QQ, ModularRing(5)], ids=["Q", "Z5"])

@@ -64,16 +64,16 @@ def test_product_check_verdicts_can_fail(monkeypatch):
     dec = thom_decompose(TH, 6)
     dropped = (dec.piece_basis(1, 2)[0], dec.piece_basis(1, 1)[0])
 
-    def drop_one(mu):
-        return [split for split in sub_partition_splits(mu) if split != dropped]
+    def drop_one(mu, parts=None):
+        return [split for split in sub_partition_splits(mu, parts) if split != dropped]
 
     monkeypatch.setattr(thom_mod, "sub_partition_splits", drop_one)
     rep = thom_product_check(dec, 1, 1)
     assert not rep["commuting_square"] and not rep["ok"]
     assert rep["thom_class_multiplicative"]
 
-    def no_ones_split(mu):
-        return [(a, b) for a, b in sub_partition_splits(mu)
+    def no_ones_split(mu, parts=None):
+        return [(a, b) for a, b in sub_partition_splits(mu, parts)
                 if not (a and b and set(a + b) == {1})]
 
     monkeypatch.setattr(thom_mod, "sub_partition_splits", no_ones_split)
