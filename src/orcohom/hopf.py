@@ -195,8 +195,8 @@ def indecomposables(hopf: HopfData, w: int) -> dict:
     is the pairing of the primitives with (w), which should be
     unimodular.
     """
-    if w < 1:
-        raise ValueError("weight must be positive")
+    if not 1 <= w <= hopf.truncation:
+        raise ValueError("weight out of range")
     parts, E, _ = hopf.transition(w)
     # parts[0] is (w); the pairing reads the m_(w) coordinate of the primitive
     (p,) = primitives(hopf, w)["basis"]

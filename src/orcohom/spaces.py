@@ -344,27 +344,14 @@ def restriction_map(theory: OrientedTheory, bigger, smaller, truncation: int = 8
     return rmap
 
 
-def surjectivity_report(rmap: RingMap) -> list[dict]:
-    """Per-weight surjectivity of a ring map between presented rings."""
-    out = []
-    for w in range(min(rmap.source.truncation, rmap.target.truncation) + 1):
-        surj = rmap.surjective(w)
-        entry = {"weight": w, "surjective": surj}
-        if surj is None:
-            entry["note"] = "non-integer entries"
-        out.append(entry)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # duality
 
 
-def homology_dual(theory: OrientedTheory, space, truncation: int = 8) -> list[int]:
+def homology_dual(ring: PresentedRing) -> list[int]:
     """Ranks of the degreewise dual of a free cohomology presentation:
-    entry w is the free rank of the weight-w piece over the theory's
+    entry w is the free rank of the weight-w piece over the ring's
     coefficients.  A piece with torsion has no free dual and is refused."""
-    ring = cohomology(theory, space, truncation)
     ranks = []
     for w in range(ring.truncation + 1):
         piece = ring.graded_basis(w)

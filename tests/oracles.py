@@ -16,9 +16,12 @@ truncation.  Symmetric polynomials are decomposed over e_1..e_n by
 leading-term subtraction, and the complement of a split tower is found
 as the integer kernel of the retraction rather than as the image of
 1 - s r.  Lazard ranks come from the whole relation lattice of each
-weight, not from the indecomposables and Lazard's theorem.  Reduced
-row echelon forms over a field go through the coefficient ring's own
-arithmetic, with each pivot row scaled by its inverse.
+weight, not from the indecomposables and Lazard's theorem.  A ring map
+is onto a weight when the images of the source monomials and the
+target's relation rows span the target's ambient lattice, not because
+it hits every generator.  Reduced row echelon forms over a field go
+through the coefficient ring's own arithmetic, with each pivot row
+scaled by its inverse.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from orcohom.coefficients import IntegerRing, ZZ
+from orcohom.coefficients import IntegerRing, ModularRing, RationalRing, ZZ
 from orcohom.conner_floyd import _coefficient_images, base_change, cobordism_presentation
 from orcohom.intlinalg import FPModule, kernel_basis
 from orcohom.fgl import (FormalGroupLaw, _generic_series, _lazard_generators, _poly_key, lazard_ring,
@@ -398,6 +401,27 @@ def integer_span_contains(span_rows, vec) -> bool:
     return not any(v)
 
 
+def integer_span_is_everything(rows, ncols: int) -> bool:
+    """Do the integer rows span Z^ncols?  Column by column, Euclid's
+    algorithm among the remaining rows leaves one pivot, the gcd of their
+    entries there; the span is everything exactly when each is 1."""
+    rows = [list(map(int, r)) for r in rows]
+    for col in range(ncols):
+        live = [r for r in rows if r[col] != 0]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            small = live[0]
+            for r in live[1:]:
+                q = r[col] // small[col]
+                for j in range(col, ncols):
+                    r[j] -= q * small[j]
+            live = [r for r in live if r[col] != 0]
+        if not live or abs(live[0][col]) != 1:
+            return False
+        rows = [r for r in rows if r is not live[0] and any(r)]
+    return True
+
+
 def conjugate_partition(p) -> tuple[int, ...]:
     """Transpose of the Young diagram: part i is the number of parts of p above i."""
     return tuple(sum(1 for x in p if x > i) for i in range(max(p, default=0)))
@@ -644,6 +668,46 @@ def conner_floyd_backward_map(space, D: int) -> RingMap:
     when every K-side relation holds on the cobordism side."""
     forward = conner_floyd_forward_map(space, D)
     return _generator_map(forward.target, forward.source)
+
+
+def surjective_by_lattice(rmap: RingMap, w: int) -> bool:
+    """Is the map onto the weight-w piece of its target, over the target base?
+
+    Rows on the target's weight-w ambient monomials: each target relation
+    times each monomial of the complementary weight, the image of each
+    source monomial by ``compose_termwise``, and over Z/n n times each
+    unit vector.  Over Q the map is onto when the rows have full rank;
+    over any other base the coefficients must be integers (ValueError
+    otherwise), and the map is onto when the integer span holds every
+    unit vector, which over Z[b_1..] or Z[b, b^-1] is decided by b = 0
+    or b = 1.
+    """
+    source, target = rmap.source, rmap.target
+    base = target.base
+    ambient = target.monomials_of_weight(w)
+    index = {m: j for j, m in enumerate(ambient)}
+    rows = []
+    for rel in target.relations:
+        for mult in target.monomials_of_weight(w - target.homogeneous_weight(rel)):
+            row = [base.zero()] * len(ambient)
+            for m, c in rel.terms.items():
+                row[index[mono_mul(m, mult)]] = c
+            rows.append(row)
+    for m in source.monomials_of_weight(w):
+        row = [base.zero()] * len(ambient)
+        image = compose_termwise(target, Polynomial(source.base, {m: source.base.one()}), rmap.images,
+                                 source.base)
+        for mm, c in image.terms.items():
+            row[index[mm]] = c
+        rows.append(row)
+    if isinstance(base, RationalRing):
+        return rank_over_Q(rows) == len(ambient)
+    ints = [[base.as_int(c) for c in row] for row in rows]
+    if any(None in row for row in ints):
+        raise ValueError("a coefficient has no integer value")
+    if isinstance(base, ModularRing):
+        ints += [[base.n * (i == j) for i in range(len(ambient))] for j in range(len(ambient))]
+    return integer_span_is_everything(ints, len(ambient))
 
 
 def prime_divisors(n: int) -> list[int]:

@@ -508,6 +508,14 @@ STDOUT_DIGESTS = [
      ("restriction", "--bigger", '{"Pn":3}', "--smaller", '{"Pn":2}', "--theory", "universal",
       "-D", "6"),
      "96cc20708244e3dca009218751ee59405203d2ac58f2823933e1bc3823e56b9c"),
+    ("restriction-iso-universal-BGL3",
+     ("restriction", "--bigger", '{"BGL":3}', "--smaller", '{"BGL":3}', "--theory", "universal",
+      "-D", "8", "--iso"),
+     "58f5f14fb8993c48ee4e51f486cebcc265594510237d01708ad273c770f1e857"),
+    ("restriction-iso-multiplicative-P4",
+     ("restriction", "--bigger", '{"Pn":4}', "--smaller", '{"Pn":4}', "--theory", "multiplicative",
+      "--iso"),
+     "ba76b7bbaa2846109a6f35e626b2c1ec252e792f264f3dff51538c61a7fcfdcd"),
     ("fgl-check-multiplicative", ("fgl-check", "--law", "multiplicative"),
      "ed689714ef824a64ec0b4a4110be743f95a33ec6a681732c4510813b123ad58e"),
     ("hopf-primitives-D12", ("hopf-primitives", "-D", "12"),

@@ -88,6 +88,15 @@ def test_indecomposables():
         assert indecomposables(hd, w)["pairing_unimodular"]
 
 
+@pytest.mark.parametrize("w", [0, 5, 18])
+def test_indecomposables_refuse_a_weight_before_building_its_transition(w):
+    # the weight is checked before the e -> m transition of weight w is built
+    hd = build_hopf(TH, 4)
+    with pytest.raises(ValueError, match="weight out of range"):
+        indecomposables(hd, w)
+    assert w not in hd._trans
+
+
 def test_snake_rank_decomposition():
     # rank of the reduced algebra piece = primitives + dual of squares
     hd = build_hopf(TH, 6)

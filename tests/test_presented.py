@@ -26,6 +26,7 @@ from oracles import (
     integer_span_contains,
     partitions_in_box,
     standard_monomials,
+    surjective_by_lattice,
 )
 
 
@@ -300,36 +301,40 @@ def test_is_graded_isomorphism():
     R2 = truncated_power_ring(1, D=4)
     with pytest.raises(ValueError):
         RingMap(R2, R, [P({((0, 2),): 1})])
+    # l -> l from Z[l]/(l^3) to Z[l]/(l^2): onto, bijective up to weight 1
+    ok, report = RingMap(R, R2, [R2.var("l")]).is_graded_isomorphism()
+    assert ok is False
+    assert [e["ok"] for e in report] == [True, True, False, True, True]
+    assert report[2]["note"] == "rank or torsion mismatch"
+    # a map that misses a generator gets no verdict: the lattice oracle
+    # finds it not onto in weight 1
     S = PresentedRing(ZZ, [("l", 2)], [P({((0, 2),): 1})], 4)
     squash = RingMap(S, R, [P({((0, 2),): 1})])
-    ok, report = squash.is_graded_isomorphism()
-    assert not ok
-    assert any(not e["ok"] and e["weight"] == 1 for e in report)
-    # T = Z[u, v]/(2u + 3v) is Z in weight 1, where v is -2: w -> v is not
-    # onto although v alone is the reported basis
-    T = PresentedRing(ZZ, [("u", 1), ("v", 1)], [P({((0, 1),): 2, ((1, 1),): 3})], 1)
-    S = PresentedRing(ZZ, [("w", 1)], [], 1)
-    witness = RingMap(S, T, [T.var("v")])
-    assert witness.surjective(1) is False
-    ok, report = witness.is_graded_isomorphism()
-    assert ok is False and report[1]["ok"] is False
+    assert surjective_by_lattice(squash, 1) is False
+    with pytest.raises(ValueError, match="generator l of the target is not an image"):
+        squash.is_graded_isomorphism()
 
 
-@pytest.mark.parametrize("weights, verdict", [
-    ({1: False, 2: None}, False),
-    ({1: None, 2: False}, False),
-    ({2: None}, None),
-    ({}, True),
-])
-def test_isomorphism_verdict_combines_weights(monkeypatch, weights, verdict):
-    # False in any weight decides the map; otherwise an undecided weight
-    # leaves the verdict partial
-    R = truncated_power_ring(2, D=4)
-    ident = RingMap(R, R, [R.var("l")])
-    monkeypatch.setattr(RingMap, "surjective", lambda self, w: weights.get(w, True))
-    ok, report = ident.is_graded_isomorphism()
-    assert ok is verdict
-    assert [e["ok"] for e in report] == [weights.get(w, True) for w in range(5)]
+@pytest.mark.parametrize("case", ["point", "relation"])
+def test_isomorphism_verdict_needs_every_generator_hit(case):
+    # l -> 0 on P^2 agrees in rank and torsion in every weight; T =
+    # Z[u, v]/(2u + 3v) is Z in weight 1, where v is -2: w -> v is not
+    # onto although v alone is the reported basis.  Neither map hits
+    # every generator, so neither gets a verdict
+    from orcohom.spaces import ProjectiveSpace, additive_theory, cohomology
+
+    if case == "point":
+        R = cohomology(additive_theory(ZZ, 4), ProjectiveSpace(2), 4)
+        rmap = RingMap(R, R, [Polynomial.zero(ZZ)])
+        onto = [True, False, False, True, True]
+    else:
+        T = PresentedRing(ZZ, [("u", 1), ("v", 1)], [P({((0, 1),): 2, ((1, 1),): 3})], 1)
+        rmap = RingMap(PresentedRing(ZZ, [("w", 1)], [], 1), T, [T.var("v")])
+        onto = [True, False]
+    rmap.check_well_defined()
+    assert [surjective_by_lattice(rmap, w) for w in range(len(onto))] == onto
+    with pytest.raises(ValueError, match="is not an image"):
+        rmap.is_graded_isomorphism()
 
 
 def test_weight_preserving_constants_allowed():
@@ -441,18 +446,20 @@ def test_quotient_coefficients_arithmetic():
 @pytest.mark.parametrize("n", [4, 6])
 def test_composite_modulus_iso_verdicts_are_proved(n):
     # over Z/n equal rank and torsion plus surjectivity is a proof: the
-    # units l -> l and l -> (n-1)l are isomorphisms with no note, and
-    # l -> 2l, onto neither Z/4 nor Z/6 in weight 1, is not
+    # identity is an isomorphism with no note.  The unit l -> (n-1)l is
+    # onto by the lattice and l -> 2l, onto neither Z/4 nor Z/6 in
+    # weight 1, is not; neither hits the generator, so neither gets a verdict
     zn = ModularRing(n)
     ring = PresentedRing(zn, [("l", 1)], [Polynomial(zn, {((0, 3),): 1})], 4)
     l = ring.var("l")
-    for image in (l, l.scale(n - 1)):
-        ok, report = RingMap(ring, ring, [image]).is_graded_isomorphism()
-        assert ok is True
-        assert not any("note" in e for e in report)
-    ok, report = RingMap(ring, ring, [l.scale(2)]).is_graded_isomorphism()
-    assert ok is False
-    assert report[1]["ok"] is False
+    ok, report = RingMap(ring, ring, [l]).is_graded_isomorphism()
+    assert ok is True
+    assert not any("note" in e for e in report)
+    for k, onto in ((n - 1, True), (2, False)):
+        rmap = RingMap(ring, ring, [l.scale(k)])
+        assert [surjective_by_lattice(rmap, w) for w in range(5)] == [True, onto, onto, True, True]
+        with pytest.raises(ValueError, match="is not an image"):
+            rmap.is_graded_isomorphism()
 
 
 def test_ill_defined_map_names_relation():
