@@ -11,6 +11,7 @@ from orcohom import (
     classifying_map,
     formal_inverse,
     laurent_over,
+    lazard_generators,
     lazard_graded_ranks,
     lazard_ring,
     logarithm,
@@ -28,7 +29,7 @@ mult = make_multiplicative(truncation=D)
 for name, law in (("additive", add), ("multiplicative", mult)):
     rep = check_axioms(law)
     print(f"{name}: F = {law.ring2.poly_str(law.series)}")
-    print(f"  unit={rep.unit_ok} commutative={rep.commutative_ok} associative={rep.associative_ok}")
+    print(f"  unit={rep['unit']} commutative={rep['commutative']} associative={rep['associative']}")
 
 print()
 print("== inverse and iterates for the multiplicative law ==")
@@ -45,13 +46,13 @@ print("l(x) =", multq.ring2.poly_str(logarithm(multq)))
 
 print()
 print("== truncated universal coefficients ==")
-pres = lazard_ring(5)
-print("generators:", [f"a{i}_{j}" for i, j in pres.gens])
+ring = lazard_ring(5)
+print("generators:", list(ring.names))
 # each weight's indecomposables are Z, so Lazard's theorem gives the ranks
 print("graded ranks:", lazard_graded_ranks(5), "(partition numbers)")
-cm = classifying_map(make_multiplicative(truncation=6), pres)
-images = {f"a{i}_{j}": cm.target.base.coeff_str(im.constant_term())
-          for (i, j), im in zip(pres.gens, cm.images) if not im.is_zero()}
+cm = classifying_map(make_multiplicative(truncation=6), ring)
+images = {name: cm.target.base.coeff_str(im.constant_term())
+          for name, im in zip(ring.names, cm.images) if not im.is_zero()}
 print("multiplicative law classifies through:", images)
 
 print()
@@ -59,8 +60,8 @@ print("== the universal law over Z[b] = H_*MU ==")
 # g(g^-1(x) + g^-1(y)) for g(x) = x + b1*x^2 + b2*x^3 + ...; the map from
 # the a_ij to Z[b] is injective (Lazard), so each a_ij is its b-polynomial
 univ = universal_law(5)
-print("check_axioms:", check_axioms(univ).passed)
-classifying_map(univ, pres)  # raises IllDefinedMap unless every relation vanishes in Z[b]
+print("check_axioms:", check_axioms(univ)["passed"])
+classifying_map(univ, ring)  # raises IllDefinedMap unless every relation vanishes in Z[b]
 print("every associativity relation of the presentation vanishes in Z[b]")
-for i, j in pres.gens:
+for i, j in lazard_generators(5):
     print(f"  a{i}_{j} ->", univ.base.ring.poly_str(univ.coefficient(i, j)))

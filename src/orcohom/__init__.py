@@ -35,12 +35,11 @@ from .presented import (
     scalar_ring,
 )
 from .fgl import (
-    AxiomReport,
     FormalGroupLaw,
-    LazardPresentation,
     check_axioms,
     classifying_map,
     formal_inverse,
+    lazard_generators,
     lazard_graded_ranks,
     lazard_ring,
     logarithm,

@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from itertools import repeat
 
 from . import conner_floyd as cf
 from . import fgl as fgl_mod
@@ -90,14 +91,14 @@ def run_fgl_check(args):
         law = fgl_mod.make_additive(truncation=D)
     else:
         law = fgl_mod.make_multiplicative(truncation=D)
-    report = fgl_mod.check_axioms(law)
+    axioms = fgl_mod.check_axioms(law)
     inv = fgl_mod.formal_inverse(law)
     from .presented import compose
     residue = compose(law.ring2, law.series, [law.x(), inv], law.base)
     inverse_ok = residue.is_zero()
     two = fgl_mod.n_series(law, 2)
     result = {
-        "axioms": report.as_dict(),
+        "axioms": axioms,
         "inverse_identity": inverse_ok,
         "formal_inverse": ser.poly_to_json(inv, (1, 1), 2),
         "two_series": ser.poly_to_json(two, (1, 1), 2),
@@ -108,10 +109,9 @@ def run_fgl_check(args):
         result["logarithm"] = ser.poly_to_json(log, (1, 1), 2)
     except NonDivisibleBase as e:
         result["logarithm"] = f"unavailable: {e}"
-    verified = report.passed and inverse_ok
-    csv_rows = [["axiom", "ok"],
-                ["unit", report.unit_ok], ["commutative", report.commutative_ok],
-                ["associative", report.associative_ok], ["inverse", inverse_ok]]
+    verified = axioms["passed"] and inverse_ok
+    csv_rows = ([["axiom", "ok"]] + [[k, axioms[k]] for k in ("unit", "commutative", "associative")]
+                + [["inverse", inverse_ok]])
     return result, verified, csv_rows
 
 
@@ -120,18 +120,18 @@ def run_fgl_lazard(args):
     if D > args.bound:
         raise InputError(f"truncation {D} exceeds --bound {args.bound}")
     ranks = fgl_mod.lazard_graded_ranks(D, args.bound)
-    pres = fgl_mod.lazard_ring(D, args.bound)
+    ring = fgl_mod.lazard_ring(D, args.bound)
     law = fgl_mod.make_multiplicative(truncation=D + 1)
-    cmap = fgl_mod.classifying_map(law, pres)
-    images = {f"a{i}_{j}": cmap.target.base.coeff_str(im.constant_term())
-              for (i, j), im in zip(pres.gens, cmap.images)}
+    cmap = fgl_mod.classifying_map(law, ring)
+    images = {name: cmap.target.base.coeff_str(im.constant_term())
+              for name, im in zip(ring.names, cmap.images)}
     result = {
         "truncation": D,
-        "generators": [f"a{i}_{j}" for i, j in pres.gens],
-        "relation_count": len(pres.ring.relations),
+        "generators": list(ring.names),
+        "relation_count": len(ring.relations),
         "graded_ranks": ranks,
         "multiplicative_classifying_images": images,
-        "presentation": ser.presented_ring_to_json(pres.ring),
+        "presentation": ser.presented_ring_to_json(ring),
     }
     csv_rows = [["weight", "rank"]] + [[w, r] for w, r in enumerate(ranks)]
     return result, True, csv_rows  # the ranks and the classifying map raise on a wrong presentation
@@ -415,29 +415,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_pretty(result: dict) -> None:
-    out = sys.stdout
+    """Nested keys and list items, one per line; leaves as ``json.dumps`` writes them."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    fast = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+            bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+    lines = []
 
-    def walk(obj, indent=0):
-        pad = "  " * indent
-        if isinstance(obj, dict):
-            for k in sorted(obj):
-                v = obj[k]
-                if isinstance(v, (dict, list)) and v:
-                    out.write(f"{pad}{k}:\n")
-                    walk(v, indent + 1)
-                else:
-                    out.write(f"{pad}{k}: {json.dumps(v, sort_keys=True)}\n")
-        elif isinstance(obj, list):
-            for v in obj:
-                if isinstance(v, (dict, list)) and v:
-                    out.write(f"{pad}-\n")
-                    walk(v, indent + 1)
-                else:
-                    out.write(f"{pad}- {json.dumps(v, sort_keys=True)}\n")
-        else:
-            out.write(f"{pad}{json.dumps(obj, sort_keys=True)}\n")
+    def walk(obj, pad):
+        heads = [(f"{k}:", obj[k]) for k in sorted(obj)] if isinstance(obj, dict) else zip(repeat("-"), obj)
+        for head, v in heads:
+            if isinstance(v, (dict, list)) and v:
+                lines.append(f"{pad}{head}\n")
+                walk(v, pad + "  ")
+            else:
+                lines.append(f"{pad}{head} {fast.get(type(v), encode)(v)}\n")
 
-    walk(result)
+    walk(result, "")
+    sys.stdout.write("".join(lines))
 
 
 def main(argv=None) -> int:

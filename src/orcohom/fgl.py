@@ -2,19 +2,22 @@
 
 A law is a truncated bivariate series F(x, y) over a coefficient
 domain satisfying F(x, 0) = x, F(0, y) = y, symmetry, and
-associativity modulo terms of weight above the truncation bound.  The
-universal coefficients are presented by generators a_ij (i <= j) of
-weight i + j - 1 subject to the coefficients of the associator
-(``lazard_ring``); specializing a law amounts to the classifying map
-sending each a_ij to the matching series coefficient.  By Lazard's
-theorem L -> Z[b] = H_*MU is injective (Adams, *Stable Homotopy and
-Generalised Homology*, Part II; Ravenel, *Complex Cobordism*, A2.1), so
-``universal_law`` carries the universal law over Z[b_1..b_D] as
-g(g^-1(x) + g^-1(y)), g(x) = x + sum b_i x^(i+1): each a_ij is exactly
-its b-polynomial, with no relation lattice and no normal form.  The
-same theorem gives ``lazard_graded_ranks``: it checks the presentation
-weight by weight through its indecomposables, one small module per
-weight, and never forms the relation lattice.
+associativity modulo terms of weight above the truncation bound;
+``check_axioms`` reports on them as plain data, the dict ``fgl-check``
+prints.  The universal coefficients are presented by generators a_ij
+(i <= j) of weight i + j - 1 subject to the coefficients of the
+associator: ``lazard_ring`` returns that ``PresentedRing``, and
+``lazard_generators`` the (i, j) of its variables.  Specializing a law
+amounts to the classifying map sending each a_ij to the matching
+series coefficient.  By Lazard's theorem L -> Z[b] = H_*MU is injective
+(Adams, *Stable Homotopy and Generalised Homology*, Part II; Ravenel,
+*Complex Cobordism*, A2.1), so ``universal_law`` carries the universal
+law over Z[b_1..b_D] as g(g^-1(x) + g^-1(y)), g(x) = x + sum b_i
+x^(i+1): each a_ij is exactly its b-polynomial, with no relation
+lattice and no normal form.  The same theorem gives
+``lazard_graded_ranks``: it checks the presentation weight by weight
+through its indecomposables, one small module per weight, and never
+forms the relation lattice.
 """
 
 from __future__ import annotations
@@ -33,38 +36,6 @@ _Y = 1
 
 def series_ring(base: BaseRing, names, truncation: int) -> PresentedRing:
     return PresentedRing(base, [(n, 1) for n in names], [], truncation)
-
-
-class AxiomFailure:
-    def __init__(self, axiom: str, monomial: str, coefficient: str):
-        # in this order: ``AxiomReport.as_dict`` emits ``vars`` of a failure
-        self.axiom = axiom
-        self.monomial = monomial
-        self.coefficient = coefficient
-
-
-class AxiomReport:
-    def __init__(self, unit_ok: bool, commutative_ok: bool, associative_ok: bool,
-                 truncation: int, failures: list[AxiomFailure]):
-        self.unit_ok = unit_ok
-        self.commutative_ok = commutative_ok
-        self.associative_ok = associative_ok
-        self.truncation = truncation
-        self.failures = failures
-
-    @property
-    def passed(self) -> bool:
-        return self.unit_ok and self.commutative_ok and self.associative_ok
-
-    def as_dict(self) -> dict:
-        return {
-            "truncation": self.truncation,
-            "unit": self.unit_ok,
-            "commutative": self.commutative_ok,
-            "associative": self.associative_ok,
-            "passed": self.passed,
-            "failures": [vars(f) for f in self.failures],
-        }
 
 
 class FormalGroupLaw:
@@ -160,42 +131,45 @@ def universal_law(truncation: int = 8, base: QuotientCoefficients | None = None)
     return FormalGroupLaw(base, series, D + 1)
 
 
-def check_axioms(law: FormalGroupLaw) -> AxiomReport:
-    """Unit, commutativity and associativity, with first offending terms."""
+def _left_associate(base: BaseRing, series: Polynomial, truncation: int):
+    """F(F(x, y), z) in the series ring on x, y, z truncated at ``truncation``, and that ring."""
+    r3 = series_ring(base, ("x", "y", "z"), truncation)
+    # F(x, y) is the series itself, with no composing
+    return r3, compose(r3, series, [r3.normal_form(series), Polynomial.variable(base, 2)], base)
+
+
+def check_axioms(law: FormalGroupLaw) -> dict:
+    """Unit, commutativity and associativity, with first offending terms.
+
+    The report is plain data: the truncation, one verdict per axiom,
+    ``passed``, and ``failures`` as {axiom, monomial, coefficient}
+    entries, each naming the lowest failing monomial of its axiom.
+    """
     base = law.base
     r2 = law.ring2
     series = law.series
-    failures: list[AxiomFailure] = []
+    failures = []
 
-    def first_failure(axiom: str, diff: Polynomial, ring: PresentedRing):
+    def verdict(axiom: str, diff: Polynomial, ring: PresentedRing) -> bool:
+        if diff.is_zero():
+            return True
         m = min(diff.terms, key=lambda mm: (ring.mono_weight(mm), mm))
-        failures.append(AxiomFailure(axiom, ring.poly_str(Polynomial(base, {m: base.one()})),
-                                     base.coeff_str(diff.terms[m])))
+        failures.append({"axiom": axiom, "monomial": ring.poly_str(Polynomial(base, {m: base.one()})),
+                         "coefficient": base.coeff_str(diff.terms[m])})
+        return False
 
-    x = Polynomial.variable(base, _X)
-    y = Polynomial.variable(base, _Y)
-    zero = Polynomial.zero(base)
+    x, y, zero = law.x(), law.y(), Polynomial.zero(base)
     left_unit = compose(r2, series, [x, zero], base) - x
     right_unit = compose(r2, series, [zero, y], base) - y
-    unit_ok = left_unit.is_zero() and right_unit.is_zero()
-    if not unit_ok:
-        first_failure("unit", left_unit if not left_unit.is_zero() else right_unit, r2)
-
-    comm_diff = series - swap_variables(series, _X, _Y)
-    comm_ok = comm_diff.is_zero()
-    if not comm_ok:
-        first_failure("commutativity", comm_diff, r2)
-
-    r3 = series_ring(base, ("x", "y", "z"), law.truncation)
-    # F(x, y) and F(y, z) are the series and its shift, with no composing
-    lhs = compose(r3, series, [r3.normal_form(series), Polynomial.variable(base, 2)], base)
-    rhs = compose(r3, series, [Polynomial.variable(base, 0), series.shift_indices(1)], base)
-    assoc_diff = lhs - rhs
-    assoc_ok = assoc_diff.is_zero()
-    if not assoc_ok:
-        first_failure("associativity", assoc_diff, r3)
-
-    return AxiomReport(unit_ok, comm_ok, assoc_ok, law.truncation, failures)
+    unit = verdict("unit", left_unit if not left_unit.is_zero() else right_unit, r2)
+    commutative = verdict("commutativity", series - swap_variables(series, _X, _Y), r2)
+    r3, lhs = _left_associate(base, series, law.truncation)
+    # F(y, z) is the series shifted, with no composing
+    rhs = compose(r3, series, [x, series.shift_indices(1)], base)
+    associative = verdict("associativity", lhs - rhs, r3)
+    return {"truncation": law.truncation, "unit": unit, "commutative": commutative,
+            "associative": associative, "passed": unit and commutative and associative,
+            "failures": failures}
 
 
 def formal_inverse(law: FormalGroupLaw) -> Polynomial:
@@ -267,22 +241,13 @@ def logarithm(law: FormalGroupLaw) -> Polynomial:
     return Polynomial(base, terms)
 
 
-class LazardPresentation:
-    """Truncated universal coefficients presented by associativity.
+def lazard_generators(truncation: int) -> list[tuple[int, int]]:
+    """The (i, j) of the generators a_ij of ``lazard_ring(truncation)``, in variable order.
 
-    generators are (i, j) pairs with i <= j and weight i + j - 1 at
-    most the ring's truncation D; relations are the coefficients of the
-    associator F(F(x, y), z) - F(x, F(y, z)) on monomials x^a y^b z^c
-    with a + b + c at most D + 1.
+    i <= j and the weight i + j - 1 is at most the truncation; the order
+    is by weight, then by i.
     """
-
-    def __init__(self, gens: tuple[tuple[int, int], ...], ring: PresentedRing):
-        self.gens = gens
-        self.ring = ring
-
-
-def _lazard_generators(bound: int) -> list[tuple[int, int]]:
-    gens = [(i, j) for j in range(1, bound + 1) for i in range(1, j + 1) if i + j <= bound + 1]
+    gens = [(i, j) for j in range(1, truncation + 1) for i in range(1, j + 1) if i + j <= truncation + 1]
     gens.sort(key=lambda ij: (ij[0] + ij[1] - 1, ij[0]))
     return gens
 
@@ -300,14 +265,19 @@ def _generic_series(base: BaseRing, gens) -> Polynomial:
     return Polynomial(base, terms)
 
 
-_LAZARD_CACHE: dict[int, LazardPresentation] = {}
+_LAZARD_CACHE: dict[int, PresentedRing] = {}
 
 
-def lazard_ring(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> LazardPresentation:
+def lazard_ring(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> PresentedRing:
     """The universal-coefficient presentation truncated at the given weight.
 
-    Relation generation is combinatorial in the truncation, so weights
-    above the configured bound must be requested explicitly.
+    The variables are a_ij, named ``a{i}_{j}``, in the order of
+    ``lazard_generators``, with weight i + j - 1; the relations are the
+    coefficients of the associator F(F(x, y), z) - F(x, F(y, z)) on
+    monomials x^a y^b z^c with a + b + c at most D + 1, lowest monomial
+    first, keeping one relation of each pair r, -r.  Relation generation
+    is combinatorial in the truncation, so weights above the configured
+    bound must be requested explicitly.
     """
     if truncation < 1:
         raise ValueError("truncation must be positive")
@@ -316,36 +286,21 @@ def lazard_ring(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> LazardPre
     cached = _LAZARD_CACHE.get(truncation)
     if cached is not None:
         return cached
-    gens = _lazard_generators(truncation)
+    gens = lazard_generators(truncation)
     names = [(f"a{i}_{j}", i + j - 1) for i, j in gens]
-    free = PresentedRing(ZZ, names, [], truncation)
-    free_coeffs = QuotientCoefficients(free)
+    free_coeffs = QuotientCoefficients(PresentedRing(ZZ, names, [], truncation))
     series = _generic_series(free_coeffs, gens)
-    r3 = series_ring(free_coeffs, ("x", "y", "z"), truncation + 1)
-    # F(x, y) is the series itself; the series is symmetric, so F(x, F(y, z))
-    # is the x<->z relabelling of F(F(x, y), z)
-    inner = r3.normal_form(series)
-    lhs = compose(r3, series, [inner, Polynomial.variable(free_coeffs, 2)], free_coeffs)
-    rhs = swap_variables(lhs, 0, 2)
-    delta = lhs - rhs
-    relations: list[Polynomial] = []
-    seen: set = set()
-    order = sorted(delta.terms, key=lambda m: (r3.mono_weight(m), m))
-    for m in order:
+    r3, lhs = _left_associate(free_coeffs, series, truncation + 1)
+    # the series is symmetric, so F(x, F(y, z)) is the x<->z relabelling of F(F(x, y), z)
+    delta = lhs - swap_variables(lhs, 0, 2)
+    relations: dict = {}
+    for m in sorted(delta.terms, key=lambda m: (r3.mono_weight(m), m)):
         rel = delta.terms[m]
-        key = _poly_key(rel)
-        neg_key = _poly_key(-rel)
-        if key in seen or neg_key in seen:
-            continue
-        seen.add(key)
-        relations.append(rel)
-    result = LazardPresentation(tuple(gens), PresentedRing(ZZ, names, relations, truncation))
-    _LAZARD_CACHE[truncation] = result
-    return result
-
-
-def _poly_key(p: Polynomial):
-    return tuple(sorted((m, str(c)) for m, c in p.terms.items()))
+        terms = sorted(rel.terms.items())
+        relations.setdefault(tuple(terms) if terms[0][1] > 0 else tuple((mm, -c) for mm, c in terms), rel)
+    ring = PresentedRing(ZZ, names, list(relations.values()), truncation)
+    _LAZARD_CACHE[truncation] = ring
+    return ring
 
 
 def lazard_graded_ranks(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> list[int]:
@@ -362,7 +317,7 @@ def lazard_graded_ranks(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> l
     p(w): Lazard's theorem (Adams, *Stable Homotopy and Generalised
     Homology*, Part II §7; Ravenel, *Complex Cobordism*, Thm A2.1.10).
     """
-    ring = lazard_ring(truncation, bound).ring
+    ring = lazard_ring(truncation, bound)
     relations = [(ring.homogeneous_weight(r), r.terms) for r in ring.relations]
     for n in range(1, truncation + 1):
         cols = [((k, 1),) for k, w in enumerate(ring.weights) if w == n]
@@ -372,21 +327,20 @@ def lazard_graded_ranks(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> l
     return [partition_count(w) for w in range(truncation + 1)]
 
 
-def classifying_map(law: FormalGroupLaw, pres: LazardPresentation) -> RingMap:
+def classifying_map(law: FormalGroupLaw, ring: PresentedRing) -> RingMap:
     """Map a_ij to the matching coefficient of the law.
 
-    The law must be truncated strictly beyond the presentation's
-    truncation so every generator's coefficient is determined.  Well-definedness of
-    the map is checked and doubles as an associativity certificate; an
-    invalid series raises IllDefinedMap.
+    ``ring`` is a ``lazard_ring``, whose variables are the a_ij of
+    ``lazard_generators`` at its truncation.  The law must be truncated
+    strictly beyond that truncation so every generator's coefficient is
+    determined.  Well-definedness of the map is checked and doubles as an
+    associativity certificate; an invalid series raises IllDefinedMap.
     """
-    if law.truncation <= pres.ring.truncation:
+    if law.truncation <= ring.truncation:
         raise ValueError("law truncation must exceed the presentation bound")
-    target = scalar_ring(law.base, pres.ring.truncation)
-    images = []
-    for i, j in pres.gens:
-        c = law.coefficient(i, j)
-        images.append(Polynomial.constant(law.base, c))
-    rmap = RingMap(pres.ring, target, images)
+    target = scalar_ring(law.base, ring.truncation)
+    images = [Polynomial.constant(law.base, law.coefficient(i, j))
+              for i, j in lazard_generators(ring.truncation)]
+    rmap = RingMap(ring, target, images)
     rmap.check_well_defined()
     return rmap

@@ -228,6 +228,8 @@ def _periodicity_from_json(data: dict):
 def _weight(key: str) -> int:
     if re.fullmatch(r"-?[0-9]+", key) is None:
         raise ValueError(f"weight key must be an integer, got {key!r}")
+    if str(int(key)) != key:
+        raise ValueError(f"weight key must be written {int(key)}, got {key!r}")
     return int(key)
 
 

@@ -35,8 +35,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from orcohom.coefficients import IntegerRing, ModularRing, RationalRing, ZZ
 from orcohom.conner_floyd import _coefficient_images, base_change, cobordism_presentation
 from orcohom.intlinalg import FPModule, kernel_basis
-from orcohom.fgl import (FormalGroupLaw, _generic_series, _lazard_generators, _poly_key, lazard_ring,
-                         series_ring)
+from orcohom.fgl import FormalGroupLaw, _generic_series, lazard_generators, lazard_ring, series_ring
 from orcohom.polynomials import Polynomial, mono_divides, mono_mul, mono_weight, swap_variables
 from orcohom.presented import NonConfluentPresentation, PresentedRing, QuotientCoefficients, RingMap, compose
 from orcohom.spaces import ClassifyingBGL, cohomology, multiplicative_theory
@@ -729,7 +728,7 @@ def lazard_ranks_by_lattice(D: int, relations=None) -> list[tuple[int, list[int]
     a-monomials of each weight (``PresentedRing.graded_basis``), with no
     appeal to Lazard's theorem.  ``relations`` replaces the associativity
     relations of ``fgl.lazard_ring(D)``."""
-    ring = lazard_ring(D, bound=D).ring
+    ring = lazard_ring(D, bound=D)
     if relations is not None:
         ring = PresentedRing(ZZ, ring.variables, relations, D)
     return [(piece.free_rank, piece.torsion) for piece in map(ring.graded_basis, range(D + 1))]
@@ -844,7 +843,7 @@ def formal_inverse_reference(law: FormalGroupLaw) -> Polynomial:
 def lazard_relations_by_compose(D: int) -> list[Polynomial]:
     """The associativity relations of ``fgl.lazard_ring``, with F(x, y)
     formed by composing the generic series with the identity images."""
-    gens = _lazard_generators(D)
+    gens = lazard_generators(D)
     coeffs = QuotientCoefficients(PresentedRing(ZZ, [(f"a{i}_{j}", i + j - 1) for i, j in gens], [], D))
     series = _generic_series(coeffs, gens)
     r3 = series_ring(coeffs, ("x", "y", "z"), D + 1)
@@ -859,3 +858,8 @@ def lazard_relations_by_compose(D: int) -> list[Polynomial]:
             seen.add(_poly_key(rel))
             relations.append(rel)
     return relations
+
+
+def _poly_key(p: Polynomial):
+    """Two relations r, r' are one pair when the key of r' is that of r or -r."""
+    return tuple(sorted((m, str(c)) for m, c in p.terms.items()))

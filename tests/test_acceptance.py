@@ -96,7 +96,7 @@ def test_criterion_3_group_law_calculus_at_12():
     mult = make_multiplicative(truncation=12)
     for law in (add, mult):
         rep = check_axioms(law)
-        assert rep.unit_ok and rep.commutative_ok and rep.associative_ok
+        assert rep["unit"] and rep["commutative"] and rep["associative"]
         inv = formal_inverse(law)
         residue = compose(law.ring2, law.series, [law.x(), inv], law.base)
         assert residue.is_zero()

@@ -278,6 +278,25 @@ def test_malformed_system_shape_exits_2(tmp_path, command, change, message):
     assert res.stderr == f"input error: {message}\n"
 
 
+Z1, Z2 = {"ngens": 1, "relations": []}, {"ngens": 2, "relations": []}
+
+
+@pytest.mark.parametrize("command, change, key", [
+    # "0" and "-0" used to read as one weight, the later piece Z^2 winning: rank 2, exit 0
+    ("tower", {"stages": [{"0": Z1, "-0": Z2}] * 2, "maps": [{"0": [[1, 0], [0, 1]]}]}, "-0"),
+    ("telescope", {"stages": [{"1": Z1, "01": Z2}] * 2, "maps": [{"1": [[1, 0], [0, 1]]}]}, "01"),
+    ("tower", {"maps": [{"0": [[1]], "00": [[2]]}]}, "00"),
+], ids=["tower-stage", "telescope-stage", "map"])
+def test_ambiguous_weight_keys_exit_2(tmp_path, command, change, key):
+    doc = {"stages": [{"0": Z1}] * 2, "maps": [{"0": [[1]]}], "periodicity": [0, 1], **change}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli(command, "--input", str(path))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"input error: weight key must be written {int(key)}, got {key!r}\n"
+
+
 def test_telescope_input_is_checked_like_a_tower(tmp_path):
     # maps 2, 1, 1 on Z are not periodic from stage 0
     doc = {"stages": [{"0": {"ngens": 1, "relations": []}}] * 4,
@@ -522,6 +541,16 @@ STDOUT_DIGESTS = [
      "b40bf00781d50a67cb9fdfd90d550b43a34c324020a1a1f1ea128e1a613d66c5"),
     ("thom-decompose-D12", ("thom-decompose", "-D", "12"),
      "a0f4aeb2552637760b47d63ae9fe8485369a2915e238b9d586b14404ad36481c"),
+    ("fgl-lazard-D12", ("fgl-lazard", "-D", "12", "--bound", "12"),
+     "bfca8c35044fcc581e2d85539af207c1196e9efec2b97264e56ae1e9060dc0b3"),
+]
+
+# the default (pretty) format
+PRETTY_DIGESTS = [
+    ("fgl-lazard-D9", ("fgl-lazard", "-D", "9", "--bound", "9"),
+     "51144f202daae1865858504a5a69b4d9f9342f2f0377c37609683a2de0d021cd"),
+    ("hopf-primitives-D12", ("hopf-primitives", "-D", "12"),
+     "3782e8af18d5254f03b4c4ad94feadb412f7dc1a7a8b92a3b9173d549b6e92ad"),
 ]
 
 
@@ -530,6 +559,39 @@ def test_stdout_digests_are_pinned(name, args, digest):
     res = run_cli(*args, "--format", "json")
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, args, digest", PRETTY_DIGESTS, ids=[n for n, _, _ in PRETTY_DIGESTS])
+def test_pretty_stdout_digests_are_pinned(name, args, digest):
+    res = run_cli(*args)
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+def test_failing_fgl_check_stdout_is_pinned(tmp_path):
+    # x + y + x^2 + 3xy^2 fails all three axioms, each at its lowest monomial
+    law = {"base": {"kind": "Integers"}, "series": [[[1, 0], "1"], [[0, 1], "1"], [[2, 0], "1"], [[1, 2], "3"]],
+           "truncation": 5, "beta": None}
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(law))
+    res = run_cli("fgl-check", "--input", str(path), "--format", "json")
+    assert res.returncode == 1, res.stderr
+    assert [f["axiom"] for f in json.loads(res.stdout)["axioms"]["failures"]] == [
+        "unit", "commutativity", "associativity"]
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+        "1233f7f10361cba1914a184d33565aa274088f4dfaf65b4b5c1aae984da32821")
+
+
+def test_pretty_leaves_are_written_as_json_dumps(capsys):
+    from orcohom import cli
+
+    leaves = ['say "hi"', "back\\slash", "ctl\n\t\r\x00\x1f\x7f", "caf\u00e9 \u2202 \U0001d54a", "",
+              0, -1, -(2 ** 70), 10 ** 40, True, False, None, [], {}]
+    nested = {f"k{i:02}": v for i, v in enumerate(leaves)}
+    cli._emit_pretty({"leaf": leaves, "nested": nested})
+    want = (["leaf:"] + [f"  - {json.dumps(v, sort_keys=True)}" for v in leaves]
+            + ["nested:"] + [f"  {k}: {json.dumps(v, sort_keys=True)}" for k, v in nested.items()])
+    assert capsys.readouterr().out.splitlines() == want
 
 
 def test_fgl_lazard_default_flags():

@@ -545,7 +545,7 @@ def _compose_case(name):
     base_id, _, route = name.partition("-")
     if base_id == "universal":
         if route == "lazard":
-            return lazard_ring(5).ring, lambda rng: ZZ.from_int(rng.randint(-3, 3))
+            return lazard_ring(5), lambda rng: ZZ.from_int(rng.randint(-3, 3))
         coeffs = universal_law(5).base
         inner = coeffs.ring
 
@@ -662,9 +662,9 @@ def test_compose_matches_termwise_on_the_lazard_associator(D):
     # F(F(x, y), z) for the generic series over the free Z[a_ij], as
     # ``lazard_ring`` forms it: one chain per output monomial at each
     # Horner level against a sum of termwise products
-    from orcohom.fgl import _generic_series, _lazard_generators, series_ring
+    from orcohom.fgl import _generic_series, lazard_generators, series_ring
 
-    gens = _lazard_generators(D)
+    gens = lazard_generators(D)
     coeffs = QuotientCoefficients(PresentedRing(ZZ, [(f"a{i}_{j}", i + j - 1) for i, j in gens], [], D))
     series = _generic_series(coeffs, gens)
     r3 = series_ring(coeffs, ("x", "y", "z"), D + 1)

@@ -71,9 +71,9 @@ def test_presented_ring_round_trip():
 
 
 def test_lazard_ring_exports_as_presented_ring():
-    pres = lazard_ring(4)
-    back = roundtrip_bytes(presented_ring_to_json, presented_ring_from_json, pres.ring)
-    assert back.graded_ranks(4) == pres.ring.graded_ranks(4)
+    ring = lazard_ring(4)
+    back = roundtrip_bytes(presented_ring_to_json, presented_ring_from_json, ring)
+    assert back.graded_ranks(4) == ring.graded_ranks(4)
 
 
 def test_ringmap_round_trip():
