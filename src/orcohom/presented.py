@@ -7,31 +7,12 @@ truncation bound D.  Power-series rings are modelled by truncation, so
 "the weight-w piece" is always a finitely generated module over the
 coefficient domain.
 
-Normal forms use one of two routes, chosen by the relations alone:
-
-* rewriting: when the relations have unit leading coefficients and
-  pairwise coprime leading monomials, leading-term rewriting to a
-  fixpoint is confluent (Buchberger's first criterion) and normal forms
-  are computed by memoized monomial reduction;
-* degreewise: otherwise each weight-w piece is an ``intlinalg.FPModule``
-  on the ambient monomials, which is exact for any homogeneous relation
-  list.  Its relations are the relation rows as integer vectors (over Q
-  each scaled by the lcm of its denominators) and, over Z/n, n times
-  each unit vector.  ``FPModule.reduce`` gives the normal form: a pivot
-  of the lattice's Hermite normal form that is a unit of the base clears
-  its column; any other pivot p reduces the integer value of its entry
-  into [0, p).
-
-Both routes produce idempotent normal forms, supported on the standard
-monomials: on the rewriting route those no leading monomial divides,
-listed directly by a pruned monomial recursion; on the degreewise route
-the columns whose pivot is zero in the base (the non-pivot columns over
-Z and Q, the columns with pivot n over Z/n).  A degreewise pivot that is
-neither a unit nor zero in the base (among the Grassmannians first at
-Gr(4,7) in weight 8; Gr(4,8) has a pivot 2 in weight 11, over Z and
-over Z/n for even n) is the exception: a multiple of its monomial lies
-in the relation span but the monomial itself does not, so the normal
-form can keep that monomial although the reported basis omits it.
+Normal forms and graded pieces come from one of two route objects,
+chosen once by the relations alone: :class:`Rewrite` when leading-term
+rewriting by the relations is confluent, and :class:`Degreewise`, which
+is exact for any homogeneous relation list, otherwise.  Both produce
+idempotent normal forms supported on the standard monomials of each
+weight, which the route's ``piece`` lists as the basis.
 """
 
 from __future__ import annotations
@@ -66,10 +47,8 @@ class GradedPiece:
     """Weight-w slice of a presented ring.
 
     Plain data, cached by the ring: ``basis`` lists the standard
-    monomials (see the module docstring), and no ambient list is kept.
-    On the rewrite route ``free_rank`` is the length of the basis and
-    ``torsion`` is empty; on the degreewise route they are the free rank
-    and torsion over the base of the weight's relation module.
+    monomials of the ring's route, with the piece's free rank and
+    torsion over the base; no ambient list is kept.
     """
 
     def __init__(self, weight: int, basis, free_rank, torsion):
@@ -87,13 +66,13 @@ class PresentedRing:
 
     variables is an ordered list of (name, positive weight); relations
     are weight-homogeneous polynomials in those variables.  The route
-    (see the module docstring) depends on the relations only, so a ring
-    rebuilt from its relations reduces the same way; a presentation that
-    should rewrite states relations that rewrite, as the flag bundles'
-    triangular ones do.
+    object ``reduction`` (see the module docstring) depends on the
+    relations only, so a ring rebuilt from its relations reduces the
+    same way; a presentation that should rewrite states relations that
+    rewrite, as the flag bundles' triangular ones do.
 
     Instances are immutable after construction and all operations are
-    pure; the per-weight reducer and normal-form caches are internal
+    pure; the piece cache here and the route's caches are internal
     memoization whose entries are value-identical however the race
     resolves, so concurrent use is safe.
     """
@@ -114,18 +93,18 @@ class PresentedRing:
         self.relations = tuple(r for r in relations if not r.is_zero())
         for r in self.relations:
             self._validate_element(r)
-        self._relation_weights = [self.homogeneous_weight(r) for r in self.relations]
-        if None in self._relation_weights:
+        relation_weights = [self.homogeneous_weight(r) for r in self.relations]
+        if None in relation_weights:
             raise ValueError("relations must be weight-homogeneous")
-        if 0 in self._relation_weights:
+        if 0 in relation_weights:
             raise ValueError("weight-0 relations are not supported")
-        # reduction route
-        self._nf_mono_cache: dict[Mono, Polynomial] = {}
-        self._reducers: dict[int, tuple] = {}
         self._pieces: dict[int, GradedPiece] = {}
         self._mono_cache: dict[int, list[Mono]] = {}
-        self.rewrite_rules = self._try_build_rules(self.relations)
-        self.route = "degreewise" if self.rewrite_rules is None else "rewrite"
+        self.reduction = Rewrite.of(self) or Degreewise()
+
+    @property
+    def route(self) -> str:
+        return self.reduction.name
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -214,166 +193,6 @@ class PresentedRing:
         return out
 
     # ------------------------------------------------------------------
-    # rewriting route
-
-    def _try_build_rules(self, relations):
-        """Rules (lm, minus_inv_tail) if rewriting by the relations is confluent, else None.
-
-        Requires unit leading coefficients and pairwise coprime leading
-        monomials; under those conditions every S-pair reduces to zero
-        and leading-term rewriting is confluent.
-        """
-        rules = []
-        seen: list[tuple[set[int], bool]] = []
-        for r in relations:
-            lm, lc = r.leading(self.weights, self.nvars)
-            if lm == ONE_MONO:
-                return None
-            if not self.base.is_unit(lc):
-                return None
-            support = {i for i, _ in lm}
-            is_monomial = len(r.terms) == 1
-            # S-pairs vanish for coprime leading monomials and for pairs
-            # of pure monomial relations; anything else is rejected here
-            for other_support, other_mono in seen:
-                if support & other_support and not (is_monomial and other_mono):
-                    return None
-            seen.append((support, is_monomial))
-            inv = self.base.inv_unit(self.base.neg(lc))
-            tail = Polynomial(self.base, {m: c for m, c in r.terms.items() if m != lm})
-            rules.append((lm, tail.scale(inv)))
-        return tuple(rules)
-
-    def _nf_monomial(self, m: Mono) -> Polynomial:
-        """Normal form of a single monomial, memoized.
-
-        Iterative so that long reduction chains never hit the Python
-        recursion limit; dependencies are strictly smaller monomials in
-        graded-lex, so the work stack cannot cycle.
-        """
-        cache = self._nf_mono_cache
-        got = cache.get(m)
-        if got is not None:
-            return got
-        stack = [m]
-        while stack:
-            cur = stack[-1]
-            if cur in cache:
-                stack.pop()
-                continue
-            hit = None
-            for lm, tail in self.rewrite_rules:
-                if mono_divides(lm, cur):
-                    hit = (lm, tail)
-                    break
-            if hit is None:
-                cache[cur] = Polynomial(self.base, {cur: self.base.one()}, _clean=True)
-                stack.pop()
-                continue
-            lm, tail = hit
-            q = mono_div(cur, lm)
-            expanded = []
-            for mm, c in tail.terms.items():
-                mq = mono_mul(mm, q)
-                if self.mono_weight(mq) <= self.truncation:
-                    expanded.append((mq, c))
-            missing = [mq for mq, _ in expanded if mq not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            fma, acc = self.base.fma, {}
-            for mq, c in expanded:
-                for mm, v in cache[mq].terms.items():
-                    acc[mm] = fma(acc.get(mm), c, v)
-            cache[cur] = settled(self.base, acc)
-            stack.pop()
-        return cache[m]
-
-    def _rewrite_poly(self, p: Polynomial) -> Polynomial:
-        """Normal form of p, which has no term above D, by the rewrite rules."""
-        if not self.rewrite_rules:
-            return p
-        fma, acc = self.base.fma, {}
-        for m, c in p.terms.items():
-            for mm, v in self._nf_monomial(m).terms.items():
-                acc[mm] = fma(acc.get(mm), c, v)
-        return settled(self.base, acc)
-
-    # ------------------------------------------------------------------
-    # degreewise route
-
-    def _as_integers(self, coeffs: list) -> list[int] | None:
-        """Integer entries for a row of base coefficients, or None if one has none.
-
-        A row may be scaled by a unit of the base, which keeps its span:
-        over Q by the lcm of its denominators, over Z[b, b^-1] by b^-k
-        when every nonzero entry is an integer multiple of b^k.
-        """
-        base = self.base
-        if isinstance(base, RationalRing):
-            d = math.lcm(*(c.denominator for c in coeffs))
-            return [int(c * d) for c in coeffs]
-        if isinstance(base, LaurentRing):
-            shifts = {e for c in coeffs for e in c}
-            if len(shifts) == 1:
-                k = shifts.pop()
-                coeffs = [{e - k: v for e, v in c.items()} for c in coeffs]
-        ints = [base.as_int(c) for c in coeffs]
-        return None if None in ints else ints
-
-    def _relation_rows(self, w: int):
-        """Integer relation-span rows in weight w on the ambient monomials."""
-        ambient = self.monomials_of_weight(w)
-        index = {m: j for j, m in enumerate(ambient)}
-        rows = []
-        for rel, u in zip(self.relations, self._relation_weights):
-            mults = self.monomials_of_weight(w - u)
-            if not mults:
-                continue
-            ints = self._as_integers(list(rel.terms.values()))
-            if ints is None:
-                raise NonConfluentPresentation(
-                    "degreewise reduction over this base needs integer relation coefficients")
-            terms = list(zip(rel.terms, ints))
-            for mult in mults:
-                row = [0] * len(ambient)
-                for m, c in terms:
-                    row[index[mono_mul(m, mult)]] = c
-                rows.append(row)
-        return ambient, index, rows
-
-    def _reducer(self, w: int):
-        """Cached (ambient, index, module) in weight w: the relation rows,
-        whose span maps onto the span of the relations, followed over Z/n
-        by n times each unit vector."""
-        cached = self._reducers.get(w)
-        if cached is None:
-            ambient, index, rows = self._relation_rows(w)
-            if isinstance(self.base, ModularRing):
-                rows += FPModule.modular(self.base.n, len(ambient)).relations
-            cached = self._reducers[w] = (ambient, index, FPModule(len(ambient), rows))
-        return cached
-
-    def _degreewise_reduce_poly(self, p: Polynomial) -> Polynomial:
-        """Canonical reduction of each weight's terms against its relation module."""
-        base = self.base
-        by_weight: dict[int, dict] = {}
-        for m, c in p.terms.items():
-            w = self.mono_weight(m)
-            if w > self.truncation:
-                continue
-            by_weight.setdefault(w, {})[m] = c
-        out: dict = {}
-        for w, vec in by_weight.items():
-            ambient, index, module = self._reducer(w)
-            v = [base.zero()] * len(ambient)
-            for m, c in vec.items():
-                v[index[m]] = c
-            _, r = module.reduce(v, base)
-            out.update({m: c for m, c in zip(ambient, r) if not base.is_zero(c)})
-        return Polynomial(base, out, _clean=True)
-
-    # ------------------------------------------------------------------
     # public operations
 
     def truncate(self, p: Polynomial) -> Polynomial:
@@ -383,21 +202,17 @@ class PresentedRing:
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Unique reduced representative of p modulo relations and truncation."""
         self._validate_element(p)
-        if self.route == "rewrite":
-            p = self.truncate(p)
-        return self._reduce(p)
+        return self._reduce(self.truncate(p))
 
     def _reduce(self, p: Polynomial) -> Polynomial:
-        """Normal form of p; on the rewrite route p has no term above D."""
-        if self.route == "rewrite":
-            return self._rewrite_poly(p)
-        return self._degreewise_reduce_poly(p)
+        """Normal form of p, which has no term above D."""
+        return self.reduction.reduce(self, p)
 
     def mul(self, a: Polynomial, b: Polynomial) -> Polynomial:
         """normal_form(a * b), without forming the terms of weight above D.
 
-        Exact because the relations are weight-homogeneous and every route
-        drops the terms above D before reducing.  The product's variables
+        Exact because the relations are weight-homogeneous, so reducing
+        never moves a term across weights.  The product's variables
         are those of a and b, so validating them covers it.
         """
         self._validate_element(a)
@@ -410,16 +225,7 @@ class PresentedRing:
             raise ValueError(f"weight {w} outside 0..{self.truncation}")
         piece = self._pieces.get(w)
         if piece is None:
-            base = self.base
-            if self.route == "rewrite":
-                leading = [lm for lm, _ in self.rewrite_rules]
-                basis = self._monomials(w, leading) if leading else self.monomials_of_weight(w)
-                free, torsion = len(basis), []
-            else:
-                ambient, _, module = self._reducer(w)
-                basis = [ambient[j] for j in module.standard_columns(base)]
-                free, torsion = module.rank_torsion(base)
-            piece = self._pieces[w] = GradedPiece(w, basis, free, torsion)
+            piece = self._pieces[w] = GradedPiece(w, *self.reduction.piece(self, w))
         return piece
 
     def graded_ranks(self, upto: int | None = None) -> list[int]:
@@ -449,6 +255,198 @@ class PresentedRing:
     def __repr__(self):
         vs = ",".join(n for n, _ in self.variables)
         return f"PresentedRing({self.base!r}[{vs}]/{len(self.relations)} rels, D={self.truncation})"
+
+
+class Rewrite:
+    """Reduction by confluent leading-term rewriting.
+
+    Used when the relations have unit leading coefficients and pairwise
+    coprime leading monomials (or are pure monomials): every S-pair then
+    reduces to zero (Buchberger's first criterion), so rewriting to a
+    fixpoint is confluent.  Normal forms come from memoized monomial
+    reduction, and the standard monomials, those no leading monomial
+    divides, are a free basis of each weight (Macaulay's basis theorem),
+    listed directly by the ring's pruned monomial recursion.  A rule keeps
+    a monomial's weight, so no term above D ever appears.
+    """
+
+    name = "rewrite"
+
+    def __init__(self, rules):
+        self.rules = rules
+        self.leading = [lm for lm, _ in rules]
+        self._nf: dict[Mono, Polynomial] = {}
+
+    @classmethod
+    def of(cls, ring: PresentedRing) -> Rewrite | None:
+        """The route with rules (lm, minus_inv_tail) for ring's relations, or None if not confluent."""
+        base, rules = ring.base, []
+        seen: list[tuple[set[int], bool]] = []
+        for r in ring.relations:
+            lm, lc = r.leading(ring.weights, ring.nvars)
+            if not base.is_unit(lc):
+                return None
+            support = {i for i, _ in lm}
+            is_monomial = len(r.terms) == 1
+            # S-pairs vanish for coprime leading monomials and for pairs
+            # of pure monomial relations; anything else is rejected here
+            for other_support, other_mono in seen:
+                if support & other_support and not (is_monomial and other_mono):
+                    return None
+            seen.append((support, is_monomial))
+            inv = base.inv_unit(base.neg(lc))
+            tail = Polynomial(base, {m: c for m, c in r.terms.items() if m != lm})
+            rules.append((lm, tail.scale(inv)))
+        return cls(tuple(rules))
+
+    def _monomial(self, base: BaseRing, m: Mono) -> Polynomial:
+        """Normal form of a single monomial, memoized.
+
+        Iterative so that long reduction chains never hit the Python
+        recursion limit; dependencies are strictly smaller monomials in
+        graded-lex, so the work stack cannot cycle.
+        """
+        cache = self._nf
+        got = cache.get(m)
+        if got is not None:
+            return got
+        stack = [m]
+        while stack:
+            cur = stack[-1]
+            if cur in cache:
+                stack.pop()
+                continue
+            hit = None
+            for lm, tail in self.rules:
+                if mono_divides(lm, cur):
+                    hit = (lm, tail)
+                    break
+            if hit is None:
+                cache[cur] = Polynomial(base, {cur: base.one()}, _clean=True)
+                stack.pop()
+                continue
+            lm, tail = hit
+            q = mono_div(cur, lm)
+            expanded = [(mono_mul(mm, q), c) for mm, c in tail.terms.items()]
+            missing = [mq for mq, _ in expanded if mq not in cache]
+            if missing:
+                stack.extend(missing)
+                continue
+            fma, acc = base.fma, {}
+            for mq, c in expanded:
+                for mm, v in cache[mq].terms.items():
+                    acc[mm] = fma(acc.get(mm), c, v)
+            cache[cur] = settled(base, acc)
+            stack.pop()
+        return cache[m]
+
+    def reduce(self, ring: PresentedRing, p: Polynomial) -> Polynomial:
+        """Normal form of p, which has no term above D."""
+        if not self.rules:
+            return p
+        base = ring.base
+        fma, acc = base.fma, {}
+        for m, c in p.terms.items():
+            for mm, v in self._monomial(base, m).terms.items():
+                acc[mm] = fma(acc.get(mm), c, v)
+        return settled(base, acc)
+
+    def piece(self, ring: PresentedRing, w: int):
+        """(standard monomials, free rank, torsion) of the weight-w piece."""
+        basis = ring._monomials(w, self.leading) if self.leading else ring.monomials_of_weight(w)
+        return basis, len(basis), []
+
+
+class Degreewise:
+    """Reduction one weight at a time against the relation module.
+
+    Exact for any homogeneous relation list.  The weight-w piece is an
+    ``intlinalg.FPModule`` on the ambient monomials (see ``reducer``),
+    whose ``reduce`` gives the normal form.  The standard monomials are
+    the columns whose pivot is zero in the base: the non-pivot columns
+    over Z and Q, the columns with pivot n over Z/n.  A pivot neither a
+    unit nor zero in the base (among the Grassmannians first at Gr(4,7)
+    in weight 8; Gr(4,8) has a pivot 2 in weight 11, over Z and over Z/n
+    for even n) is the exception: a multiple of its monomial lies in the
+    relation span but the monomial does not, so a normal form can keep a
+    monomial that the basis omits.
+    """
+
+    name = "degreewise"
+
+    def __init__(self):
+        self._reducers: dict[int, tuple] = {}
+
+    @staticmethod
+    def _as_integers(base: BaseRing, coeffs: list) -> list[int] | None:
+        """Integer entries for a row of base coefficients, or None if one has none.
+
+        A row may be scaled by a unit of the base, which keeps its span:
+        over Q by the lcm of its denominators, over Z[b, b^-1] by b^-k
+        when every nonzero entry is an integer multiple of b^k.
+        """
+        if isinstance(base, RationalRing):
+            d = math.lcm(*(c.denominator for c in coeffs))
+            return [int(c * d) for c in coeffs]
+        if isinstance(base, LaurentRing):
+            shifts = {e for c in coeffs for e in c}
+            if len(shifts) == 1:
+                k = shifts.pop()
+                coeffs = [{e - k: v for e, v in c.items()} for c in coeffs]
+        ints = [base.as_int(c) for c in coeffs]
+        return None if None in ints else ints
+
+    def reducer(self, ring: PresentedRing, w: int):
+        """Cached (ambient, index, module) in weight w: the relation rows,
+        whose span maps onto the span of the relations, followed over Z/n
+        by n times each unit vector."""
+        cached = self._reducers.get(w)
+        if cached is not None:
+            return cached
+        ambient = ring.monomials_of_weight(w)
+        index = {m: j for j, m in enumerate(ambient)}
+        rows = []
+        for rel in ring.relations:
+            # relations are homogeneous, so any term gives the weight
+            mults = ring.monomials_of_weight(w - ring.mono_weight(next(iter(rel.terms))))
+            if not mults:
+                continue
+            ints = self._as_integers(ring.base, list(rel.terms.values()))
+            if ints is None:
+                raise NonConfluentPresentation(
+                    "degreewise reduction over this base needs integer relation coefficients")
+            terms = list(zip(rel.terms, ints))
+            for mult in mults:
+                row = [0] * len(ambient)
+                for m, c in terms:
+                    row[index[mono_mul(m, mult)]] = c
+                rows.append(row)
+        if isinstance(ring.base, ModularRing):
+            rows += FPModule.modular(ring.base.n, len(ambient)).relations
+        cached = self._reducers[w] = (ambient, index, FPModule(len(ambient), rows))
+        return cached
+
+    def reduce(self, ring: PresentedRing, p: Polynomial) -> Polynomial:
+        """Canonical reduction of each weight's terms of p, which has none above D."""
+        base = ring.base
+        by_weight: dict[int, dict] = {}
+        for m, c in p.terms.items():
+            by_weight.setdefault(ring.mono_weight(m), {})[m] = c
+        out: dict = {}
+        for w, vec in by_weight.items():
+            ambient, index, module = self.reducer(ring, w)
+            v = [base.zero()] * len(ambient)
+            for m, c in vec.items():
+                v[index[m]] = c
+            _, r = module.reduce(v, base)
+            out.update({m: c for m, c in zip(ambient, r) if not base.is_zero(c)})
+        return Polynomial(base, out, _clean=True)
+
+    def piece(self, ring: PresentedRing, w: int):
+        """(standard monomials, free rank, torsion) of the weight-w piece."""
+        ambient, _, module = self.reducer(ring, w)
+        basis = [ambient[j] for j in module.standard_columns(ring.base)]
+        return (basis, *module.rank_torsion(ring.base))
 
 
 def scalar_ring(base: BaseRing, truncation: int = 8) -> PresentedRing:

@@ -14,7 +14,7 @@ import re
 from .coefficients import BaseRing, IntegerRing, LaurentRing, ModularRing, RationalRing, QQ, ZZ
 from .fgl import FormalGroupLaw
 from .polynomials import poly_from_json, poly_to_json
-from .presented import PresentedRing, QuotientCoefficients, RingMap
+from .presented import PresentedRing, QuotientCoefficients
 from .spaces import (
     ClassifyingBGL,
     FlagBundle,
@@ -86,22 +86,6 @@ def presented_ring_from_json(data: dict) -> PresentedRing:
     variables = [(n, _integer(w, f"weight of variable {n!r}")) for n, w in data["variables"]]
     relations = [poly_from_json(base, r) for r in data["relations"]]
     return PresentedRing(base, variables, relations, _integer(data["truncation"], "truncation"))
-
-
-def ringmap_to_json(rmap: RingMap) -> dict:
-    return {
-        "source": presented_ring_to_json(rmap.source),
-        "target": presented_ring_to_json(rmap.target),
-        "images": [poly_to_json(im, rmap.target.weights, rmap.target.nvars)
-                   for im in rmap.images],
-    }
-
-
-def ringmap_from_json(data: dict) -> RingMap:
-    source = presented_ring_from_json(data["source"])
-    target = presented_ring_from_json(data["target"])
-    images = [poly_from_json(target.base, im) for im in data["images"]]
-    return RingMap(source, target, images)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +289,6 @@ def schemas() -> dict:
             "relations": "[Polynomial, ...] (weight-homogeneous)",
             "truncation": "positive integer weight bound",
         },
-        "RingMap": {"source": "PresentedRing", "target": "PresentedRing",
-                    "images": "[Polynomial per source generator]"},
         "FormalGroupLaw": {"base": "BaseRing", "series": poly,
                            "truncation": "int", "beta": "coefficient-string or null"},
         "Space": {

@@ -37,7 +37,8 @@ from orcohom.conner_floyd import _coefficient_images, base_change, cobordism_pre
 from orcohom.intlinalg import FPModule, kernel_basis
 from orcohom.fgl import FormalGroupLaw, _generic_series, lazard_generators, lazard_ring, series_ring
 from orcohom.polynomials import Polynomial, mono_divides, mono_mul, mono_weight, swap_variables
-from orcohom.presented import NonConfluentPresentation, PresentedRing, QuotientCoefficients, RingMap, compose
+from orcohom.presented import (Degreewise, NonConfluentPresentation, PresentedRing, QuotientCoefficients,
+                               RingMap, compose)
 from orcohom.spaces import ClassifyingBGL, cohomology, multiplicative_theory
 
 
@@ -120,14 +121,13 @@ def q_factorial_ranks(n: int) -> list[int]:
 def standard_monomials(ring, w: int) -> list:
     """Rewrite-route basis by filtering: the weight-w monomials no leading monomial divides."""
     return [m for m in ring.monomials_of_weight(w)
-            if not any(mono_divides(lm, m) for lm, _ in ring.rewrite_rules)]
+            if not any(mono_divides(lm, m) for lm in ring.reduction.leading)]
 
 
 def degreewise_twin(ring: PresentedRing) -> PresentedRing:
     """Same presentation, forced through the degreewise route."""
     twin = PresentedRing(ring.base, ring.variables, ring.relations, ring.truncation)
-    twin.route = "degreewise"
-    twin.rewrite_rules = None
+    twin.reduction = Degreewise()
     return twin
 
 

@@ -543,6 +543,25 @@ STDOUT_DIGESTS = [
      "a0f4aeb2552637760b47d63ae9fe8485369a2915e238b9d586b14404ad36481c"),
     ("fgl-lazard-D12", ("fgl-lazard", "-D", "12", "--bound", "12"),
      "bfca8c35044fcc581e2d85539af207c1196e9efec2b97264e56ae1e9060dc0b3"),
+    # both reduction routes through --reduce and --tensor: degreewise with
+    # the non-unit pivot of Gr(4,8) in weight 11, rewrite on Flag(4),
+    # degreewise over the Laurent base and over the universal coefficients
+    ("cohomology-reduce-Gr48",
+     ("cohomology", "--space", '{"Grassmannian":{"m":4,"n":8}}', "-D", "12",
+      "--reduce", '[[[1,1,0,2],"3"],[[0,0,0,3],"1"],[[12,0,0,0],"1"]]'),
+     "db919acbe4329704b61fea9b376183a6c5abe2a54e14ddbdf83e7404b7d9a754"),
+    ("cohomology-reduce-Flag4",
+     ("cohomology", "--space", '{"Flag":{"n":4}}', "-D", "6",
+      "--reduce", '[[[3,0,0,0],"1"],[[1,1,1,0],"-2"],[[0,0,0,6],"1"]]'),
+     "d2084f1bde15d909ed4d85fedaafc5a8914ec0e10eafb2c77a8c0ef692a5c91a"),
+    ("cohomology-reduce-multiplicative-Gr25",
+     ("cohomology", "--space", '{"Grassmannian":{"m":2,"n":5}}', "--theory", "multiplicative",
+      "-D", "6", "--reduce", '[[[3,0],"2@1"],[[0,3],"1@0"]]'),
+     "2dc36bebba0a373c83b590d9bd17eabf83fd4ea9d4735ffafa4c06198c5c8035"),
+    ("cohomology-universal-tensor-Gr24",
+     ("cohomology", "--space", '{"Grassmannian":{"m":2,"n":4}}', "--theory", "universal",
+      "-D", "6", "--tensor", "s1,s1"),
+     "72dd6ffa7cd118ed53b7359dbe806edc9c6f7366fbb6e2aef96bbb7036be3b63"),
 ]
 
 # the default (pretty) format

@@ -123,7 +123,7 @@ def test_base_change_keeps_the_rewrite_route(space):
     left = cobordism_presentation(space, 8)
     changed = base_change(left, *_coefficient_images(8))
     assert left.route == changed.route == "rewrite"
-    assert [lm for lm, _ in changed.rewrite_rules] == [lm for lm, _ in left.rewrite_rules]
+    assert changed.reduction.leading == left.reduction.leading
 
 
 def test_universal_theory_cached_and_valid():

@@ -21,7 +21,7 @@ from orcohom.fgl import (
 )
 from orcohom.intlinalg import FPModule
 from orcohom.polynomials import Polynomial
-from orcohom.presented import IllDefinedMap, PresentedRing, compose
+from orcohom.presented import Degreewise, IllDefinedMap, PresentedRing, compose
 
 from oracles import (
     formal_inverse_reference,
@@ -325,7 +325,7 @@ def test_lazard_relations_are_the_kernel_into_z_b():
             for bm, c in value.terms.items():
                 row[index[bm]] = c
             evaluation.append(row)
-        _, _, relations = ring._relation_rows(w)
+        relations = Degreewise().reducer(ring, w)[2].relations
         for r in relations:
             assert all(sum(c * row[k] for c, row in zip(r, evaluation)) == 0 for k in range(len(index)))
         lattice = FPModule(len(monos), relations)

@@ -7,6 +7,7 @@ import pytest
 from orcohom.coefficients import ModularRing, QQ, ZZ, laurent_over
 from orcohom.polynomials import Polynomial
 from orcohom.presented import (
+    Degreewise,
     IllDefinedMap,
     NonConfluentPresentation,
     PresentedRing,
@@ -151,10 +152,10 @@ def test_rewrite_basis_lists_the_standard_monomials(name):
     for w in range(ring.truncation + 1):
         basis = ring.graded_basis(w).basis
         assert basis == standard_monomials(ring, w), w
-        if not ring.rewrite_rules:
+        if not ring.reduction.rules:
             assert basis is ring.monomials_of_weight(w)
     if name == "mixed":
-        assert [lm for lm, _ in ring.rewrite_rules] == [((0, 1), (1, 1)), ((2, 1), (3, 1)), ((3, 2),)]
+        assert ring.reduction.leading == [((0, 1), (1, 1)), ((2, 1), (3, 1)), ((3, 2),)]
 
 
 @pytest.mark.parametrize("name", REWRITE_NAMES)
@@ -167,7 +168,7 @@ def test_rewrite_route_survives_a_json_round_trip(name):
     back = presented_ring_from_json(json.loads(canonical_dumps(presented_ring_to_json(ring))))
     assert back == ring
     assert back.route == ring.route == "rewrite"
-    assert back.rewrite_rules == ring.rewrite_rules
+    assert back.reduction.rules == ring.reduction.rules
 
 
 def _flag_fibers(name):
@@ -236,12 +237,30 @@ def test_flag_relations_match_the_symmetric_function_oracle():
     assert checked == 2 + 3 + 4 + 5 + 6 + 2 + 3 + 6 * 2
 
 
-def test_rewrite_rings_from_spaces_build_no_relation_lattice():
+def test_rewrite_rings_from_spaces_build_no_relation_lattice(monkeypatch):
+    # rebuilt with empty caches, each ring computes its ranks and the
+    # normal form of every ambient monomial while any HNF raises
+    from orcohom import intlinalg
+
     rings = [_rewrite_ring(name) for name in REWRITE_NAMES if name != "mixed"]
     rings += [R for R, _ in _bundle_rings() if R.route == "rewrite"]
     assert len(rings) == 18
+    rings = [PresentedRing(R.base, R.variables, R.relations, R.truncation) for R in rings]
+
+    def no_lattice(mat):
+        raise AssertionError("a rewrite ring built a relation lattice")
+
+    monkeypatch.setattr(intlinalg, "hnf", no_lattice)
     for ring in rings:
-        assert ring.route == "rewrite" and ring._reducers == {}, ring
+        assert ring.route == "rewrite", ring
+        one = ring.base.one()
+        for w in range(ring.truncation + 1):
+            ring.graded_basis(w)
+            for m in ring.monomials_of_weight(w):
+                ring.normal_form(Polynomial(ring.base, {m: one}))
+    # the patch reaches the degreewise route's modules
+    with pytest.raises(AssertionError, match="relation lattice"):
+        PresentedRing(ZZ, [("x", 1)], [P({((0, 1),): 2})], 2).graded_ranks()
 
 
 def test_torsion_pivot_refuses_coefficients_without_an_integer_value():
@@ -257,18 +276,55 @@ def test_torsion_pivot_refuses_coefficients_without_an_integer_value():
     assert ring.normal_form(x.scale(base.from_int(3))) == x
 
 
+def test_degreewise_rows_over_q_clear_denominators():
+    # x^2 - xy/2 and xy - y^2/3 span what 2x^2 - xy and 3xy - y^2 span;
+    # a row that kept its fractions unscaled would lose its xy term
+    x, y = (Polynomial.variable(QQ, i) for i in range(2))
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    variables = [("x", 1), ("y", 1)]
+    fractional = PresentedRing(QQ, variables, [x * x - (x * y).scale(half),
+                                               x * y - (y * y).scale(third)], 4)
+    cleared = PresentedRing(QQ, variables, [(x * x).scale(Fraction(2)) - x * y,
+                                            (x * y).scale(Fraction(3)) - y * y], 4)
+    assert fractional.route == cleared.route == "degreewise"
+    assert fractional.graded_ranks() == cleared.graded_ranks() == [1, 2, 1, 0, 0]
+    for w in range(5):
+        assert fractional.graded_basis(w).basis == cleared.graded_basis(w).basis
+        for m in fractional.monomials_of_weight(w):
+            mono = Polynomial(QQ, {m: Fraction(1)})
+            assert fractional.normal_form(mono) == cleared.normal_form(mono), m
+
+
+def test_degreewise_rows_over_laurent_shift_to_integers():
+    # 2b l^2 is 2 l^2 times the unit b, so its rows are integer rows and
+    # 2 is a torsion pivot in every weight from 2; 2 + 2b has no integer
+    # multiple by a unit, so no row
+    from orcohom.spaces import multiplicative_theory
+
+    base = multiplicative_theory(6).law.base
+    l = Polynomial.variable(base, 0)
+    b, two = base.generator(), base.from_int(2)
+    ring = PresentedRing(base, [("l", 1)], [(l * l).scale(base.mul(two, b))], 6)
+    assert ring.route == "degreewise"
+    assert [ring.graded_basis(w).torsion for w in range(7)] == [[], []] + [[2]] * 5
+    assert ring.graded_ranks() == [1, 1, 0, 0, 0, 0, 0]
+    cube = l * l * l
+    assert ring.normal_form(cube.scale(base.from_int(3))) == cube
+    mixed = PresentedRing(base, [("l", 1)], [(l * l).scale(base.add(two, base.mul(two, b)))], 6)
+    with pytest.raises(NonConfluentPresentation, match="needs integer relation coefficients"):
+        mixed.graded_ranks()
+
+
 def test_relations_matrix_rank_agrees():
-    # the Smith data of the stored relation rows matches the rank data
-    # the ring reports, on either route
-    from orcohom.intlinalg import FPModule
+    # the Smith data of a fresh degreewise relation module matches the
+    # rank data the ring reports, on either route
     from orcohom.spaces import FlagBundle, additive_theory, cohomology
 
     flag4 = cohomology(additive_theory(ZZ, 6), FlagBundle(4), 6)
     assert flag4.route == "rewrite"
     for ring, w in [(grassmannian_ring(), 3)] + [(flag4, w) for w in range(7)]:
-        ambient, _, rows = ring._relation_rows(w)
         piece = ring.graded_basis(w)
-        assert FPModule(len(ambient), rows).rank_torsion() == (piece.free_rank, piece.torsion)
+        assert Degreewise().reducer(ring, w)[2].rank_torsion() == (piece.free_rank, piece.torsion)
 
 
 def test_serialization_canonical_and_stable():

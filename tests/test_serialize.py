@@ -3,7 +3,7 @@ import json
 from orcohom.coefficients import ModularRing, QQ, ZZ, laurent_over
 from orcohom.fgl import lazard_ring, make_multiplicative
 from orcohom.polynomials import Polynomial
-from orcohom.presented import PresentedRing, QuotientCoefficients, RingMap
+from orcohom.presented import PresentedRing, QuotientCoefficients
 from orcohom.serialize import (
     base_ring_from_json,
     base_ring_to_json,
@@ -15,8 +15,6 @@ from orcohom.serialize import (
     poly_to_json,
     presented_ring_from_json,
     presented_ring_to_json,
-    ringmap_from_json,
-    ringmap_to_json,
     schemas,
     space_from_json,
     space_to_json,
@@ -74,15 +72,6 @@ def test_lazard_ring_exports_as_presented_ring():
     ring = lazard_ring(4)
     back = roundtrip_bytes(presented_ring_to_json, presented_ring_from_json, ring)
     assert back.graded_ranks(4) == ring.graded_ranks(4)
-
-
-def test_ringmap_round_trip():
-    th = additive_theory(truncation=8)
-    src = cohomology(th, ProjectiveSpace(2), 6)
-    tgt = cohomology(th, ProjectiveSpace(1), 6)
-    rmap = RingMap(src, tgt, [tgt.var(0)])
-    back = roundtrip_bytes(ringmap_to_json, ringmap_from_json, rmap)
-    back.check_well_defined()
 
 
 def test_fgl_round_trip_with_beta():

@@ -21,7 +21,7 @@ from orcohom.spaces import (
     multiplicative_theory,
     restriction_map,
 )
-from orcohom.presented import RingMap
+from orcohom.presented import Degreewise, RingMap
 
 from oracles import (elementary_symmetric, gaussian_binomial_ranks, int_poly, invariance_check,
                      partition_count, partitions_exactly_k, q_factorial_ranks, surjective_by_lattice,
@@ -72,7 +72,7 @@ def test_grassmannian_first_non_unit_pivots(base):
     # 11, so the ranks there come from the Smith form of a non-empty
     # residual block
     def non_unit_pivots(R, w):
-        h, pivots = R._reducer(w)[2].lattice
+        h, pivots = Degreewise().reducer(R, w)[2].lattice
         return {R.monomials_of_weight(w)[c]: h[k][c] for k, c in enumerate(pivots)
                 if not (base.is_unit(h[k][c]) or base.is_zero(h[k][c]))}
 
