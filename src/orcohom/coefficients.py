@@ -10,6 +10,10 @@ All arithmetic is arbitrary precision; nothing here ever touches a
 float.  Elements are plain data (int, Fraction, dict) and every domain
 is a stateless immutable descriptor, so values can be shared freely
 between threads.
+
+Division is offered only where the quotient is unique: by units
+anywhere, and by integers that are units or, over Z and termwise above
+it, divide exactly.  Over Z/n a non-unit has no quotient or several.
 """
 
 from __future__ import annotations
@@ -29,10 +33,12 @@ class BaseRing:
 
     Subclasses implement a small protocol: ``zero``, ``one``,
     ``from_int``, ``add``, ``neg``, ``mul``, ``is_zero``, ``is_unit``,
-    ``inv_unit``, ``divide_exact``, and canonical string round-trips
-    ``coeff_str`` / ``coeff_from_str``.  A sum of products is a chain of
-    ``fma`` (multiply-accumulate from None) closed by one ``settle``;
-    ``mul`` is a chain of one, so a subclass defines ``mul`` or ``fma``.
+    ``inv_unit``, and canonical string round-trips ``coeff_str`` /
+    ``coeff_from_str``.  ``divide_by_int`` multiplies by ``inv_unit`` of
+    the integer unless a domain divides exactly where that is unique.
+    A sum of products is a chain of ``fma`` (multiply-accumulate from
+    None) closed by one ``settle``; ``mul`` is a chain of one, so a
+    subclass defines ``mul`` or ``fma``.
     """
 
     kind: str = "?"
@@ -85,21 +91,14 @@ class BaseRing:
 
     def inv_unit(self, a):
         """Inverse of a unit.  Raises NonDivisibleBase on non-units."""
-        q = self.divide_exact(self.one(), a)
-        if q is None:
-            raise NonDivisibleBase(f"{self.coeff_str(a)} is not invertible in {self}")
-        return q
-
-    def divide_exact(self, a, b):
-        """Return a/b when the division is exact in this domain, else None."""
         raise NotImplementedError
+
+    def not_invertible(self, a) -> NonDivisibleBase:
+        return NonDivisibleBase(f"{self.coeff_str(a)} is not invertible in {self}")
 
     def divide_by_int(self, a, n: int):
         """a / n for an integer n, or raise NonDivisibleBase."""
-        q = self.divide_exact(a, self.from_int(n))
-        if q is None:
-            raise NonDivisibleBase(f"cannot divide by {n} in {self}")
-        return q
+        return self.mul(a, self.inv_unit(self.from_int(n)))
 
     # integer content, used to route matrices through exact integer
     # linear algebra when every entry is a plain integer scalar
@@ -151,11 +150,15 @@ class IntegerRing(BaseRing):
     def is_unit(self, a):
         return a in (1, -1)
 
-    def divide_exact(self, a, b):
-        if b == 0:
-            return None
-        q, r = divmod(a, b)
-        return q if r == 0 else None
+    def inv_unit(self, a):
+        if a in (1, -1):
+            return a
+        raise self.not_invertible(a)
+
+    def divide_by_int(self, a, n):
+        if n == 0 or a % n:
+            raise NonDivisibleBase(f"cannot divide {a} by {n} in {self}")
+        return a // n
 
     def as_int(self, a):
         return int(a)
@@ -193,10 +196,10 @@ class RationalRing(BaseRing):
     def is_unit(self, a):
         return a != 0
 
-    def divide_exact(self, a, b):
-        if b == 0:
-            return None
-        return Fraction(a) / b
+    def inv_unit(self, a):
+        if a == 0:
+            raise self.not_invertible(a)
+        return 1 / Fraction(a)
 
     def as_int(self, a) -> int | None:
         a = Fraction(a)
@@ -248,15 +251,10 @@ class ModularRing(BaseRing):
     def is_unit(self, a):
         return math.gcd(a, self.n) == 1
 
-    def divide_exact(self, a, b):
-        g = math.gcd(b, self.n)
-        if g == 1:
-            return (a * pow(b, -1, self.n)) % self.n
-        if a % g:
-            return None
-        # non-unit divisor: solve b*x = a mod n when possible, smallest rep
-        n_, a_, b_ = self.n // g, a // g, b // g
-        return (a_ * pow(b_, -1, n_)) % n_ if n_ > 1 else 0
+    def inv_unit(self, a):
+        if not self.is_unit(a):
+            raise self.not_invertible(a)
+        return pow(a, -1, self.n)
 
     def as_int(self, a):
         return int(a) % self.n
@@ -325,32 +323,14 @@ class LaurentRing(BaseRing):
     def is_unit(self, a):
         return len(a) == 1 and self.base.is_unit(next(iter(a.values())))
 
-    def divide_exact(self, a, b):
-        if not b:
-            return None
-        if not a:
-            return {}
-        # shift so the divisor is an ordinary polynomial with nonzero
-        # constant term, then do long division from the top exponent
-        shift_b = min(b)
-        bb = {e - shift_b: c for e, c in b.items()}
-        shift_a = min(a)
-        aa = {e - shift_a: c for e, c in a.items()}
-        deg_b = max(bb)
-        lead_b = bb[deg_b]
-        quot: dict = {}
-        rem = dict(aa)
-        while rem:
-            deg_r = max(rem)
-            if deg_r < deg_b:
-                return None
-            q = self.base.divide_exact(rem[deg_r], lead_b)
-            if q is None:
-                return None
-            quot[deg_r - deg_b] = q
-            collect(self.base, rem, ((e + deg_r - deg_b, self.base.neg(self.base.mul(q, c)))
-                                     for e, c in bb.items()))
-        return {e + shift_a - shift_b: c for e, c in quot.items()}
+    def inv_unit(self, a):
+        if not self.is_unit(a):
+            raise self.not_invertible(a)
+        (e, c), = a.items()
+        return {-e: self.base.inv_unit(c)}
+
+    def divide_by_int(self, a, n):
+        return {e: self.base.divide_by_int(c, n) for e, c in a.items()}
 
     def as_int(self, a):
         if not a:

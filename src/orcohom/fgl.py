@@ -207,9 +207,10 @@ def n_series(law: FormalGroupLaw, n: int) -> Polynomial:
 def logarithm(law: FormalGroupLaw) -> Polynomial:
     """The series l(x) = x + ... with l(F(x, y)) = l(x) + l(y).
 
-    Computed from l'(x) = 1 / (dF/dy)(x, 0); the base must admit
-    division by every integer up to the truncation, otherwise
-    NonDivisibleBase is raised at the first failure.
+    Computed from l'(x) = 1 / (dF/dy)(x, 0): the x^(k+1) coefficient is
+    the x^k coefficient of l' divided by k + 1, for k + 1 <= D, and the
+    first division without a unique quotient raises NonDivisibleBase.
+    Over Z/n every k + 1 <= D must be a unit.
     """
     base = law.base
     d = law.truncation

@@ -175,7 +175,7 @@ class FPModule:
             if p == 1:
                 qi = entry
             elif base.is_unit(from_int(p)):
-                qi = base.divide_exact(entry, from_int(p))
+                qi = mul(entry, base.inv_unit(from_int(p)))
             else:
                 ei = base.as_int(entry)
                 if ei is None:

@@ -83,12 +83,10 @@ def mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
 
 
-def mono_key(m: Mono, weights, nvars: int):
-    """Sort key realizing graded-lex; bigger key means bigger monomial."""
-    dense = [0] * nvars
-    for i, e in m:
-        dense[i] = e
-    return (mono_weight(m, weights), tuple(dense))
+def mono_key(m: Mono, weights):
+    """Sort key realizing graded-lex; bigger key means bigger monomial.
+    The (-i, e) pairs compare as the dense exponent vectors would."""
+    return (mono_weight(m, weights), tuple((-i, e) for i, e in m))
 
 
 def mono_str(m: Mono, names) -> str:
@@ -214,15 +212,15 @@ class Polynomial:
     def __hash__(self):
         raise TypeError("polynomials are not hashable")
 
-    def sorted_terms(self, weights, nvars: int):
+    def sorted_terms(self, weights):
         """Terms in graded-lex order, leading term first."""
-        return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0], weights, nvars), reverse=True)
+        return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0], weights), reverse=True)
 
-    def leading(self, weights, nvars: int):
+    def leading(self, weights):
         """(monomial, coefficient) of the graded-lex leading term."""
         if not self.terms:
             return None
-        m = max(self.terms, key=lambda m: mono_key(m, weights, nvars))
+        m = max(self.terms, key=lambda m: mono_key(m, weights))
         return m, self.terms[m]
 
     def to_str(self, names) -> str:
@@ -278,7 +276,7 @@ def settled(base: BaseRing, acc: dict) -> Polynomial:
 def poly_to_json(p: Polynomial, weights, nvars: int) -> list:
     """[[dense exponent vector, coefficient string], ...], leading term first."""
     out = []
-    for m, c in p.sorted_terms(weights, nvars):
+    for m, c in p.sorted_terms(weights):
         dense = [0] * nvars
         for i, e in m:
             dense[i] = e

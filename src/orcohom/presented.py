@@ -283,7 +283,7 @@ class Rewrite:
         base, rules = ring.base, []
         seen: list[tuple[set[int], bool]] = []
         for r in ring.relations:
-            lm, lc = r.leading(ring.weights, ring.nvars)
+            lm, lc = r.leading(ring.weights)
             if not base.is_unit(lc):
                 return None
             support = {i for i, _ in lm}
@@ -506,15 +506,14 @@ class QuotientCoefficients(BaseRing):
     def is_unit(self, a):
         return a.is_constant() and self.ring.base.is_unit(a.constant_term())
 
-    def divide_exact(self, a, b):
-        # a/b termwise when b is a constant; otherwise only 0/b
-        if b.is_constant():
-            inner, c = self.ring.base, b.constant_term()
-            q = {m: inner.divide_exact(v, c) for m, v in a.terms.items()}
-            return None if None in q.values() else self.ring.normal_form(Polynomial(inner, q))
-        if a.is_zero():
-            return self.zero()
-        return None
+    def inv_unit(self, a):
+        if not a.is_constant():
+            raise self.not_invertible(a)
+        return Polynomial.constant(self.ring.base, self.ring.base.inv_unit(a.constant_term()))
+
+    def divide_by_int(self, a, n):
+        inner = self.ring.base
+        return self.from_poly(Polynomial(inner, {m: inner.divide_by_int(c, n) for m, c in a.terms.items()}))
 
     def as_int(self, a):
         if a.is_zero():

@@ -232,7 +232,7 @@ def reduce_against_hnf(h, pivots, vec: list, base) -> list:
         if p == 1:
             q = entry
         elif base.is_unit(base.from_int(p)):
-            q = base.divide_exact(entry, base.from_int(p))
+            q = base.mul(entry, base.inv_unit(base.from_int(p)))
         else:
             ei = base.as_int(entry)
             if ei is None:
@@ -532,7 +532,7 @@ def elementary_symmetric_decompose(p: Polynomial, n: int) -> Polynomial:
     out: dict = {}
     rest = p
     while not rest.is_zero():
-        lm, lc = rest.leading((1,) * n, n)
+        lm, lc = rest.leading((1,) * n)
         dense = [0] * n
         for i, x in lm:
             dense[i] = x

@@ -88,6 +88,18 @@ def test_fgl_check_reports_the_universal_logarithm(tmp_path):
     assert log[(3, 0)] == '[[[2,0,0],"2"],[[0,1,0],"-1"]]'
 
 
+def test_fgl_check_reports_no_logarithm_over_z_mod_4(tmp_path):
+    # x + y + 2xy over Z/4: dividing by 2 has no unique quotient, so the
+    # logarithm is unavailable and the law is still valid (exit 0)
+    law = {"base": {"kind": "IntegersModuloN", "n": 4},
+           "series": [[[1, 0], "1"], [[0, 1], "1"], [[1, 1], "2"]], "truncation": 6, "beta": None}
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps(law))
+    res = run_cli("fgl-check", "--input", str(path), "--format", "json")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["logarithm"] == "unavailable: integer division fails at weight 2"
+
+
 def test_fgl_check_invalid_law_exits_1(tmp_path):
     bad = {
         "base": {"kind": "Integers"},

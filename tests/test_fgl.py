@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from orcohom.coefficients import NonDivisibleBase, QQ, ZZ, laurent_over
+from orcohom.coefficients import ModularRing, NonDivisibleBase, QQ, ZZ, laurent_over
 from orcohom import fgl
 from orcohom.fgl import (
     FormalGroupLaw,
@@ -154,6 +154,25 @@ def test_logarithm():
     assert fx_y == split
     with pytest.raises(NonDivisibleBase):
         logarithm(make_multiplicative(truncation=6))
+
+
+def test_logarithm_over_z_mod_n_needs_every_divisor_a_unit():
+    def linearizes(law, log):
+        zero = Polynomial.zero(law.base)
+        at = lambda arg: compose(law.ring2, log, [arg, zero], law.base)
+        return at(law.series) == at(law.x()) + at(law.y())
+
+    # over Z/4 the law x + y + 2xy has logarithms x + x^2 and x + 3x^2,
+    # since 2 * 1 = 2 * 3; no quotient by 2 is exact, so none is returned
+    law = make_multiplicative(ModularRing(4), 2, 6)
+    with pytest.raises(NonDivisibleBase, match="integer division fails at weight 2"):
+        logarithm(law)
+    assert all(linearizes(law, Polynomial(law.base, {((0, 1),): 1, ((0, 2),): c})) for c in (1, 3))
+    # over Z/7 every k + 1 <= 6 is a unit, and the logarithm exists
+    law = make_multiplicative(ModularRing(7), 2, 6)
+    log = logarithm(law)
+    assert log.coefficient(((0, 2),)) == 1  # h_1 / 2 = 2 / 2
+    assert linearizes(law, log)
 
 
 def test_logarithm_of_the_universal_law_is_g_inverse():

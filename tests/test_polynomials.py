@@ -1,9 +1,10 @@
 import random
+from itertools import product
 
 import pytest
 
 from orcohom.coefficients import QQ, ZZ
-from orcohom.polynomials import Polynomial, mono_div, mono_divides, mono_mul, mono_weight
+from orcohom.polynomials import Polynomial, mono_div, mono_divides, mono_key, mono_mul, mono_weight
 
 from oracles import int_poly
 
@@ -84,10 +85,38 @@ def test_scale_and_shift():
 
 def test_leading_and_sorted_terms():
     p = P({((0, 1),): 1, ((1, 2),): 5, ((0, 1), (1, 1)): -2})
-    lead = p.leading((1, 1), 2)
+    lead = p.leading((1, 1))
     assert lead[0] == ((0, 1), (1, 1))  # weight 2, larger exponent on index 0
-    order = [m for m, _ in p.sorted_terms((1, 1), 2)]
+    order = [m for m, _ in p.sorted_terms((1, 1))]
     assert order == [((0, 1), (1, 1)), ((1, 2),), ((0, 1),)]
+
+
+def dense_key(m, weights, nvars):
+    """The graded-lex key on dense exponent vectors, the reference for ``mono_key``."""
+    dense = [0] * nvars
+    for i, e in m:
+        dense[i] = e
+    return (mono_weight(m, weights), tuple(dense))
+
+
+def cmp(x, y):
+    return (x > y) - (x < y)
+
+
+def test_mono_key_orders_as_the_dense_vector_key():
+    # the empty monomial, shared prefixes and monomials of different lengths
+    rng = random.Random(11)
+    nvars = 5
+    hand = [(), ((0, 1),), ((1, 1),), ((4, 1),), ((0, 1), (1, 1)), ((0, 1), (2, 1)), ((0, 2),),
+            ((0, 1), (1, 1), (4, 1)), ((1, 1), (4, 1)), ((2, 3),), ((0, 1), (1, 2))]
+    for trial in range(300):
+        weights = tuple(rng.randint(1, 3) for _ in range(nvars))
+        monos = hand + [tuple((i, rng.randint(1, 3)) for i in sorted(rng.sample(range(nvars), rng.randint(0, nvars))))
+                        for _ in range(12)]
+        new = [mono_key(m, weights) for m in monos]
+        ref = [dense_key(m, weights, nvars) for m in monos]
+        for i, j in product(range(len(monos)), repeat=2):
+            assert cmp(new[i], new[j]) == cmp(ref[i], ref[j]), (monos[i], monos[j], weights)
 
 
 def test_pow_negative_rejected():

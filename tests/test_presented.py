@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from orcohom.coefficients import ModularRing, QQ, ZZ, laurent_over
-from orcohom.polynomials import Polynomial
+from orcohom.polynomials import Polynomial, mono_mul
 from orcohom.presented import (
     Degreewise,
     IllDefinedMap,
@@ -28,6 +28,7 @@ from oracles import (
     partitions_in_box,
     standard_monomials,
     surjective_by_lattice,
+    torsion_via_minor_gcd,
 )
 
 
@@ -316,15 +317,31 @@ def test_degreewise_rows_over_laurent_shift_to_integers():
 
 
 def test_relations_matrix_rank_agrees():
-    # the Smith data of a fresh degreewise relation module matches the
-    # rank data the ring reports, on either route
+    # the degreewise Grassmannian ring's rank data matches the minor gcds
+    # of its relation rows, built here, in every weight (D=3 keeps the
+    # factorial oracle small: weight 4 already has 16 x 14 rows); the
+    # rewriting Flag(4) ring's matches a fresh degreewise relation module
     from orcohom.spaces import FlagBundle, additive_theory, cohomology
 
+    gr = grassmannian_ring(D=3)
+    assert gr.route == "degreewise"
+    for w in range(gr.truncation + 1):
+        ambient = gr.monomials_of_weight(w)
+        index = {m: j for j, m in enumerate(ambient)}
+        rows = []
+        for rel in gr.relations:
+            for mult in gr.monomials_of_weight(w - gr.mono_weight(next(iter(rel.terms)))):
+                row = [0] * len(ambient)
+                for m, c in rel.terms.items():
+                    row[index[mono_mul(m, mult)]] += c
+                rows.append(row)
+        piece = gr.graded_basis(w)
+        assert torsion_via_minor_gcd(rows, len(ambient)) == (piece.free_rank, piece.torsion), w
     flag4 = cohomology(additive_theory(ZZ, 6), FlagBundle(4), 6)
     assert flag4.route == "rewrite"
-    for ring, w in [(grassmannian_ring(), 3)] + [(flag4, w) for w in range(7)]:
-        piece = ring.graded_basis(w)
-        assert Degreewise().reducer(ring, w)[2].rank_torsion() == (piece.free_rank, piece.torsion)
+    for w in range(7):
+        piece = flag4.graded_basis(w)
+        assert Degreewise().reducer(flag4, w)[2].rank_torsion() == (piece.free_rank, piece.torsion)
 
 
 def test_serialization_canonical_and_stable():
