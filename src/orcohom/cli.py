@@ -1,10 +1,10 @@
 """Batch command line interface.
 
-Every library operation is reachable from exactly one subcommand (see
-OPERATION_COVERAGE); output is byte-deterministic for fixed inputs and
-seed.  Exit codes: 0 success or verified, 1 verification failure,
-2 input error, 3 internal error (any other exception, reported on
-stderr with its type; nothing is written to stdout).
+Each operation in OPERATION_COVERAGE has exactly one subcommand; others,
+such as ``chern_dual``, are library-only.  Output is byte-deterministic
+for fixed inputs and seed.  Exit codes: 0 success or verified, 1
+verification failure, 2 input error, 3 internal error (any other
+exception, reported on stderr with its type; nothing goes to stdout).
 """
 
 from __future__ import annotations
@@ -69,14 +69,12 @@ def _load_json(args, inline: str | None = None):
         raise InputError(f"malformed JSON: {e.msg} at position {e.pos}") from e
 
 
-def _theory(name: str, truncation: int):
-    if name == "additive":
-        return sp.additive_theory(truncation=truncation)
-    if name == "multiplicative":
-        return sp.multiplicative_theory(truncation=truncation)
-    if name == "universal":
-        return cf.universal_theory(truncation)
-    raise InputError(f"unknown theory {name!r}")
+# the --theory choices of `cohomology` and `restriction`, each built at the truncation
+_THEORIES = {
+    "additive": lambda D: sp.additive_theory(truncation=D),
+    "multiplicative": lambda D: sp.multiplicative_theory(truncation=D),
+    "universal": cf.universal_theory,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +137,7 @@ def run_fgl_lazard(args):
 
 def run_cohomology(args):
     D = args.truncation
-    theory = _theory(args.theory, D)
+    theory = _THEORIES[args.theory](D)
     space_doc = _load_json(args, args.space)
     space = ser.space_from_json(space_doc)
     ring = sp.cohomology(theory, space, D)
@@ -175,7 +173,7 @@ def run_cohomology(args):
 
 def run_restriction(args):
     D = args.truncation
-    theory = _theory(args.theory, D)
+    theory = _THEORIES[args.theory](D)
     bigger = ser.space_from_json(_load_json(args, args.bigger))
     smaller = ser.space_from_json(_load_json(args, args.smaller))
     rmap = sp.restriction_map(theory, bigger, smaller, D)
@@ -203,8 +201,7 @@ def run_restriction(args):
 
 def run_hopf(args):
     D = args.truncation
-    theory = _theory(args.theory, D)
-    hd = hopf_mod.build_hopf(theory, D)
+    hd = hopf_mod.build_hopf(sp.additive_theory(truncation=D), D)
     prim = [hopf_mod.primitives(hd, w) for w in range(1, D + 1)]
     ident = hopf_mod.additive_maps_identification(hd)
     indec = [hopf_mod.indecomposables(hd, w) for w in range(1, D + 1)]
@@ -225,7 +222,7 @@ def run_hopf(args):
 
 def run_thom(args):
     D = args.truncation
-    theory = _theory(args.theory, D)
+    theory = sp.additive_theory(truncation=D)
     dec = thom_mod.thom_decompose(theory, D)
     table = dec.rank_table()
     products = []
@@ -351,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "truncation" in shared:
             p.add_argument("--truncation", "-D", type=int, default=8)
         if "theory" in shared:
-            p.add_argument("--theory", choices=["additive", "multiplicative", "universal"],
-                           default="additive")
+            p.add_argument("--theory", choices=list(_THEORIES), default="additive")
 
     p = sub.add_parser("fgl-check", help="group-law axioms and calculus")
     common(p, "input", "truncation")
@@ -381,11 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=run_restriction)
 
     p = sub.add_parser("hopf-primitives", help="primitives and indecomposables")
-    common(p, "truncation", "theory")
+    common(p, "truncation")
     p.set_defaults(handler=run_hopf)
 
     p = sub.add_parser("thom-decompose", help="filtration quotients and multiplicativity")
-    common(p, "truncation", "theory")
+    common(p, "truncation")
     p.set_defaults(handler=run_thom)
 
     p = sub.add_parser("tower", help="inverse limits and the derived limit")

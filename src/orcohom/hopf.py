@@ -5,16 +5,14 @@ weight w >= 1, with basis indexed by partitions and product given by
 multiset union; level n of the filtration is spanned by partitions
 with at most n parts.  The cohomology side is the power-series algebra
 on the s-generators, with monomials indexed by the same partitions.
-The comultiplication on cohomology is computed by dualizing the
-homology product through the pairing between products of elementary
-symmetric functions and monomial symmetric functions: E (e to m) is
-built by peeling one e_r at a time, every r of a mu in one pass over
-``partitions.groups``, each result stored by its index; Einv by the
-unit-pivot ``field_rref``; Delta one weight-pair block at a time, the
-mirror block by transposing, as multiset union commutes.
-The Whitney formula for Delta(e_n) serves only as a test oracle.  The
-primitive of weight w is the power sum p_w, read off from Newton's
-identity in closed form; Delta is not consulted for it.
+Its comultiplication is the Whitney sum formula
+Delta(s_n) = sum_(i+j=n) s_i x s_j, multiplied out (Macdonald,
+Symmetric Functions and Hall Polynomials, I.5).  The primitive of
+weight w is the power sum p_w, read off from Newton's identity in
+closed form; Delta is not consulted for it.  ``transition`` builds the
+e-to-m matrix E by peeling one e_r at a time, and its inverse by the
+unit-pivot ``field_rref``; only ``indecomposables`` reads it, for the
+pairing of p_w with the generator b_w.
 """
 
 from __future__ import annotations
@@ -111,50 +109,24 @@ class HopfData:
         return data
 
     def delta(self, w: int) -> dict:
-        """Comultiplication on weight w: nu -> {(rho, sigma): coeff}.
-
-        rho and sigma run over partitions of complementary weights,
-        including the empty partition for the unit tensor factors.
-        Dually to multiset union, Delta(m_mu) = sum over alpha u beta = mu
-        of m_alpha x m_beta, so block (wa, wb) of Delta(e^nu) is
-        Einv_wa^T [E[nu][alpha u beta]] Einv_wb; block (wb, wa) is its transpose.
-        """
-        cached = self._delta.get(w)
-        if cached is not None:
-            return cached
-        parts, E, _ = self.transition(w)
-        out = {nu: {} for nu in parts}
-        index = {p: i for i, p in enumerate(parts)}
-        for wa in range(w // 2 + 1):
-            wb = w - wa
-            pa, _, inva = self.transition(wa)
-            pb, _, invb = self.transition(wb)
-            nb = len(pb)
-            sparse_a = [[(j * nb, c) for j, c in enumerate(row) if c] for row in inva]
-            sparse_b = [[(j, c) for j, c in enumerate(row) if c] for row in invb]
-            merged = [[index[merge(alpha, beta)] for beta in pb] for alpha in pa]
-            keys = [(rho, sig) for rho in pa for sig in pb]
-            for nu, row in zip(parts, E):
-                # block[rho, sig] = sum_alpha Einv_wa[alpha][rho] P_alpha[sig], with
-                # P_alpha = sum_beta E[nu][alpha u beta] Einv_wb[beta]
-                block = [0] * len(keys)
-                for rows_a, cols in zip(sparse_a, merged):
-                    p_alpha = [0] * nb
-                    for rows_b, j in zip(sparse_b, cols):
-                        e = row[j]
-                        if e:
-                            for s, cb in rows_b:
-                                p_alpha[s] += e * cb
-                    support = [(s, v) for s, v in enumerate(p_alpha) if v]
-                    for base, ca in rows_a:
-                        for s, v in support:
-                            block[base + s] += ca * v
-                d = out[nu]
-                d.update((k, v) for k, v in zip(keys, block) if v)
-                if wa != wb:
-                    d.update(((sig, rho), v) for (rho, sig), v in zip(keys, block) if v)
-        self._delta[w] = out
-        return out
+        """Comultiplication on weight w: nu -> {(rho, sigma): coeff}, with rho
+        and sigma partitions of complementary weights (() for a unit factor),
+        from the Whitney formula Delta(s_n) = sum_(i+j=n) s_i x s_j, s_0 = 1,
+        multiplied out over the parts of nu; no coefficient is zero."""
+        if w not in self._delta:
+            out = {}
+            for nu in partitions(w):
+                terms = {((), ()): 1}
+                for n in nu:
+                    nxt: dict = {}
+                    for (a, b), c in terms.items():
+                        for i in range(n + 1):
+                            key = (merge(a, (i,)) if i else a, merge(b, (n - i,)) if i < n else b)
+                            nxt[key] = nxt.get(key, 0) + c
+                    terms = nxt
+                out[nu] = terms
+            self._delta[w] = out
+        return self._delta[w]
 
     def sigma_label(self, nu: tuple[int, ...]) -> str:
         return "*".join(f"s{v}^{k}" if k > 1 else f"s{v}" for v, k in groups(nu[::-1])) or "1"

@@ -277,24 +277,26 @@ def cohomology(theory: OrientedTheory, space, truncation: int = 8) -> PresentedR
 # Chern class calculus
 
 
-def _check_first_chern_class(ring: PresentedRing, p: Polynomial):
+def _check_first_chern_classes(theory: OrientedTheory, ring: PresentedRing, *classes: Polynomial):
     """A line-bundle class is a weight-1 class; composites of the law are
     supported in positive weights.  Constant terms would make series
-    substitution meaningless under truncation, so they are rejected."""
-    if any(ring.mono_weight(m) < 1 for m in p.terms):
+    substitution meaningless under truncation, so they are rejected, and
+    so is a law truncated below the ring, which would drop terms."""
+    if ring.truncation > theory.law.truncation:
+        raise ValueError(f"ring truncation {ring.truncation} exceeds the law's {theory.law.truncation}")
+    if any(ring.mono_weight(m) < 1 for p in classes for m in p.terms):
         raise ValueError("first Chern classes must lie in positive weights")
 
 
 def chern_tensor(theory: OrientedTheory, ring: PresentedRing, a: Polynomial, b: Polynomial) -> Polynomial:
     """First Chern class of a tensor product: the law evaluated at the classes."""
-    _check_first_chern_class(ring, a)
-    _check_first_chern_class(ring, b)
+    _check_first_chern_classes(theory, ring, a, b)
     return theory.law.apply(ring, a, b)
 
 
 def chern_dual(theory: OrientedTheory, ring: PresentedRing, a: Polynomial) -> Polynomial:
     """First Chern class of the dual line bundle, via the formal inverse."""
-    _check_first_chern_class(ring, a)
+    _check_first_chern_classes(theory, ring, a)
     inv = formal_inverse(theory.law)
     return compose(ring, inv, [a] + [Polynomial.zero(theory.coefficients)], theory.coefficients)
 

@@ -9,7 +9,9 @@ conditions rather than by Newton's identity, and indecomposables on
 the whole multiplication table.  Relation-ideal membership goes
 through the degreewise relation lattice, with no cofactor certificate,
 and the flag relations are rebuilt from e_k and h_k summed term by
-term.  Substitution goes term by term, one ring product per variable
+term.  The coproduct is rebuilt by dualizing the homology product
+through the e-to-m transition matrix and its inverse, not from the
+Whitney formula.  Substitution goes term by term, one ring product per variable
 factor, each product folded term by term into a running sum.  The
 universal law's g^-1 and the formal inverse are solved at the full
 truncation.  Symmetric polynomials are decomposed over e_1..e_n by
@@ -461,21 +463,46 @@ def zero_one_matrix_count(rows, cols) -> int:
     return count(0, tuple(cols))
 
 
-def whitney_coproduct(nu) -> dict:
-    """Delta(e^nu) from Delta(e_n) = sum_j e_j x e_(n-j), multiplied out.
+def delta_by_duality(hopf, w: int) -> dict:
+    """Delta on weight w by dualizing the homology product through
+    ``hopf.transition``, in the library's layout nu -> {(rho, sigma): c}.
 
-    Keys are pairs of partitions, parts sorted descending, with e_0 = 1
-    dropped; zero coefficients never arise.
+    Dually to multiset union, Delta(m_mu) = sum over alpha u beta = mu of
+    m_alpha x m_beta, so block (wa, wb) of Delta(e^nu) is
+    Einv_wa^T [E[nu][alpha u beta]] Einv_wb; block (wb, wa) is its
+    transpose, as multiset union commutes.  Zero entries are dropped.
     """
-    out = {((), ()): 1}
-    for n in nu:
-        nxt: dict = {}
-        for (a, b), c in out.items():
-            for j in range(n + 1):
-                left = tuple(sorted(a + ((j,) if j else ()), reverse=True))
-                right = tuple(sorted(b + ((n - j,) if n - j else ()), reverse=True))
-                nxt[(left, right)] = nxt.get((left, right), 0) + c
-        out = nxt
+    parts, E, _ = hopf.transition(w)
+    out = {nu: {} for nu in parts}
+    index = {p: i for i, p in enumerate(parts)}
+    for wa in range(w // 2 + 1):
+        wb = w - wa
+        pa, _, inva = hopf.transition(wa)
+        pb, _, invb = hopf.transition(wb)
+        nb = len(pb)
+        sparse_a = [[(j * nb, c) for j, c in enumerate(row) if c] for row in inva]
+        sparse_b = [[(j, c) for j, c in enumerate(row) if c] for row in invb]
+        merged = [[index[tuple(sorted(alpha + beta, reverse=True))] for beta in pb] for alpha in pa]
+        keys = [(rho, sig) for rho in pa for sig in pb]
+        for nu, row in zip(parts, E):
+            # block[rho, sig] = sum_alpha Einv_wa[alpha][rho] P_alpha[sig], with
+            # P_alpha = sum_beta E[nu][alpha u beta] Einv_wb[beta]
+            block = [0] * len(keys)
+            for rows_a, cols in zip(sparse_a, merged):
+                p_alpha = [0] * nb
+                for rows_b, j in zip(sparse_b, cols):
+                    e = row[j]
+                    if e:
+                        for s, cb in rows_b:
+                            p_alpha[s] += e * cb
+                support = [(s, v) for s, v in enumerate(p_alpha) if v]
+                for base, ca in rows_a:
+                    for s, v in support:
+                        block[base + s] += ca * v
+            d = out[nu]
+            d.update((k, v) for k, v in zip(keys, block) if v)
+            if wa != wb:
+                d.update(((sig, rho), v) for (rho, sig), v in zip(keys, block) if v)
     return out
 
 

@@ -30,7 +30,8 @@ def test_malformed_json_exits_2_with_position():
 UNREAD_FLAGS = {
     "--seed": ["fgl-check", "fgl-lazard", "cohomology", "restriction", "hopf-primitives",
                "thom-decompose", "telescope", "conner-floyd", "schema"],
-    "--theory": ["fgl-check", "fgl-lazard", "tower", "telescope", "conner-floyd", "schema"],
+    "--theory": ["fgl-check", "fgl-lazard", "hopf-primitives", "thom-decompose", "tower", "telescope",
+                 "conner-floyd", "schema"],
     "--input": ["fgl-lazard", "restriction", "hopf-primitives", "thom-decompose", "conner-floyd",
                 "schema"],
     "--truncation": ["tower", "telescope", "schema"],
@@ -713,6 +714,20 @@ def _base(coefficients, truncation=8, weight=1):
     ({"Flag": {"n": 2, "base": _base({"kind": "LaurentAdjoined", "base": {"kind": "Integers"},
                                       "symbol": "b", "weight": -1.5})}},
      "LaurentAdjoined weight must be an integer, got -1.5"),
+    # refusals of spaces.cohomology and its Chern class check
+    ({"ProjectiveBundle": {"rank": 1, "base": _base({"kind": "Integers"}),
+                           "chern": [[[[1], "1"]], [[[2], "1"]]]}},
+     "more Chern classes than the bundle rank"),
+    ({"Flag": {"n": 2, "base": _base({"kind": "Integers"}, truncation=3)}},
+     "bundle base ring truncated below the requested bound"),
+    ({"ProjectiveBundle": {"rank": 5, "base": _base({"kind": "Integers"}),
+                           "chern": [[], [], [], [], [[[5], "1"]]]}},
+     "Chern class c_5 exceeds the truncation bound 4"),
+    ({"Product": [{"Flag": {"n": 1, "base": {**_base({"kind": "Integers"}),
+                                             "relations": [[[[1], "2"]]]}}}, {"Pn": 1}]},
+     "left factor is not degreewise free; product rejected"),
+    ({"BGL": 0}, "classifying space index must be positive"),
+    ({"ProjectiveBundle": {"rank": 0}}, "projective bundle needs positive rank"),
 ], ids=repr)
 def test_malformed_space_descriptors_exit_2(capsys, space, message):
     # sizes used to be coerced with int(): {"Pn": 2.7} answered as P^2

@@ -275,6 +275,23 @@ def test_chern_dual():
     assert d == int_poly(ZZ, {((0, 1),): -1})
 
 
+def test_chern_classes_refuse_a_law_truncated_below_the_ring():
+    # a D=8 law's inverse series stops at l^8 in a D=12 ring, and a D=1
+    # law loses the -b l l' term of the tensor class at D=4
+    ring = cohomology(multiplicative_theory(), InfiniteProjectiveSpace(), 12)
+    with pytest.raises(ValueError, match="ring truncation 12 exceeds the law's 8"):
+        chern_dual(multiplicative_theory(), ring, ring.var(0))
+    th1 = multiplicative_theory(truncation=1)
+    ring2 = cohomology(th1, Product(InfiniteProjectiveSpace(), InfiniteProjectiveSpace()), 4)
+    with pytest.raises(ValueError, match="ring truncation 4 exceeds the law's 1"):
+        chern_tensor(th1, ring2, ring2.var(0), ring2.var(1))
+    # at matching truncations the dual class reaches l^12
+    th12 = multiplicative_theory(12)
+    ring = cohomology(th12, InfiniteProjectiveSpace(), 12)
+    dual = chern_dual(th12, ring, ring.var(0))
+    assert sorted(ring.mono_weight(m) for m in dual.terms) == list(range(1, 13))
+
+
 def test_restriction_projective_surjective():
     for bigger, smaller in ((ProjectiveSpace(2), ProjectiveSpace(1)),
                             (InfiniteProjectiveSpace(), ProjectiveSpace(3))):

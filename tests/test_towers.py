@@ -191,6 +191,52 @@ def test_split_compare_detects_hypothesis_failure():
     assert rep["per_weight"][0]["failure"] == "f differs from s g r"
 
 
+def test_split_compare_detects_a_section_that_is_not_split():
+    # r s = 2 on Z: the verdict names the failed hypothesis r s = 1
+    # before looking at f = s g r
+    y = constant_tower(FPModule.free(2), [[1, 0], [0, 1]])
+    z = constant_tower(FPModule.free(1), [[1]])
+    rep = split_tower_compare(y, z, GradedMap({0: [[2, 0]]}), GradedMap({0: [[1], [0]]}))
+    assert rep == {"ok": False, "per_weight": [{"weight": 0, "failure": "r s is not the identity"}]}
+
+
+@pytest.mark.parametrize("which", ["Y", "Z"])
+def test_split_compare_refuses_a_window_other_than_0_1(which):
+    # both towers must be constant: a window starting at stage 1 is refused
+    # even when the stages agree from stage 0
+    towers = {name: constant_tower(FPModule.free(1), [[1]]) for name in ("Y", "Z")}
+    gm = GradedFPModule({0: FPModule.free(1)})
+    towers[which] = ModuleTower([gm] * 4, [GradedMap({0: [[1]]})] * 3, periodicity=(1, 1))
+    with pytest.raises(ValueError, match=f"{which} must be a constant periodic tower"):
+        split_tower_compare(towers["Y"], towers["Z"], GradedMap({0: [[1]]}), GradedMap({0: [[1]]}))
+
+
+@pytest.mark.parametrize("cls", [ModuleTower, TelescopeDiagram])
+@pytest.mark.parametrize("nmaps", [1, 3])
+def test_stage_systems_need_one_map_per_adjacent_pair(cls, nmaps):
+    gm = GradedFPModule({0: FPModule.free(1)})
+    with pytest.raises(ValueError, match="need one connecting map per adjacent stage pair"):
+        cls([gm] * 3, [GradedMap({0: [[1]]})] * nmaps)
+
+
+@pytest.mark.parametrize("cls", [ModuleTower, TelescopeDiagram])
+@pytest.mark.parametrize("window", [(-1, 1), (0, 0)])
+def test_stage_systems_refuse_a_negative_start_or_empty_period(cls, window):
+    # the stored stages and maps are constant, so only the window is wrong
+    gm = GradedFPModule({0: FPModule.free(1)})
+    with pytest.raises(ValueError, match="periodicity window must have k0 >= 0, rho >= 1"):
+        cls([gm] * 3, [GradedMap({0: [[1]]})] * 2, periodicity=window)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (2, 2)])
+def test_graded_map_refuses_a_matrix_of_the_wrong_shape(rows, cols):
+    gm = GradedMap({0: [[1, 0]]})
+    assert gm.matrix(0, 1, 2) == [[1, 0]]
+    assert gm.matrix(1, 2, 1) == [[0], [0]]  # a missing weight is the zero map
+    with pytest.raises(ValueError, match="matrix shape mismatch in weight 0"):
+        gm.matrix(0, rows, cols)
+
+
 def test_split_compare_weight_missing_from_the_retract():
     # Y lives in weights 0 and 1, Z only in weight 0: in weight 1 the
     # maps r and s are empty, s g r is the zero endomorphism of Z, and
