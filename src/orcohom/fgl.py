@@ -48,11 +48,10 @@ class FormalGroupLaw:
     def __init__(self, base: BaseRing, series: Polynomial, truncation: int, beta=None):
         self.base = base
         self.truncation = int(truncation)
+        if series.variables() - {_X, _Y}:
+            raise ValueError("law series must involve only the two series variables")
         self.ring2 = series_ring(base, ("x", "y"), self.truncation)
         self.series = self.ring2.truncate(series)
-        bad = self.series.variables() - {_X, _Y}
-        if bad:
-            raise ValueError("law series must involve only the two series variables")
         if beta is not None and not base.is_unit(beta):
             raise ValueError("designated periodicity element must be a unit")
         self.beta = beta

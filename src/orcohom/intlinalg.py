@@ -4,9 +4,9 @@ Matrices are plain lists of rows (``list[list[int]]``, or rows of
 BaseRing elements for the generic routines), so every entry is an
 arbitrary-precision Python number.  A matrix with no rows carries no
 column count; routines that need one take it as an argument.  Row
-Hermite normal form is the one general integer elimination (``field_rref``
-takes unit pivots only): Smith invariants alternate it with transposes
-and integer kernels read it off [mat^T | I].
+Hermite normal form is the one integer elimination: Smith invariants
+alternate it with transposes, integer kernels read it off [mat^T | I],
+and ``field_rref`` is it with every pivot required to be 1.
 :class:`FPModule` is the one relation lattice: it owns the HNF of its
 relation rows and is the only reader of that format, for reduction,
 membership, standard columns, and free rank and torsion over a base.
@@ -134,6 +134,8 @@ class FPModule:
 
     def __init__(self, ngens: int, relations=()):
         self.ngens = int(ngens)
+        if self.ngens < 0:
+            raise ValueError(f"generator count must be nonnegative, got {self.ngens}")
         self.relations = list(relations)
         for r in self.relations:
             if len(r) != self.ngens:
@@ -275,36 +277,16 @@ def det_bareiss_ring(rows: list[list[int]]) -> int:
 
 
 def field_rref(rows: list[list[int]]):
-    """Reduced row echelon form over Z when every pivot it meets is a unit.
+    """Reduced row echelon form over Z when every pivot is a unit.
 
-    A pivot row with pivot -1 is negated, any other pivot but 1 raises
-    NonDivisibleBase, and the row is subtracted from the other rows over
-    its support only, as in ``hnf``.  This inverts a unitriangular matrix
+    A row HNF whose pivots are all 1 is the reduced echelon form of its
+    row lattice, which is unique, so this is ``hnf`` with any other pivot
+    raising NonDivisibleBase.  This inverts a unitriangular matrix
     exactly, as the Hopf layer does.  Returns (reduced nonzero rows,
     pivot column indices).
     """
-    m = [list(r) for r in rows]
-    ncols = len(m[0]) if m else 0
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        sel = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        pr = m[r]
-        if pr[c] == -1:
-            pr = m[r] = [-v for v in pr]
-        elif pr[c] != 1:
-            raise NonDivisibleBase(f"{pr[c]} is not invertible in {ZZ}")
-        support = [j for j in range(c, ncols) if pr[j]]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                for j in support:
-                    row[j] -= f * pr[j]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    h, pivots = hnf(rows)
+    for row, c in zip(h, pivots):
+        if row[c] != 1:
+            raise NonDivisibleBase(f"{row[c]} is not invertible in {ZZ}")
+    return h, pivots

@@ -1,9 +1,12 @@
-"""Canonical JSON for every transferable object.
+"""JSON readers for every input document, writers for what the CLI prints.
 
-Serialization is bit-exact: terms are listed in graded-lex order
-(leading term first), dictionary keys are emitted sorted, and numbers
-ride as strings wherever they can leave the integer range.  Round
-trips reproduce byte-identical documents.
+Spaces, group laws, towers and telescopes are only read.  Coefficient
+domains, presented rings and polynomials are also written, because
+subcommands print them.  Writing is bit-exact: terms are listed in
+graded-lex order (leading term first), dictionary keys are emitted
+sorted, and numbers ride as strings wherever they can leave the integer
+range, so a written ring reads back to an equal one whose document is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -92,16 +95,6 @@ def presented_ring_from_json(data: dict) -> PresentedRing:
 # group laws
 
 
-def fgl_to_json(law: FormalGroupLaw) -> dict:
-    out = {
-        "base": base_ring_to_json(law.base),
-        "series": poly_to_json(law.series, (1, 1), 2),
-        "truncation": law.truncation,
-        "beta": law.base.coeff_str(law.beta) if law.beta is not None else None,
-    }
-    return out
-
-
 def fgl_from_json(data: dict) -> FormalGroupLaw:
     base = base_ring_from_json(data["base"])
     series = poly_from_json(base, data["series"])
@@ -111,33 +104,6 @@ def fgl_from_json(data: dict) -> FormalGroupLaw:
 
 # ---------------------------------------------------------------------------
 # spaces
-
-
-def _bundle_to_json(space, out: dict) -> dict:
-    """The bundle's own fields, then its base ring and Chern classes if any."""
-    ring = space.base_ring
-    if ring is not None:
-        out["base"] = presented_ring_to_json(ring)
-        out["chern"] = [poly_to_json(c, ring.weights, ring.nvars) for c in space.chern]
-    return out
-
-
-def space_to_json(space) -> dict:
-    if isinstance(space, ProjectiveSpace):
-        return {"Pn": space.n}
-    if isinstance(space, InfiniteProjectiveSpace):
-        return {"Pinf": True}
-    if isinstance(space, ClassifyingBGL):
-        return {"BGL": "inf" if space.n is None else space.n}
-    if isinstance(space, GrassmannianBundle):
-        return {"Grassmannian": _bundle_to_json(space, {"m": space.m, "n": space.n})}
-    if isinstance(space, FlagBundle):
-        return {"Flag": _bundle_to_json(space, {"n": space.rank})}
-    if isinstance(space, ProjectiveBundle):
-        return {"ProjectiveBundle": _bundle_to_json(space, {"rank": space.rank})}
-    if isinstance(space, Product):
-        return {"Product": [space_to_json(space.left), space_to_json(space.right)]}
-    raise TypeError(f"unknown space descriptor {space!r}")
 
 
 def _bundle_payload(payload: dict):
@@ -189,10 +155,6 @@ def space_from_json(data) -> object:
 # towers
 
 
-def _module_to_json(module: FPModule) -> dict:
-    return {"ngens": module.ngens, "relations": [list(r) for r in module.relations]}
-
-
 def _integer(value, what: str) -> int:
     """A JSON integer; floats, strings and booleans are refused, not rounded."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -222,30 +184,13 @@ def _module_from_json(data: dict) -> FPModule:
                     [[_integer(v, "relation entry") for v in r] for r in data["relations"]])
 
 
-def _graded_module_to_json(gm: GradedFPModule) -> dict:
-    return {str(w): _module_to_json(m) for w, m in sorted(gm.pieces.items())}
-
-
 def _graded_module_from_json(data: dict) -> GradedFPModule:
     return GradedFPModule({_weight(w): _module_from_json(m) for w, m in data.items()})
-
-
-def _graded_map_to_json(gm: GradedMap) -> dict:
-    return {str(w): [list(r) for r in mat] for w, mat in sorted(gm.matrices.items())}
 
 
 def _graded_map_from_json(data: dict) -> GradedMap:
     return GradedMap({_weight(w): [[_integer(v, "map entry") for v in r] for r in mat]
                       for w, mat in data.items()})
-
-
-def diagram_to_json(diagram: ModuleTower | TelescopeDiagram) -> dict:
-    """A tower or a telescope: its stages, maps and periodicity window."""
-    return {
-        "stages": [_graded_module_to_json(s) for s in diagram.stages],
-        "maps": [_graded_map_to_json(m) for m in diagram.maps],
-        "periodicity": list(diagram.periodicity) if diagram.periodicity else None,
-    }
 
 
 def _diagram_from_json(kind, data: dict):

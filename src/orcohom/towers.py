@@ -435,12 +435,14 @@ def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
     periodic window with self-map h on Z^n has the colimit of h on its
     stable image L, of rank r, where h has determinant d != 0: Z^r
     exactly when d = 1, and Z[1/d]^r exactly when, for every prime
-    p | d, the rank s_p of h^n mod p is 0 (h is nilpotent mod p);
-    otherwise p is not invertible on the colimit (Z^2 under diag(2, 3)
-    gives Z[1/2] + Z[1/3]) and the answer is partial, with each s_p in
-    the note.  A finite M is the stable image plus a part h kills (Fitting),
-    so that image is the colimit (Z/12 under 2 gives Z/3).  Anything else
-    is the last stored stage flagged partial.
+    p | d, the rank s_p of h^n mod p is 0 (h is nilpotent mod p).  That
+    holds when d divides a power of the first Smith invariant of h^n, so
+    d is factored only otherwise: then some p is not invertible on the
+    colimit (Z^2 under diag(2, 3) gives Z[1/2] + Z[1/3]) and the answer
+    is partial, with each s_p in the note.  A finite M is the stable
+    image plus a part h kills (Fitting), so that image is the colimit
+    (Z/12 under 2 gives Z/3).  Anything else is the last stored stage
+    flagged partial.
     """
     w = weight
     if t.periodicity is None:
@@ -459,11 +461,13 @@ def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
     rank, d = _stable_part(mat, module.ngens)
     if d == 1:
         return _exact(rank, [], "stable value on the stable image of the window")
-    # rank mod p of h^n: the SNF invariants p does not divide
+    # s_p counts the Smith invariants of h^n that p does not divide; all
+    # are multiples of the first, so every s_p is 0 exactly when d divides
+    # a power of it, and a bit length of d bounds each prime's exponent
     invariants = snf_invariants(_power(mat, module.ngens, module.ngens))
+    if pow(invariants[0], d.bit_length(), d) == 0:
+        return _exact(rank, [], f"rank {rank} over the base with {d} inverted", localized_at=d)
     stable = {p: sum(1 for v in invariants if v % p) for p in _prime_divisors(d)}
-    if any(stable.values()):
-        ranks = ", ".join(f"s_{p}={s}" for p, s in stable.items())
-        return _partial(f"partial: {d} is not invertible on the colimit; "
-                        f"ranks of the window power mod p: {ranks}", rank, [])
-    return _exact(rank, [], f"rank {rank} over the base with {d} inverted", localized_at=d)
+    ranks = ", ".join(f"s_{p}={s}" for p, s in stable.items())
+    return _partial(f"partial: {d} is not invertible on the colimit; "
+                    f"ranks of the window power mod p: {ranks}", rank, [])

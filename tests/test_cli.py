@@ -77,10 +77,12 @@ def test_fgl_check_reports_the_universal_logarithm(tmp_path):
     # the logarithm of g(g^-1(x) + g^-1(y)) is g^-1 = x - b1 x^2 + ...,
     # integral although its recurrence divides by k + 1
     from orcohom.fgl import universal_law
-    from orcohom.serialize import fgl_to_json
+    from orcohom.serialize import base_ring_to_json, poly_to_json
 
+    law = universal_law(3)
     path = tmp_path / "law.json"
-    path.write_text(json.dumps(fgl_to_json(universal_law(3))))
+    path.write_text(json.dumps({"base": base_ring_to_json(law.base), "truncation": law.truncation,
+                                "series": poly_to_json(law.series, (1, 1), 2)}))
     res = run_cli("fgl-check", "--input", str(path), "--format", "json")
     assert res.returncode == 0, res.stderr
     log = dict((tuple(m), c) for m, c in json.loads(res.stdout)["logarithm"])
@@ -279,6 +281,9 @@ def test_non_integer_system_entries_exit_2(tmp_path, command, field, value):
     ({"stages": [{"x": {"ngens": 1, "relations": []}}] * 3},
      "weight key must be an integer, got 'x'"),
     ({"maps": [{"x": [[1]]}] * 2}, "weight key must be an integer, got 'x'"),
+    # a negative generator count used to be answered as an exact rank 0
+    ({"stages": [{"0": {"ngens": -2, "relations": []}}] * 3, "maps": [{}] * 2},
+     "generator count must be nonnegative, got -2"),
 ], ids=repr)
 def test_malformed_system_shape_exits_2(tmp_path, command, change, message):
     doc = {"stages": [{"0": {"ngens": 1, "relations": []}}] * 3, "maps": [{"0": [[1]]}] * 2,
@@ -741,17 +746,27 @@ def test_malformed_space_descriptors_exit_2(capsys, space, message):
 
 def test_group_law_truncation_must_be_an_integer(tmp_path):
     # "truncation": 6.7 used to check the law at 6
-    from orcohom.fgl import make_multiplicative
-    from orcohom.serialize import fgl_to_json
-
-    law = fgl_to_json(make_multiplicative(truncation=6))
-    law["truncation"] = 6.7
+    law = {"base": {"kind": "LaurentAdjoined", "base": {"kind": "Integers"}, "symbol": "b", "weight": -1},
+           "series": [[[1, 1], "-1@1"], [[1, 0], "1@0"], [[0, 1], "1@0"]],
+           "truncation": 6.7, "beta": "1@1"}
     path = tmp_path / "law.json"
     path.write_text(json.dumps(law))
     res = run_cli("fgl-check", "--input", str(path), "--format", "json")
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr == "input error: group law truncation must be an integer, got 6.7\n"
+
+
+def test_group_law_series_in_three_variables_exits_2(tmp_path):
+    # used to exit 3 with an IndexError from truncating the series
+    law = {"base": {"kind": "Integers"}, "truncation": 6, "beta": None,
+           "series": [[[1, 0, 0], "1"], [[0, 1, 0], "1"], [[0, 0, 1], "1"]]}
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(law))
+    res = run_cli("fgl-check", "--input", str(path), "--format", "json")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "input error: law series must involve only the two series variables\n"
 
 
 def test_zero_chern_classes_need_no_base(capsys):

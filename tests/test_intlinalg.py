@@ -337,8 +337,10 @@ def _unit_pivot_matrix(rng):
 
 
 def test_integer_field_rref_matches_the_ring_reference():
-    # the native-integer elimination must give what the ring-generic
-    # reference gives over ZZ, and raise where it raises
+    # the integer elimination must give what the ring-generic reference
+    # gives over ZZ.  Where the reference meets a non-unit pivot in row
+    # order, the answer depends only on the row lattice: its HNF when
+    # every pivot there is 1, else NonDivisibleBase
     rng = random.Random(283)
     negated = dependent = 0
     for _ in range(150):
@@ -348,13 +350,23 @@ def test_integer_field_rref_matches_the_ring_reference():
         negated += -1 in signs
         dependent += len(m) > len(pivot_cols)
     assert negated > 50 and dependent > 50
+    lattice_only = raised = 0
     for _ in range(200):
         rows, cols = rng.randint(1, 5), rng.randint(1, 6)
         m = [[rng.choice([0, 0, 0, 1, 1, -1, -1, 2, -3]) for _ in range(cols)] for _ in range(rows)]
         try:
             want = field_rref_over(m, ZZ)
         except NonDivisibleBase:
-            with pytest.raises(NonDivisibleBase):
-                field_rref(m)
+            h, pivots = hnf(m)
+            if all(row[c] == 1 for row, c in zip(h, pivots)):
+                assert field_rref(m) == (h, pivots)
+                lattice_only += 1
+            else:
+                with pytest.raises(NonDivisibleBase):
+                    field_rref(m)
+                raised += 1
         else:
             assert field_rref(m) == want
+    assert lattice_only > 5 and raised > 5
+    # [[2], [1]] spans Z as [[1], [2]] does, so both reduce to [[1]]
+    assert field_rref([[2], [1]]) == field_rref([[1], [2]]) == ([[1]], [0])

@@ -1,28 +1,35 @@
 import json
 
 from orcohom.coefficients import ModularRing, QQ, ZZ, laurent_over
-from orcohom.fgl import lazard_ring, make_multiplicative
+from orcohom.fgl import lazard_ring, make_additive, make_multiplicative
 from orcohom.polynomials import Polynomial
 from orcohom.presented import PresentedRing, QuotientCoefficients
 from orcohom.serialize import (
     base_ring_from_json,
     base_ring_to_json,
     canonical_dumps,
-    diagram_to_json,
     fgl_from_json,
-    fgl_to_json,
     poly_from_json,
     poly_to_json,
     presented_ring_from_json,
     presented_ring_to_json,
     schemas,
     space_from_json,
-    space_to_json,
     telescope_from_json,
     tower_from_json,
 )
-from orcohom.spaces import GrassmannianBundle, Product, ProjectiveSpace, additive_theory, cohomology
-from orcohom.towers import FPModule, GradedFPModule, GradedMap, ModuleTower, TelescopeDiagram
+from orcohom.spaces import (
+    ClassifyingBGL,
+    FlagBundle,
+    GrassmannianBundle,
+    InfiniteProjectiveSpace,
+    Product,
+    ProjectiveBundle,
+    ProjectiveSpace,
+    additive_theory,
+    cohomology,
+)
+from orcohom.towers import ModuleTower, TelescopeDiagram
 
 from oracles import int_poly
 
@@ -74,40 +81,90 @@ def test_lazard_ring_exports_as_presented_ring():
     assert back.graded_ranks(4) == ring.graded_ranks(4)
 
 
-def test_fgl_round_trip_with_beta():
-    law = make_multiplicative(truncation=6)
-    back = roundtrip_bytes(fgl_to_json, fgl_from_json, law)
-    assert back.series == law.series
-    assert back.base.eq(back.beta, law.beta)
+def test_fgl_reader_with_and_without_beta():
+    # x + y - b x y over Z[b, 1/b], with b designated
+    law = fgl_from_json({
+        "base": {"kind": "LaurentAdjoined", "base": {"kind": "Integers"}, "symbol": "b", "weight": -1},
+        "series": [[[1, 1], "-1@1"], [[1, 0], "1@0"], [[0, 1], "1@0"]],
+        "truncation": 6, "beta": "1@1"})
+    want = make_multiplicative(truncation=6)
+    assert law.base == want.base and law.truncation == 6
+    assert law.series == want.series
+    assert law.base.eq(law.beta, want.base.generator())
+    # a null or missing beta designates nothing
+    for extra in ({"beta": None}, {}):
+        law = fgl_from_json({"base": {"kind": "Integers"},
+                             "series": [[[1, 0], "1"], [[0, 1], "1"]], "truncation": 4, **extra})
+        assert law.base == ZZ and law.truncation == 4 and law.beta is None
+        assert law.series == make_additive(truncation=4).series
 
 
-def test_space_round_trips():
-    th = additive_theory(truncation=8)
-    base = cohomology(th, ProjectiveSpace(2), 6)
-    h = Polynomial.variable(ZZ, 0)
-    from orcohom.spaces import FlagBundle, ProjectiveBundle
-    spaces = [ProjectiveSpace(4), GrassmannianBundle(2, 5),
-              Product(ProjectiveSpace(1), GrassmannianBundle(1, 2)),
-              FlagBundle(2, [h.scale(ZZ.from_int(3))], base_ring=base),
-              ProjectiveBundle(2, [h, h * h], base_ring=base),
-              GrassmannianBundle(1, 3, [h.scale(ZZ.from_int(-2))], base_ring=base)]
-    for s in spaces:
-        doc = canonical_dumps(space_to_json(s))
-        back = space_from_json(json.loads(doc))
-        assert canonical_dumps(space_to_json(back)) == doc
+# Z[l]/(l^3) truncated at 8, with Chern classes 3l and 2l^2
+BASE_DOC = {"base": {"kind": "Integers"}, "variables": [["l", 1]],
+            "relations": [[[[3], "1"]]], "truncation": 8}
+CHERN_DOC = [[[[1], "3"]], [[[2], "2"]]]
 
 
-def test_tower_round_trip():
-    gm = GradedFPModule({0: FPModule.modular(8, 1), 1: FPModule.free(2)})
-    mp = GradedMap({0: [[2]], 1: [[1, 0], [1, 1]]})
-    tower = ModuleTower([gm] * 3, [mp] * 2, periodicity=(0, 1))
-    back = roundtrip_bytes(diagram_to_json, tower_from_json, tower)
-    assert back.periodicity == (0, 1)
-    # an old document's surjectivity key is not written back
-    doc = {**diagram_to_json(tower), "surjectivity": [False, False]}
-    assert diagram_to_json(tower_from_json(doc)) == diagram_to_json(tower)
-    tele = TelescopeDiagram([gm] * 3, [mp] * 2, periodicity=(0, 1))
-    roundtrip_bytes(diagram_to_json, telescope_from_json, tele)
+def test_space_reader_decodes_every_tag():
+    l = Polynomial.variable(ZZ, 0)
+    base = PresentedRing(ZZ, [("l", 1)], [l * l * l], 8)
+    chern = (l.scale(ZZ.from_int(3)), (l * l).scale(ZZ.from_int(2)))
+
+    point = space_from_json("point")
+    assert type(point) is ProjectiveSpace and point.n == 0
+    for doc in ("Pinf", {"Pinf": True}):
+        assert type(space_from_json(doc)) is InfiniteProjectiveSpace
+    pn = space_from_json({"Pn": 3})
+    assert type(pn) is ProjectiveSpace and pn.n == 3
+    for doc, n in (({"BGL": "inf"}, None), ({"BGL": None}, None), ({"BGL": 4}, 4)):
+        bgl = space_from_json(doc)
+        assert type(bgl) is ClassifyingBGL and bgl.n == n
+
+    grass = space_from_json({"Grassmannian": {"m": 2, "n": 5, "base": BASE_DOC, "chern": CHERN_DOC}})
+    assert type(grass) is GrassmannianBundle and (grass.m, grass.n) == (2, 5)
+    flag = space_from_json({"Flag": {"n": 3, "base": BASE_DOC, "chern": CHERN_DOC}})
+    assert type(flag) is FlagBundle and flag.rank == 3
+    bundle = space_from_json({"ProjectiveBundle": {"rank": 2, "base": BASE_DOC, "chern": CHERN_DOC}})
+    assert type(bundle) is ProjectiveBundle and bundle.rank == 2
+    for s in (grass, flag, bundle):
+        assert s.base_ring == base
+        assert s.chern == chern
+
+    # without a base the classes are read over Z
+    plain = space_from_json({"Flag": {"n": 2, "chern": [[[[1], "3"]]]}})
+    assert plain.base_ring is None and plain.chern == (l.scale(ZZ.from_int(3)),)
+    assert space_from_json({"Grassmannian": {"m": 1, "n": 3}}).chern == ()
+
+    prod = space_from_json({"Product": ["point", {"Product": [{"Pn": 1}, {"BGL": 2}]}]})
+    assert type(prod) is Product and type(prod.left) is ProjectiveSpace and prod.left.n == 0
+    assert type(prod.right) is Product
+    assert (prod.right.left.n, prod.right.right.n) == (1, 2)
+
+
+DIAGRAM_DOC = {
+    "stages": [{"0": {"ngens": 1, "relations": [[8]]}, "1": {"ngens": 2, "relations": []}}] * 3,
+    "maps": [{"0": [[2]], "1": [[1, 0], [1, 1]]}] * 2,
+    "periodicity": [0, 1],
+}
+
+
+def test_tower_and_telescope_readers():
+    # an old document's surjectivity key is ignored
+    for reader, kind, doc in ((tower_from_json, ModuleTower, DIAGRAM_DOC),
+                              (tower_from_json, ModuleTower, {**DIAGRAM_DOC, "surjectivity": [False, False]}),
+                              (telescope_from_json, TelescopeDiagram, DIAGRAM_DOC)):
+        diagram = reader(doc)
+        assert type(diagram) is kind
+        assert diagram.periodicity == (0, 1)
+        assert len(diagram.stages) == 3 and len(diagram.maps) == 2
+        for stage in diagram.stages:
+            assert sorted(stage.pieces) == [0, 1]
+            assert (stage.piece(0).ngens, stage.piece(0).relations) == (1, [[8]])
+            assert (stage.piece(1).ngens, stage.piece(1).relations) == (2, [])
+        for m in diagram.maps:
+            assert m.matrices == {0: [[2]], 1: [[1, 0], [1, 1]]}
+    assert tower_from_json({**DIAGRAM_DOC, "periodicity": None}).periodicity is None
+    assert telescope_from_json({k: v for k, v in DIAGRAM_DOC.items() if k != "periodicity"}).periodicity is None
 
 
 def test_schema_versioned():

@@ -346,6 +346,21 @@ def test_telescope_with_a_prime_not_inverted_is_partial(mat, stable):
     assert rep["note"].endswith(stable)
 
 
+@pytest.mark.parametrize("mat, d", [
+    ([[10000019 * 10000079]], 10000019 * 10000079),  # trial division to sqrt(d) took a second
+    ([[6, 0], [0, 6]], 36),
+    ([[4, 0], [0, 2]], 8),
+])
+def test_exact_localization_does_not_factor_d(monkeypatch, mat, d):
+    import orcohom.towers as towers
+
+    def refuse(n):
+        raise AssertionError(f"{n} was factored")
+    monkeypatch.setattr(towers, "_prime_divisors", refuse)
+    rep = telescope_colimit(_z2_telescope(mat), 0)
+    assert (rep["rank"], rep["exact"], rep["localized_at"]) == (len(mat), True, d)
+
+
 def _random_windows(seed, count):
     rng = random.Random(seed)
     for _ in range(count):
