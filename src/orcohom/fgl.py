@@ -17,10 +17,19 @@ x^(i+1): each a_ij is exactly its b-polynomial, with no relation
 lattice and no normal form.  The same theorem gives
 ``lazard_graded_ranks``: it checks the presentation weight by weight
 through its indecomposables, one small module per weight, and never
-forms the relation lattice.
+forms the relation lattice.  Those modules need only the linear part
+of the associator F(F(x, y), z) - F(x, F(y, z)), which has a closed
+form: F(x, y)^i is (x + y)^i plus terms that each carry an a_ij, which
+are decomposable once multiplied by a further a_kl, so the linear part
+of the x^a y^b z^c coefficient of F(F(x, y), z) is a_ab when
+c = 0 < a, b, C(a + b, a) a_(a+b),c when c, a + b > 0, and 0 otherwise.
+The check therefore composes no series; only ``lazard_ring`` does, for
+the printed presentation.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .coefficients import BaseRing, NonDivisibleBase, ZZ, laurent_over
 from .intlinalg import FPModule
@@ -303,6 +312,36 @@ def lazard_ring(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> Presented
     return ring
 
 
+def _indecomposable_rows(n: int) -> list[list[int]]:
+    """Linear parts of the weight-n associativity relations, over the a_ij of weight n.
+
+    The columns are a_(i, n+1-i), i = 1 .. (n+1)//2, in ``lazard_generators``
+    order.  F(x, y)^i is (x + y)^i plus terms that each carry some a_kl,
+    so in F(F(x, y), z) the coefficient of x^a y^b z^c, a + b + c = n + 1,
+    has the linear part L(a, b, c) = a_ab when c = 0 < a, b, and
+    C(a + b, a) a_(a+b),c when c, a + b >= 1, with a_ij = a_ji.  The
+    associator's coefficient there has the linear part L(a, b, c) - L(c, b, a),
+    F being symmetric.  The nonzero rows with a > c are returned, the
+    pair a < c giving their negatives and a = c zero.
+    """
+    def linear(a, b, c):
+        row = [0] * ((n + 1) // 2)
+        if c == 0 and a and b:
+            row[min(a, b) - 1] = 1
+        elif c and a + b:
+            row[min(a + b, c) - 1] = comb(a + b, a)
+        return row
+
+    rows = []
+    for a in range(n + 2):
+        for c in range(min(a, n + 2 - a)):  # a > c and b >= 0
+            b = n + 1 - a - c
+            row = [left - right for left, right in zip(linear(a, b, c), linear(c, b, a))]
+            if any(row):
+                rows.append(row)
+    return rows
+
+
 def lazard_graded_ranks(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> list[int]:
     """Ranks p(w) of the associativity presentation per weight 0..D.
 
@@ -310,19 +349,22 @@ def lazard_graded_ranks(truncation: int, bound: int = LAZARD_DEFAULT_BOUND) -> l
     weight n modulo the linear parts of the weight-n relations (a
     relation times a positive-weight monomial is decomposable), must be
     Z with no torsion; otherwise the presentation is wrong and
-    ArithmeticError names the weight.  The relations vanish in Z[b], so a
-    lift x_n of the generator maps to c_n b_n plus decomposables, c_n
-    the gcd of the C(n+1, i), never 0.  The x-monomials span L (graded
-    Nakayama) and their images are triangular, so L_w is free of rank
-    p(w): Lazard's theorem (Adams, *Stable Homotopy and Generalised
+    ArithmeticError names the weight.  The linear parts come in closed
+    form from ``_indecomposable_rows``: F(x, y)^i is (x + y)^i plus
+    decomposables, so only the binomials C(a + b, a) and single a_ij
+    survive, and no relation is composed.  The relations vanish in Z[b],
+    so a lift x_n of the generator maps to c_n b_n plus decomposables,
+    c_n the gcd of the C(n+1, i), never 0.  The x-monomials span L
+    (graded Nakayama) and their images are triangular, so L_w is free of
+    rank p(w): Lazard's theorem (Adams, *Stable Homotopy and Generalised
     Homology*, Part II §7; Ravenel, *Complex Cobordism*, Thm A2.1.10).
     """
-    ring = lazard_ring(truncation, bound)
-    relations = [(ring.homogeneous_weight(r), r.terms) for r in ring.relations]
+    if truncation < 1:
+        raise ValueError("truncation must be positive")
+    if truncation > bound:
+        raise ValueError(f"truncation {truncation} exceeds the configured bound {bound}")
     for n in range(1, truncation + 1):
-        cols = [((k, 1),) for k, w in enumerate(ring.weights) if w == n]
-        rows = [[terms.get(m, 0) for m in cols] for w, terms in relations if w == n]
-        if FPModule(len(cols), rows).rank_torsion() != (1, []):
+        if FPModule((n + 1) // 2, _indecomposable_rows(n)).rank_torsion() != (1, []):
             raise ArithmeticError(f"Lazard presentation: indecomposables are not Z in weight {n}")
     return [partition_count(w) for w in range(truncation + 1)]
 

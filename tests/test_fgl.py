@@ -4,7 +4,7 @@ import random
 import pytest
 
 from orcohom.coefficients import ModularRing, NonDivisibleBase, QQ, ZZ, laurent_over
-from orcohom import fgl
+from orcohom import fgl, presented
 from orcohom.fgl import (
     FormalGroupLaw,
     check_axioms,
@@ -212,18 +212,41 @@ def test_lazard_ranks_match_partition_numbers():
 
 
 def test_lazard_ranks_need_no_relation_lattice(monkeypatch):
-    def fail(self, w):
-        raise AssertionError("the dense relation lattice ran")
+    def fail(*args, **kwargs):
+        raise AssertionError("the relations were built")
 
     monkeypatch.setattr(PresentedRing, "graded_basis", fail)
-    assert lazard_graded_ranks(16, bound=16) == [partition_count(w) for w in range(17)]
+    monkeypatch.setattr(fgl, "lazard_ring", fail)
+    monkeypatch.setattr(fgl, "compose", fail)
+    monkeypatch.setattr(presented, "compose", fail)
+    assert lazard_graded_ranks(24, bound=24) == [partition_count(w) for w in range(25)]
+
+
+def _linear_parts(ring, relations, n):
+    """The weight-n ``relations`` of ``ring``'s generators, as rows over its weight-n generators."""
+    cols = [((k, 1),) for k, w in enumerate(ring.weights) if w == n]
+    return [[rel.terms.get(m, 0) for m in cols] for rel in relations if ring.homogeneous_weight(rel) == n]
+
+
+def test_indecomposable_rows_are_the_linear_parts_of_the_relations():
+    # the closed form against the composed associator, up to sign, for
+    # every D CI runs ``fgl-lazard`` at; the rank check alone
+    # accepts C(a + b, a) -> 1 at D = 9
+    def up_to_sign(rows):
+        return {tuple(r) if next(v for v in r if v) > 0 else tuple(-v for v in r) for r in rows if any(r)}
+
+    for D in range(1, 17):
+        ring = lazard_ring(D, bound=D)
+        for n in range(1, D + 1):
+            rows = fgl._indecomposable_rows(n)
+            assert up_to_sign(rows) == up_to_sign(_linear_parts(ring, ring.relations, n)), (D, n)
 
 
 def _with_relations(monkeypatch, D, relations):
-    """Make ``fgl.lazard_ring`` return the weight-D generators presented
-    by ``relations`` instead of the associativity relations."""
-    mutant = PresentedRing(ZZ, lazard_ring(D, bound=D).variables, relations, D)
-    monkeypatch.setattr(fgl, "lazard_ring", lambda *args, **kwargs: mutant)
+    """Make the rank check read the linear parts of ``relations``, in the
+    weight-D generators, instead of those of the associativity relations."""
+    ring = lazard_ring(D, bound=D)
+    monkeypatch.setattr(fgl, "_indecomposable_rows", lambda n: _linear_parts(ring, relations, n))
 
 
 def test_lazard_check_refuses_exactly_where_the_lattice_departs(monkeypatch):
@@ -279,6 +302,10 @@ def test_cli_refuses_a_broken_presentation_as_an_internal_error(monkeypatch, cap
 def test_lazard_bound_enforced():
     with pytest.raises(ValueError):
         lazard_ring(9)
+    with pytest.raises(ValueError, match="^truncation must be positive$"):
+        lazard_graded_ranks(0)
+    with pytest.raises(ValueError, match="^truncation 9 exceeds the configured bound 8$"):
+        lazard_graded_ranks(9)
 
 
 def test_generic_law_passes_axioms_at_bound():
