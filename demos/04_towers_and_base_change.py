@@ -1,7 +1,8 @@
 """Module towers, telescopes, and the base-change comparison.
 
-Walks the three canonical tower examples, a localizing telescope, and
-the full base-change suite at truncation 8.
+Walks the three canonical tower examples, a mixed free/torsion window,
+a split comparison, a localizing telescope, and the full base-change
+suite at truncation 8.
 """
 
 import random
@@ -39,13 +40,19 @@ adic = ModuleTower([gm] * 4, [two] * 3, periodicity=(0, 1))
 lim, lim1 = tower_limit_and_lim1(adic, 0)
 print("Z by-2 tower:       flagged partial:", lim1["note"])
 
+mixed = GradedFPModule({0: FPModule(2, [[0, 4]])})
+halving = ModuleTower([mixed] * 4, [GradedMap({0: [[1, 0], [0, 2]]})] * 3, periodicity=(0, 1))
+lim, lim1 = tower_limit_and_lim1(halving, 0)
+print("Z+Z/4 by diag(1,2): lim", (lim["rank"], lim["torsion"]), "-", lim["note"])
+
 print()
 print("== split comparison ==")
 rng = random.Random(1)
 Y, Z, r, s, g = random_split_tower(rng)
 rep = split_tower_compare(Y, Z, r, s, g)
 entry = rep["per_weight"][0]
-print("random split tower: limits agree:", entry["limits_agree"],
+print("random split tower: r s = 1 and f = s g r:", rep["ok"],
+      "| lim, computed on Z:", (entry["lim"]["rank"], entry["lim"]["torsion"]),
       "| complement, the image of 1 - s r:", (entry["complement_rank"], entry["complement_torsion"]))
 
 print()

@@ -283,7 +283,7 @@ def run_tower(args):
         g = ser._graded_map_from_json(data["g"]) if "g" in data else None
         rep = tw.split_tower_compare(Y, Z, r, s, g)
         result = {"comparison": rep}
-        csv_rows = [["weight", "ok"]] + [[e["weight"], e.get("limits_agree")]
+        csv_rows = [["weight", "ok"]] + [[e["weight"], "failure" not in e]
                                          for e in rep["per_weight"]]
         return result, rep["ok"], csv_rows
     tower = ser.tower_from_json(data)

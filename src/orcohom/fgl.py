@@ -48,22 +48,15 @@ def series_ring(base: BaseRing, names, truncation: int) -> PresentedRing:
 
 
 class FormalGroupLaw:
-    """Truncated bivariate series with a designated optional unit.
+    """Truncated bivariate series in x and y over a coefficient domain."""
 
-    ``beta`` is the Bott-type invertible coefficient of the ambient
-    domain when one is designated; designating a non-unit is an error.
-    """
-
-    def __init__(self, base: BaseRing, series: Polynomial, truncation: int, beta=None):
+    def __init__(self, base: BaseRing, series: Polynomial, truncation: int):
         self.base = base
         self.truncation = int(truncation)
         if series.variables() - {_X, _Y}:
             raise ValueError("law series must involve only the two series variables")
         self.ring2 = series_ring(base, ("x", "y"), self.truncation)
         self.series = self.ring2.truncate(series)
-        if beta is not None and not base.is_unit(beta):
-            raise ValueError("designated periodicity element must be a unit")
-        self.beta = beta
 
     def x(self) -> Polynomial:
         return Polynomial.variable(self.base, _X)
@@ -93,10 +86,8 @@ def make_multiplicative(base: BaseRing | None = None, beta=None,
     """F(x, y) = x + y - beta*x*y.
 
     Defaults to the integral Laurent domain Z[b, b^-1] with beta the
-    invertible generator.  beta is designated as the periodicity element
-    exactly when it is a unit; a non-invertible beta (including zero,
-    which degenerates the law to the additive one) is accepted and left
-    undesignated.
+    invertible generator.  Any beta is accepted; zero degenerates the law
+    to the additive one.
     """
     if base is None:
         base = laurent_over(ZZ, "b", -1)
@@ -110,7 +101,7 @@ def make_multiplicative(base: BaseRing | None = None, beta=None,
         ((_Y, 1),): base.one(),
         xy: base.neg(beta),
     })
-    return FormalGroupLaw(base, series, truncation, beta=beta if base.is_unit(beta) else None)
+    return FormalGroupLaw(base, series, truncation)
 
 
 def universal_coefficients(truncation: int = 8) -> QuotientCoefficients:

@@ -96,10 +96,10 @@ def presented_ring_from_json(data: dict) -> PresentedRing:
 
 
 def fgl_from_json(data: dict) -> FormalGroupLaw:
+    """A group law; a ``beta`` key, which older documents carry, is ignored."""
     base = base_ring_from_json(data["base"])
     series = poly_from_json(base, data["series"])
-    beta = base.coeff_from_str(data["beta"]) if data.get("beta") is not None else None
-    return FormalGroupLaw(base, series, _integer(data["truncation"], "group law truncation"), beta=beta)
+    return FormalGroupLaw(base, series, _integer(data["truncation"], "group law truncation"))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,7 @@ def schemas() -> dict:
             "truncation": "positive integer weight bound",
         },
         "FormalGroupLaw": {"base": "BaseRing", "series": poly,
-                           "truncation": "int", "beta": "coefficient-string or null"},
+                           "truncation": "int", "beta": "ignored"},
         "Space": {
             "Pn": "int", "Pinf": "true", "BGL": "int or 'inf'",
             "Grassmannian": {"m": "int", "n": "int", "base": "PresentedRing?", "chern": "[Polynomial]?"},

@@ -30,10 +30,10 @@ from .presented import PresentedRing, RingMap, compose
 
 
 class OrientedTheory:
-    """Coefficient domain plus group law; the law's ``beta``, when set, is
-    the periodicity unit.  The law is unchecked: the package builds only
-    x + y, x + y - bxy and ``fgl.universal_law`` (on first read of ``law``),
-    group laws by construction; run ``check_axioms`` on any other first."""
+    """Coefficient domain plus group law.  The law is unchecked: the
+    package builds only x + y, x + y - bxy and ``fgl.universal_law`` (on
+    first read of ``law``), group laws by construction; run
+    ``check_axioms`` on any other first."""
 
     def __init__(self, coefficients: BaseRing, law: FormalGroupLaw):
         if law.base != coefficients:

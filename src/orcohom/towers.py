@@ -12,9 +12,11 @@ A periodic system is answered from its window alone: lim, lim1 and the
 colimit depend only on a cofinal subsystem (Milnor, Pacific J. Math. 12,
 1962; Weibel, *An Introduction to Homological Algebra*, 3.5), so the
 module M at the window's start and the composite h once around the
-window decide them.  A tower without a window is answered from its
-stored stages: surjective or finite stages kill the derived limit
-(Mittag-Leffler).
+window decide them.  One rule covers every window: once the images
+h^k(M) stop falling, h is bijective on them, so that stable image is the
+limit and the colimit and Mittag-Leffler kills lim1.  A tower without a
+window is answered from its stored stages: surjective or finite stages
+kill the derived limit.
 
 Where no hypothesis decides, the answer is flagged partial rather than
 wrong: the derived limit of a non-Mittag-Leffler tower of infinite
@@ -24,7 +26,9 @@ presentation is reported for it.
 
 from __future__ import annotations
 
-from .intlinalg import FPModule, det_bareiss_ring, snf_invariants
+from math import prod
+
+from .intlinalg import FPModule, det_bareiss_ring, hnf, snf_invariants
 
 
 class UndecidableTower(ValueError):
@@ -46,14 +50,14 @@ def map_is_zero(matrix, target: FPModule) -> bool:
     return all(target.contains(col) for col in zip(*matrix))
 
 
+def _same_map(a, b, target: FPModule) -> bool:
+    """Do two integer matrices agree as maps into the target module?"""
+    return map_is_zero([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], target)
+
+
 def map_well_defined(matrix, source: FPModule, target: FPModule) -> bool:
     """Images of source relations must land in the target relation span."""
     return all(target.contains(_apply(matrix, rel)) for rel in source.relations)
-
-
-def map_surjective(matrix, target: FPModule) -> bool:
-    """Onto exactly when the target modulo the image columns is zero."""
-    return target.quotient(zip(*matrix)).rank_torsion() == (0, [])
 
 
 def compose_matrices(a, b, ncols: int):
@@ -170,38 +174,48 @@ class ModuleTower(_StageSystem):
     forward = False
 
     def map_surjective(self, k: int, w: int) -> bool:
-        return map_surjective(self.map_matrix(k, w), self.stages[k].piece(w))
+        """Is map k onto in weight w: is its target modulo the image zero?"""
+        target = self.stages[k].piece(w)
+        return target.quotient(zip(*self.map_matrix(k, w))).rank_torsion() == (0, [])
 
 
-def _power(mat, k: int, n: int):
-    """h^k for an n x n integer matrix h."""
-    power = _eye(n, n)
-    for _ in range(k):
-        power = compose_matrices(mat, power, n)
-    return power
+def _image_chain(module: FPModule, h):
+    """HNFs (I_N, I_(N+1)) of the images I_k = h^k(M) + R in Z^n of the
+    window module M = Z^n / R under its composite h: equal once the chain
+    stops, the pair at the bound otherwise.
+
+    The chain starts at Z^n, its own HNF, so step 0 is the HNF of the
+    columns of h with R, and an onto h stops there; step k maps the HNF
+    basis of I_k through h.  Once I_(N+1) = I_N, h maps I_N onto itself,
+    hence bijectively (Vasconcelos, Trans. AMS 138, 1969).  A chain that
+    stops does so within n plus the total bit length of M's torsion
+    invariants: its image in the free quotient loses rank at every step
+    until it stops, and then each strict step at least halves the
+    torsion of I_k.  Past that bound h has determinant other than +-1 on
+    the stable lattice of the free quotient, and the chain never stops.
+    """
+    n, relations = module.ngens, module.lattice[0]
+    image, following = _eye(n, n), hnf([list(col) for col in zip(*h)] + relations)[0]
+    if following != image:  # step 0 settles every onto window; only then the bound
+        for _ in range(n + sum(v.bit_length() for v in module.rank_torsion()[1])):
+            image, following = following, hnf([_apply(h, row) for row in following] + relations)[0]
+            if following == image:
+                break
+    return image, following
 
 
-def _stable_image(module: FPModule, mat) -> tuple[int, list[int]]:
-    """Rank and torsion of the stable image of an endomorphism h of a finite
-    module M: the image of h^L, L the total bit length of M's invariants
-    d1 | d2 | ...  Each strict step of the falling chain of images at least
-    halves the order, so L steps reach its bottom.  The last invariant
-    kills M, so the entries of the powers are reduced modulo it."""
-    n, invariants = module.ngens, module.rank_torsion()[1]
-    power = _eye(n, n)
-    for _ in range(sum(v.bit_length() for v in invariants)):
-        power = [[v % invariants[-1] for v in row] for row in compose_matrices(mat, power, n)]
-    return _submodule_presentation(zip(*power), module).rank_torsion()
+def _index(lattice, sublattice) -> int:
+    """Index of a sublattice of the same rank, as HNFs: they share their
+    pivot columns, so it is the quotient of their pivot products."""
+    return prod(next(v for v in row if v) for row in sublattice) // \
+        prod(next(v for v in row if v) for row in lattice)
 
 
-def _stable_part(mat, n: int) -> tuple[int, int]:
-    """(r, d) for h on Z^n: r the rank of the stable image L = h^n(Z^n)
-    and d = |det| of h on L, on the HNF basis of L.  The ranks of the
-    powers of h stop falling by h^n, so h maps L into itself injectively
-    and d > 0 (d = 1 when r = 0)."""
-    stable = FPModule(n, [list(col) for col in zip(*_power(mat, n, n))])
-    basis = stable.lattice[0]
-    return len(basis), abs(det_bareiss_ring([stable.solve(_apply(mat, b)) for b in basis]))
+def _image_module(image, module: FPModule) -> FPModule:
+    """I / R for a lattice I of Z^n containing R; M itself for I = Z^n."""
+    if image == _eye(module.ngens, module.ngens):
+        return module
+    return _submodule_presentation(image, module)
 
 
 def _exact(rank, torsion, note: str, **extra) -> dict:
@@ -210,6 +224,21 @@ def _exact(rank, torsion, note: str, **extra) -> dict:
 
 def _partial(note: str, rank=None, torsion=None) -> dict:
     return {"rank": rank, "torsion": torsion, "exact": False, "note": note}
+
+
+def _window_limits(module: FPModule, mat) -> tuple[dict, dict]:
+    """lim and lim1 of the constant tower of ``mat`` on ``module``."""
+    image, following = _image_chain(module, mat)
+    if image == following:
+        return (_exact(*_image_module(image, module).rank_torsion(),
+                       "stable image of the window composite"),
+                _exact(0, [], "window images stabilize (Mittag-Leffler)"))
+    if module.relations:
+        note = "partial: mixed free/torsion non-surjective window"
+        return _partial(note), _partial(note)
+    d = _index(image, following)
+    return (_partial(f"partial: window determinant {d}; limit is an adic object"),
+            _partial("partial: derived limit not finitely presentable"))
 
 
 def tower_limit_and_lim1(tower: ModuleTower, weight: int) -> tuple[dict, dict]:
@@ -222,45 +251,27 @@ def tower_limit_and_lim1(tower: ModuleTower, weight: int) -> tuple[dict, dict]:
     # lim and lim1 are the kernel and cokernel of (1 - shift) on the
     # infinite product, and depend only on a cofinal subsystem: for a
     # periodic tower, the constant tower of the window composite h on the
-    # window module M.  An onto h is bijective (Hopfian); on a finite M
-    # the images of h stabilize; on a free M they stabilize at the stable
-    # image L when h is unimodular on L.  Each case is eventually a tower
-    # of isomorphisms, so lim is the stable image and Mittag-Leffler
-    # kills lim1.  Otherwise (the adic example) neither is determined by
-    # finite data, so the answer is flagged partial, not fabricated.
+    # window module M.  When the images of h stop falling, the tower is
+    # eventually one of isomorphisms on the stable image, so that image
+    # is the limit and Mittag-Leffler kills lim1.  Otherwise (the adic
+    # example) neither is determined by finite data, so the answer is
+    # flagged partial, not fabricated.
     #
     # Connecting maps are single weight-preserving matrices per stage:
     # the suspension shift and the periodicity unit cancel against each
     # other in the collapsed grading, so no degree bookkeeping appears
     # in the matrices themselves.
     w = weight
-    finite_note = "finite stages: images stabilize (Mittag-Leffler)"
-    if tower.periodicity is None:
-        mods = [stage.piece(w) for stage in tower.stages]
-        if all(tower.map_surjective(k, w) for k in range(len(tower.maps))):
-            return (_partial("partial: surjectivity without a periodic window", *mods[-1].rank_torsion()),
-                    _exact(0, [], "surjective tower: Mittag-Leffler"))
-        if all(m.is_finite() for m in mods):
-            return _partial("partial: finite stages without a periodic window"), _exact(0, [], finite_note)
-        raise UndecidableTower(
-            "need finite stages, a periodic window, or surjectivity to compute limits")
-
-    module, mat = tower.window_composite(w)
-    if map_surjective(mat, module):
-        return (_exact(*module.rank_torsion(), "surjective window composite is bijective (Hopfian)"),
-                _exact(0, [], "window composite onto: eventually isomorphisms (Mittag-Leffler)"))
-    if module.is_finite():
-        return _exact(*_stable_image(module, mat), "stable image of the window composite"), \
-            _exact(0, [], finite_note)
-    if not module.relations:
-        rank, d = _stable_part(mat, module.ngens)
-        if d == 1:
-            return (_exact(rank, [], "window composite unimodular on its stable image"),
-                    _exact(0, [], "free stages: images stabilize (Mittag-Leffler)"))
-        return (_partial(f"partial: window determinant {d}; limit is an adic object"),
-                _partial("partial: derived limit not finitely presentable"))
-    note = "partial: mixed free/torsion non-surjective window"
-    return _partial(note), _partial(note)
+    if tower.periodicity is not None:
+        return _window_limits(*tower.window_composite(w))
+    mods = [stage.piece(w) for stage in tower.stages]
+    if all(tower.map_surjective(k, w) for k in range(len(tower.maps))):
+        return (_partial("partial: surjectivity without a periodic window", *mods[-1].rank_torsion()),
+                _exact(0, [], "surjective tower: Mittag-Leffler"))
+    if all(m.is_finite() for m in mods):
+        return (_partial("partial: finite stages without a periodic window"),
+                _exact(0, [], "finite stages: images stabilize (Mittag-Leffler)"))
+    raise UndecidableTower("need finite stages, a periodic window, or surjectivity to compute limits")
 
 
 def split_tower_compare(Y: ModuleTower, Z: ModuleTower, r: GradedMap, s: GradedMap,
@@ -270,8 +281,11 @@ def split_tower_compare(Y: ModuleTower, Z: ModuleTower, r: GradedMap, s: GradedM
 
     Both towers must be constant periodic (window at 0 of period 1), and
     r, s and g must respect relations in every weight (ValueError
-    otherwise).  Verifies r s = 1 and f = s g r per weight and checks
-    that limit and derived limit descriptors agree.  The complement
+    otherwise).  ``ok`` says that r s = 1 and f = s g r hold in every
+    weight.  They make (Y, f) and (Z, g) pro-isomorphic: r f = g r and
+    f s = s g, r s = 1, and f (1 - s r) = 0 makes s r the identity after
+    one step.  So the towers share their limits, and each weight reports
+    one ``lim`` and ``lim1``, computed on Z under g.  The complement
     ker(r) is the image of 1 - s r once r s = 1, and f kills it:
     f (1 - s r) = s g (1 - r s) r = 0.  ``complement_rank`` and
     ``complement_torsion`` are its free rank and torsion as a submodule
@@ -295,41 +309,23 @@ def split_tower_compare(Y: ModuleTower, Z: ModuleTower, r: GradedMap, s: GradedM
                 raise ValueError(f"{name} does not respect relations in weight {w}")
         pieces[w] = ym, zm, r_mat, s_mat, g_mat
     per_weight = []
-    ok = True
     for w, (ym, zm, r_mat, s_mat, g_mat) in pieces.items():
-        f_mat = Y.map_matrix(0, w)
-        entry = {"weight": w}
-        rs = compose_matrices(r_mat, s_mat, zm.ngens)
-        diff = [[rs[i][j] - (i == j) for j in range(zm.ngens)] for i in range(zm.ngens)]
-        if not map_is_zero(diff, zm):
-            entry["failure"] = "r s is not the identity"
-            per_weight.append(entry)
-            ok = False
-            break
         sgr = compose_matrices(s_mat, compose_matrices(g_mat, r_mat, ym.ngens), ym.ngens)
-        diff = [[f_mat[i][j] - sgr[i][j] for j in range(ym.ngens)] for i in range(ym.ngens)]
-        if not map_is_zero(diff, ym):
-            entry["failure"] = "f differs from s g r"
-            per_weight.append(entry)
-            ok = False
-            break
-        lim_y, lim1_y = tower_limit_and_lim1(Y, w)
-        lim_z, lim1_z = tower_limit_and_lim1(Z, w)
-        agree = (lim_y["rank"], lim_y["torsion"]) == (lim_z["rank"], lim_z["torsion"]) and \
-                (lim1_y["rank"], lim1_y["torsion"]) == (lim1_z["rank"], lim1_z["torsion"])
-        sr = compose_matrices(s_mat, r_mat, ym.ngens)
-        complement = [[(i == j) - sr[i][j] for i in range(ym.ngens)] for j in range(ym.ngens)]
-        comp_rank, comp_torsion = _submodule_presentation(complement, ym).rank_torsion()
-        entry.update({
-            "limits_agree": agree,
-            "lim_Y": lim_y, "lim_Z": lim_z,
-            "lim1_Y": lim1_y, "lim1_Z": lim1_z,
-            "complement_rank": comp_rank,
-            "complement_torsion": comp_torsion,
-        })
-        ok = ok and agree
-        per_weight.append(entry)
-    return {"ok": ok, "per_weight": per_weight}
+        if not _same_map(compose_matrices(r_mat, s_mat, zm.ngens), _eye(zm.ngens, zm.ngens), zm):
+            failure = "r s is not the identity"
+        elif not _same_map(Y.map_matrix(0, w), sgr, ym):
+            failure = "f differs from s g r"
+        else:
+            lim, lim1 = _window_limits(zm, g_mat)
+            sr = compose_matrices(s_mat, r_mat, ym.ngens)
+            complement = [[(i == j) - sr[i][j] for i in range(ym.ngens)] for j in range(ym.ngens)]
+            comp_rank, comp_torsion = _submodule_presentation(complement, ym).rank_torsion()
+            per_weight.append({"weight": w, "lim": lim, "lim1": lim1,
+                               "complement_rank": comp_rank, "complement_torsion": comp_torsion})
+            continue
+        per_weight.append({"weight": w, "failure": failure})
+        return {"ok": False, "per_weight": per_weight}
+    return {"ok": True, "per_weight": per_weight}
 
 
 def random_unimodular(rng, n: int):
@@ -431,18 +427,18 @@ def _prime_divisors(n: int) -> list[int]:
 def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
     """Weight piece of the colimit.
 
-    Eventually isomorphic systems give the stable value exactly.  A
-    periodic window with self-map h on Z^n has the colimit of h on its
-    stable image L, of rank r, where h has determinant d != 0: Z^r
-    exactly when d = 1, and Z[1/d]^r exactly when, for every prime
-    p | d, the rank s_p of h^n mod p is 0 (h is nilpotent mod p).  That
-    holds when d divides a power of the first Smith invariant of h^n, so
-    d is factored only otherwise: then some p is not invertible on the
+    A periodic window module M with composite h has the colimit of h on
+    its stable image when the images of h stop falling: every element
+    lands there, and h is bijective on it (Z/12 under 2 gives Z/3).  When
+    they keep falling on M = Z^n, h is injective with determinant d, the
+    index of I_(N+1) in I_N, on the last image I_N, of rank r.  The
+    colimit is Z[1/d]^r exactly when, for every prime p | d, the rank
+    s_p of h^(N+1) mod p is 0 (h is nilpotent mod p).  That holds when d
+    divides a power of the first Smith invariant of I_(N+1), so d is
+    factored only otherwise: then some p is not invertible on the
     colimit (Z^2 under diag(2, 3) gives Z[1/2] + Z[1/3]) and the answer
-    is partial, with each s_p in the note.  A finite M is the stable
-    image plus a part h kills (Fitting), so that image is the colimit
-    (Z/12 under 2 gives Z/3).  Anything else is the last stored stage
-    flagged partial.
+    is partial, with each s_p in the note.  A falling chain with torsion,
+    or a system without a window, is its last stage flagged partial.
     """
     w = weight
     if t.periodicity is None:
@@ -451,20 +447,18 @@ def telescope_colimit(t: TelescopeDiagram, weight: int) -> dict:
     # the window's maps and its periodicity were checked when t was built,
     # so the composite is a well-defined endomorphism of the window module
     module, mat = t.window_composite(w)
-    rank, torsion = module.rank_torsion()
-    if map_surjective(mat, module):
-        return _exact(rank, torsion, "eventually isomorphic system: stable value")
-    if module.is_finite():
-        return _exact(*_stable_image(module, mat), "stable image of the window composite")
+    image, following = _image_chain(module, mat)
+    if image == following:
+        return _exact(*_image_module(image, module).rank_torsion(),
+                      "stable image of the window composite")
     if module.relations:
-        return _partial("partial: torsion telescope outside the supported regimes", rank, torsion)
-    rank, d = _stable_part(mat, module.ngens)
-    if d == 1:
-        return _exact(rank, [], "stable value on the stable image of the window")
-    # s_p counts the Smith invariants of h^n that p does not divide; all
-    # are multiples of the first, so every s_p is 0 exactly when d divides
-    # a power of it, and a bit length of d bounds each prime's exponent
-    invariants = snf_invariants(_power(mat, module.ngens, module.ngens))
+        return _partial("partial: torsion telescope outside the supported regimes",
+                        *module.rank_torsion())
+    rank, d = len(image), _index(image, following)
+    # s_p counts the Smith invariants that p does not divide; all are
+    # multiples of the first, so every s_p is 0 exactly when d divides a
+    # power of it, and a bit length of d bounds each prime's exponent
+    invariants = snf_invariants(following)
     if pow(invariants[0], d.bit_length(), d) == 0:
         return _exact(rank, [], f"rank {rank} over the base with {d} inverted", localized_at=d)
     stable = {p: sum(1 for v in invariants if v % p) for p in _prime_divisors(d)}

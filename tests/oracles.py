@@ -23,7 +23,8 @@ is onto a weight when the images of the source monomials and the
 target's relation rows span the target's ambient lattice, not because
 it hits every generator.  Reduced row echelon forms over a field go
 through the coefficient ring's own arithmetic, with each pivot row
-scaled by its inverse.
+scaled by its inverse.  The stable image of a window is found from raw
+powers of its composite, every lattice built before any is compared.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 from orcohom.coefficients import IntegerRing, ModularRing, RationalRing, ZZ
 from orcohom.conner_floyd import _coefficient_images, base_change, cobordism_presentation
-from orcohom.intlinalg import FPModule, kernel_basis
+from orcohom.intlinalg import FPModule, hnf, kernel_basis
 from orcohom.fgl import FormalGroupLaw, _generic_series, lazard_generators, lazard_ring, series_ring
 from orcohom.polynomials import Polynomial, mono_divides, mono_mul, mono_weight, swap_variables
 from orcohom.presented import (Degreewise, NonConfluentPresentation, PresentedRing, QuotientCoefficients,
@@ -786,6 +787,28 @@ def telescope_stable_part(mat) -> tuple[int, int, dict[int, int]]:
             killed += not any(v)
         stable[p] = n - next(k for k in range(n + 1) if p ** k == killed)
     return r, d, stable
+
+
+def stable_image_by_definition(module: FPModule, h, steps: int):
+    """(k, rank, torsion) for the first k < steps at which the lattice
+    h^k(Z^n) + R, R the module's relations, has the same HNF as the next
+    one, with the rank and torsion of that image h^k(M) = (h^k(Z^n) + R)/R;
+    None when no such k exists.  The powers h^k are raw integer products,
+    never reduced, and all steps + 1 lattices are built before any two
+    are compared; the torsion comes from minor gcds of the relations
+    written over the lattice's basis."""
+    n = module.ngens
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    lattices = []
+    for _ in range(steps + 1):
+        lattices.append(hnf([list(col) for col in zip(*power)] + module.relations)[0])
+        power = [[sum(row[t] * power[t][j] for t in range(n)) for j in range(n)] for row in h]
+    k = next((k for k in range(steps) if lattices[k] == lattices[k + 1]), None)
+    if k is None:
+        return None
+    basis = FPModule(n, lattices[k])
+    return (k, *torsion_via_minor_gcd([basis.solve(rel) for rel in module.relations],
+                                      len(lattices[k])))
 
 
 def finite_stable_image_kill_counts(modulus: int, mat) -> dict[int, int]:

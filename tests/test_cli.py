@@ -450,7 +450,31 @@ def test_tower_compare_reports_the_complement(tmp_path, capsys):
     assert cli.main(["tower", "--compare", "--input", str(path), "--format", "json"]) == 0
     (entry,) = json.loads(capsys.readouterr().out)["comparison"]["per_weight"]
     assert (entry["complement_rank"], entry["complement_torsion"]) == (0, [3])
-    assert entry["limits_agree"] and "complement_self_map_zero" not in entry
+    # one limit, computed on Z: the comparison no longer computes Y's
+    assert (entry["lim"]["rank"], entry["lim"]["torsion"], entry["lim"]["exact"]) == (0, [4], True)
+    assert not {"limits_agree", "lim_Y", "lim_Z", "complement_self_map_zero"} & set(entry)
+
+
+def test_tower_compare_of_a_mixed_y_exits_0(tmp_path, capsys):
+    # Y = Z + Z/2 under the projection onto Z, Z = Z under 1: r s = 1 and
+    # f = s g r hold, so the comparison passes with lim = Z exactly (it
+    # exited 1 while it compared Y's partial limits with Z's)
+    from orcohom import cli
+
+    def tower(stage, f):
+        return {"stages": [{"0": stage}] * 2, "maps": [{"0": f}], "periodicity": [0, 1]}
+
+    doc = {"Y": tower({"ngens": 2, "relations": [[0, 2]]}, [[1, 0], [0, 0]]),
+           "Z": tower({"ngens": 1, "relations": []}, [[1]]),
+           "r": {"0": [[1, 0]]}, "s": {"0": [[1], [0]]}}
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["tower", "--compare", "--input", str(path), "--format", "json"]) == 0
+    comparison = json.loads(capsys.readouterr().out)["comparison"]
+    (entry,) = comparison["per_weight"]
+    assert comparison["ok"] and (entry["complement_rank"], entry["complement_torsion"]) == (0, [2])
+    assert (entry["lim"]["rank"], entry["lim"]["torsion"], entry["lim"]["exact"]) == (1, [], True)
+    assert (entry["lim1"]["rank"], entry["lim1"]["torsion"], entry["lim1"]["exact"]) == (0, [], True)
 
 
 def _ill_defined_split_doc(name):

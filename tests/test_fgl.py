@@ -63,16 +63,15 @@ def test_multiplicative_axioms_and_expansion():
 
 def test_multiplicative_with_zero_beta_degenerates():
     law = make_multiplicative(ZZ, 0, truncation=6)
-    assert law.beta is None
     assert check_axioms(law)["passed"]
     assert law.series == make_additive(ZZ, 6).series
 
 
-def test_nonunit_beta_is_not_designated():
-    law = make_multiplicative(ZZ, 2)
-    assert law.beta is None
-    with pytest.raises(ValueError):
-        FormalGroupLaw(ZZ, law.series, 6, beta=2)
+def test_multiplicative_accepts_a_nonunit_beta():
+    # x + y - 2xy over Z is a group law although 2 is not a unit
+    law = make_multiplicative(ZZ, 2, truncation=6)
+    assert law.coefficient(1, 1) == -2 and law.coefficient(1, 0) == law.coefficient(0, 1) == 1
+    assert check_axioms(law)["passed"]
 
 
 def test_axiom_failures_detected():

@@ -20,7 +20,7 @@ from orcohom.towers import (
 )
 
 from oracles import (finite_stable_image_kill_counts, mod_p_rank, split_complement_by_kernel,
-                     telescope_stable_part)
+                     stable_image_by_definition, telescope_stable_part, torsion_via_minor_gcd)
 
 
 def constant_tower(module, matrix, stages=4):
@@ -513,9 +513,9 @@ def test_onto_window_behind_a_zero_map_names_its_proof():
     assert not tower.map_surjective(0, 0)
     lim, lim1 = tower_limit_and_lim1(tower, 0)
     assert lim == {"rank": 0, "torsion": [2], "exact": True,
-                   "note": "surjective window composite is bijective (Hopfian)"}
+                   "note": "stable image of the window composite"}
     assert lim1 == {"rank": 0, "torsion": [], "exact": True,
-                    "note": "window composite onto: eventually isomorphisms (Mittag-Leffler)"}
+                    "note": "window images stabilize (Mittag-Leffler)"}
 
 
 def test_telescope_bott_system():
@@ -536,3 +536,88 @@ def test_telescope_bott_system():
     tele = TelescopeDiagram(stages, maps, periodicity=(1, 1))
     rep = telescope_colimit(tele, 0)
     assert rep["rank"] == 1 and rep["exact"]
+
+
+def _random_window(rng, kind):
+    """(module, h): Z^n modulo a diagonal of moduli (0 for a free
+    coordinate), and an endomorphism: h sends torsion to torsion, and its
+    entry (i, j) between torsion coordinates is a multiple of
+    d_i / gcd(d_i, d_j), so every relation lands in the relations."""
+    n = rng.randint(2, 3) if kind == "mixed" else rng.randint(1, 3)
+    if kind == "free":
+        moduli = [0] * n
+    elif kind == "finite":
+        moduli = [rng.choice([2, 3, 4, 6, 8, 9, 12]) for _ in range(n)]
+    else:
+        moduli = [0] + [rng.choice([0, 2, 4, 6, 8]) for _ in range(n - 2)] + [rng.choice([2, 3, 4, 8])]
+        rng.shuffle(moduli)
+    h = [[rng.randint(-2, 3) * (1 if not dj else 0 if not di else di // math.gcd(di, dj))
+          for dj in moduli] for di in moduli]
+    return FPModule(n, [[d * (i == j) for j in range(n)] for i, d in enumerate(moduli) if d]), h
+
+
+def test_window_answers_match_the_stable_image_by_definition():
+    # raw powers h^k searched to four times the chain's bound: an exact
+    # lim or colimit is the first stable image, a window left partial
+    # never stabilizes, and none stabilizes past the bound
+    rng = random.Random(36)
+    seen = {"exact_mixed": 0, "past_ngens": 0, "partial": 0, "localized": 0}
+    for i in range(1050):
+        kind = ("free", "finite", "mixed")[i % 3]
+        module, h = _random_window(rng, kind)
+        bound = module.ngens + sum(v.bit_length() for v in torsion_via_minor_gcd(module.relations,
+                                                                                 module.ngens)[1])
+        found = stable_image_by_definition(module, h, 4 * bound + 1)
+        lim, lim1 = tower_limit_and_lim1(constant_tower(module, h, stages=2), 0)
+        colim = telescope_colimit(_window_telescope(module, h), 0)
+        case = (module.relations, h, found)
+        if found is None:
+            assert not lim["exact"] and not lim1["exact"], case
+            assert not colim["exact"] or colim.get("localized_at", 1) > 1, case
+            seen["partial"] += 1
+            seen["localized"] += colim["exact"]
+            continue
+        k, rank, torsion = found
+        assert k <= bound, case
+        assert (lim["rank"], lim["torsion"], lim["exact"]) == (rank, torsion, True), case
+        assert (lim1["rank"], lim1["torsion"], lim1["exact"]) == (0, [], True), case
+        assert (colim["rank"], colim["torsion"], colim["exact"]) == (rank, torsion, True), case
+        assert "localized_at" not in colim, case
+        seen["exact_mixed"] += kind == "mixed"
+        seen["past_ngens"] += k > module.ngens
+    assert min(seen.values()) >= 20, seen
+
+
+def test_mixed_window_whose_images_stop_is_exact():
+    # Z + Z/4 under diag(1, 2): the images fall Z + Z/4 > Z + 2Z/4 > Z
+    window, mat = FPModule(2, [[0, 4]]), [[1, 0], [0, 2]]
+    lim, lim1 = tower_limit_and_lim1(constant_tower(window, mat), 0)
+    assert lim == {"rank": 1, "torsion": [], "exact": True,
+                   "note": "stable image of the window composite"}
+    assert lim1 == {"rank": 0, "torsion": [], "exact": True,
+                    "note": "window images stabilize (Mittag-Leffler)"}
+    assert telescope_colimit(_window_telescope(window, mat), 0) == {
+        "rank": 1, "torsion": [], "exact": True, "note": "stable image of the window composite"}
+
+
+def test_split_towers_have_the_limits_of_their_retract():
+    # the comparison reads its limits off Z alone; computed separately,
+    # Y under f = s g r has the same ones, on Z/5 blocks and on mixed Y
+    rng = random.Random(8)
+    towers = [random_split_tower(rng)[:2] for _ in range(40)]
+    for _ in range(60):
+        # Y = Z + X with X of the form Z^a + Z/m, Z a random window
+        zm, g = _random_window(rng, rng.choice(["free", "finite", "mixed"]))
+        a, m = rng.randint(0, 1), rng.choice([2, 3, 4])
+        n, extra = zm.ngens, a + 1
+        relations = [row + [0] * extra for row in zm.relations] + [[0] * (n + extra - 1) + [m]]
+        r = [[int(i == j) for j in range(n + extra)] for i in range(n)]
+        s = [[int(i == j) for j in range(n)] for i in range(n + extra)]
+        f = [[g[i][j] if i < n and j < n else 0 for j in range(n + extra)] for i in range(n + extra)]
+        y, z = constant_tower(FPModule(n + extra, relations), f), constant_tower(zm, g)
+        assert split_tower_compare(y, z, GradedMap({0: r}), GradedMap({0: s}))["ok"]
+        towers.append((y, z))
+    for y, z in towers:
+        for from_y, from_z in zip(tower_limit_and_lim1(y, 0), tower_limit_and_lim1(z, 0)):
+            assert (from_y["rank"], from_y["torsion"], from_y["exact"]) == \
+                (from_z["rank"], from_z["torsion"], from_z["exact"]), (y.maps[0].matrices, from_y, from_z)
