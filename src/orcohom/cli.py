@@ -15,17 +15,19 @@ import random
 import sys
 from itertools import repeat
 
+# module bindings, read at call time, so that a subcommand executes only
+# the modules it reaches (the package registers them lazily)
+from . import coefficients as coeff
 from . import conner_floyd as cf
 from . import fgl as fgl_mod
 from . import hopf as hopf_mod
+from . import partitions as part
+from . import presented as pres
 from . import serialize as ser
 from . import spaces as sp
 from . import thom as thom_mod
 from . import towers as tw
-from .coefficients import NonDivisibleBase
-from .partitions import partition_count
 from .polynomials import Polynomial
-from .presented import IllDefinedMap
 
 OPERATION_COVERAGE = {
     "fgl-check": ["make_additive", "make_multiplicative", "check_axioms",
@@ -73,7 +75,7 @@ def _load_json(args, inline: str | None = None):
 _THEORIES = {
     "additive": lambda D: sp.additive_theory(truncation=D),
     "multiplicative": lambda D: sp.multiplicative_theory(truncation=D),
-    "universal": cf.universal_theory,
+    "universal": lambda D: cf.universal_theory(truncation=D),
 }
 
 
@@ -91,8 +93,7 @@ def run_fgl_check(args):
         law = fgl_mod.make_multiplicative(truncation=D)
     axioms = fgl_mod.check_axioms(law)
     inv = fgl_mod.formal_inverse(law)
-    from .presented import compose
-    residue = compose(law.ring2, law.series, [law.x(), inv], law.base)
+    residue = pres.compose(law.ring2, law.series, [law.x(), inv], law.base)
     inverse_ok = residue.is_zero()
     two = fgl_mod.n_series(law, 2)
     result = {
@@ -105,7 +106,7 @@ def run_fgl_check(args):
     try:
         log = fgl_mod.logarithm(law)
         result["logarithm"] = ser.poly_to_json(log, (1, 1), 2)
-    except NonDivisibleBase as e:
+    except coeff.NonDivisibleBase as e:
         result["logarithm"] = f"unavailable: {e}"
     verified = axioms["passed"] and inverse_ok
     csv_rows = ([["axiom", "ok"]] + [[k, axioms[k]] for k in ("unit", "commutative", "associative")]
@@ -115,10 +116,11 @@ def run_fgl_check(args):
 
 def run_fgl_lazard(args):
     D = args.truncation
-    if D > args.bound:
-        raise InputError(f"truncation {D} exceeds --bound {args.bound}")
-    ranks = fgl_mod.lazard_graded_ranks(D, args.bound)
-    ring = fgl_mod.lazard_ring(D, args.bound)
+    bound = fgl_mod.LAZARD_DEFAULT_BOUND if args.bound is None else args.bound
+    if D > bound:
+        raise InputError(f"truncation {D} exceeds --bound {bound}")
+    ranks = fgl_mod.lazard_graded_ranks(D, bound)
+    ring = fgl_mod.lazard_ring(D, bound)
     law = fgl_mod.make_multiplicative(truncation=D + 1)
     cmap = fgl_mod.classifying_map(law, ring)
     images = {name: cmap.target.base.coeff_str(im.constant_term())
@@ -246,7 +248,7 @@ def run_thom(args):
         "truncation": D,
         "rank_table": table,
         "piece_basis_labels": labels,
-        "partition_totals": [partition_count(w) for w in range(D + 1)],
+        "partition_totals": [part.partition_count(w) for w in range(D + 1)],
         "product_checks": products,
         "shift_checks": isos,
         "ok": ok,
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fgl-lazard", help="universal-coefficient presentation and ranks")
     common(p, "truncation")
-    p.add_argument("--bound", type=int, default=fgl_mod.LAZARD_DEFAULT_BOUND)
+    p.add_argument("--bound", type=int)  # None: fgl.LAZARD_DEFAULT_BOUND, read by the handler
     p.set_defaults(handler=run_fgl_lazard)
 
     p = sub.add_parser("cohomology", help="presentations for spaces and bundles")
@@ -436,7 +438,7 @@ def main(argv=None) -> int:
     out = sys.stdout
     try:
         result, verified, csv_rows = args.handler(args)
-    except IllDefinedMap as e:
+    except pres.IllDefinedMap as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, TypeError) as e:

@@ -14,20 +14,14 @@ from __future__ import annotations
 import json
 import re
 
+# fgl, presented, spaces and towers are module bindings, read at call time,
+# so that a subcommand executes only the modules its documents reach
+from . import fgl
+from . import presented as pres
+from . import spaces as sp
+from . import towers as tw
 from .coefficients import BaseRing, IntegerRing, LaurentRing, ModularRing, RationalRing, QQ, ZZ
-from .fgl import FormalGroupLaw
 from .polynomials import poly_from_json, poly_to_json
-from .presented import PresentedRing, QuotientCoefficients
-from .spaces import (
-    ClassifyingBGL,
-    FlagBundle,
-    GrassmannianBundle,
-    InfiniteProjectiveSpace,
-    Product,
-    ProjectiveBundle,
-    ProjectiveSpace,
-)
-from .towers import FPModule, GradedFPModule, GradedMap, ModuleTower, TelescopeDiagram
 
 SCHEMA_VERSION = 1
 
@@ -50,7 +44,7 @@ def base_ring_to_json(ring: BaseRing) -> dict:
     if isinstance(ring, LaurentRing):
         return {"kind": "LaurentAdjoined", "base": base_ring_to_json(ring.base),
                 "symbol": ring.symbol, "weight": ring.weight}
-    if isinstance(ring, QuotientCoefficients):
+    if isinstance(ring, pres.QuotientCoefficients):
         return {"kind": "PresentedQuotient", "ring": presented_ring_to_json(ring.ring)}
     raise TypeError(f"unknown coefficient domain {ring!r}")
 
@@ -67,7 +61,7 @@ def base_ring_from_json(data: dict) -> BaseRing:
         return LaurentRing(base_ring_from_json(data["base"]), data["symbol"],
                            _integer(data["weight"], "LaurentAdjoined weight"))
     if kind == "PresentedQuotient":
-        return QuotientCoefficients(presented_ring_from_json(data["ring"]))
+        return pres.QuotientCoefficients(presented_ring_from_json(data["ring"]))
     raise ValueError(f"unknown coefficient domain kind {kind!r}")
 
 
@@ -75,7 +69,7 @@ def base_ring_from_json(data: dict) -> BaseRing:
 # presented rings and maps
 
 
-def presented_ring_to_json(ring: PresentedRing) -> dict:
+def presented_ring_to_json(ring: pres.PresentedRing) -> dict:
     return {
         "base": base_ring_to_json(ring.base),
         "variables": [[n, w] for n, w in ring.variables],
@@ -84,22 +78,22 @@ def presented_ring_to_json(ring: PresentedRing) -> dict:
     }
 
 
-def presented_ring_from_json(data: dict) -> PresentedRing:
+def presented_ring_from_json(data: dict) -> pres.PresentedRing:
     base = base_ring_from_json(data["base"])
     variables = [(n, _integer(w, f"weight of variable {n!r}")) for n, w in data["variables"]]
     relations = [poly_from_json(base, r) for r in data["relations"]]
-    return PresentedRing(base, variables, relations, _integer(data["truncation"], "truncation"))
+    return pres.PresentedRing(base, variables, relations, _integer(data["truncation"], "truncation"))
 
 
 # ---------------------------------------------------------------------------
 # group laws
 
 
-def fgl_from_json(data: dict) -> FormalGroupLaw:
+def fgl_from_json(data: dict) -> fgl.FormalGroupLaw:
     """A group law; a ``beta`` key, which older documents carry, is ignored."""
     base = base_ring_from_json(data["base"])
     series = poly_from_json(base, data["series"])
-    return FormalGroupLaw(base, series, _integer(data["truncation"], "group law truncation"))
+    return fgl.FormalGroupLaw(base, series, _integer(data["truncation"], "group law truncation"))
 
 
 # ---------------------------------------------------------------------------
@@ -117,19 +111,19 @@ def _bundle_payload(payload: dict):
 def space_from_json(data) -> object:
     if isinstance(data, str):
         if data == "point":
-            return ProjectiveSpace(0)
+            return sp.ProjectiveSpace(0)
         if data == "Pinf":
-            return InfiniteProjectiveSpace()
+            return sp.InfiniteProjectiveSpace()
         raise ValueError(f"unknown space name {data!r}")
     if not isinstance(data, dict) or len(data) != 1:
         raise ValueError("space descriptor must be a one-key object")
     tag, payload = next(iter(data.items()))
     if tag == "Pn":
-        return ProjectiveSpace(_integer(payload, "Pn"))
+        return sp.ProjectiveSpace(_integer(payload, "Pn"))
     if tag == "Pinf":
-        return InfiniteProjectiveSpace()
+        return sp.InfiniteProjectiveSpace()
     if tag == "BGL":
-        return ClassifyingBGL(None if payload in ("inf", None) else _integer(payload, "BGL"))
+        return sp.ClassifyingBGL(None if payload in ("inf", None) else _integer(payload, "BGL"))
     if tag in ("Grassmannian", "Flag", "ProjectiveBundle"):
         if not isinstance(payload, dict):
             raise ValueError(f"{tag} descriptor must be an object, got {payload!r}")
@@ -140,14 +134,14 @@ def space_from_json(data) -> object:
                 raise ValueError(f"{tag} descriptor is missing the field {key!r}")
             return _integer(payload[key], f"{tag} {key}")
         if tag == "Grassmannian":
-            return GrassmannianBundle(size("m"), size("n"), chern, base_ring)
+            return sp.GrassmannianBundle(size("m"), size("n"), chern, base_ring)
         if tag == "Flag":
-            return FlagBundle(size("n"), chern, base_ring)
-        return ProjectiveBundle(size("rank"), chern, base_ring)
+            return sp.FlagBundle(size("n"), chern, base_ring)
+        return sp.ProjectiveBundle(size("rank"), chern, base_ring)
     if tag == "Product":
         if not isinstance(payload, list) or len(payload) != 2:
             raise ValueError(f"Product descriptor must list exactly two factors, got {payload!r}")
-        return Product(space_from_json(payload[0]), space_from_json(payload[1]))
+        return sp.Product(space_from_json(payload[0]), space_from_json(payload[1]))
     raise ValueError(f"unknown space tag {tag!r}")
 
 
@@ -179,18 +173,18 @@ def _weight(key: str) -> int:
     return int(key)
 
 
-def _module_from_json(data: dict) -> FPModule:
-    return FPModule(_integer(data["ngens"], "ngens"),
-                    [[_integer(v, "relation entry") for v in r] for r in data["relations"]])
+def _module_from_json(data: dict) -> tw.FPModule:
+    return tw.FPModule(_integer(data["ngens"], "ngens"),
+                       [[_integer(v, "relation entry") for v in r] for r in data["relations"]])
 
 
-def _graded_module_from_json(data: dict) -> GradedFPModule:
-    return GradedFPModule({_weight(w): _module_from_json(m) for w, m in data.items()})
+def _graded_module_from_json(data: dict) -> tw.GradedFPModule:
+    return tw.GradedFPModule({_weight(w): _module_from_json(m) for w, m in data.items()})
 
 
-def _graded_map_from_json(data: dict) -> GradedMap:
-    return GradedMap({_weight(w): [[_integer(v, "map entry") for v in r] for r in mat]
-                      for w, mat in data.items()})
+def _graded_map_from_json(data: dict) -> tw.GradedMap:
+    return tw.GradedMap({_weight(w): [[_integer(v, "map entry") for v in r] for r in mat]
+                         for w, mat in data.items()})
 
 
 def _diagram_from_json(kind, data: dict):
@@ -199,14 +193,14 @@ def _diagram_from_json(kind, data: dict):
                 _periodicity_from_json(data))
 
 
-def tower_from_json(data: dict) -> ModuleTower:
+def tower_from_json(data: dict) -> tw.ModuleTower:
     """A tower; a ``surjectivity`` key, which older documents carry, is
     ignored: surjectivity is computed, never declared."""
-    return _diagram_from_json(ModuleTower, data)
+    return _diagram_from_json(tw.ModuleTower, data)
 
 
-def telescope_from_json(data: dict) -> TelescopeDiagram:
-    return _diagram_from_json(TelescopeDiagram, data)
+def telescope_from_json(data: dict) -> tw.TelescopeDiagram:
+    return _diagram_from_json(tw.TelescopeDiagram, data)
 
 
 # ---------------------------------------------------------------------------
