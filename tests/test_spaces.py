@@ -21,7 +21,7 @@ from orcohom.spaces import (
     multiplicative_theory,
     restriction_map,
 )
-from orcohom.presented import Degreewise, RingMap
+from orcohom.presented import Degreewise, IllDefinedMap, RingMap
 
 from oracles import (elementary_symmetric, gaussian_binomial_ranks, int_poly, invariance_check,
                      partition_count, partitions_exactly_k, q_factorial_ranks, surjective_by_lattice,
@@ -343,14 +343,20 @@ RESTRICTION_PAIRS = [
     (GrassmannianBundle(1, 4), GrassmannianBundle(1, 3)),
     (GrassmannianBundle(2, 5), GrassmannianBundle(2, 4)),
     (GrassmannianBundle(3, 7), GrassmannianBundle(3, 6)),
+    # generator-to-generator maps that no inclusion table listed
+    (ClassifyingBGL(1), ProjectiveSpace(3)),
+    (ClassifyingBGL(2), GrassmannianBundle(2, 5)),
+    (ClassifyingBGL(3), ProjectiveSpace(2)),
+    (FlagBundle(3), FlagBundle(2)),
+    (GrassmannianBundle(2, 5), GrassmannianBundle(2, 3)),
 ]
 
 
 @pytest.mark.parametrize("theory", ["Z", "Z/4", "Q", "multiplicative", "universal"])
 def test_restrictions_are_onto_by_the_lattice(theory):
-    # every supported pair is onto in every weight, as the CLI reports
-    # without computing it, and the isomorphism verdict, read off ranks
-    # and torsion alone, is the lattice verdict
+    # every accepted pair is onto in every weight, as restriction_map
+    # proves, and the isomorphism verdict, read off ranks and torsion
+    # alone, is the lattice verdict
     from orcohom.conner_floyd import universal_theory
 
     D = 6
@@ -404,16 +410,34 @@ def test_restriction_grassmannian_stabilization():
             assert all(surjective_by_lattice(rmap, w) for w in range(D + 1)), (m, n)
 
 
-def test_restriction_unsupported_pair():
-    with pytest.raises(ValueError):
-        restriction_map(TH, ProjectiveSpace(1), ProjectiveSpace(2), 6)
-    # a Grassmannian over a base ring is no supported pair, even with
-    # zero Chern classes: generator to generator would send l to 0
+def test_restriction_unsupported_pair(capsys):
+    # each refusal is an input error: exit 2 with nothing on stdout
+    from orcohom.cli import main
+    from orcohom.serialize import space_from_json
+
+    refused = [
+        ({"Pn": 1}, {"Pn": 2}, "maps to a nonzero class"),  # l^2 survives
+        ({"BGL": 2}, {"BGL": 3}, "generator s3 of the target is not an image"),
+        ({"Grassmannian": {"m": 2, "n": 5}}, {"BGL": 2}, "maps to a nonzero class"),
+        ({"Flag": {"n": 3}}, {"BGL": 3}, "image of l2 must be homogeneous of weight 1"),
+    ]
+    for bigger, smaller, reason in refused:
+        with pytest.raises(ValueError, match=reason) as err:
+            restriction_map(TH, space_from_json(bigger), space_from_json(smaller), 6)
+        assert not isinstance(err.value, IllDefinedMap), bigger
+        code = main(["restriction", "--bigger", json.dumps(bigger), "--smaller", json.dumps(smaller),
+                     "-D", "6", "--format", "json"])
+        out, errout = capsys.readouterr()
+        assert (code, out) == (2, ""), bigger
+        assert reason in errout, bigger
+    # a Grassmannian over a base ring restricts to one over the same base,
+    # or to one over the point with the base generators sent to 0
     p2 = cohomology(TH, ProjectiveSpace(2), 6)
     for smaller_base in (p2, None):
-        with pytest.raises(ValueError, match="unsupported inclusion pair"):
-            restriction_map(TH, GrassmannianBundle(2, 4, [], p2),
-                            GrassmannianBundle(2, 3, [], smaller_base), 6)
+        rmap = restriction_map(TH, GrassmannianBundle(2, 4, [], p2),
+                               GrassmannianBundle(2, 3, [], smaller_base), 6)
+        assert rmap.images[2].is_zero() == (smaller_base is None)
+        assert all(surjective_by_lattice(rmap, w) for w in range(7)), smaller_base
 
 
 def test_homology_dual():

@@ -228,6 +228,18 @@ def test_stage_systems_refuse_a_negative_start_or_empty_period(cls, window):
         cls([gm] * 3, [GradedMap({0: [[1]]})] * 2, periodicity=window)
 
 
+def test_every_map_up_to_the_end_of_the_window_is_proved():
+    # window (1, 2) on Z, Z/2, Z, Z/2, Z: map 3 repeats map 1 between equal
+    # presentations, but map 2, the window's last, sends the relation 2 of
+    # Z/2 to 2 in Z and is refused
+    free, two = (GradedFPModule({0: m}) for m in (FPModule.free(1), FPModule.modular(2, 1)))
+    maps = [GradedMap({0: [[v]]}) for v in (0, 1, 1, 1)]
+    with pytest.raises(ValueError, match="map 2 does not respect relations in weight 0"):
+        ModuleTower([free, two, free, two, free], maps, periodicity=(1, 2))
+    maps[2] = GradedMap({0: [[0]]})
+    ModuleTower([free, two, free, two, free], maps, periodicity=(1, 2))
+
+
 @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 2)])
 def test_graded_map_refuses_a_matrix_of_the_wrong_shape(rows, cols):
     gm = GradedMap({0: [[1, 0]]})
